@@ -1,10 +1,17 @@
 """Experiment runner: wire topology, strategy, task, training, and metrics.
 
 A JSON config describes a grid of (seed, partition, split, strategy) cells.
-Every cell trains one model and contributes one CSV row plus one JSON report.
-Cells sharing (seed, partition, split) share the task instance and the
-initial model, so strategy comparisons are paired. Reruns of the same config
-produce byte-identical outputs.
+Every cell contributes one CSV row plus one JSON report.
+
+The grid runs one (seed, partition) group at a time. A group builds once,
+and shares across all of its splits and strategies, the task instance, the
+test set, the initial model, the training config and a table of estimated
+noise scales per (client, exit). Training never reads the split's budgets,
+so a group also trains each distinct (k, exit weights) pair once and reuses
+the final iterate in every cell that asks for it: ``equal`` and
+``flops_prop`` train once per group rather than once per split. Strategy
+comparisons are therefore paired, and reruns of the same config produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import csv
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,11 +155,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigParseError("mlp tasks need data.partitions")
 
         strategies = []
+        report_names = set()
         for s in raw["strategies"]:
             name = s["name"]
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
-            strategies.append(StrategySpec(name=name, k=float(s.get("k", 0.0))))
+            spec = StrategySpec(name=name, k=float(s.get("k", 0.0)))
+            # Reports are named by strategy and k:g, so two entries that agree
+            # there would write one report over the other.
+            report_name = (name, f"{spec.k:g}")
+            if report_name in report_names:
+                raise ConfigParseError(f"duplicate strategy {name!r} with k={spec.k:g}")
+            report_names.add(report_name)
+            strategies.append(spec)
 
         seeds = tuple(int(s) for s in raw["seeds"])
         if not seeds:
@@ -182,11 +197,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(f"malformed config: {exc!r}") from exc
 
 
-def _build_task(cfg: ExperimentConfig, topo: Topology, partition: str, seed: int):
+def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
+    """Client data depend on the tree's structure and sizes, never on budgets."""
     spec = cfg.task
     if spec["kind"] == "quadratic":
         return make_quadratic_task(
-            topo,
+            cfg.topology,
             dim=int(spec.get("dim", 4)),
             eig_range=tuple(spec.get("eig_range", (1.0, 2.0))),
             sigma_range=tuple(spec.get("sigma_range", (0.0, 0.5))),
@@ -194,7 +210,7 @@ def _build_task(cfg: ExperimentConfig, topo: Topology, partition: str, seed: int
             seed=seed,
         )
     return make_classification_task(
-        topo,
+        cfg.topology,
         partition=partition,
         total_samples=cfg.total_samples,
         input_dim=int(spec.get("input_dim", 16)),
@@ -247,8 +263,58 @@ def _strategy_weights(
     return gen_error_adjusted(lam_norm, pools.sizes, cfg.flops)
 
 
-def _run_cell(cfg: ExperimentConfig, seed: int, partition: str, split: SplitSpec | None):
-    """Train every strategy on one shared task instance; return rows and reports."""
+@dataclass
+class _Group:
+    """What the cells of one (seed, partition) group share across splits."""
+
+    seed: int
+    partition: str
+    task: object
+    train_cfg: TrainConfig
+    w_init: np.ndarray
+    test_x: np.ndarray | None
+    test_y: np.ndarray | None
+    sigma: dict[tuple[str, int], float] = field(default_factory=dict)
+    trained: dict[tuple[float, bytes], np.ndarray] = field(default_factory=dict)
+
+    def noise_scale(self, client: str, exit: int) -> float:
+        """Estimated batch-gradient noise of one (client, exit) pair, computed once."""
+        key = (client, exit)
+        if key not in self.sigma:
+            self.sigma[key] = estimate_sigma(
+                self.task,
+                client,
+                exit,
+                self.train_cfg.batch_size,
+                radius=1.0,
+                n_probes=20,
+                seed=self.seed,
+            )
+        return self.sigma[key]
+
+
+def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
+    task = _build_task(cfg, partition, seed)
+    if task.kind == "mlp":
+        test_x, test_y = make_test_set(task, cfg.test_samples, seed)
+    else:
+        test_x = test_y = None
+    return _Group(
+        seed=seed,
+        partition=partition,
+        task=task,
+        train_cfg=_train_config(cfg, task, seed),
+        w_init=task.init_params(rngmod.stream(seed, rngmod.INIT)),
+        test_x=test_x,
+        test_y=test_y,
+    )
+
+
+def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
+    """Evaluate every strategy at one split of a group; return rows and reports."""
+    seed, partition, task = group.seed, group.partition, group.task
+    train_cfg, w_init = group.train_cfg, group.w_init
+    test_x, test_y = group.test_x, group.test_y
     base = cfg.topology
     if split is not None:
         budgets = budgets_for_split(base, np.asarray(split.fractions))
@@ -261,13 +327,8 @@ def _run_cell(cfg: ExperimentConfig, seed: int, partition: str, split: SplitSpec
     lam_norm = (
         np.asarray(split.fractions) if split is not None else plan.lambda_exit_normalized
     )
-
-    task = _build_task(cfg, topo, partition, seed)
     if task.kind == "mlp":
         topo = topo.with_dataset_sizes(task.sizes)
-        test_x, test_y = make_test_set(task, cfg.test_samples, seed)
-    else:
-        test_x = test_y = None
 
     rows = []
     reports = {}
@@ -275,9 +336,15 @@ def _run_cell(cfg: ExperimentConfig, seed: int, partition: str, split: SplitSpec
         sampling = build_sampling_matrix(topo, spec.k)
         pools = exit_pools(topo, sampling)
         weights = _strategy_weights(spec, cfg, lam_norm, pools)
-        train_cfg = _train_config(cfg, task, seed)
-        w_init = task.init_params(rngmod.stream(seed, rngmod.INIT))
-        w_final, _ = run(topo, task, weights, sampling, train_cfg, w_init=w_init)
+        # Training reads neither budgets nor the rate plan, so the final
+        # iterate depends on the split only through the exit weights.
+        trained_key = (spec.k, weights.weights.tobytes())
+        w_final = group.trained.get(trained_key)
+        if w_final is None:
+            w_final, _ = run(
+                topo, task, weights, sampling, train_cfg, w_init=w_init, record_objective=False
+            )
+            group.trained[trained_key] = w_final
 
         tv_value = tv_distance(weights.weights, lam_norm)
         proxy = gen_proxy(weights, cfg.flops, pools.sizes)
@@ -311,9 +378,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, partition: str, split: SplitSpec
             row["empirical_opt_error"] = None
             report.sigma_source = "estimated"
             report.g_per_pair = {
-                f"{c}:{e}": estimate_sigma(
-                    task, c, e, train_cfg.batch_size, radius=1.0, n_probes=20, seed=seed
-                )
+                f"{c}:{e}": group.noise_scale(c, e)
                 for e in range(1, topo.num_exits + 1)
                 for c in pools.clients[e - 1]
             }
@@ -374,6 +439,20 @@ def _run_cell(cfg: ExperimentConfig, seed: int, partition: str, split: SplitSpec
     return rows, reports
 
 
+def _run_group(
+    cfg: ExperimentConfig, seed: int, partition: str, splits: list[SplitSpec | None]
+):
+    """Run every split of one (seed, partition) group on its shared state."""
+    group = _build_group(cfg, seed, partition)
+    rows = []
+    reports = {}
+    for split in splits:
+        cell_rows, cell_reports = _run_cell(cfg, group, split)
+        rows.extend(cell_rows)
+        reports.update(cell_reports)
+    return rows, reports
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -401,25 +480,23 @@ def run_experiment(
     (out / "reports").mkdir(exist_ok=True)
 
     split_list: list[SplitSpec | None] = list(cfg.splits) if cfg.splits else [None]
-    cells = [
-        (seed, partition, split)
-        for seed in cfg.seeds
-        for partition in cfg.partitions
-        for split in split_list
-    ]
+    groups = [(seed, partition) for seed in cfg.seeds for partition in cfg.partitions]
 
     all_rows = []
     all_reports = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_cell, cfg, *cell) for cell in cells]
+            futures = [
+                pool.submit(_run_group, cfg, seed, partition, split_list)
+                for seed, partition in groups
+            ]
             for future in futures:
                 rows, reports = future.result()
                 all_rows.extend(rows)
                 all_reports.update(reports)
     else:
-        for cell in cells:
-            rows, reports = _run_cell(cfg, *cell)
+        for seed, partition in groups:
+            rows, reports = _run_group(cfg, seed, partition, split_list)
             all_rows.extend(rows)
             all_reports.update(reports)
 

@@ -182,9 +182,12 @@ def aggregate(
 
 @dataclass
 class Trajectory:
-    """Per-round summary of a run; index 0 is the initial model."""
+    """Per-round summary of a run; index 0 is the initial model.
 
-    objective: np.ndarray
+    ``objective`` is None when the run was asked not to record it.
+    """
+
+    objective: np.ndarray | None
     dist_to_opt: np.ndarray | None = None
     snapshots: list[np.ndarray] = field(default_factory=list)
 
@@ -198,8 +201,12 @@ def run(
     w_init: np.ndarray | None = None,
     w_star: np.ndarray | None = None,
     record_snapshots: bool = False,
+    record_objective: bool = True,
 ) -> tuple[np.ndarray, Trajectory]:
     """Train for ``cfg.rounds`` rounds and return the last iterate.
+
+    With ``record_objective=False`` the per-round weighted objective is not
+    evaluated; the iterates are the same either way.
 
     Raises:
         EmptyPoolError: some exit has no client able to train it.
@@ -222,12 +229,13 @@ def run(
         w = np.asarray(w_init, dtype=float).copy()
     sizes = dict(task.sizes)
 
-    objective = np.zeros(cfg.rounds + 1)
+    objective = np.zeros(cfg.rounds + 1) if record_objective else None
     dist = np.zeros(cfg.rounds + 1) if w_star is not None else None
     snapshots: list[np.ndarray] = []
 
     def record(index: int, vec: np.ndarray) -> None:
-        objective[index] = weighted_objective(task, vec, weights, pools)
+        if objective is not None:
+            objective[index] = weighted_objective(task, vec, weights, pools)
         if dist is not None:
             dist[index] = float(np.linalg.norm(vec - w_star))
         if record_snapshots:

@@ -72,6 +72,17 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config(mlp_config(strategies=[{"name": "mystery"}]))
 
+    def test_duplicate_strategy_rejected(self):
+        # Two identical entries used to write two CSV rows but one report.
+        with pytest.raises(ConfigParseError, match="duplicate"):
+            parse_config(mlp_config(strategies=[{"name": "equal"}, {"name": "equal"}]))
+        with pytest.raises(ConfigParseError, match="duplicate"):
+            parse_config(
+                mlp_config(
+                    strategies=[{"name": "serving_rate"}, {"name": "serving_rate", "k": 0.0}]
+                )
+            )
+
     def test_thirds_parse_to_exact_thirds(self):
         cfg = parse_config(mlp_config())
         thirds = cfg.splits[1].fractions
@@ -182,6 +193,72 @@ class TestRunExperiment:
         csv_path = run_experiment(path, out_dir=tmp_path / "out", threads=4)
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) - 1 == 3 * 7 * 3 * 3  # partitions x splits x strategies x seeds
+
+
+def reuse_config() -> dict:
+    """Two splits, two partitions, and strategies whose training repeats across splits."""
+    return mlp_config(
+        serving={"splits": [[80, 15, 5], [45, 35, 20]]},
+        data={"partitions": ["equal", "cloud_bias_plus"], "total_samples": 210,
+              "test_samples": 105},
+        strategies=[{"name": "equal"}, {"name": "flops_prop"},
+                    {"name": "serving_rate", "k": 0.0}, {"name": "serving_rate", "k": 0.1}],
+        seeds=[3],
+    )
+
+
+class TestGroupReuse:
+    def test_all_splits_match_one_run_per_split(self, tmp_path):
+        raw = reuse_config()
+        whole = run_experiment(parse_config(raw), out_dir=tmp_path / "whole")
+        header, *rows = whole.read_bytes().splitlines(keepends=True)
+        reports = {p.name: p.read_bytes() for p in (tmp_path / "whole" / "reports").iterdir()}
+
+        split_rows = []
+        split_reports = {}
+        for i, split in enumerate(raw["serving"]["splits"]):
+            one = dict(raw, serving={"splits": [split]})
+            out = tmp_path / f"split{i}"
+            part_header, *part_rows = (
+                run_experiment(parse_config(one), out_dir=out).read_bytes().splitlines(keepends=True)
+            )
+            assert part_header == header
+            split_rows.extend(part_rows)
+            split_reports.update({p.name: p.read_bytes() for p in (out / "reports").iterdir()})
+
+        assert len(rows) == 2 * 2 * 4  # splits x partitions x strategies
+        assert sorted(rows) == sorted(split_rows)
+        assert reports == split_reports
+
+    def test_each_group_trains_and_probes_once(self, tmp_path, monkeypatch):
+        import fedexit.experiment as experiment
+
+        runs = []
+        probes = []
+        tasks = []  # keeps every task alive so id(task) stays unique
+        real_run, real_sigma = experiment.run, experiment.estimate_sigma
+
+        def counting_run(topo, task, weights, sampling, cfg, **kwargs):
+            tasks.append(task)
+            runs.append((id(task), sampling.probs.tobytes(), weights.weights.tobytes()))
+            return real_run(topo, task, weights, sampling, cfg, **kwargs)
+
+        def counting_sigma(task, client, exit, *args, **kwargs):
+            tasks.append(task)
+            probes.append((id(task), client, exit))
+            return real_sigma(task, client, exit, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run", counting_run)
+        monkeypatch.setattr(experiment, "estimate_sigma", counting_sigma)
+        run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
+
+        # Per group: equal and flops_prop once, serving_rate once per split at
+        # each k. Clients: 4 devices (exit 1), 2 edges (exit 2), the cloud
+        # (exit 3); with k=0.1 every client also trains the exits below its own.
+        assert len(runs) == len(set(runs)) == 2 * (1 + 1 + 2 + 2)
+        assert len({task for task, _, _ in runs}) == 2
+        pairs_per_group = 7 + 3 + 1
+        assert len(probes) == len(set(probes)) == 2 * pairs_per_group
 
 
 class TestCompare:

@@ -266,6 +266,32 @@ class TestRun:
         np.testing.assert_array_equal(w_end[~mask], w0[~mask])
         assert np.any(w_end[mask] != w0[mask])
 
+    def test_skipping_objective_keeps_iterate_quadratic(self):
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
+        sampling = build_sampling_matrix(topo, 0.1)
+        cfg = theory_cfg(rounds=15, mu=task.mu, smoothness=task.smoothness,
+                         projection_radius=task.radius, seed=9)
+        w_rec, traj_rec = run(topo, task, equal_weight(3), sampling, cfg)
+        w_skip, traj_skip = run(topo, task, equal_weight(3), sampling, cfg,
+                                record_objective=False)
+        assert w_skip.tobytes() == w_rec.tobytes()
+        assert traj_rec.objective is not None and traj_skip.objective is None
+
+    def test_skipping_objective_keeps_iterate_mlp(self):
+        topo = seven_node_topology()
+        task = make_classification_task(
+            topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=6
+        )
+        topo = topo.with_dataset_sizes(task.sizes)
+        sampling = build_sampling_matrix(topo, 0.1)
+        cfg = TrainConfig(rounds=4, local_steps=2, batch_size=8, base_lr=0.1, seed=2)
+        w_rec, _ = run(topo, task, equal_weight(3), sampling, cfg)
+        w_skip, traj_skip = run(topo, task, equal_weight(3), sampling, cfg,
+                                record_objective=False)
+        assert w_skip.tobytes() == w_rec.tobytes()
+        assert traj_skip.objective is None
+
     def test_size_mismatch_rejected(self):
         topo = seven_node_topology()
         task = make_classification_task(
