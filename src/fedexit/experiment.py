@@ -8,10 +8,10 @@ and shares across all of its splits and strategies, the task instance, the
 test set, the initial model, the training config and a table of estimated
 noise scales per (client, exit). Training never reads the split's budgets,
 so a group also trains each distinct (k, exit weights) pair once and reuses
-the final iterate in every cell that asks for it: ``equal`` and
-``flops_prop`` train once per group rather than once per split. Strategy
-comparisons are therefore paired, and reruns of the same config produce
-byte-identical outputs.
+the final iterate, and on the MLP its test-set scores, in every cell that
+asks for it: ``equal`` and ``flops_prop`` train once per group rather than
+once per split. Strategy comparisons are therefore paired, and reruns of
+the same config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -121,6 +121,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
+def _reject_duplicates(what: str, values) -> None:
+    """Refuse a repeated grid value.
+
+    Reports are named by seed, partition and split label, so a repeated value
+    would write one cell's report over another's.
+    """
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigParseError(f"duplicate {what} {value!r}")
+        seen.add(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     try:
         topo = from_node_dicts(raw["topology"]["nodes"], raw["topology"].get("num_exits"))
@@ -139,6 +152,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     SplitSpec(label=_split_label(entry), fractions=tuple(vec / vec.sum()))
                 )
             splits = tuple(parsed)
+            _reject_duplicates("split", [s.label for s in splits])
         else:
             budgets = {str(k): float(v) for k, v in serving["budgets"].items()}
 
@@ -149,6 +163,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
         data = raw.get("data", {})
         partitions = tuple(data.get("partitions", ("none",)))
+        _reject_duplicates("partition", partitions)
         if kind == "quadratic" and partitions != ("none",):
             raise ConfigParseError("quadratic tasks take their sizes from the topology")
         if kind == "mlp" and partitions == ("none",):
@@ -172,6 +187,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seeds = tuple(int(s) for s in raw["seeds"])
         if not seeds:
             raise ConfigParseError("need at least one seed")
+        _reject_duplicates("seed", seeds)
 
         flops = tuple(float(f) for f in raw.get("flops", REFERENCE_FLOPS))
         if len(flops) != topo.num_exits:
@@ -276,6 +292,8 @@ class _Group:
     test_y: np.ndarray | None
     sigma: dict[tuple[str, int], float] = field(default_factory=dict)
     trained: dict[tuple[float, bytes], np.ndarray] = field(default_factory=dict)
+    # Test-set (accuracies, losses) per exit of each MLP iterate in ``trained``.
+    scores: dict[tuple[float, bytes], tuple[list, list]] = field(default_factory=dict)
 
     def noise_scale(self, client: str, exit: int) -> float:
         """Estimated batch-gradient noise of one (client, exit) pair, computed once."""
@@ -360,14 +378,18 @@ def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
         report = ErrorReport(tv_value=tv_value, gen_proxy=proxy)
 
         if task.kind == "mlp":
-            accs = [
-                exit_accuracy(task, w_final, e, test_x, test_y)
-                for e in range(1, topo.num_exits + 1)
-            ]
-            losses = [
-                task.loss_on(w_final, test_x, test_y, e)
-                for e in range(1, topo.num_exits + 1)
-            ]
+            if trained_key not in group.scores:
+                group.scores[trained_key] = (
+                    [
+                        exit_accuracy(task, w_final, e, test_x, test_y)
+                        for e in range(1, topo.num_exits + 1)
+                    ],
+                    [
+                        task.loss_on(w_final, test_x, test_y, e)
+                        for e in range(1, topo.num_exits + 1)
+                    ],
+                )
+            accs, losses = group.scores[trained_key]
             outcome = simulate_serving(topo, plan, task, w_final, test_x, test_y)
             for e in range(3):
                 row[f"exit{e + 1}_acc"] = accs[e] if e < len(accs) else None
@@ -387,9 +409,9 @@ def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
             params = theory_params(
                 task, weights, sampling, pools, train_cfg.server_lr, train_cfg.local_steps
             )
-            gamma_value = statistical_heterogeneity(task, weights, pools)
-            b_value = bound_B(params, gamma_value)
             minimum = quadratic_minimizers(task, weights, pools)
+            gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
+            b_value = bound_B(params, gamma_value)
             init_dist_sq = float(np.sum((w_init - minimum.w_star) ** 2))
             bound = opt_error_bound(params, b_value, train_cfg.rounds, init_dist_sq)
             empirical = (

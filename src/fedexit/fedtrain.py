@@ -8,6 +8,13 @@ inverse sampling probability. The result is projected onto an
 origin-centered ball. All randomness comes from streams keyed by
 (seed, round, client), so runs are bit-reproducible regardless of execution
 order.
+
+On a :class:`QuadraticTask` the local phase is stacked: one ``(N, d)``
+iterate holds every client, each local step is one batched matmul over the
+sampled pairs' matrices, and each client's noise for all of its local steps
+is one draw from its own stream. The result is bit-identical to calling
+:func:`local_update` and :func:`aggregate` per client, which other backends
+(the MLP) still do and which stay the reference implementation.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import EmptyPoolError, ZeroProbabilityError
 from .objective import weighted_objective
+from .quadratic import QuadraticTask
 from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
 from .topology import Topology
 
@@ -96,16 +104,40 @@ class RoundSample:
     pairs: tuple[tuple[str, int], ...]
 
 
+def _sample_exits(sampling: SamplingMatrix, rng: np.random.Generator) -> np.ndarray:
+    """0-based sampled exit of every client, in ``sampling.clients`` order."""
+    u = rng.random(len(sampling.clients))
+    # Rows of the cumulative sums never decrease, so counting the entries
+    # <= u is searchsorted(side="right").
+    exit_idx = (sampling.row_cumsum <= u[:, None]).sum(axis=1)
+    return np.minimum(exit_idx, sampling.num_exits - 1)
+
+
 def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSample:
     """Draw every client's exit independently from its categorical row."""
-    u = rng.random(len(sampling.clients))
-    cumulative = sampling.row_cumsum
-    pairs = []
-    for i, client in enumerate(sampling.clients):
-        exit_idx = int(np.searchsorted(cumulative[i], u[i], side="right"))
-        exit_idx = min(exit_idx, sampling.num_exits - 1)
-        pairs.append((client, exit_idx + 1))
-    return RoundSample(pairs=tuple(pairs))
+    exits = _sample_exits(sampling, rng)
+    return RoundSample(
+        pairs=tuple((client, int(e) + 1) for client, e in zip(sampling.clients, exits))
+    )
+
+
+def _local_steps(w: np.ndarray, cfg: TrainConfig, t: int, gradient) -> np.ndarray:
+    """Take ``cfg.local_steps`` SGD steps from ``w`` in round ``t``.
+
+    ``w`` is one iterate or a stack of them, and ``gradient(w, j)`` returns
+    the gradient of the same shape at local step ``j``. Step sizes and
+    momentum enter the local phase here and nowhere else.
+    """
+    velocity = np.zeros_like(w) if cfg.momentum > 0 else None
+    for j in range(cfg.local_steps):
+        grad = gradient(w, j)
+        eta = learning_rate(cfg, t, j)
+        if velocity is not None:
+            velocity = cfg.momentum * velocity + grad
+            w = w - eta * velocity
+        else:
+            w = w - eta * grad
+    return w
 
 
 def local_update(
@@ -122,17 +154,10 @@ def local_update(
     Coordinates outside the exit's active set carry zero gradient and come
     back bit-identical to the broadcast model.
     """
-    w = w_start.copy()
-    velocity = np.zeros_like(w) if cfg.momentum > 0 else None
-    for j in range(cfg.local_steps):
-        grad = task.stochastic_gradient(w, client, exit, cfg.batch_size, rng)
-        eta = learning_rate(cfg, t, j)
-        if velocity is not None:
-            velocity = cfg.momentum * velocity + grad
-            w = w - eta * velocity
-        else:
-            w = w - eta * grad
-    return w
+    def gradient(w: np.ndarray, j: int) -> np.ndarray:
+        return task.stochastic_gradient(w, client, exit, cfg.batch_size, rng)
+
+    return _local_steps(w_start, cfg, t, gradient)
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -242,17 +267,89 @@ def run(
             snapshots.append(vec.copy())
 
     record(0, w)
-    client_order = {c: i for i, c in enumerate(sampling.clients)}
+    if isinstance(task, QuadraticTask):
+        advance = _stacked_quadratic_round(task, weights, sampling, pools, sizes, cfg)
+    else:
+        advance = _per_client_round(task, weights, sampling, pools, sizes, cfg)
     for t in range(1, cfg.rounds + 1):
-        round_rng = rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t)
-        chosen = sample_round(sampling, round_rng)
+        w = advance(w, t)
+        record(t, w)
+
+    return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
+
+
+def _per_client_round(task, weights, sampling, pools, sizes, cfg):
+    """``advance(w, t)``: one round through the per-pair reference functions."""
+    client_order = {c: i for i, c in enumerate(sampling.clients)}
+
+    def advance(w: np.ndarray, t: int) -> np.ndarray:
+        chosen = sample_round(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
         updates = []
         for client, exit in chosen.pairs:
             local_rng = rngmod.stream(cfg.seed, rngmod.LOCAL, t, client_order[client])
             updates.append((client, exit, local_update(task, w, client, exit, cfg, t, local_rng)))
-        w = aggregate(
+        return aggregate(
             w, updates, weights, sampling, pools, sizes, cfg.server_lr, cfg.projection_radius
         )
-        record(t, w)
 
-    return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
+    return advance
+
+
+def _stacked_quadratic_round(task: QuadraticTask, weights, sampling, pools, sizes, cfg):
+    """``advance(w, t)``: one round with every client's local phase stacked.
+
+    Bit-identical to :func:`_per_client_round`: the same streams give the
+    same draws (J noise vectors in one call equal J calls), each batched
+    matmul is the same per-pair matrix-vector product, and the deltas are
+    summed in the same ascending client order with the same coefficients.
+    """
+    clients = sampling.clients
+    n = len(clients)
+    rows = np.array([task.client_index(c) for c in clients], dtype=int)
+    every = np.arange(n)
+    by_name = sorted(every.tolist(), key=lambda i: clients[i])
+    sqrt_dim = np.sqrt(task.dim)
+    # aggregate_preprojection's coefficient for every pair it can be sent.
+    coef = np.zeros(sampling.probs.shape)
+    for i, client in enumerate(clients):
+        for e in range(1, sampling.num_exits + 1):
+            prob = sampling.prob(client, e)
+            if prob > 0:
+                share = sizes[client] / pools.sizes[e - 1]
+                coef[i, e - 1] = weights.weights[e - 1] * share / prob
+
+    def advance(w: np.ndarray, t: int) -> np.ndarray:
+        exits = _sample_exits(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
+        for i in np.flatnonzero(exits >= task.max_exit[rows]):
+            task.pair(clients[i], int(exits[i]) + 1)  # raises ValueError
+        a_sel = task.matrices[rows, exits]
+        c_sel = task.centers[rows, exits]
+        sigma = task.noise_scale[rows, exits]
+        draws = np.zeros((n, cfg.local_steps, task.dim))
+        for i in range(n):
+            gen = rngmod.stream(cfg.seed, rngmod.LOCAL, t, i)
+            if sigma[i] > 0:
+                gen.standard_normal(out=draws[i])
+        # A noiseless client adds 0.0 where the reference adds nothing; that
+        # can only flip the sign of a zero, which w_end - w and the sum from
+        # 0.0 below erase.
+        noise = sigma[:, None, None] * draws / sqrt_dim
+
+        def gradient(stack: np.ndarray, j: int) -> np.ndarray:
+            return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, j]
+
+        # The broadcast model becomes the (N, d) stack at the first step.
+        w_end = _local_steps(w, cfg, t, gradient)
+
+        pair_probs = sampling.probs[every, exits]
+        terms = coef[every, exits][:, None] * (w_end - w)
+        delta = np.zeros_like(w)
+        for i in by_name:
+            if pair_probs[i] <= 0:
+                raise ZeroProbabilityError(
+                    f"update from ({clients[i]}, exit {exits[i] + 1}) with p=0"
+                )
+            delta += terms[i]
+        return project_ball(w + cfg.server_lr * delta, cfg.projection_radius)
+
+    return advance

@@ -9,6 +9,7 @@ backend for verifying convergence and bias bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,15 @@ class QuadraticTask:
     def kappa(self) -> float:
         return self.smoothness / self.mu
 
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.clients)}
+
     def client_index(self, client: str) -> int:
-        return self.clients.index(client)
+        try:
+            return self._rows[client]
+        except KeyError:
+            raise ValueError(f"{client!r} is not a client of this task") from None
 
     def _check_pair(self, i: int, exit: int) -> None:
         if not 1 <= exit <= self.max_exit[i]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyPoolError, NotNormalizedError, ZeroProbabilityError
-from .quadratic import QuadraticTask, quadratic_minimizers
+from .quadratic import Minimizers, QuadraticTask, quadratic_minimizers
 from .strategies import ExitPools, ExitWeights, SamplingMatrix
 
 SIMPLEX_CHECK_TOL = 1e-9
@@ -104,10 +104,18 @@ def theory_params(
 
 
 def statistical_heterogeneity(
-    task: QuadraticTask, weights: ExitWeights, pools: ExitPools
+    task: QuadraticTask,
+    weights: ExitWeights,
+    pools: ExitPools,
+    minimum: Minimizers | None = None,
 ) -> float:
-    """Largest gap between a pair's loss at the shared optimum and its own optimum."""
-    minimum = quadratic_minimizers(task, weights, pools)
+    """Largest gap between a pair's loss at the shared optimum and its own optimum.
+
+    ``minimum`` is ``quadratic_minimizers(task, weights, pools)``; it is
+    solved here when the caller has not solved it already.
+    """
+    if minimum is None:
+        minimum = quadratic_minimizers(task, weights, pools)
     worst = 0.0
     for e in range(1, pools.num_exits + 1):
         for client in pools.clients[e - 1]:

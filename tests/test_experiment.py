@@ -83,6 +83,24 @@ class TestParseConfig:
                 )
             )
 
+    def test_duplicate_seed_rejected(self):
+        # A repeated seed used to write 8 CSV rows but only 4 reports.
+        with pytest.raises(ConfigParseError, match="duplicate seed"):
+            parse_config(mlp_config(seeds=[1, 1]))
+
+    def test_duplicate_split_rejected(self):
+        with pytest.raises(ConfigParseError, match="duplicate split"):
+            parse_config(mlp_config(serving={"splits": [[80, 15, 5], [80, 15, 5]]}))
+        # Labels are formatted with :g, so 80 and 80.0 name the same report.
+        with pytest.raises(ConfigParseError, match="duplicate split"):
+            parse_config(mlp_config(serving={"splits": [[80, 15, 5], [80.0, 15, 5]]}))
+
+    def test_duplicate_partition_rejected(self):
+        raw = mlp_config()
+        raw["data"] = dict(raw["data"], partitions=["equal", "equal"])
+        with pytest.raises(ConfigParseError, match="duplicate partition"):
+            parse_config(raw)
+
     def test_thirds_parse_to_exact_thirds(self):
         cfg = parse_config(mlp_config())
         thirds = cfg.splits[1].fractions
@@ -259,6 +277,22 @@ class TestGroupReuse:
         assert len({task for task, _, _ in runs}) == 2
         pairs_per_group = 7 + 3 + 1
         assert len(probes) == len(set(probes)) == 2 * pairs_per_group
+
+
+    def test_each_trained_iterate_is_scored_once(self, tmp_path, monkeypatch):
+        import fedexit.experiment as experiment
+
+        scored = []
+        real_accuracy = experiment.exit_accuracy
+
+        def counting_accuracy(task, w, exit, *args, **kwargs):
+            scored.append((w.tobytes(), exit))
+            return real_accuracy(task, w, exit, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "exit_accuracy", counting_accuracy)
+        run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
+        # Six trained iterates per group (see above), three exits each.
+        assert len(scored) == len(set(scored)) == 2 * 6 * 3
 
 
 class TestCompare:

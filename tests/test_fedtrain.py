@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import seven_node_topology
+from conftest import random_tree, seven_node_topology
 from fedexit import rng as rngmod
 from fedexit.errors import ZeroProbabilityError
 from fedexit.fedtrain import (
@@ -20,8 +20,10 @@ from fedexit.fedtrain import (
     sample_round,
 )
 from fedexit.mlp import make_classification_task
+from fedexit.objective import weighted_objective
 from fedexit.quadratic import make_quadratic_task, quadratic_minimizers
 from fedexit.strategies import (
+    SamplingMatrix,
     build_sampling_matrix,
     equal_weight,
     exit_pools,
@@ -109,6 +111,22 @@ class TestSampleRound:
         cov = np.cov(cloud_hits, edge_hits)[0, 1]
         se = np.sqrt(cloud_hits.var() * edge_hits.var() / n)
         assert abs(cov) <= 4 * se
+
+    def test_matches_searchsorted(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            raw = rng.random((6, 4)) * (rng.random((6, 4)) < 0.7)
+            raw[:, -1] += 1e-3
+            sm = SamplingMatrix(clients=tuple(f"c{i}" for i in range(6)),
+                                probs=raw / raw.sum(axis=1, keepdims=True))
+            seed = int(rng.integers(1 << 30))
+            got = sample_round(sm, np.random.default_rng(seed)).pairs
+            u = np.random.default_rng(seed).random(6)
+            want = tuple(
+                (c, min(int(np.searchsorted(sm.row_cumsum[i], u[i], side="right")), 3) + 1)
+                for i, c in enumerate(sm.clients)
+            )
+            assert got == want
 
 
 class TestLocalUpdate:
@@ -301,6 +319,75 @@ class TestRun:
         cfg = TrainConfig(rounds=1, local_steps=1)
         with pytest.raises(ValueError):
             run(topo, task, equal_weight(3), sampling, cfg)
+
+
+def reference_run(topo, task, weights, sampling, cfg, w_star):
+    """The round loop spelled out with the per-pair reference functions."""
+    pools = exit_pools(topo, sampling)
+    w = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
+    iterates = [w]
+    for t in range(1, cfg.rounds + 1):
+        chosen = sample_round(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
+        updates = []
+        for i, (c, e) in enumerate(chosen.pairs):
+            local_rng = rngmod.stream(cfg.seed, rngmod.LOCAL, t, i)
+            updates.append((c, e, local_update(task, w, c, e, cfg, t, local_rng)))
+        w = aggregate(w, updates, weights, sampling, pools, task.sizes,
+                      cfg.server_lr, cfg.projection_radius)
+        iterates.append(w)
+    objective = [weighted_objective(task, v, weights, pools) for v in iterates]
+    dist = [float(np.linalg.norm(v - w_star)) for v in iterates]
+    return w, np.array(objective), np.array(dist), iterates
+
+
+def stacked_round_cases():
+    """The seven-node tree plus random trees shallow enough for k=0.1."""
+    yield "seven", seven_node_topology(), normalized_weights([0.2, 0.3, 0.5]), 0.5
+    rng = np.random.default_rng(17)
+    for i in range(8):
+        topo = random_tree(rng, max_nodes=8)
+        yield f"tree{i}", topo, equal_weight(topo.num_exits), None
+
+
+class TestStackedQuadraticRound:
+    """run() on a QuadraticTask must equal the per-client reference loop bit for bit."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_matches_per_pair_reference(self, k, momentum):
+        for name, topo, weights, radius in stacked_round_cases():
+            task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
+            task.noise_scale[0] = 0.0  # one noiseless client: it opens but never draws
+            built = build_sampling_matrix(topo, k)
+            # Clients listed out of name order: streams follow the list, sums the names.
+            shuffled = SamplingMatrix(clients=built.clients[::-1], probs=built.probs[::-1])
+            for sampling in (built, shuffled):
+                pools = exit_pools(topo, sampling)
+                w_star = quadratic_minimizers(task, weights, pools).w_star
+                cfg = theory_cfg(
+                    rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
+                    projection_radius=radius or task.radius, momentum=momentum, seed=5,
+                )
+                w_end, traj = run(topo, task, weights, sampling, cfg,
+                                  w_star=w_star, record_snapshots=True)
+                ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
+                    topo, task, weights, sampling, cfg, w_star
+                )
+                assert np.array_equal(w_end, ref_w), name
+                assert np.array_equal(traj.objective, ref_obj), name
+                assert np.array_equal(traj.dist_to_opt, ref_dist), name
+                assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates)), name
+
+    def test_exit_beyond_client_rejected(self):
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=2)
+        sampling = build_sampling_matrix(topo, 0.0)
+        probs = sampling.probs.copy()
+        probs[sampling.client_index["dev1"]] = [0.0, 1.0, 0.0]
+        bad = SamplingMatrix(clients=sampling.clients, probs=probs)
+        cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
+        with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
+            run(topo, task, equal_weight(3), bad, cfg)
 
 
 class TestAggregationMoments:

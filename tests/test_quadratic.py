@@ -98,6 +98,12 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             task.loss(np.zeros(1), "c", 2)
 
+    def test_client_rows_follow_client_order(self):
+        task = make_quadratic_task(seven_node_topology(), dim=2, seed=0)
+        assert [task.client_index(c) for c in task.clients] == list(range(len(task.clients)))
+        with pytest.raises(ValueError, match="not a client"):
+            task.loss(np.zeros(2), "dev9", 1)
+
 
 class TestWeightedObjective:
     def test_one_hot_single_client(self):

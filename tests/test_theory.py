@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import seven_node_topology
 from fedexit.errors import EmptyPoolError, NotNormalizedError
-from fedexit.quadratic import make_quadratic_task
+from fedexit.quadratic import make_quadratic_task, quadratic_minimizers
 from fedexit.strategies import (
     build_sampling_matrix,
     equal_weight,
@@ -92,6 +92,16 @@ class TestHeterogeneity:
             task, normalized_weights([0.5, 0.5]), pools_for(task)
         )
         assert gamma == pytest.approx(0.5, abs=1e-12)
+
+    def test_presolved_minimum_gives_same_value(self):
+        task = make_quadratic_task(seven_node_topology(), dim=3, seed=5)
+        sampling = build_sampling_matrix(seven_node_topology(), 0.1)
+        pools = exit_pools(seven_node_topology(), sampling)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        minimum = quadratic_minimizers(task, weights, pools)
+        assert statistical_heterogeneity(task, weights, pools, minimum) == (
+            statistical_heterogeneity(task, weights, pools)
+        )
 
     def test_scales_with_curvature(self):
         base = two_pair_1d_task((0.0, 2.0))
