@@ -19,7 +19,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run every cell of an experiment config")
     runp.add_argument("config", help="path to a JSON experiment config")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
-    runp.add_argument("--threads", type=int, default=1, help="parallel cell workers")
     runp.add_argument(
         "--seed-override", type=int, default=None, help="run only this seed"
     )
@@ -36,10 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             csv_path = run_experiment(
-                args.config,
-                out_dir=args.out,
-                threads=args.threads,
-                seed_override=args.seed_override,
+                args.config, out_dir=args.out, seed_override=args.seed_override
             )
             print(csv_path)
             return 0

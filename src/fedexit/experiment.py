@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import ConfigParseError, MissingRowsError
 from .fedtrain import TrainConfig, run
-from .mlp import exit_accuracy, make_classification_task, make_test_set
+from .mlp import PARTITIONS, exit_accuracy, make_classification_task, make_test_set
 from .objective import weighted_objective
 from .quadratic import QuadraticTask, make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
@@ -134,10 +133,24 @@ def _reject_duplicates(what: str, values) -> None:
         seen.add(value)
 
 
+def _reject_unknown_keys(what: str, section: dict, known) -> None:
+    """Refuse a key nobody reads, so a misspelt one cannot fall back to a default."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigParseError(f"unknown {what} keys {unknown}; known: {sorted(known)}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     try:
+        _reject_unknown_keys(
+            "config",
+            raw,
+            ("topology", "serving", "data", "task", "strategies", "training", "seeds",
+             "flops", "output_dir"),
+        )
         topo = from_node_dicts(raw["topology"]["nodes"], raw["topology"].get("num_exits"))
         serving = raw["serving"]
+        _reject_unknown_keys("serving", serving, ("splits", "budgets"))
         if ("splits" in serving) == ("budgets" in serving):
             raise ConfigParseError("serving needs exactly one of 'splits' or 'budgets'")
         splits = None
@@ -158,20 +171,35 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
         task = dict(raw["task"])
         kind = task.get("kind")
-        if kind not in ("mlp", "quadratic"):
+        if kind not in TASK_KEYS:
             raise ConfigParseError(f"unknown task kind {kind!r}")
+        _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
+        _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
 
         data = raw.get("data", {})
+        _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
         partitions = tuple(data.get("partitions", ("none",)))
         _reject_duplicates("partition", partitions)
         if kind == "quadratic" and partitions != ("none",):
             raise ConfigParseError("quadratic tasks take their sizes from the topology")
         if kind == "mlp" and partitions == ("none",):
             raise ConfigParseError("mlp tasks need data.partitions")
+        if kind == "mlp":
+            for name in partitions:
+                if name not in PARTITIONS:
+                    raise ConfigParseError(
+                        f"unknown partition {name!r}; known: {sorted(PARTITIONS)}"
+                    )
+                if len(PARTITIONS[name]) != topo.num_exits:
+                    raise ConfigParseError(
+                        f"partition {name!r} has {len(PARTITIONS[name])} layer shares "
+                        f"but the tree has {topo.num_exits} exits"
+                    )
 
         strategies = []
         report_names = set()
         for s in raw["strategies"]:
+            _reject_unknown_keys("strategy", s, ("name", "k"))
             name = s["name"]
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
@@ -213,6 +241,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(f"malformed config: {exc!r}") from exc
 
 
+# The keys _build_task reads from the task section, per kind.
+TASK_KEYS = {
+    "quadratic": ("kind", "dim", "eig_range", "sigma_range", "center_scale"),
+    "mlp": ("kind", "input_dim", "hidden_dim", "num_classes", "teacher_gain"),
+}
+
+
 def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     """Client data depend on the tree's structure and sizes, never on budgets."""
     spec = cfg.task
@@ -235,6 +270,13 @@ def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
         teacher_gain=float(spec.get("teacher_gain", 1.5)),
         seed=seed,
     )
+
+
+# The keys _train_config reads from the training section.
+TRAINING_KEYS = (
+    "rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr", "mu",
+    "smoothness", "projection_radius", "momentum",
+)
 
 
 def _train_config(cfg: ExperimentConfig, task, seed: int) -> TrainConfig:
@@ -391,13 +433,11 @@ def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
                 )
             accs, losses = group.scores[trained_key]
             outcome = simulate_serving(topo, plan, task, w_final, test_x, test_y)
-            for e in range(3):
-                row[f"exit{e + 1}_acc"] = accs[e] if e < len(accs) else None
+            for e, acc in enumerate(accs[:3], start=1):
+                row[f"exit{e}_acc"] = acc
             row["weighted_acc"] = weighted_quality(accs, lam_norm)
             row["system_acc_routed"] = outcome.system_accuracy
             row["weighted_loss"] = weighted_quality(losses, lam_norm)
-            row["opt_bound"] = None
-            row["empirical_opt_error"] = None
             report.sigma_source = "estimated"
             report.g_per_pair = {
                 f"{c}:{e}": group.noise_scale(c, e)
@@ -421,10 +461,6 @@ def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
                 task.population_exit_loss(w_final, e)
                 for e in range(1, topo.num_exits + 1)
             ]
-            for e in range(3):
-                row[f"exit{e + 1}_acc"] = None
-            row["weighted_acc"] = None
-            row["system_acc_routed"] = None
             row["weighted_loss"] = float(np.asarray(pop_losses) @ lam_norm)
             row["opt_bound"] = bound
             row["empirical_opt_error"] = empirical
@@ -486,13 +522,12 @@ def _format_cell(value) -> str:
 def run_experiment(
     config: str | Path | ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     seed_override: int | None = None,
 ) -> Path:
     """Run the full grid and write results.csv plus per-cell reports.
 
     Returns the path of the CSV. Output is byte-identical across reruns of
-    the same config regardless of ``threads``.
+    the same config.
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     if seed_override is not None:
@@ -506,21 +541,10 @@ def run_experiment(
 
     all_rows = []
     all_reports = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_group, cfg, seed, partition, split_list)
-                for seed, partition in groups
-            ]
-            for future in futures:
-                rows, reports = future.result()
-                all_rows.extend(rows)
-                all_reports.update(reports)
-    else:
-        for seed, partition in groups:
-            rows, reports = _run_group(cfg, seed, partition, split_list)
-            all_rows.extend(rows)
-            all_reports.update(reports)
+    for seed, partition in groups:
+        rows, reports = _run_group(cfg, seed, partition, split_list)
+        all_rows.extend(rows)
+        all_reports.update(reports)
 
     all_rows.sort(key=lambda r: (r["seed"], r["partition"], r["split"], r["strategy"], r["k"]))
     csv_path = out / "results.csv"

@@ -34,13 +34,21 @@ from .topology import Topology
 SCHEDULES = ("constant", "theory", "cosine")
 
 
+def step_offset(kappa: float, local_steps: int) -> float:
+    """Offset gamma of the theory step size 2 / (mu * (gamma + step + 1)).
+
+    The convergence bound uses the same gamma.
+    """
+    return max(8.0 * kappa, float(local_steps)) - 1.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the round loop.
 
     The ``theory`` schedule needs the curvature constants ``mu`` and
-    ``smoothness``; its offset defaults to ``max(8 * smoothness / mu,
-    local_steps) - 1``. ``constant`` and ``cosine`` schedules use
+    ``smoothness``; its offset is :func:`step_offset` of ``smoothness / mu``
+    and ``local_steps``. ``constant`` and ``cosine`` schedules use
     ``base_lr``. Momentum is an engineering option outside the convergence
     analysis; the bounds assume it is 0.
     """
@@ -53,7 +61,6 @@ class TrainConfig:
     base_lr: float = 0.1
     mu: float = 0.0
     smoothness: float = 0.0
-    gamma: float | None = None
     projection_radius: float = 1e6
     momentum: float = 0.0
     seed: int = 0
@@ -79,10 +86,8 @@ class TrainConfig:
 
     @property
     def gamma_value(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
         kappa = self.smoothness / self.mu if self.mu > 0 else 1.0
-        return max(8.0 * kappa, float(self.local_steps)) - 1.0
+        return step_offset(kappa, self.local_steps)
 
 
 def learning_rate(cfg: TrainConfig, t: int, j: int) -> float:

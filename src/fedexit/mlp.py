@@ -253,15 +253,7 @@ def make_classification_task(
     teacher = shell.init_params(rngmod.stream(seed, rngmod.TEACHER), gain=teacher_gain)
 
     features = rngmod.stream(seed, rngmod.DATA).standard_normal((total_samples, input_dim))
-    labeler = MlpTask(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        num_classes=num_classes,
-        num_exits=topology.num_exits,
-        data={},
-        teacher=teacher,
-    )
-    labels = labeler.predict(teacher, features, topology.num_exits)
+    labels = shell.predict(teacher, features, topology.num_exits)
 
     layers = [topology.layers[e] for e in range(1, topology.num_exits + 1)]
     counts = layer_allocation(fractions, total_samples, [len(layer) for layer in layers])

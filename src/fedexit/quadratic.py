@@ -15,7 +15,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import SingularSystemError
-from .segments import SegmentMap, full_vector_segments
 from .strategies import ExitPools, ExitWeights
 from .topology import Topology
 
@@ -41,15 +40,10 @@ class QuadraticTask:
     radius: float
     mu: float
     smoothness: float
-    segments: SegmentMap
 
     @property
     def kind(self) -> str:
         return "quadratic"
-
-    @property
-    def kappa(self) -> float:
-        return self.smoothness / self.mu
 
     @cached_property
     def _rows(self) -> dict[str, int]:
@@ -185,18 +179,18 @@ def make_quadratic_task(
         radius=float(radius),
         mu=mu,
         smoothness=smooth,
-        segments=full_vector_segments(dim, e_max),
     )
 
 
 @dataclass(frozen=True)
 class Minimizers:
-    """Closed-form optima of the weighted objective and of each pair."""
+    """Closed-form optimum of the weighted objective.
+
+    Each pair's own optimum is its center, where its loss is 0.
+    """
 
     w_star: np.ndarray
     f_star: float
-    pair_w_star: dict[tuple[str, int], np.ndarray]
-    pair_f_star: dict[tuple[str, int], float]
 
 
 def quadratic_minimizers(
@@ -210,8 +204,6 @@ def quadratic_minimizers(
     """
     lhs = np.zeros((task.dim, task.dim))
     rhs = np.zeros(task.dim)
-    pair_w: dict[tuple[str, int], np.ndarray] = {}
-    pair_f: dict[tuple[str, int], float] = {}
     for e in range(1, pools.num_exits + 1):
         pool_size = pools.sizes[e - 1]
         for client in pools.clients[e - 1]:
@@ -219,8 +211,6 @@ def quadratic_minimizers(
             a_mat, center = task.pair(client, e)
             lhs += coef * a_mat
             rhs += coef * (a_mat @ center)
-            pair_w[(client, e)] = center
-            pair_f[(client, e)] = 0.0
     try:
         w_star = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -231,4 +221,4 @@ def quadratic_minimizers(
     from .objective import weighted_objective
 
     f_star = weighted_objective(task, w_star, weights, pools)
-    return Minimizers(w_star=w_star, f_star=f_star, pair_w_star=pair_w, pair_f_star=pair_f)
+    return Minimizers(w_star=w_star, f_star=f_star)

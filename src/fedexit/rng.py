@@ -1,8 +1,7 @@
 """Keyed random streams for reproducible, schedule-independent simulation.
 
 Every stochastic component draws from a generator derived from a base seed
-plus an integer key path, so results do not depend on call order or on how
-work is spread across threads.
+plus an integer key path, so results do not depend on call order.
 """
 
 from __future__ import annotations

@@ -58,13 +58,3 @@ class SegmentMap:
         mask[self.active_indices(exit)] = True
         return mask
 
-
-def full_vector_segments(dim: int, num_exits: int) -> SegmentMap:
-    """Degenerate layout where every exit trains the whole vector.
-
-    Block 1 spans everything; later blocks and all heads are empty ranges at
-    the end of the vector.
-    """
-    blocks = [(0, dim)] + [(dim, dim)] * (num_exits - 1)
-    heads = [(dim, dim)] * num_exits
-    return SegmentMap(blocks=tuple(blocks), heads=tuple(heads), dim=dim)

@@ -25,18 +25,17 @@ SIMPLEX_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExitWeights:
-    """Nonnegative per-exit weights; normalized means they sum to one."""
+    """Nonnegative per-exit weights that sum to one."""
 
     weights: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if np.any(w < 0):
             raise ValueError("exit weights must be nonnegative")
-        if self.normalized and abs(w.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"weights marked normalized but sum to {w.sum()!r}")
+        if abs(w.sum() - 1.0) > SIMPLEX_TOL:
+            raise ValueError(f"exit weights must sum to 1, not {w.sum()!r}")
 
     @property
     def num_exits(self) -> int:
@@ -61,17 +60,12 @@ def equal_weight(num_exits: int) -> ExitWeights:
     return ExitWeights(weights=np.full(num_exits, 1.0 / num_exits))
 
 
-def flops_prop(flops, inverse: bool = False) -> ExitWeights:
-    """Weights proportional to each exit's inference cost.
-
-    With ``inverse=True`` the weights are proportional to 1/cost instead,
-    favoring the cheap exits.
-    """
+def flops_prop(flops) -> ExitWeights:
+    """Weights proportional to each exit's inference cost."""
     flops = np.asarray(flops, dtype=float)
     if np.any(flops <= 0):
         raise ValueError("all flops must be positive")
-    raw = 1.0 / flops if inverse else flops
-    return normalized_weights(raw)
+    return normalized_weights(flops)
 
 
 def serving_rate_weights(plan: RatePlan) -> ExitWeights:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyPoolError, NotNormalizedError, ZeroProbabilityError
+from .fedtrain import step_offset
 from .quadratic import Minimizers, QuadraticTask, quadratic_minimizers
 from .strategies import ExitPools, ExitWeights, SamplingMatrix
 
@@ -58,7 +59,7 @@ class TheoryParams:
 
     @property
     def gamma(self) -> float:
-        return max(8.0 * self.kappa, float(self.local_steps)) - 1.0
+        return step_offset(self.kappa, self.local_steps)
 
     @property
     def diameter(self) -> float:
@@ -111,16 +112,17 @@ def statistical_heterogeneity(
 ) -> float:
     """Largest gap between a pair's loss at the shared optimum and its own optimum.
 
-    ``minimum`` is ``quadratic_minimizers(task, weights, pools)``; it is
-    solved here when the caller has not solved it already.
+    A pair's own optimum is its center, where its loss is 0, so the gap is
+    the pair's loss at the shared optimum. ``minimum`` is
+    ``quadratic_minimizers(task, weights, pools)``; it is solved here when
+    the caller has not solved it already.
     """
     if minimum is None:
         minimum = quadratic_minimizers(task, weights, pools)
     worst = 0.0
     for e in range(1, pools.num_exits + 1):
         for client in pools.clients[e - 1]:
-            gap = task.loss(minimum.w_star, client, e) - minimum.pair_f_star[(client, e)]
-            worst = max(worst, gap)
+            worst = max(worst, task.loss(minimum.w_star, client, e))
     return worst
 
 
@@ -152,22 +154,15 @@ def opt_error_bound(
     b_value: float,
     rounds: int,
     initial_dist_sq: float,
-    denominator: str = "steps",
 ) -> float:
     """Upper bound on the expected final optimality gap of the round loop.
 
-    ``denominator`` selects how the horizon enters: ``"steps"`` (the default)
-    divides by gamma + J*T, ``"rounds"`` by gamma + T. The initial-condition
-    term uses the squared distance to the optimum.
+    The horizon is gamma + J*T local steps. The initial-condition term uses
+    the squared distance to the optimum.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if denominator == "steps":
-        horizon = params.gamma + params.local_steps * rounds
-    elif denominator == "rounds":
-        horizon = params.gamma + rounds
-    else:
-        raise ValueError(f"unknown denominator {denominator!r}")
+    horizon = params.gamma + params.local_steps * rounds
     return (params.kappa / horizon) * (
         2.0 * b_value / params.mu + params.mu * (params.gamma + 1.0) / 2.0 * initial_dist_sq
     )

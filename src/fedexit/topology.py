@@ -248,18 +248,29 @@ class RatePlan:
         }
 
 
-def _plan_from_transmit(topology: Topology, transmit: dict[str, float]) -> RatePlan:
+def _flows(topology: Topology, forward) -> RatePlan:
+    """Walk children before parents and build the rate plan.
+
+    A node's inflow is its own arrivals plus everything its children forward.
+    ``forward(node, inflow)`` returns what the node sends up, and the node
+    serves the rest. It is asked of the root too, which may raise, but the
+    root has no parent and forwards nothing.
+    """
+    transmit: dict[str, float] = {}
     serve: dict[str, float] = {}
     fraction: dict[str, float] = {}
     lam = np.zeros(topology.num_exits)
     for node_id in topology.post_order:
         node = topology.by_id[node_id]
         inflow = node.arrival_rate + sum(transmit[c] for c in topology.children[node_id])
-        out = transmit[node_id]
+        out = forward(node, inflow)
+        if node_id == topology.root:
+            out = 0.0
+        transmit[node_id] = out
         serve[node_id] = inflow - out
         fraction[node_id] = (inflow - out) / inflow if inflow > 0 else 1.0
         lam[node.exit - 1] += serve[node_id]
-    return RatePlan(transmit=dict(transmit), serve=serve, fraction=fraction, lambda_exit=lam)
+    return RatePlan(transmit=transmit, serve=serve, fraction=fraction, lambda_exit=lam)
 
 
 def compute_rate_plan(topology: Topology) -> RatePlan:
@@ -270,12 +281,7 @@ def compute_rate_plan(topology: Topology) -> RatePlan:
     rate is capped at its budget. The root forwards nothing.
     """
     validate(topology)
-    transmit: dict[str, float] = {}
-    for node_id in topology.post_order:
-        node = topology.by_id[node_id]
-        inflow = node.arrival_rate + sum(transmit[c] for c in topology.children[node_id])
-        transmit[node_id] = 0.0 if node_id == topology.root else min(node.budget, inflow)
-    return _plan_from_transmit(topology, transmit)
+    return _flows(topology, lambda node, inflow: min(node.budget, inflow))
 
 
 def brute_force_rate_plan(
@@ -299,12 +305,12 @@ def brute_force_rate_plan(
             delta = max(delta, abs(value - transmit[node.id]))
         transmit = new
         if delta < tol:
-            return _plan_from_transmit(topology, transmit)
+            return _flows(topology, lambda node, inflow: transmit[node.id])
     raise NonConvergenceError(f"flow iteration did not settle within {max_iter} sweeps")
 
 
-def _require_layered(topology: Topology) -> list[tuple[str, ...]]:
-    """Check exit == depth class and arrivals only on leaves; return layers bottom-up."""
+def _require_layered(topology: Topology) -> None:
+    """Check exit == depth class and arrivals only on leaves."""
     validate(topology)
     e_max = topology.num_exits
     for n in topology.nodes:
@@ -319,7 +325,6 @@ def _require_layered(topology: Topology) -> list[tuple[str, ...]]:
             raise InvalidTopologyError(
                 f"node {n.id}: arrivals must enter at leaves only"
             )
-    return [topology.layers[e] for e in range(1, e_max + 1)]
 
 
 def budgets_for_split(topology: Topology, split) -> dict[str, float]:
@@ -339,33 +344,22 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
     if np.any(split < 0) or abs(split.sum() - 1.0) > 1e-9:
         raise ValueError("split entries must be nonnegative and sum to 1")
 
-    layers = _require_layered(topology)
+    _require_layered(topology)
     total = topology.total_arrival
     if total <= 0:
         raise ValueError("topology has no arrivals")
-
-    budgets: dict[str, float] = {}
-    transmit: dict[str, float] = {}
     tol = 1e-9 * max(1.0, total)
-    for e, layer in enumerate(layers, start=1):
-        target = split[e - 1] * total / len(layer)
-        for node_id in layer:
-            node = topology.by_id[node_id]
-            inflow = node.arrival_rate + sum(
-                transmit[c] for c in topology.children[node_id]
+
+    def forward(node: NodeSpec, inflow: float) -> float:
+        target = split[node.exit - 1] * total / len(topology.layers[node.exit])
+        out = inflow - target
+        if out < -tol:
+            raise InfeasibleSplitError(
+                f"node {node.id}: asked to serve {target:.6g} but receives {inflow:.6g}"
             )
-            out = inflow - target
-            if out < -tol:
-                raise InfeasibleSplitError(
-                    f"node {node_id}: asked to serve {target:.6g} but receives {inflow:.6g}"
-                )
-            out = max(out, 0.0)
-            if node_id == topology.root:
-                budgets[node_id] = 0.0
-            else:
-                budgets[node_id] = out
-            transmit[node_id] = 0.0 if node_id == topology.root else out
-    return budgets
+        return max(out, 0.0)
+
+    return _flows(topology, forward).transmit
 
 
 def _grid(step: float) -> np.ndarray:

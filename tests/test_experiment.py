@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_tree
 from fedexit.cli import main as cli_main
 from fedexit.errors import ConfigParseError, MissingRowsError
 from fedexit.experiment import (
@@ -17,6 +18,9 @@ from fedexit.experiment import (
     parse_config,
     run_experiment,
 )
+from fedexit.topology import brute_force_rate_plan
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 SEVEN_NODES = [
     {"id": "cloud", "parent": None, "exit": 3, "arrival_rate": 0.0, "dataset_size": 100},
@@ -106,6 +110,57 @@ class TestParseConfig:
         thirds = cfg.splits[1].fractions
         assert thirds[0] == 1.0 / 3.0  # bitwise: 33/99 rounds to the same double
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "seed"),
+            ("serving", "split"),
+            ("data", "test_sample"),
+            ("task", "hidden"),
+            ("training", "base_rl"),
+        ],
+    )
+    def test_unknown_key_rejected(self, section, key):
+        # A misspelt key used to run silently on the default value.
+        raw = mlp_config()
+        if section is None:
+            raw[key] = 1
+        else:
+            raw[section] = dict(raw[section], **{key: 1e6})
+        with pytest.raises(ConfigParseError, match=f"unknown .*{key}"):
+            parse_config(raw)
+
+    def test_task_keys_are_per_kind(self):
+        raw = mlp_config(task={"kind": "quadratic", "dim": 3, "hidden_dim": 8})
+        del raw["data"]
+        with pytest.raises(ConfigParseError, match="hidden_dim"):
+            parse_config(raw)
+
+    def test_unknown_strategy_key_rejected(self):
+        # {"name": "serving_rate", "K": 0.1} used to run at k=0.
+        with pytest.raises(ConfigParseError, match="unknown strategy keys"):
+            parse_config(mlp_config(strategies=[{"name": "serving_rate", "K": 0.1}]))
+
+    def test_partition_must_fit_the_tree(self):
+        nodes = [
+            {"id": "cloud", "parent": None, "exit": 2, "dataset_size": 100},
+            {"id": "dev1", "parent": "cloud", "exit": 1, "arrival_rate": 1.0,
+             "dataset_size": 100},
+        ]
+        raw = mlp_config(
+            topology={"num_exits": 2, "nodes": nodes},
+            serving={"splits": [[50, 50]]},
+            flops=[1.0, 2.0],
+        )
+        with pytest.raises(ConfigParseError, match="2 exits"):
+            parse_config(raw)
+
+    def test_shipped_configs_load(self):
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            load_config(path)
+
 
 class TestRunExperiment:
     def test_row_count_and_columns(self, tmp_path):
@@ -120,12 +175,6 @@ class TestRunExperiment:
         first = run_experiment(path, out_dir=tmp_path / "a").read_bytes()
         second = run_experiment(path, out_dir=tmp_path / "b").read_bytes()
         assert first == second
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        path = write_config(tmp_path, mlp_config())
-        serial = run_experiment(path, out_dir=tmp_path / "s", threads=1).read_bytes()
-        parallel = run_experiment(path, out_dir=tmp_path / "p", threads=3).read_bytes()
-        assert serial == parallel
 
     def test_shared_weights_share_rows_on_even_split(self, tmp_path):
         path = write_config(tmp_path, mlp_config())
@@ -208,9 +257,50 @@ class TestRunExperiment:
             seeds=[1, 2, 3],
         )
         path = write_config(tmp_path, raw)
-        csv_path = run_experiment(path, out_dir=tmp_path / "out", threads=4)
+        csv_path = run_experiment(path, out_dir=tmp_path / "out")
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) - 1 == 3 * 7 * 3 * 3  # partitions x splits x strategies x seeds
+
+
+class TestRandomTreesThroughRunner:
+    def test_budgets_mode_rate_plans(self, tmp_path):
+        strategies = ["equal", "flops_prop", "serving_rate", "gen_error_adj"]
+        rng = np.random.default_rng(11)
+        for i in range(16):
+            topo = random_tree(rng, max_nodes=9)
+            nodes = [
+                {"id": n.id, "parent": n.parent, "exit": n.exit,
+                 "arrival_rate": n.arrival_rate, "dataset_size": n.dataset_size}
+                for n in topo.nodes
+            ]
+            raw = mlp_config(
+                topology={"num_exits": topo.num_exits, "nodes": nodes},
+                serving={"budgets": {n.id: n.budget for n in topo.nodes}},
+                task={"kind": "quadratic", "dim": 2},
+                flops=[float(e) for e in range(1, topo.num_exits + 1)],
+                strategies=[{"name": name} for name in strategies],
+                training={"rounds": 2, "local_steps": 2, "lr_schedule": "theory"},
+                seeds=[i],
+            )
+            del raw["data"]
+            out = tmp_path / f"tree{i}"
+            rows = (
+                run_experiment(parse_config(raw), out_dir=out).read_text().strip().split("\n")
+            )
+            assert len(rows) - 1 == len(strategies)
+            reports = sorted((out / "reports").glob("*.json"))
+            assert len(reports) == len(strategies)
+            expected = brute_force_rate_plan(topo)
+            for path in reports:
+                plan = json.loads(path.read_text())["rate_plan"]
+                for field in ("transmit", "serve", "fraction"):
+                    want = getattr(expected, field)
+                    assert plan[field].keys() == want.keys()
+                    for node, value in want.items():
+                        assert plan[field][node] == pytest.approx(value, abs=1e-12)
+                np.testing.assert_allclose(
+                    plan["lambda_exit"], expected.lambda_exit, rtol=0, atol=1e-12
+                )
 
 
 def reuse_config() -> dict:
@@ -321,6 +411,15 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "delta_mean" in out and "80-15-5" in out
+
+    def test_unknown_partition_is_reported(self, tmp_path, capsys):
+        # A misspelt partition used to end the run in a raw KeyError traceback.
+        raw = mlp_config()
+        raw["data"] = dict(raw["data"], partitions=["equl"])
+        path = write_config(tmp_path, raw)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = cli_main(["run", str(tmp_path / "missing.json")])

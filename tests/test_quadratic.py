@@ -9,7 +9,6 @@ from conftest import seven_node_topology
 from fedexit.errors import AllZeroWeightsError
 from fedexit.objective import weighted_objective
 from fedexit.quadratic import QuadraticTask, make_quadratic_task, quadratic_minimizers
-from fedexit.segments import full_vector_segments
 from fedexit.strategies import (
     ExitPools,
     build_sampling_matrix,
@@ -36,7 +35,6 @@ def single_client_task(matrix, center, sigma=0.0, size=10, radius=5.0) -> Quadra
         radius=radius,
         mu=float(eigs[0]),
         smoothness=float(eigs[-1]),
-        segments=full_vector_segments(d, 1),
     )
 
 
@@ -54,7 +52,6 @@ def two_pair_1d_task(centers=(0.0, 2.0)) -> QuadraticTask:
         radius=10.0,
         mu=1.0,
         smoothness=1.0,
-        segments=full_vector_segments(1, 2),
     )
 
 
@@ -161,7 +158,6 @@ class TestMinimizers:
         res = quadratic_minimizers(task, normalized_weights([1.0]), pools)
         np.testing.assert_allclose(res.w_star, [1.0, 2.0], atol=1e-12)
         assert res.f_star == pytest.approx(0.0, abs=1e-15)
-        assert res.pair_f_star[("c", 1)] == 0.0
 
     def test_two_pairs_hand_solve(self):
         task = two_pair_1d_task((0.0, 2.0))

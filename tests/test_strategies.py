@@ -55,9 +55,6 @@ class TestFlopsProp:
     def test_direct_proportionality(self):
         np.testing.assert_allclose(flops_prop([1, 3]).weights, [0.25, 0.75])
 
-    def test_inverse_variant(self):
-        np.testing.assert_allclose(flops_prop([1, 3], inverse=True).weights, [0.75, 0.25])
-
     @given(
         st.lists(st.floats(0.1, 1e6), min_size=1, max_size=6),
         st.floats(0.01, 100.0),
@@ -185,6 +182,3 @@ class TestExitWeightsType:
     def test_rejects_unnormalized_when_flagged(self):
         with pytest.raises(ValueError):
             ExitWeights(weights=np.array([0.5, 0.6]))
-
-    def test_unnormalized_allowed_when_flagged_off(self):
-        ExitWeights(weights=np.array([0.5, 0.6]), normalized=False)

@@ -190,12 +190,6 @@ class TestOptErrorBound:
         params = plain_params([1.0], [0.0], [1.0], J=1)
         assert opt_error_bound(params, 0.0, 10, 0.0) == 0.0
 
-    def test_alternate_denominator_reading(self):
-        params = plain_params([1.0], [1.0], [1.0], mu=1.0, smooth=1.0, J=4)
-        steps = opt_error_bound(params, 1.0, 50, 0.0, denominator="steps")
-        rounds = opt_error_bound(params, 1.0, 50, 0.0, denominator="rounds")
-        assert rounds > steps
-
 
 class TestBias:
     def test_zero_gap_for_equal_weights(self):
