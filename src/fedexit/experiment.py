@@ -175,6 +175,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigParseError(f"unknown task kind {kind!r}")
         _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
         _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
+        _train_config(raw["training"], kind, seed=0)
 
         data = raw.get("data", {})
         _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
@@ -279,31 +280,48 @@ TRAINING_KEYS = (
 )
 
 
-def _train_config(cfg: ExperimentConfig, task, seed: int) -> TrainConfig:
-    t = dict(cfg.training)
+def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfig:
+    """The round loop's config for one seed, validated by ``TrainConfig`` itself.
+
+    A theory schedule that names no ``mu`` takes ``mu`` and ``smoothness``
+    from the quadratic task, and a missing ``projection_radius`` is the
+    quadratic task's feasible radius (1e6 for mlp tasks). ``parse_config``
+    calls this without a task: stand-ins that ``TrainConfig`` accepts fill
+    those values, so everything the section names is checked before any run.
+
+    Raises:
+        ConfigParseError: ``rounds`` or ``local_steps`` is missing, a value
+            is refused by ``TrainConfig``, or an mlp theory schedule has no mu.
+    """
+    t = training
     schedule = t.get("lr_schedule", "constant")
     mu = float(t.get("mu", 0.0))
     smooth = float(t.get("smoothness", 0.0))
     if schedule == "theory" and mu == 0.0:
-        if not isinstance(task, QuadraticTask):
+        if kind != "quadratic":
             raise ConfigParseError("theory schedule needs mu/smoothness for mlp tasks")
-        mu, smooth = task.mu, task.smoothness
+        mu, smooth = (1.0, 1.0) if task is None else (task.mu, task.smoothness)
     radius = t.get("projection_radius")
     if radius is None:
         radius = task.radius if isinstance(task, QuadraticTask) else 1e6
-    return TrainConfig(
-        rounds=int(t["rounds"]),
-        local_steps=int(t["local_steps"]),
-        batch_size=int(t.get("batch_size", 32)),
-        server_lr=float(t.get("server_lr", 1.0)),
-        lr_schedule=schedule,
-        base_lr=float(t.get("base_lr", 0.1)),
-        mu=mu,
-        smoothness=smooth,
-        projection_radius=float(radius),
-        momentum=float(t.get("momentum", 0.0)),
-        seed=seed,
-    )
+    try:
+        return TrainConfig(
+            rounds=int(t["rounds"]),
+            local_steps=int(t["local_steps"]),
+            batch_size=int(t.get("batch_size", 32)),
+            server_lr=float(t.get("server_lr", 1.0)),
+            lr_schedule=schedule,
+            base_lr=float(t.get("base_lr", 0.1)),
+            mu=mu,
+            smoothness=smooth,
+            projection_radius=float(radius),
+            momentum=float(t.get("momentum", 0.0)),
+            seed=seed,
+        )
+    except KeyError as exc:
+        raise ConfigParseError(f"training needs {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ConfigParseError(f"cannot build the training config: {exc}") from exc
 
 
 def _strategy_weights(
@@ -363,7 +381,7 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
         seed=seed,
         partition=partition,
         task=task,
-        train_cfg=_train_config(cfg, task, seed),
+        train_cfg=_train_config(cfg.training, cfg.task["kind"], seed, task),
         w_init=task.init_params(rngmod.stream(seed, rngmod.INIT)),
         test_x=test_x,
         test_y=test_y,

@@ -7,7 +7,10 @@ aggregation weight, the client's share of that exit's data pool, and the
 inverse sampling probability. The result is projected onto an
 origin-centered ball. All randomness comes from streams keyed by
 (seed, round, client), so runs are bit-reproducible regardless of execution
-order.
+order. A run computes the states of all its round streams at once with
+:func:`rng.stream_states` and reseats one reused generator from that table
+before each draw site, which gives the same draws as opening each stream
+with :func:`rng.stream`.
 
 On a :class:`QuadraticTask` the local phase is stacked: one ``(N, d)``
 iterate holds every client, each local step is one batched matmul over the
@@ -283,15 +286,36 @@ def run(
     return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
 
 
+def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """States of every stream a run's rounds draw from, for :func:`rng.reseat`.
+
+    ``sample[t - 1]`` is ``stream(seed, ROUND_SAMPLE, t)`` and
+    ``local[t - 1, i]`` is ``stream(seed, LOCAL, t, i)`` for the ``i``-th
+    client of the sampling matrix.
+    """
+    rounds = np.arange(1, cfg.rounds + 1)
+    sample = rngmod.stream_states(
+        cfg.seed, np.column_stack([np.full(cfg.rounds, rngmod.ROUND_SAMPLE), rounds])
+    )
+    t, i = np.meshgrid(rounds, np.arange(n), indexing="ij")
+    local = rngmod.stream_states(
+        cfg.seed, np.column_stack([np.full(t.size, rngmod.LOCAL), t.ravel(), i.ravel()])
+    )
+    return sample, local.reshape(cfg.rounds, n, 4)
+
+
 def _per_client_round(task, weights, sampling, pools, sizes, cfg):
     """``advance(w, t)``: one round through the per-pair reference functions."""
     client_order = {c: i for i, c in enumerate(sampling.clients)}
+    sample_states, local_states = _round_states(cfg, len(sampling.clients))
+    # One generator serves every stream: each is done drawing before the next reseat.
+    gen = np.random.default_rng(0)
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        chosen = sample_round(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
+        chosen = sample_round(sampling, rngmod.reseat(gen, sample_states[t - 1]))
         updates = []
         for client, exit in chosen.pairs:
-            local_rng = rngmod.stream(cfg.seed, rngmod.LOCAL, t, client_order[client])
+            local_rng = rngmod.reseat(gen, local_states[t - 1, client_order[client]])
             updates.append((client, exit, local_update(task, w, client, exit, cfg, t, local_rng)))
         return aggregate(
             w, updates, weights, sampling, pools, sizes, cfg.server_lr, cfg.projection_radius
@@ -314,6 +338,9 @@ def _stacked_quadratic_round(task: QuadraticTask, weights, sampling, pools, size
     every = np.arange(n)
     by_name = sorted(every.tolist(), key=lambda i: clients[i])
     sqrt_dim = np.sqrt(task.dim)
+    sample_states, local_states = _round_states(cfg, n)
+    # One generator serves every stream: each is done drawing before the next reseat.
+    gen = np.random.default_rng(0)
     # aggregate_preprojection's coefficient for every pair it can be sent.
     coef = np.zeros(sampling.probs.shape)
     for i, client in enumerate(clients):
@@ -324,17 +351,15 @@ def _stacked_quadratic_round(task: QuadraticTask, weights, sampling, pools, size
                 coef[i, e - 1] = weights.weights[e - 1] * share / prob
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        exits = _sample_exits(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
+        exits = _sample_exits(sampling, rngmod.reseat(gen, sample_states[t - 1]))
         for i in np.flatnonzero(exits >= task.max_exit[rows]):
             task.pair(clients[i], int(exits[i]) + 1)  # raises ValueError
         a_sel = task.matrices[rows, exits]
         c_sel = task.centers[rows, exits]
         sigma = task.noise_scale[rows, exits]
         draws = np.zeros((n, cfg.local_steps, task.dim))
-        for i in range(n):
-            gen = rngmod.stream(cfg.seed, rngmod.LOCAL, t, i)
-            if sigma[i] > 0:
-                gen.standard_normal(out=draws[i])
+        for i in np.flatnonzero(sigma > 0):
+            rngmod.reseat(gen, local_states[t - 1, i]).standard_normal(out=draws[i])
         # A noiseless client adds 0.0 where the reference adds nothing; that
         # can only flip the sign of a zero, which w_end - w and the sum from
         # 0.0 below erase.

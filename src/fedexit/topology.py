@@ -149,8 +149,23 @@ class Topology:
         return float(sum(n.arrival_rate for n in self.nodes))
 
 
+# The keys from_node_dicts reads from a node dict.
+NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "budget", "dataset_size")
+
+
 def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topology:
-    """Build a topology from plain dicts with keys id/parent/exit/arrival_rate/budget/dataset_size."""
+    """Build a topology from plain dicts with the keys in ``NODE_KEYS``.
+
+    Raises:
+        InvalidTopologyError: a node dict has a key outside ``NODE_KEYS``, so
+            a misspelt one cannot fall back to its default.
+    """
+    for d in entries:
+        unknown = sorted(set(d) - set(NODE_KEYS))
+        if unknown:
+            raise InvalidTopologyError(
+                f"node {d.get('id')!r}: unknown keys {unknown}; known: {sorted(NODE_KEYS)}"
+            )
     nodes = tuple(
         NodeSpec(
             id=str(d["id"]),

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_tree
 from fedexit.cli import main as cli_main
-from fedexit.errors import ConfigParseError, MissingRowsError
+from fedexit.errors import ConfigParseError, InvalidTopologyError, MissingRowsError
 from fedexit.experiment import (
     CSV_COLUMNS,
     compare,
@@ -153,6 +153,44 @@ class TestParseConfig:
             flops=[1.0, 2.0],
         )
         with pytest.raises(ConfigParseError, match="2 exits"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "training, message",
+        [
+            ({"local_steps": 2}, "training needs 'rounds'"),
+            ({"rounds": 4}, "training needs 'local_steps'"),
+            ({"rounds": 4, "local_steps": 2, "lr_schedule": "theroy"}, "unknown lr_schedule"),
+            ({"rounds": 0, "local_steps": 2}, "rounds must be >= 1"),
+            ({"rounds": 4, "local_steps": 2, "momentum": 1.0}, "momentum"),
+            ({"rounds": 4, "local_steps": 2, "lr_schedule": "theory", "mu": 2.0,
+              "smoothness": 1.0}, "0 < mu <= smoothness"),
+        ],
+    )
+    def test_training_checked_at_parse_time(self, training, message):
+        # These used to pass parse_config and die mid-run with a raw traceback.
+        with pytest.raises(ConfigParseError, match=message):
+            parse_config(mlp_config(training=training))
+
+    def test_mlp_theory_schedule_needs_mu_at_parse_time(self):
+        training = {"rounds": 4, "local_steps": 2, "lr_schedule": "theory"}
+        with pytest.raises(ConfigParseError, match="mu/smoothness"):
+            parse_config(mlp_config(training=training))
+
+    def test_quadratic_theory_schedule_takes_mu_from_task(self):
+        raw = mlp_config(
+            task={"kind": "quadratic", "dim": 3},
+            training={"rounds": 4, "local_steps": 2, "lr_schedule": "theory"},
+        )
+        del raw["data"]
+        parse_config(raw)
+
+    def test_unknown_node_key_rejected(self):
+        # "arrival_rte" used to give dev1 an arrival rate of 0 without a word.
+        nodes = [dict(n) for n in SEVEN_NODES]
+        nodes[3]["arrival_rte"] = nodes[3].pop("arrival_rate")
+        raw = mlp_config(topology={"num_exits": 3, "nodes": nodes})
+        with pytest.raises(InvalidTopologyError, match="'dev1'.*arrival_rte"):
             parse_config(raw)
 
     def test_shipped_configs_load(self):
@@ -417,6 +455,19 @@ class TestCli:
         raw = mlp_config()
         raw["data"] = dict(raw["data"], partitions=["equl"])
         path = write_config(tmp_path, raw)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "training",
+        [
+            {"rounds": 4, "local_steps": 2, "lr_schedule": "theroy"},
+            {"rounds": 4, "batch_size": 8},
+        ],
+    )
+    def test_bad_training_is_reported(self, tmp_path, capsys, training):
+        path = write_config(tmp_path, mlp_config(training=training))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

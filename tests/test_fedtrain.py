@@ -390,6 +390,35 @@ class TestStackedQuadraticRound:
             run(topo, task, equal_weight(3), bad, cfg)
 
 
+class TestPerClientRound:
+    """run() on an MLP task must equal the per-client reference loop bit for bit."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_matches_per_pair_reference(self, k):
+        topo = seven_node_topology()
+        task = make_classification_task(
+            topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=6
+        )
+        topo = topo.with_dataset_sizes(task.sizes)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        built = build_sampling_matrix(topo, k)
+        # Clients listed out of name order: streams follow the list, sums the names.
+        shuffled = SamplingMatrix(clients=built.clients[::-1], probs=built.probs[::-1])
+        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
+        # Any fixed point serves for the distance column; the MLP has no closed-form optimum.
+        w_star = task.init_params(rngmod.stream(0, rngmod.INIT))
+        for sampling in (built, shuffled):
+            w_end, traj = run(topo, task, weights, sampling, cfg,
+                              w_star=w_star, record_snapshots=True)
+            ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
+                topo, task, weights, sampling, cfg, w_star
+            )
+            assert np.array_equal(w_end, ref_w)
+            assert np.array_equal(traj.objective, ref_obj)
+            assert np.array_equal(traj.dist_to_opt, ref_dist)
+            assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates))
+
+
 class TestAggregationMoments:
     """Small-scale versions of the unbiasedness and variance checks."""
 
