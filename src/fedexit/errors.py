@@ -63,6 +63,10 @@ class ZeroProbabilityError(FedexitError):
     """An update arrived from a (client, exit) pair with zero sampling probability."""
 
 
+class DivergenceError(FedexitError):
+    """A training iterate stopped being finite."""
+
+
 class SingularSystemError(FedexitError):
     """The weighted normal equations could not be solved."""
 

@@ -3,15 +3,18 @@
 A JSON config describes a grid of (seed, partition, split, strategy) cells.
 Every cell contributes one CSV row plus one JSON report.
 
-The grid runs one (seed, partition) group at a time. A group builds once,
-and shares across all of its splits and strategies, the task instance, the
-test set, the initial model, the training config and a table of estimated
-noise scales per (client, exit). Training never reads the split's budgets,
-so a group also trains each distinct (k, exit weights) pair once and reuses
-the final iterate, and on the MLP its test-set scores, in every cell that
-asks for it: ``equal`` and ``flops_prop`` train once per group rather than
-once per split. Strategy comparisons are therefore paired, and reruns of
-the same config produce byte-identical outputs.
+The runner works in three passes. It first plans every cell: each (seed,
+partition) group builds once, and shares across all of its splits and
+strategies, the task instance, the test set, the initial model, the training
+config and a table of estimated noise scales per (client, exit). Training
+never reads the split's budgets, so a cell's training job is keyed by (seed,
+partition, k, exit weights), and ``equal`` and ``flops_prop`` give one job
+per group rather than one per split. It then trains every distinct job once:
+all quadratic jobs side by side in one stack (:func:`fedtrain.run_stacked`),
+and MLP jobs one at a time, each scored once on its group's test set.
+Last, it evaluates each cell from its job's result and its split. Strategy
+comparisons are therefore paired, and reruns of the same config produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,12 +31,21 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigParseError, MissingRowsError
-from .fedtrain import TrainConfig, run
-from .mlp import PARTITIONS, exit_accuracy, make_classification_task, make_test_set
+from .fedtrain import Job, TrainConfig, run, run_stacked
+from .mlp import (
+    PARTITIONS,
+    check_classification_task,
+    exit_accuracy,
+    make_classification_task,
+    make_test_set,
+)
 from .objective import weighted_objective
-from .quadratic import QuadraticTask, make_quadratic_task, quadratic_minimizers
+from .quadratic import (
+    QuadraticTask, check_quadratic_task, make_quadratic_task, quadratic_minimizers,
+)
 from .serving import simulate_serving, weighted_quality
 from .strategies import (
+    ExitPools,
     ExitWeights,
     build_sampling_matrix,
     equal_weight,
@@ -51,7 +65,7 @@ from .theory import (
     theory_params,
     tv_distance,
 )
-from .topology import Topology, budgets_for_split, compute_rate_plan, from_node_dicts
+from .topology import RatePlan, Topology, budgets_for_split, compute_rate_plan, from_node_dicts
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
 
@@ -133,6 +147,24 @@ def _reject_duplicates(what: str, values) -> None:
         seen.add(value)
 
 
+def _integer(what: str, value) -> int:
+    """``value`` as an int; refuse one with a fractional part, which ``int()`` would cut."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _seeds(values) -> tuple[int, ...]:
+    seeds = tuple(_integer("seed", s) for s in values)
+    if not seeds:
+        raise ConfigParseError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigParseError(f"seeds must be >= 0, got {min(seeds)}")
+    _reject_duplicates("seed", seeds)
+    return seeds
+
+
 def _reject_unknown_keys(what: str, section: dict, known) -> None:
     """Refuse a key nobody reads, so a misspelt one cannot fall back to a default."""
     unknown = sorted(set(section) - set(known))
@@ -174,6 +206,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if kind not in TASK_KEYS:
             raise ConfigParseError(f"unknown task kind {kind!r}")
         _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
+        args = _task_args(task)
+        try:
+            if kind == "quadratic":
+                check_quadratic_task(**args)
+            else:
+                check_classification_task(
+                    args["input_dim"], args["hidden_dim"], args["num_classes"]
+                )
+        except ValueError as exc:
+            raise ConfigParseError(f"bad task section: {exc}") from exc
         _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
         _train_config(raw["training"], kind, seed=0)
 
@@ -213,10 +255,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             report_names.add(report_name)
             strategies.append(spec)
 
-        seeds = tuple(int(s) for s in raw["seeds"])
-        if not seeds:
-            raise ConfigParseError("need at least one seed")
-        _reject_duplicates("seed", seeds)
+        seeds = _seeds(raw["seeds"])
 
         flops = tuple(float(f) for f in raw.get("flops", REFERENCE_FLOPS))
         if len(flops) != topo.num_exits:
@@ -227,8 +266,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             splits=splits,
             budgets=budgets,
             partitions=partitions,
-            total_samples=int(data.get("total_samples", 0)),
-            test_samples=int(data.get("test_samples", 0)),
+            total_samples=_integer("total_samples", data.get("total_samples", 0)),
+            test_samples=_integer("test_samples", data.get("test_samples", 0)),
             task=task,
             flops=flops,
             strategies=tuple(strategies),
@@ -242,33 +281,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(f"malformed config: {exc!r}") from exc
 
 
-# The keys _build_task reads from the task section, per kind.
+# The keys _task_args reads from the task section, per kind.
 TASK_KEYS = {
     "quadratic": ("kind", "dim", "eig_range", "sigma_range", "center_scale"),
     "mlp": ("kind", "input_dim", "hidden_dim", "num_classes", "teacher_gain"),
 }
 
 
-def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
-    """Client data depend on the tree's structure and sizes, never on budgets."""
-    spec = cfg.task
+def _task_args(spec: dict) -> dict:
+    """The task builder's keyword arguments that the task section sets, defaults filled in."""
     if spec["kind"] == "quadratic":
-        return make_quadratic_task(
-            cfg.topology,
-            dim=int(spec.get("dim", 4)),
+        return dict(
+            dim=_integer("task dim", spec.get("dim", 4)),
             eig_range=tuple(spec.get("eig_range", (1.0, 2.0))),
             sigma_range=tuple(spec.get("sigma_range", (0.0, 0.5))),
             center_scale=float(spec.get("center_scale", 1.0)),
-            seed=seed,
         )
+    return dict(
+        input_dim=_integer("task input_dim", spec.get("input_dim", 16)),
+        hidden_dim=_integer("task hidden_dim", spec.get("hidden_dim", 32)),
+        num_classes=_integer("task num_classes", spec.get("num_classes", 3)),
+        teacher_gain=float(spec.get("teacher_gain", 1.5)),
+    )
+
+
+def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
+    """Client data depend on the tree's structure and sizes, never on budgets."""
+    if cfg.task["kind"] == "quadratic":
+        return make_quadratic_task(cfg.topology, **_task_args(cfg.task), seed=seed)
     return make_classification_task(
         cfg.topology,
         partition=partition,
         total_samples=cfg.total_samples,
-        input_dim=int(spec.get("input_dim", 16)),
-        hidden_dim=int(spec.get("hidden_dim", 32)),
-        num_classes=int(spec.get("num_classes", 3)),
-        teacher_gain=float(spec.get("teacher_gain", 1.5)),
+        **_task_args(cfg.task),
         seed=seed,
     )
 
@@ -290,8 +335,9 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
     those values, so everything the section names is checked before any run.
 
     Raises:
-        ConfigParseError: ``rounds`` or ``local_steps`` is missing, a value
-            is refused by ``TrainConfig``, or an mlp theory schedule has no mu.
+        ConfigParseError: ``rounds`` or ``local_steps`` is missing, an integer
+            field has a fractional part, a value is refused by
+            ``TrainConfig``, or an mlp theory schedule has no mu.
     """
     t = training
     schedule = t.get("lr_schedule", "constant")
@@ -306,9 +352,9 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
         radius = task.radius if isinstance(task, QuadraticTask) else 1e6
     try:
         return TrainConfig(
-            rounds=int(t["rounds"]),
-            local_steps=int(t["local_steps"]),
-            batch_size=int(t.get("batch_size", 32)),
+            rounds=_integer("rounds", t["rounds"]),
+            local_steps=_integer("local_steps", t["local_steps"]),
+            batch_size=_integer("batch_size", t.get("batch_size", 32)),
             server_lr=float(t.get("server_lr", 1.0)),
             lr_schedule=schedule,
             base_lr=float(t.get("base_lr", 0.1)),
@@ -351,9 +397,6 @@ class _Group:
     test_x: np.ndarray | None
     test_y: np.ndarray | None
     sigma: dict[tuple[str, int], float] = field(default_factory=dict)
-    trained: dict[tuple[float, bytes], np.ndarray] = field(default_factory=dict)
-    # Test-set (accuracies, losses) per exit of each MLP iterate in ``trained``.
-    scores: dict[tuple[float, bytes], tuple[list, list]] = field(default_factory=dict)
 
     def noise_scale(self, client: str, exit: int) -> float:
         """Estimated batch-gradient noise of one (client, exit) pair, computed once."""
@@ -388,145 +431,156 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
     )
 
 
-def _run_cell(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None):
-    """Evaluate every strategy at one split of a group; return rows and reports."""
-    seed, partition, task = group.seed, group.partition, group.task
-    train_cfg, w_init = group.train_cfg, group.w_init
-    test_x, test_y = group.test_x, group.test_y
+@dataclass(frozen=True)
+class _Cell:
+    """One (group, split, strategy) cell: its training job and what it reports on."""
+
+    group: _Group
+    split_label: str
+    spec: StrategySpec
+    plan: RatePlan
+    lam_norm: np.ndarray
+    pools: ExitPools
+    job: Job
+
+    @property
+    def job_key(self) -> tuple:
+        # Training reads neither budgets nor the rate plan, so the final
+        # iterate depends on the split only through the exit weights.
+        group, weights = self.group, self.job.weights.weights
+        return (group.seed, group.partition, self.spec.k, weights.tobytes())
+
+
+def _plan_cells(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None) -> list[_Cell]:
+    """Every strategy's cell at one split of a group."""
     base = cfg.topology
     if split is not None:
-        budgets = budgets_for_split(base, np.asarray(split.fractions))
-        topo = base.with_budgets(budgets)
-        split_label = split.label
+        topo = base.with_budgets(budgets_for_split(base, np.asarray(split.fractions)))
     else:
         topo = base.with_budgets(cfg.budgets)
-        split_label = "budgets"
     plan = compute_rate_plan(topo)
     lam_norm = (
         np.asarray(split.fractions) if split is not None else plan.lambda_exit_normalized
     )
-    if task.kind == "mlp":
-        topo = topo.with_dataset_sizes(task.sizes)
-
-    rows = []
-    reports = {}
+    if group.task.kind == "mlp":
+        topo = topo.with_dataset_sizes(group.task.sizes)
+    cells = []
     for spec in cfg.strategies:
         sampling = build_sampling_matrix(topo, spec.k)
         pools = exit_pools(topo, sampling)
         weights = _strategy_weights(spec, cfg, lam_norm, pools)
-        # Training reads neither budgets nor the rate plan, so the final
-        # iterate depends on the split only through the exit weights.
-        trained_key = (spec.k, weights.weights.tobytes())
-        w_final = group.trained.get(trained_key)
-        if w_final is None:
-            w_final, _ = run(
-                topo, task, weights, sampling, train_cfg, w_init=w_init, record_objective=False
-            )
-            group.trained[trained_key] = w_final
+        job = Job(topo, group.task, weights, sampling, group.train_cfg, w_init=group.w_init,
+                  label=f"strategy {spec.name}, k={spec.k:g}")
+        label = split.label if split is not None else "budgets"
+        cells.append(_Cell(group, label, spec, plan, lam_norm, pools, job))
+    return cells
 
-        tv_value = tv_distance(weights.weights, lam_norm)
-        proxy = gen_proxy(weights, cfg.flops, pools.sizes)
-        row = {
-            "seed": seed,
-            "partition": partition,
-            "split": split_label,
-            "strategy": spec.name,
-            "k": spec.k,
-            "tv": tv_value,
-            "gen_proxy": proxy,
+
+def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
+    """Train the distinct job of every cell once; return the results by job key.
+
+    A result is the final iterate and, on the MLP, its test-set accuracies and
+    losses per exit. Quadratic jobs train side by side in one stack; MLP jobs
+    train one at a time.
+    """
+    firsts: dict[tuple, _Cell] = {}
+    for cell in cells:
+        firsts.setdefault(cell.job_key, cell)
+    stacked = [key for key, cell in firsts.items() if isinstance(cell.job.task, QuadraticTask)]
+    trained = {}
+    if stacked:
+        finals = run_stacked([firsts[key].job for key in stacked])
+        trained = {key: (w, None) for key, w in zip(stacked, finals)}
+    for key, cell in firsts.items():
+        if key in trained:
+            continue
+        job, test_x, test_y = cell.job, cell.group.test_x, cell.group.test_y
+        w, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg,
+                   w_init=job.w_init, record_objective=False, label=job.label)
+        exits = range(1, job.topology.num_exits + 1)
+        trained[key] = (w, (
+            [exit_accuracy(job.task, w, e, test_x, test_y) for e in exits],
+            [job.task.loss_on(w, test_x, test_y, e) for e in exits],
+        ))
+    return trained
+
+
+def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -> tuple[dict, dict]:
+    """One cell's CSV row and report, from its job's result and its split."""
+    group, spec, plan, lam_norm, pools = cell.group, cell.spec, cell.plan, cell.lam_norm, cell.pools
+    topo, task, weights, sampling, train_cfg = (
+        cell.job.topology, cell.job.task, cell.job.weights, cell.job.sampling, cell.job.cfg
+    )
+    tv_value = tv_distance(weights.weights, lam_norm)
+    proxy = gen_proxy(weights, cfg.flops, pools.sizes)
+    row = {
+        "seed": group.seed,
+        "partition": group.partition,
+        "split": cell.split_label,
+        "strategy": spec.name,
+        "k": spec.k,
+        "tv": tv_value,
+        "gen_proxy": proxy,
+    }
+    report = ErrorReport(tv_value=tv_value, gen_proxy=proxy)
+
+    if task.kind == "mlp":
+        outcome = simulate_serving(topo, plan, task, w_final, group.test_x, group.test_y)
+        accs, losses = scores
+        for e, acc in enumerate(accs[:3], start=1):
+            row[f"exit{e}_acc"] = acc
+        row["weighted_acc"] = weighted_quality(accs, lam_norm)
+        row["system_acc_routed"] = outcome.system_accuracy
+        row["weighted_loss"] = weighted_quality(losses, lam_norm)
+        report.sigma_source = "estimated"
+        report.g_per_pair = {
+            f"{c}:{e}": group.noise_scale(c, e)
+            for e in range(1, topo.num_exits + 1)
+            for c in pools.clients[e - 1]
         }
-        report = ErrorReport(tv_value=tv_value, gen_proxy=proxy)
+        extra = {"serving": outcome.to_dict()}
+    else:
+        params = theory_params(
+            task, weights, sampling, pools, train_cfg.server_lr, train_cfg.local_steps
+        )
+        minimum = quadratic_minimizers(task, weights, pools)
+        gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
+        b_value = bound_B(params, gamma_value)
+        init_dist_sq = float(np.sum((group.w_init - minimum.w_star) ** 2))
+        bound = opt_error_bound(params, b_value, train_cfg.rounds, init_dist_sq)
+        empirical = weighted_objective(task, w_final, weights, pools) - minimum.f_star
+        pop_losses = [
+            task.population_exit_loss(w_final, e) for e in range(1, topo.num_exits + 1)
+        ]
+        row["weighted_loss"] = float(np.asarray(pop_losses) @ lam_norm)
+        row["opt_bound"] = bound
+        row["empirical_opt_error"] = empirical
 
-        if task.kind == "mlp":
-            if trained_key not in group.scores:
-                group.scores[trained_key] = (
-                    [
-                        exit_accuracy(task, w_final, e, test_x, test_y)
-                        for e in range(1, topo.num_exits + 1)
-                    ],
-                    [
-                        task.loss_on(w_final, test_x, test_y, e)
-                        for e in range(1, topo.num_exits + 1)
-                    ],
-                )
-            accs, losses = group.scores[trained_key]
-            outcome = simulate_serving(topo, plan, task, w_final, test_x, test_y)
-            for e, acc in enumerate(accs[:3], start=1):
-                row[f"exit{e}_acc"] = acc
-            row["weighted_acc"] = weighted_quality(accs, lam_norm)
-            row["system_acc_routed"] = outcome.system_accuracy
-            row["weighted_loss"] = weighted_quality(losses, lam_norm)
-            report.sigma_source = "estimated"
-            report.g_per_pair = {
-                f"{c}:{e}": group.noise_scale(c, e)
-                for e in range(1, topo.num_exits + 1)
-                for c in pools.clients[e - 1]
-            }
-            extra = {"serving": outcome.to_dict()}
-        else:
-            params = theory_params(
-                task, weights, sampling, pools, train_cfg.server_lr, train_cfg.local_steps
-            )
-            minimum = quadratic_minimizers(task, weights, pools)
-            gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
-            b_value = bound_B(params, gamma_value)
-            init_dist_sq = float(np.sum((w_init - minimum.w_star) ** 2))
-            bound = opt_error_bound(params, b_value, train_cfg.rounds, init_dist_sq)
-            empirical = (
-                weighted_objective(task, w_final, weights, pools) - minimum.f_star
-            )
-            pop_losses = [
-                task.population_exit_loss(w_final, e)
-                for e in range(1, topo.num_exits + 1)
-            ]
-            row["weighted_loss"] = float(np.asarray(pop_losses) @ lam_norm)
-            row["opt_bound"] = bound
-            row["empirical_opt_error"] = empirical
+        g_pairs, g_max = grad_second_moment(params)
+        report.gamma_value = gamma_value
+        report.g_max = g_max
+        report.g_per_pair = {f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)}
+        report.b_value = b_value
+        report.opt_bound = {train_cfg.rounds: bound}
+        report.empirical_opt_error = {train_cfg.rounds: empirical}
+        report.loss_cap = params.loss_cap
+        report.bias_bound = bias_bound(params.loss_cap, weights.weights, lam_norm)
+        extra = {}
 
-            g_pairs, g_max = grad_second_moment(params)
-            report.gamma_value = gamma_value
-            report.g_max = g_max
-            report.g_per_pair = {
-                f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)
-            }
-            report.b_value = b_value
-            report.opt_bound = {train_cfg.rounds: bound}
-            report.empirical_opt_error = {train_cfg.rounds: empirical}
-            report.loss_cap = params.loss_cap
-            report.bias_bound = bias_bound(params.loss_cap, weights.weights, lam_norm)
-            extra = {}
-
-        rows.append(row)
-        reports[(seed, partition, split_label, spec.name, spec.k)] = {
-            "seed": seed,
-            "partition": partition,
-            "split": split_label,
-            "strategy": spec.name,
-            "k": spec.k,
-            "rate_plan": plan.to_dict(),
-            "exit_weights": [float(v) for v in weights.weights],
-            "sampling_probs": {
-                c: [float(p) for p in sampling.probs[i]]
-                for i, c in enumerate(sampling.clients)
-            },
-            "error_report": report.to_dict(),
-            **extra,
-        }
-    return rows, reports
-
-
-def _run_group(
-    cfg: ExperimentConfig, seed: int, partition: str, splits: list[SplitSpec | None]
-):
-    """Run every split of one (seed, partition) group on its shared state."""
-    group = _build_group(cfg, seed, partition)
-    rows = []
-    reports = {}
-    for split in splits:
-        cell_rows, cell_reports = _run_cell(cfg, group, split)
-        rows.extend(cell_rows)
-        reports.update(cell_reports)
-    return rows, reports
+    return row, {
+        "seed": group.seed,
+        "partition": group.partition,
+        "split": cell.split_label,
+        "strategy": spec.name,
+        "k": spec.k,
+        "rate_plan": plan.to_dict(),
+        "exit_weights": [float(v) for v in weights.weights],
+        "sampling_probs": {
+            c: [float(p) for p in sampling.probs[i]] for i, c in enumerate(sampling.clients)
+        },
+        "error_report": report.to_dict(),
+        **extra,
+    }
 
 
 def _format_cell(value) -> str:
@@ -549,22 +603,30 @@ def run_experiment(
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seeds=(int(seed_override),))
+        cfg = dataclasses.replace(cfg, seeds=_seeds([seed_override]))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
 
     split_list: list[SplitSpec | None] = list(cfg.splits) if cfg.splits else [None]
-    groups = [(seed, partition) for seed in cfg.seeds for partition in cfg.partitions]
-
+    cells = [
+        cell
+        for seed in cfg.seeds
+        for partition in cfg.partitions
+        for group in [_build_group(cfg, seed, partition)]
+        for split in split_list
+        for cell in _plan_cells(cfg, group, split)
+    ]
+    trained = _train(cells)
+    cell_key = operator.itemgetter("seed", "partition", "split", "strategy", "k")
     all_rows = []
     all_reports = {}
-    for seed, partition in groups:
-        rows, reports = _run_group(cfg, seed, partition, split_list)
-        all_rows.extend(rows)
-        all_reports.update(reports)
+    for cell in cells:
+        row, report = _evaluate(cfg, cell, *trained[cell.job_key])
+        all_rows.append(row)
+        all_reports[cell_key(row)] = report
 
-    all_rows.sort(key=lambda r: (r["seed"], r["partition"], r["split"], r["strategy"], r["k"]))
+    all_rows.sort(key=cell_key)
     csv_path = out / "results.csv"
     with csv_path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -12,23 +12,27 @@ order. A run computes the states of all its round streams at once with
 before each draw site, which gives the same draws as opening each stream
 with :func:`rng.stream`.
 
-On a :class:`QuadraticTask` the local phase is stacked: one ``(N, d)``
-iterate holds every client, each local step is one batched matmul over the
-sampled pairs' matrices, and each client's noise for all of its local steps
-is one draw from its own stream. The result is bit-identical to calling
-:func:`local_update` and :func:`aggregate` per client, which other backends
-(the MLP) still do and which stay the reference implementation.
+On a :class:`QuadraticTask` one engine trains R jobs side by side
+(:func:`run_stacked`; :func:`run` is the engine with R = 1). Their iterates
+form an ``(R, d)`` stack, every client's local phase of every job is one
+batched matmul per local step, and each client's noise for all of its local
+steps is one draw from its own stream. Jobs that share a seed, a task and a
+sampling matrix draw the same exits and noise, so they share one stream table
+and one draw per round. The result is bit-identical to calling
+:func:`local_update` and :func:`aggregate` per client and per job, which the
+MLP backend still does and which stay the reference implementation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import EmptyPoolError, ZeroProbabilityError
+from .errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
 from .objective import weighted_objective
 from .quadratic import QuadraticTask
 from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
@@ -94,7 +98,10 @@ class TrainConfig:
 
 
 def learning_rate(cfg: TrainConfig, t: int, j: int) -> float:
-    """Local step size at round ``t`` (1-based) and local step ``j`` (0-based)."""
+    """Local step size at round ``t`` (1-based) and local step ``j`` (0-based).
+
+    The ``theory`` and ``constant`` schedules also take integer arrays.
+    """
     if cfg.lr_schedule == "theory":
         step = (t - 1) * cfg.local_steps + j
         return 2.0 / (cfg.mu * (cfg.gamma_value + step + 1.0))
@@ -129,19 +136,31 @@ def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSam
     )
 
 
-def _local_steps(w: np.ndarray, cfg: TrainConfig, t: int, gradient) -> np.ndarray:
-    """Take ``cfg.local_steps`` SGD steps from ``w`` in round ``t``.
+def _lr_table(cfg: TrainConfig) -> np.ndarray:
+    """``learning_rate(cfg, t, j)`` for every round and local step, as one array."""
+    if cfg.lr_schedule == "cosine":
+        # math.cos takes scalars, and np.cos need not round the same way.
+        return np.array(
+            [[learning_rate(cfg, t, j) for j in range(cfg.local_steps)]
+             for t in range(1, cfg.rounds + 1)]
+        )
+    t, j = np.meshgrid(np.arange(1, cfg.rounds + 1), np.arange(cfg.local_steps), indexing="ij")
+    return np.broadcast_to(learning_rate(cfg, t, j), t.shape).astype(float)
+
+
+def _local_steps(w: np.ndarray, momentum: float, etas, gradient) -> np.ndarray:
+    """Take one SGD step from ``w`` per step size in ``etas``.
 
     ``w`` is one iterate or a stack of them, and ``gradient(w, j)`` returns
-    the gradient of the same shape at local step ``j``. Step sizes and
+    the gradient of the same shape at local step ``j``. A step size is a
+    float or an array that broadcasts against the stack. Step sizes and
     momentum enter the local phase here and nowhere else.
     """
-    velocity = np.zeros_like(w) if cfg.momentum > 0 else None
-    for j in range(cfg.local_steps):
+    velocity = np.zeros_like(w) if momentum > 0 else None
+    for j, eta in enumerate(etas):
         grad = gradient(w, j)
-        eta = learning_rate(cfg, t, j)
         if velocity is not None:
-            velocity = cfg.momentum * velocity + grad
+            velocity = momentum * velocity + grad
             w = w - eta * velocity
         else:
             w = w - eta * grad
@@ -165,7 +184,8 @@ def local_update(
     def gradient(w: np.ndarray, j: int) -> np.ndarray:
         return task.stochastic_gradient(w, client, exit, cfg.batch_size, rng)
 
-    return _local_steps(w_start, cfg, t, gradient)
+    etas = [learning_rate(cfg, t, j) for j in range(cfg.local_steps)]
+    return _local_steps(w_start, cfg.momentum, etas, gradient)
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -225,6 +245,50 @@ class Trajectory:
     snapshots: list[np.ndarray] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class Job:
+    """One training run: the arguments of :func:`run` that decide its iterates.
+
+    ``label`` names the job, next to its seed, in a :class:`DivergenceError`.
+    """
+
+    topology: Topology
+    task: object
+    weights: ExitWeights
+    sampling: SamplingMatrix
+    cfg: TrainConfig
+    w_init: np.ndarray | None = None
+    label: str = ""
+
+
+def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
+    """Check that ``job`` can train; return its exit pools and initial iterate."""
+    task, sampling = job.task, job.sampling
+    pools = exit_pools(job.topology, sampling)
+    for client in sampling.clients:
+        if task.sizes[client] != job.topology.by_id[client].dataset_size:
+            raise ValueError(
+                f"client {client}: task holds {task.sizes[client]} samples but "
+                f"topology declares {job.topology.by_id[client].dataset_size}"
+            )
+    for e in range(1, job.weights.num_exits + 1):
+        if job.weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
+            raise EmptyPoolError(f"exit {e} is weighted but has no pooled data")
+    if job.w_init is None:
+        return pools, task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
+    return pools, np.asarray(job.w_init, dtype=float).copy()
+
+
+def _require_finite(w: np.ndarray, t: int, jobs: Sequence[Job]) -> None:
+    """Raise :class:`DivergenceError` if a job's iterate, a row of ``w``, is not finite."""
+    if np.isfinite(w).all():
+        return
+    finite = np.isfinite(w.reshape(len(jobs), -1)).all(axis=1)
+    job = jobs[int(np.argmin(finite))]
+    where = ", ".join(filter(None, (f"seed {job.cfg.seed}", job.label, f"round {t}")))
+    raise DivergenceError(f"{where}: the iterate is not finite")
+
+
 def run(
     topology: Topology,
     task,
@@ -235,32 +299,21 @@ def run(
     w_star: np.ndarray | None = None,
     record_snapshots: bool = False,
     record_objective: bool = True,
+    label: str = "",
 ) -> tuple[np.ndarray, Trajectory]:
     """Train for ``cfg.rounds`` rounds and return the last iterate.
 
     With ``record_objective=False`` the per-round weighted objective is not
-    evaluated; the iterates are the same either way.
+    evaluated; the iterates are the same either way. ``label`` names the run
+    in a :class:`DivergenceError`.
 
     Raises:
         EmptyPoolError: some exit has no client able to train it.
         ValueError: task and topology disagree on client dataset sizes.
+        DivergenceError: an iterate stopped being finite.
     """
-    pools = exit_pools(topology, sampling)
-    for client in sampling.clients:
-        if task.sizes[client] != topology.by_id[client].dataset_size:
-            raise ValueError(
-                f"client {client}: task holds {task.sizes[client]} samples but "
-                f"topology declares {topology.by_id[client].dataset_size}"
-            )
-    for e in range(1, weights.num_exits + 1):
-        if weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
-            raise EmptyPoolError(f"exit {e} is weighted but has no pooled data")
-
-    if w_init is None:
-        w = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
-    else:
-        w = np.asarray(w_init, dtype=float).copy()
-    sizes = dict(task.sizes)
+    job = Job(topology, task, weights, sampling, cfg, w_init, label)
+    pools, w = _start(job)
 
     objective = np.zeros(cfg.rounds + 1) if record_objective else None
     dist = np.zeros(cfg.rounds + 1) if w_star is not None else None
@@ -276,14 +329,37 @@ def run(
 
     record(0, w)
     if isinstance(task, QuadraticTask):
-        advance = _stacked_quadratic_round(task, weights, sampling, pools, sizes, cfg)
+        advance_stack = _stacked_quadratic_round([job], [pools])
+
+        def advance(w: np.ndarray, t: int) -> np.ndarray:
+            return advance_stack(w[None], t)[0]
+
     else:
-        advance = _per_client_round(task, weights, sampling, pools, sizes, cfg)
+        advance = _per_client_round(job, pools)
     for t in range(1, cfg.rounds + 1):
         w = advance(w, t)
         record(t, w)
 
     return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
+
+
+def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
+    """Train quadratic jobs side by side; row ``r`` is the last iterate of ``jobs[r]``.
+
+    Each row equals the iterate :func:`run` returns for that job alone, bit
+    for bit. The jobs must share their clients, ``rounds``, ``local_steps``,
+    ``momentum`` and ``dim``, as the jobs of one grid do.
+
+    Raises:
+        ValueError: the jobs cannot share a stack, or as :func:`run`.
+        EmptyPoolError, ZeroProbabilityError, DivergenceError: as :func:`run`.
+    """
+    starts = [_start(job) for job in jobs]
+    advance = _stacked_quadratic_round(jobs, [pools for pools, _ in starts])
+    w = np.stack([w0 for _, w0 in starts])
+    for t in range(1, jobs[0].cfg.rounds + 1):
+        w = advance(w, t)
+    return w
 
 
 def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +380,11 @@ def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sample, local.reshape(cfg.rounds, n, 4)
 
 
-def _per_client_round(task, weights, sampling, pools, sizes, cfg):
+def _per_client_round(job: Job, pools: ExitPools):
     """``advance(w, t)``: one round through the per-pair reference functions."""
+    task, sampling, cfg = job.task, job.sampling, job.cfg
     client_order = {c: i for i, c in enumerate(sampling.clients)}
+    sizes = dict(task.sizes)
     sample_states, local_states = _round_states(cfg, len(sampling.clients))
     # One generator serves every stream: each is done drawing before the next reseat.
     gen = np.random.default_rng(0)
@@ -317,69 +395,136 @@ def _per_client_round(task, weights, sampling, pools, sizes, cfg):
         for client, exit in chosen.pairs:
             local_rng = rngmod.reseat(gen, local_states[t - 1, client_order[client]])
             updates.append((client, exit, local_update(task, w, client, exit, cfg, t, local_rng)))
-        return aggregate(
-            w, updates, weights, sampling, pools, sizes, cfg.server_lr, cfg.projection_radius
+        w = aggregate(
+            w, updates, job.weights, sampling, pools, sizes, cfg.server_lr, cfg.projection_radius
         )
+        _require_finite(w, t, [job])
+        return w
 
     return advance
 
 
-def _stacked_quadratic_round(task: QuadraticTask, weights, sampling, pools, sizes, cfg):
-    """``advance(w, t)``: one round with every client's local phase stacked.
+def _stacked_quadratic_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
+    """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
-    Bit-identical to :func:`_per_client_round`: the same streams give the
-    same draws (J noise vectors in one call equal J calls), each batched
-    matmul is the same per-pair matrix-vector product, and the deltas are
-    summed in the same ascending client order with the same coefficients.
+    Bit-identical to :func:`_per_client_round` run per job: the same streams
+    give the same draws (J noise vectors in one call equal J calls), each
+    batched matmul is the same per-pair matrix-vector product, and each job's
+    deltas are summed in the same ascending client order with the same
+    coefficients. Jobs with the same seed, task and sampling matrix form one
+    stream set, which samples its exits and draws its noise once per round.
     """
-    clients = sampling.clients
-    n = len(clients)
-    rows = np.array([task.client_index(c) for c in clients], dtype=int)
+    first = jobs[0]
+    clients = first.sampling.clients
+    shape = (clients, first.cfg.rounds, first.cfg.local_steps, first.cfg.momentum)
+    for job in jobs:
+        if not isinstance(job.task, QuadraticTask):
+            raise ValueError("only quadratic jobs can be stacked")
+        if (job.sampling.clients, job.cfg.rounds, job.cfg.local_steps,
+                job.cfg.momentum) != shape or job.task.dim != first.task.dim:
+            raise ValueError(
+                "stacked jobs must share clients, rounds, local_steps, momentum and dim"
+            )
+    n, dim, momentum = len(clients), first.task.dim, first.cfg.momentum
+    local_steps, rounds = first.cfg.local_steps, first.cfg.rounds
     every = np.arange(n)
     by_name = sorted(every.tolist(), key=lambda i: clients[i])
-    sqrt_dim = np.sqrt(task.dim)
-    sample_states, local_states = _round_states(cfg, n)
+    sqrt_dim = np.sqrt(dim)
+
+    # Stream sets: the jobs whose rounds draw exactly the same numbers.
+    set_of: dict[tuple, int] = {}
+    job_set = np.array([
+        set_of.setdefault(
+            (job.cfg.seed, id(job.task), job.sampling.probs.tobytes()), len(set_of)
+        )
+        for job in jobs
+    ])
+    leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
+    # Flattened task tables: stream set s's client i on exit e is row
+    # (s * n + i) * E + e - 1, and set_base[s, i] is that row for exit 1.
+    # Per-client rows (stream states, draws) are s * n + i.
+    rows = [[job.task.client_index(c) for c in clients] for job in leads]
+    matrices = np.concatenate([job.task.matrices[r] for job, r in zip(leads, rows)])
+    num_exits = matrices.shape[1]
+    matrices = matrices.reshape(-1, dim, dim)
+    centers = np.concatenate([job.task.centers[r] for job, r in zip(leads, rows)]).reshape(-1, dim)
+    noise_scale = np.concatenate([job.task.noise_scale[r] for job, r in zip(leads, rows)]).ravel()
+    max_exit = np.stack([job.task.max_exit[r] for job, r in zip(leads, rows)])
+    set_base = np.arange(len(leads) * n).reshape(-1, n) * num_exits
+    sample_states = np.empty((rounds, len(leads), 4), dtype=np.uint64)
+    local_states = np.empty((rounds, len(leads) * n, 4), dtype=np.uint64)
+    for s, job in enumerate(leads):
+        sample_states[:, s], local_states[:, s * n:(s + 1) * n] = _round_states(job.cfg, n)
     # One generator serves every stream: each is done drawing before the next reseat.
     gen = np.random.default_rng(0)
-    # aggregate_preprojection's coefficient for every pair it can be sent.
-    coef = np.zeros(sampling.probs.shape)
-    for i, client in enumerate(clients):
-        for e in range(1, sampling.num_exits + 1):
-            prob = sampling.prob(client, e)
-            if prob > 0:
-                share = sizes[client] / pools.sizes[e - 1]
-                coef[i, e - 1] = weights.weights[e - 1] * share / prob
+
+    # Per job: aggregate_preprojection's coefficient for every pair it can be
+    # sent, the step sizes of every round, the server step and the radius.
+    coef = np.zeros((len(jobs),) + first.sampling.probs.shape)
+    for r, (job, job_pools) in enumerate(zip(jobs, pools)):
+        for i, client in enumerate(clients):
+            for e in range(1, job.sampling.num_exits + 1):
+                prob = job.sampling.prob(client, e)
+                if prob > 0:
+                    share = job.task.sizes[client] / job_pools.sizes[e - 1]
+                    coef[r, i, e - 1] = job.weights.weights[e - 1] * share / prob
+    # Job r's client i on exit e is entry job_base[r, i] + e - 1 of these.
+    coef = coef.ravel()
+    probs = np.concatenate([job.sampling.probs for job in jobs]).ravel()
+    job_base = np.arange(len(jobs) * n).reshape(-1, n) * first.sampling.num_exits
+    # Job r's client i is row job_slot[r, i] of its stream set's per-client draws.
+    job_slot = job_set[:, None] * n + every
+    # etas[t - 1, j] broadcasts each job's step size over its (N, d) slab.
+    etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)[..., None, None]
+    server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
+    radius = np.array([job.cfg.projection_radius for job in jobs])
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        exits = _sample_exits(sampling, rngmod.reseat(gen, sample_states[t - 1]))
-        for i in np.flatnonzero(exits >= task.max_exit[rows]):
-            task.pair(clients[i], int(exits[i]) + 1)  # raises ValueError
-        a_sel = task.matrices[rows, exits]
-        c_sel = task.centers[rows, exits]
-        sigma = task.noise_scale[rows, exits]
-        draws = np.zeros((n, cfg.local_steps, task.dim))
-        for i in np.flatnonzero(sigma > 0):
-            rngmod.reseat(gen, local_states[t - 1, i]).standard_normal(out=draws[i])
+        set_exits = np.stack([
+            _sample_exits(job.sampling, rngmod.reseat(gen, sample_states[t - 1, s]))
+            for s, job in enumerate(leads)
+        ])
+        if (set_exits >= max_exit).any():
+            s, i = np.argwhere(set_exits >= max_exit)[0]
+            leads[s].task.pair(clients[i], int(set_exits[s, i]) + 1)  # raises ValueError
+        pairs = set_base + set_exits
+        sigma = noise_scale[pairs].ravel()
+        draws = np.zeros((sigma.size, local_steps, dim))
+        for k in np.flatnonzero(sigma > 0).tolist():
+            rngmod.reseat(gen, local_states[t - 1, k]).standard_normal(out=draws[k])
         # A noiseless client adds 0.0 where the reference adds nothing; that
         # can only flip the sign of a zero, which w_end - w and the sum from
         # 0.0 below erase.
-        noise = sigma[:, None, None] * draws / sqrt_dim
+        noise = (sigma[:, None, None] * draws / sqrt_dim)[job_slot]
+        job_pairs = pairs.ravel()[job_slot]
+        a_sel = matrices[job_pairs]
+        c_sel = centers[job_pairs]
 
         def gradient(stack: np.ndarray, j: int) -> np.ndarray:
-            return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, j]
+            return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, :, j]
 
-        # The broadcast model becomes the (N, d) stack at the first step.
-        w_end = _local_steps(w, cfg, t, gradient)
+        # Each job's broadcast model becomes its (N, d) slab at the first step.
+        w_end = _local_steps(w[:, None], momentum, etas[t - 1], gradient)
 
-        pair_probs = sampling.probs[every, exits]
-        terms = coef[every, exits][:, None] * (w_end - w)
+        exits = set_exits.ravel()[job_slot]
+        zero = probs[job_base + exits] <= 0
+        if zero.any():
+            r = int(np.flatnonzero(zero.any(axis=1))[0])
+            i = next(i for i in by_name if zero[r, i])
+            raise ZeroProbabilityError(
+                f"update from ({clients[i]}, exit {exits[r, i] + 1}) with p=0"
+            )
+        terms = coef[job_base + exits][..., None] * (w_end - w[:, None])
         delta = np.zeros_like(w)
         for i in by_name:
-            if pair_probs[i] <= 0:
-                raise ZeroProbabilityError(
-                    f"update from ({clients[i]}, exit {exits[i] + 1}) with p=0"
-                )
-            delta += terms[i]
-        return project_ball(w + cfg.server_lr * delta, cfg.projection_radius)
+            delta += terms[:, i]
+        w = w + server_lr * delta
+        # project_ball row by row, wherever a row may lie outside its ball:
+        # these norms can differ from project_ball's in the last bits only.
+        norms = np.sqrt(np.einsum("rd,rd->r", w, w))
+        for r in np.flatnonzero(~(norms <= radius * (1.0 - 1e-9))):
+            w[r] = project_ball(w[r], radius[r])
+        _require_finite(w, t, jobs)
+        return w
 
     return advance

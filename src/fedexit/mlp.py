@@ -222,6 +222,14 @@ def layer_allocation(fractions, total: int, layer_counts: list[int]) -> list[lis
     return out
 
 
+def check_classification_task(input_dim: int, hidden_dim: int, num_classes: int) -> None:
+    """Raise ValueError unless :func:`make_classification_task` can build these layers."""
+    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
+                        ("num_classes", num_classes)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def make_classification_task(
     topology: Topology,
     *,
@@ -238,7 +246,12 @@ def make_classification_task(
     ``partition`` is a registered name from :data:`PARTITIONS` or an explicit
     per-exit-layer fraction tuple. All clients draw i.i.d. samples from the
     same feature distribution; within a layer the data is split near-equally.
+
+    Raises:
+        ValueError: a layer size :func:`check_classification_task` refuses, or
+            not one layer fraction per exit.
     """
+    check_classification_task(input_dim, hidden_dim, num_classes)
     fractions = PARTITIONS[partition] if isinstance(partition, str) else tuple(partition)
     if len(fractions) != topology.num_exits:
         raise ValueError("need one layer fraction per exit")

@@ -129,6 +129,20 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) -> None:
+    """Raise ValueError unless :func:`make_quadratic_task` can build from these values."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if len(eig_range) != 2 or not 0 < eig_range[0] <= eig_range[1]:
+        raise ValueError(f"eig_range must be [lo, hi] with 0 < lo <= hi, got {list(eig_range)}")
+    if len(sigma_range) != 2 or not 0 <= sigma_range[0] <= sigma_range[1]:
+        raise ValueError(
+            f"sigma_range must be [lo, hi] with 0 <= lo <= hi, got {list(sigma_range)}"
+        )
+    if not center_scale >= 0:
+        raise ValueError(f"center_scale must be >= 0, got {center_scale}")
+
+
 def make_quadratic_task(
     topology: Topology,
     dim: int,
@@ -145,7 +159,11 @@ def make_quadratic_task(
     convexity and smoothness constants are known exactly. Centers lie in a
     ball of radius ``center_scale``; the feasible radius defaults to a value
     that keeps every minimizer strictly interior.
+
+    Raises:
+        ValueError: a value :func:`check_quadratic_task` refuses.
     """
+    check_quadratic_task(dim, eig_range, sigma_range, center_scale)
     clients = topology.client_ids
     n, e_max = len(clients), topology.num_exits
     gen = rngmod.stream(seed, rngmod.label("quadratic-task"))

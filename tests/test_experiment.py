@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,16 @@ def mlp_config(**overrides) -> dict:
         "seeds": [1, 2],
         "output_dir": "results",
     }
+    cfg.update(overrides)
+    return cfg
+
+
+def quadratic_config(**overrides) -> dict:
+    cfg = mlp_config(
+        task={"kind": "quadratic", "dim": 3},
+        training={"rounds": 4, "local_steps": 2, "lr_schedule": "theory"},
+    )
+    del cfg["data"]
     cfg.update(overrides)
     return cfg
 
@@ -171,6 +182,67 @@ class TestParseConfig:
         # These used to pass parse_config and die mid-run with a raw traceback.
         with pytest.raises(ConfigParseError, match=message):
             parse_config(mlp_config(training=training))
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"eig_range": [0.0, 1.0]}, "eig_range"),
+            ({"eig_range": [-1.0, 1.0]}, "eig_range"),
+            ({"eig_range": [2.0, 1.0]}, "eig_range"),
+            ({"eig_range": [1.0]}, "eig_range"),
+            ({"sigma_range": [-0.1, 0.5]}, "sigma_range"),
+            ({"sigma_range": [0.5, 0.1]}, "sigma_range"),
+            ({"dim": 0}, "dim"),
+            ({"center_scale": -1.0}, "center_scale"),
+            ({"kind": "mlp", "input_dim": 0}, "input_dim"),
+            ({"kind": "mlp", "hidden_dim": 0}, "hidden_dim"),
+            ({"kind": "mlp", "num_classes": 0}, "num_classes"),
+        ],
+    )
+    def test_task_checked_at_parse_time(self, task, message):
+        # eig_range [0, 1] used to end the run in a raw ZeroDivisionError, and
+        # [-1, 1] in an error that blamed the training section.
+        raw = mlp_config() if task.get("kind") == "mlp" else quadratic_config()
+        raw["task"] = dict(raw["task"], **task)
+        with pytest.raises(ConfigParseError, match=f"^bad task section: {message}"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("training", "rounds"),
+            ("training", "local_steps"),
+            ("training", "batch_size"),
+            (None, "seeds"),
+            ("data", "total_samples"),
+            ("data", "test_samples"),
+            ("task", "input_dim"),
+            ("task", "hidden_dim"),
+            ("task", "num_classes"),
+            ("quadratic task", "dim"),
+        ],
+    )
+    def test_fractional_integer_rejected(self, section, key):
+        # rounds: 1.5 used to pass and run one round without a word.
+        raw = quadratic_config() if section == "quadratic task" else mlp_config()
+        section = "task" if section == "quadratic task" else section
+
+        def with_value(value):
+            if section is None:
+                return dict(raw, seeds=[1, value])
+            return dict(raw, **{section: dict(raw[section], **{key: value})})
+
+        with pytest.raises(ConfigParseError, match="must be an integer, got 1.5"):
+            parse_config(with_value(1.5))
+        parse_config(with_value(2.0))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # A negative seed used to end the run in a raw ValueError traceback.
+        with pytest.raises(ConfigParseError, match="seeds must be >= 0"):
+            parse_config(mlp_config(seeds=[1, -1]))
+        path = write_config(tmp_path, mlp_config())
+        with pytest.raises(ConfigParseError, match="seeds must be >= 0"):
+            run_experiment(path, out_dir=tmp_path / "out", seed_override=-1)
 
     def test_mlp_theory_schedule_needs_mu_at_parse_time(self):
         training = {"rounds": 4, "local_steps": 2, "lr_schedule": "theory"}
@@ -423,6 +495,38 @@ class TestGroupReuse:
         assert len(scored) == len(set(scored)) == 2 * 6 * 3
 
 
+class TestStackedTraining:
+    def test_one_stream_table_per_stream_set(self, tmp_path, monkeypatch):
+        import fedexit.experiment as experiment
+        import fedexit.fedtrain as fedtrain
+
+        stacks = []
+        tables = []
+        real_stacked, real_states = experiment.run_stacked, fedtrain._round_states
+
+        def counting_stacked(jobs):
+            stacks.append(len(jobs))
+            return real_stacked(jobs)
+
+        def counting_states(cfg, n):
+            tables.append(cfg.seed)
+            return real_states(cfg, n)
+
+        monkeypatch.setattr(experiment, "run_stacked", counting_stacked)
+        monkeypatch.setattr(fedtrain, "_round_states", counting_states)
+        raw = quadratic_config(
+            serving={"splits": [[80, 15, 5], [45, 35, 20]]},
+            strategies=[{"name": "equal", "k": 0.1}, {"name": "serving_rate", "k": 0.1},
+                        {"name": "serving_rate", "k": 0.0}],
+            seeds=[3, 4],
+        )
+        run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+        # Per seed: equal once, serving_rate once per split at each k, all in
+        # one stack; their sampling matrices are the k=0 and the k=0.1 one.
+        assert stacks == [2 * (1 + 2 + 2)]
+        assert sorted(tables) == [3, 3, 4, 4]
+
+
 class TestCompare:
     def test_identical_strategy_zero_delta(self, tmp_path):
         path = write_config(tmp_path, mlp_config())
@@ -471,6 +575,30 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_bad_task_is_reported(self, tmp_path, capsys):
+        raw = quadratic_config()
+        raw["task"]["eig_range"] = [0.0, 1.0]
+        path = write_config(tmp_path, raw)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: bad task section: eig_range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverging_run_is_reported(self, tmp_path, capsys):
+        # This used to exit 0 and write nan into weighted_loss and
+        # empirical_opt_error.
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        raw["training"].update(lr_schedule="constant", base_lr=1e200, rounds=20)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(
+            r"error: seed 1, strategy \w+, k=0\.1, round \d+: the iterate is not finite", err
+        )
+        assert not (out / "results.csv").exists()
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = cli_main(["run", str(tmp_path / "missing.json")])

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_tree, seven_node_topology
 from fedexit import rng as rngmod
-from fedexit.errors import ZeroProbabilityError
+from fedexit.errors import DivergenceError, ZeroProbabilityError
 from fedexit.fedtrain import (
+    Job,
     RoundSample,
     TrainConfig,
     aggregate,
@@ -17,6 +18,7 @@ from fedexit.fedtrain import (
     local_update,
     project_ball,
     run,
+    run_stacked,
     sample_round,
 )
 from fedexit.mlp import make_classification_task
@@ -388,6 +390,85 @@ class TestStackedQuadraticRound:
         cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
         with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
             run(topo, task, equal_weight(3), bad, cfg)
+
+
+class TestStackedJobs:
+    """run_stacked must give every job the iterate run() gives it alone, bit for bit."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_matches_per_job_run(self, momentum):
+        for name, topo, weights, radius in stacked_round_cases():
+            tasks = {}
+            jobs = []
+            # Tasks of two seeds, so step-size rows (theory schedule) and radii
+            # differ, and one task run at two seeds, whose streams differ.
+            for task_seed, seed, job_radius in ((5, 5, radius or 0.5), (6, 6, None),
+                                                (5, 7, None)):
+                if task_seed not in tasks:
+                    tasks[task_seed] = make_quadratic_task(
+                        topo, dim=3, sigma_range=(0.1, 0.6), seed=task_seed
+                    )
+                    tasks[task_seed].noise_scale[0] = 0.0  # a noiseless client never draws
+                task = tasks[task_seed]
+                cfg = theory_cfg(
+                    rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
+                    projection_radius=job_radius or task.radius, momentum=momentum, seed=seed,
+                )
+                for k in (0.0, 0.1):
+                    sampling = build_sampling_matrix(topo, k)
+                    # Both weightings of one (seed, k) share one stream set's draws.
+                    for job_weights in (weights, equal_weight(topo.num_exits)):
+                        jobs.append(Job(topo, task, job_weights, sampling, cfg))
+            stacked = run_stacked(jobs)
+            assert stacked.shape == (len(jobs), 3)
+            for job, row in zip(jobs, stacked):
+                alone, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg,
+                               record_objective=False)
+                reference = reference_run(job.topology, job.task, job.weights, job.sampling,
+                                          job.cfg, alone)[0]
+                assert np.array_equal(row, alone), name
+                assert np.array_equal(row, reference), name
+
+    def test_jobs_that_cannot_share_a_stack_rejected(self):
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=2)
+        sampling = build_sampling_matrix(topo, 0.0)
+        jobs = [
+            Job(topo, task, equal_weight(3), sampling,
+                theory_cfg(rounds=rounds, mu=task.mu, smoothness=task.smoothness))
+            for rounds in (3, 4)
+        ]
+        with pytest.raises(ValueError, match="share"):
+            run_stacked(jobs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestDivergence:
+    def test_quadratic_names_seed_label_and_round(self):
+        # A huge constant step used to finish with nan in every reported loss.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=1)
+        cfg = TrainConfig(rounds=4, local_steps=2, base_lr=1e200, seed=7,
+                          projection_radius=task.radius)
+        sampling = build_sampling_matrix(topo, 0.0)
+        with pytest.raises(DivergenceError, match="^seed 7, round 1: the iterate is not finite"):
+            run(topo, task, equal_weight(3), sampling, cfg)
+        jobs = [Job(topo, task, equal_weight(3), sampling, cfg, label="strategy equal, k=0")]
+        with pytest.raises(DivergenceError, match="^seed 7, strategy equal, k=0, round 1:"):
+            run_stacked(jobs)
+
+    def test_mlp_names_seed_label_and_round(self):
+        topo = seven_node_topology()
+        task = make_classification_task(
+            topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=6
+        )
+        topo = topo.with_dataset_sizes(task.sizes)
+        x, y = task.data["dev1"]
+        task.data["dev1"] = (np.full_like(x, np.nan), y)
+        cfg = TrainConfig(rounds=4, local_steps=2, batch_size=8, base_lr=0.1, seed=2)
+        with pytest.raises(DivergenceError, match="^seed 2, strategy equal, k=0, round 1:"):
+            run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg,
+                label="strategy equal, k=0")
 
 
 class TestPerClientRound:

@@ -161,6 +161,11 @@ class TestDataGeneration:
         counts = np.bincount(labels, minlength=3)
         assert counts.min() > 0.1 * len(labels)
 
+    @pytest.mark.parametrize("dim", ["input_dim", "hidden_dim", "num_classes"])
+    def test_empty_layer_rejected(self, dim):
+        with pytest.raises(ValueError, match=dim):
+            small_task(**{dim: 0})
+
     def test_allocation_fractions(self):
         counts = layer_allocation(PARTITIONS["cloud_bias_plus"], 1000, [4, 2, 1])
         assert sum(sum(layer) for layer in counts) == 1000

@@ -208,6 +208,22 @@ class TestFactory:
             for e in range(1, int(task.max_exit[i]) + 1):
                 assert np.linalg.norm(task.pair(c, e)[1]) < task.radius
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eig_range": (0.0, 1.0)},
+            {"eig_range": (-1.0, 1.0)},
+            {"sigma_range": (-0.1, 0.5)},
+            {"dim": 0},
+            {"center_scale": -1.0},
+        ],
+    )
+    def test_bad_values_rejected(self, kwargs):
+        # eig_range (0, 1) used to raise a ZeroDivisionError, and (-1, 1) to
+        # build a task with a negative radius.
+        with pytest.raises(ValueError):
+            make_quadratic_task(seven_node_topology(), **{"dim": 3, **kwargs})
+
     def test_deterministic_given_seed(self):
         topo = seven_node_topology()
         a = make_quadratic_task(topo, dim=3, seed=42)
