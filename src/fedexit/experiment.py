@@ -9,9 +9,10 @@ strategies, the task instance, the test set, the initial model, the training
 config and a table of estimated noise scales per (client, exit). Training
 never reads the split's budgets, so a cell's training job is keyed by (seed,
 partition, k, exit weights), and ``equal`` and ``flops_prop`` give one job
-per group rather than one per split. It then trains every distinct job once:
-all quadratic jobs side by side in one stack (:func:`fedtrain.run_stacked`),
-and MLP jobs one at a time, each scored once on its group's test set.
+per group rather than one per split. It then trains every distinct job once
+through :func:`fedtrain.run_stacked`, which trains as many jobs side by side
+as its byte budget allows: all quadratic jobs of a grid in one stack, each MLP
+job alone. Each MLP job is scored once on its group's test set.
 Last, it evaluates each cell from its job's result and its split. Strategy
 comparisons are therefore paired, and reruns of the same config produce
 byte-identical outputs.
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigParseError, MissingRowsError
-from .fedtrain import Job, TrainConfig, run, run_stacked
+from .fedtrain import Job, TrainConfig, run_stacked
+from .fedtrain import run  # noqa: F401  kept: perfbench's tracer wraps fedexit.experiment.run
 from .mlp import (
     PARTITIONS,
     check_classification_task,
@@ -40,9 +42,7 @@ from .mlp import (
     make_test_set,
 )
 from .objective import weighted_objective
-from .quadratic import (
-    QuadraticTask, check_quadratic_task, make_quadratic_task, quadratic_minimizers,
-)
+from .quadratic import check_quadratic_task, make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
 from .strategies import (
     ExitPools,
@@ -191,7 +191,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             parsed = []
             for entry in serving["splits"]:
                 vec = np.asarray(entry, dtype=float)
-                if vec.sum() <= 0 or np.any(vec < 0):
+                if vec.shape != (topo.num_exits,):
+                    raise ConfigParseError(
+                        f"split {entry} needs one entry per exit ({topo.num_exits})"
+                    )
+                if not (np.isfinite(vec).all() and np.all(vec >= 0) and vec.sum() > 0):
                     raise ConfigParseError(f"bad split {entry}")
                 parsed.append(
                     SplitSpec(label=_split_label(entry), fractions=tuple(vec / vec.sum()))
@@ -200,6 +204,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _reject_duplicates("split", [s.label for s in splits])
         else:
             budgets = {str(k): float(v) for k, v in serving["budgets"].items()}
+            for node, value in budgets.items():
+                if node not in topo.by_id:
+                    raise ConfigParseError(f"budget for {node!r}, which is no node of the tree")
+                if not value >= 0:
+                    raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
 
         task = dict(raw["task"])
         kind = task.get("kind")
@@ -349,7 +358,7 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
         mu, smooth = (1.0, 1.0) if task is None else (task.mu, task.smoothness)
     radius = t.get("projection_radius")
     if radius is None:
-        radius = task.radius if isinstance(task, QuadraticTask) else 1e6
+        radius = task.radius if kind == "quadratic" and task is not None else 1e6
     try:
         return TrainConfig(
             rounds=_integer("rounds", t["rounds"]),
@@ -480,27 +489,19 @@ def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
     """Train the distinct job of every cell once; return the results by job key.
 
     A result is the final iterate and, on the MLP, its test-set accuracies and
-    losses per exit. Quadratic jobs train side by side in one stack; MLP jobs
-    train one at a time.
+    losses per exit. All jobs train through :func:`run_stacked`.
     """
     firsts: dict[tuple, _Cell] = {}
     for cell in cells:
         firsts.setdefault(cell.job_key, cell)
-    stacked = [key for key, cell in firsts.items() if isinstance(cell.job.task, QuadraticTask)]
+    finals = run_stacked([cell.job for cell in firsts.values()])
     trained = {}
-    if stacked:
-        finals = run_stacked([firsts[key].job for key in stacked])
-        trained = {key: (w, None) for key, w in zip(stacked, finals)}
-    for key, cell in firsts.items():
-        if key in trained:
-            continue
-        job, test_x, test_y = cell.job, cell.group.test_x, cell.group.test_y
-        w, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg,
-                   w_init=job.w_init, record_objective=False, label=job.label)
-        exits = range(1, job.topology.num_exits + 1)
-        trained[key] = (w, (
-            [exit_accuracy(job.task, w, e, test_x, test_y) for e in exits],
-            [job.task.loss_on(w, test_x, test_y, e) for e in exits],
+    for (key, cell), w in zip(firsts.items(), finals):
+        task, test_x, test_y = cell.job.task, cell.group.test_x, cell.group.test_y
+        exits = range(1, cell.job.topology.num_exits + 1)
+        trained[key] = (w, None if test_x is None else (
+            [exit_accuracy(task, w, e, test_x, test_y) for e in exits],
+            [task.loss_on(w, test_x, test_y, e) for e in exits],
         ))
     return trained
 

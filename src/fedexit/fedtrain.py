@@ -12,15 +12,17 @@ order. A run computes the states of all its round streams at once with
 before each draw site, which gives the same draws as opening each stream
 with :func:`rng.stream`.
 
-On a :class:`QuadraticTask` one engine trains R jobs side by side
-(:func:`run_stacked`; :func:`run` is the engine with R = 1). Their iterates
-form an ``(R, d)`` stack, every client's local phase of every job is one
-batched matmul per local step, and each client's noise for all of its local
-steps is one draw from its own stream. Jobs that share a seed, a task and a
-sampling matrix draw the same exits and noise, so they share one stream table
-and one draw per round. The result is bit-identical to calling
-:func:`local_update` and :func:`aggregate` per client and per job, which the
-MLP backend still does and which stay the reference implementation.
+One engine trains R jobs side by side on either backend (:func:`run_stacked`;
+:func:`run` is the engine with R = 1). It samples the exits, sums each job's
+weighted deltas in client-name order, projects and checks that the iterates
+stay finite. The task class supplies the local phase: the quadratic steps the
+whole ``(R, N, d)`` slab with one batched matmul per local step and draws each
+client's noise for all of its local steps at once, and the MLP steps each
+(job, client) row on its own. Jobs that share a seed, a task and a sampling
+matrix draw the same exits and local streams, so they share one stream table
+and one exit draw per round. The result is bit-identical to calling
+:func:`local_update` and :func:`aggregate` per client and per job, which stay
+the reference implementation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
 from .objective import weighted_objective
-from .quadratic import QuadraticTask
 from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
 from .topology import Topology
 
@@ -235,12 +236,9 @@ def aggregate(
 
 @dataclass
 class Trajectory:
-    """Per-round summary of a run; index 0 is the initial model.
+    """Per-round summary of a run; index 0 is the initial model."""
 
-    ``objective`` is None when the run was asked not to record it.
-    """
-
-    objective: np.ndarray | None
+    objective: np.ndarray
     dist_to_opt: np.ndarray | None = None
     snapshots: list[np.ndarray] = field(default_factory=list)
 
@@ -249,7 +247,8 @@ class Trajectory:
 class Job:
     """One training run: the arguments of :func:`run` that decide its iterates.
 
-    ``label`` names the job, next to its seed, in a :class:`DivergenceError`.
+    ``label`` names the job, next to its seed, in a :class:`DivergenceError`
+    raised by :func:`run_stacked`.
     """
 
     topology: Topology
@@ -298,68 +297,74 @@ def run(
     w_init: np.ndarray | None = None,
     w_star: np.ndarray | None = None,
     record_snapshots: bool = False,
-    record_objective: bool = True,
-    label: str = "",
 ) -> tuple[np.ndarray, Trajectory]:
     """Train for ``cfg.rounds`` rounds and return the last iterate.
-
-    With ``record_objective=False`` the per-round weighted objective is not
-    evaluated; the iterates are the same either way. ``label`` names the run
-    in a :class:`DivergenceError`.
 
     Raises:
         EmptyPoolError: some exit has no client able to train it.
         ValueError: task and topology disagree on client dataset sizes.
         DivergenceError: an iterate stopped being finite.
     """
-    job = Job(topology, task, weights, sampling, cfg, w_init, label)
+    job = Job(topology, task, weights, sampling, cfg, w_init)
     pools, w = _start(job)
+    advance = _stacked_round([job], [pools])
 
-    objective = np.zeros(cfg.rounds + 1) if record_objective else None
+    objective = np.zeros(cfg.rounds + 1)
     dist = np.zeros(cfg.rounds + 1) if w_star is not None else None
     snapshots: list[np.ndarray] = []
 
     def record(index: int, vec: np.ndarray) -> None:
-        if objective is not None:
-            objective[index] = weighted_objective(task, vec, weights, pools)
+        objective[index] = weighted_objective(task, vec, weights, pools)
         if dist is not None:
             dist[index] = float(np.linalg.norm(vec - w_star))
         if record_snapshots:
             snapshots.append(vec.copy())
 
     record(0, w)
-    if isinstance(task, QuadraticTask):
-        advance_stack = _stacked_quadratic_round([job], [pools])
-
-        def advance(w: np.ndarray, t: int) -> np.ndarray:
-            return advance_stack(w[None], t)[0]
-
-    else:
-        advance = _per_client_round(job, pools)
     for t in range(1, cfg.rounds + 1):
-        w = advance(w, t)
+        w = advance(w[None], t)[0]
         record(t, w)
 
     return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
 
 
+# Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
+# trains a job list in as few stacks as stay under it.
+STACK_BYTES = 256 * 1024
+
+
 def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
-    """Train quadratic jobs side by side; row ``r`` is the last iterate of ``jobs[r]``.
+    """Train jobs side by side; row ``r`` is the last iterate of ``jobs[r]``.
 
     Each row equals the iterate :func:`run` returns for that job alone, bit
-    for bit. The jobs must share their clients, ``rounds``, ``local_steps``,
-    ``momentum`` and ``dim``, as the jobs of one grid do.
+    for bit. The jobs must share their task class, clients, ``rounds``,
+    ``local_steps``, ``momentum`` and ``dim``, as the jobs of one grid do.
+    Consecutive jobs train together in stacks of at most :data:`STACK_BYTES`.
 
     Raises:
         ValueError: the jobs cannot share a stack, or as :func:`run`.
         EmptyPoolError, ZeroProbabilityError, DivergenceError: as :func:`run`.
     """
+    def shape(job: Job) -> tuple:
+        cfg = job.cfg
+        return (type(job.task), job.sampling.clients, cfg.rounds, cfg.local_steps,
+                cfg.momentum, job.task.dim)
+
+    first = jobs[0]
+    if any(shape(job) != shape(first) for job in jobs):
+        raise ValueError("stacked jobs must share task class, clients, rounds, "
+                         "local_steps, momentum and dim")
     starts = [_start(job) for job in jobs]
-    advance = _stacked_quadratic_round(jobs, [pools for pools, _ in starts])
-    w = np.stack([w0 for _, w0 in starts])
-    for t in range(1, jobs[0].cfg.rounds + 1):
-        w = advance(w, t)
-    return w
+    size = max(1, STACK_BYTES // (len(first.sampling.clients) * first.task.dim * 8))
+    out = np.empty((len(jobs), first.task.dim))
+    for lo in range(0, len(jobs), size):
+        stack = slice(lo, lo + size)
+        advance = _stacked_round(jobs[stack], [pools for pools, _ in starts[stack]])
+        w = np.stack([w0 for _, w0 in starts[stack]])
+        for t in range(1, first.cfg.rounds + 1):
+            w = advance(w, t)
+        out[stack] = w
+    return out
 
 
 def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -380,56 +385,26 @@ def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sample, local.reshape(cfg.rounds, n, 4)
 
 
-def _per_client_round(job: Job, pools: ExitPools):
-    """``advance(w, t)``: one round through the per-pair reference functions."""
-    task, sampling, cfg = job.task, job.sampling, job.cfg
-    client_order = {c: i for i, c in enumerate(sampling.clients)}
-    sizes = dict(task.sizes)
-    sample_states, local_states = _round_states(cfg, len(sampling.clients))
-    # One generator serves every stream: each is done drawing before the next reseat.
-    gen = np.random.default_rng(0)
-
-    def advance(w: np.ndarray, t: int) -> np.ndarray:
-        chosen = sample_round(sampling, rngmod.reseat(gen, sample_states[t - 1]))
-        updates = []
-        for client, exit in chosen.pairs:
-            local_rng = rngmod.reseat(gen, local_states[t - 1, client_order[client]])
-            updates.append((client, exit, local_update(task, w, client, exit, cfg, t, local_rng)))
-        w = aggregate(
-            w, updates, job.weights, sampling, pools, sizes, cfg.server_lr, cfg.projection_radius
-        )
-        _require_finite(w, t, [job])
-        return w
-
-    return advance
-
-
-def _stacked_quadratic_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
+def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
-    Bit-identical to :func:`_per_client_round` run per job: the same streams
-    give the same draws (J noise vectors in one call equal J calls), each
-    batched matmul is the same per-pair matrix-vector product, and each job's
+    Bit-identical to :func:`local_update` and :func:`aggregate` run per
+    client and per job: the same streams give the same draws, and each job's
     deltas are summed in the same ascending client order with the same
     coefficients. Jobs with the same seed, task and sampling matrix form one
-    stream set, which samples its exits and draws its noise once per round.
+    stream set, which samples its exits once per round.
+
+    The task class's ``local_phase(jobs, job_set)`` returns
+    ``phase(w, exits, gen, states, etas)``: from the broadcast models, the
+    ``(S, N)`` 0-based exits of every stream set, the shared generator and the
+    round's local stream states (row ``s * N + i``; reseat ``gen`` on a row,
+    and finish drawing from it, before the next), and the ``(local_steps, R)``
+    step sizes, it returns the ``(R, N, d)`` local iterates in a new array.
     """
     first = jobs[0]
     clients = first.sampling.clients
-    shape = (clients, first.cfg.rounds, first.cfg.local_steps, first.cfg.momentum)
-    for job in jobs:
-        if not isinstance(job.task, QuadraticTask):
-            raise ValueError("only quadratic jobs can be stacked")
-        if (job.sampling.clients, job.cfg.rounds, job.cfg.local_steps,
-                job.cfg.momentum) != shape or job.task.dim != first.task.dim:
-            raise ValueError(
-                "stacked jobs must share clients, rounds, local_steps, momentum and dim"
-            )
-    n, dim, momentum = len(clients), first.task.dim, first.cfg.momentum
-    local_steps, rounds = first.cfg.local_steps, first.cfg.rounds
-    every = np.arange(n)
-    by_name = sorted(every.tolist(), key=lambda i: clients[i])
-    sqrt_dim = np.sqrt(dim)
+    n, rounds = len(clients), first.cfg.rounds
+    by_name = sorted(range(n), key=lambda i: clients[i])
 
     # Stream sets: the jobs whose rounds draw exactly the same numbers.
     set_of: dict[tuple, int] = {}
@@ -440,42 +415,25 @@ def _stacked_quadratic_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
         for job in jobs
     ])
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
-    # Flattened task tables: stream set s's client i on exit e is row
-    # (s * n + i) * E + e - 1, and set_base[s, i] is that row for exit 1.
-    # Per-client rows (stream states, draws) are s * n + i.
-    rows = [[job.task.client_index(c) for c in clients] for job in leads]
-    matrices = np.concatenate([job.task.matrices[r] for job, r in zip(leads, rows)])
-    num_exits = matrices.shape[1]
-    matrices = matrices.reshape(-1, dim, dim)
-    centers = np.concatenate([job.task.centers[r] for job, r in zip(leads, rows)]).reshape(-1, dim)
-    noise_scale = np.concatenate([job.task.noise_scale[r] for job, r in zip(leads, rows)]).ravel()
-    max_exit = np.stack([job.task.max_exit[r] for job, r in zip(leads, rows)])
-    set_base = np.arange(len(leads) * n).reshape(-1, n) * num_exits
     sample_states = np.empty((rounds, len(leads), 4), dtype=np.uint64)
     local_states = np.empty((rounds, len(leads) * n, 4), dtype=np.uint64)
     for s, job in enumerate(leads):
         sample_states[:, s], local_states[:, s * n:(s + 1) * n] = _round_states(job.cfg, n)
     # One generator serves every stream: each is done drawing before the next reseat.
     gen = np.random.default_rng(0)
+    local_phase = type(first.task).local_phase(jobs, job_set)
 
     # Per job: aggregate_preprojection's coefficient for every pair it can be
     # sent, the step sizes of every round, the server step and the radius.
     coef = np.zeros((len(jobs),) + first.sampling.probs.shape)
     for r, (job, job_pools) in enumerate(zip(jobs, pools)):
-        for i, client in enumerate(clients):
-            for e in range(1, job.sampling.num_exits + 1):
-                prob = job.sampling.prob(client, e)
-                if prob > 0:
-                    share = job.task.sizes[client] / job_pools.sizes[e - 1]
-                    coef[r, i, e - 1] = job.weights.weights[e - 1] * share / prob
-    # Job r's client i on exit e is entry job_base[r, i] + e - 1 of these.
-    coef = coef.ravel()
-    probs = np.concatenate([job.sampling.probs for job in jobs]).ravel()
-    job_base = np.arange(len(jobs) * n).reshape(-1, n) * first.sampling.num_exits
-    # Job r's client i is row job_slot[r, i] of its stream set's per-client draws.
-    job_slot = job_set[:, None] * n + every
-    # etas[t - 1, j] broadcasts each job's step size over its (N, d) slab.
-    etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)[..., None, None]
+        sent = job.sampling.probs > 0
+        sizes = np.array([[job.task.sizes[c]] for c in clients], dtype=float)
+        share = np.divide(sizes, job_pools.sizes, out=np.zeros(sent.shape), where=sent)
+        np.divide(job.weights.weights * share, job.sampling.probs, out=coef[r], where=sent)
+    probs = np.stack([job.sampling.probs for job in jobs])
+    rows = np.arange(len(jobs))[:, None], np.arange(n)
+    etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
     radius = np.array([job.cfg.projection_radius for job in jobs])
 
@@ -484,40 +442,21 @@ def _stacked_quadratic_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
             _sample_exits(job.sampling, rngmod.reseat(gen, sample_states[t - 1, s]))
             for s, job in enumerate(leads)
         ])
-        if (set_exits >= max_exit).any():
-            s, i = np.argwhere(set_exits >= max_exit)[0]
-            leads[s].task.pair(clients[i], int(set_exits[s, i]) + 1)  # raises ValueError
-        pairs = set_base + set_exits
-        sigma = noise_scale[pairs].ravel()
-        draws = np.zeros((sigma.size, local_steps, dim))
-        for k in np.flatnonzero(sigma > 0).tolist():
-            rngmod.reseat(gen, local_states[t - 1, k]).standard_normal(out=draws[k])
-        # A noiseless client adds 0.0 where the reference adds nothing; that
-        # can only flip the sign of a zero, which w_end - w and the sum from
-        # 0.0 below erase.
-        noise = (sigma[:, None, None] * draws / sqrt_dim)[job_slot]
-        job_pairs = pairs.ravel()[job_slot]
-        a_sel = matrices[job_pairs]
-        c_sel = centers[job_pairs]
-
-        def gradient(stack: np.ndarray, j: int) -> np.ndarray:
-            return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, :, j]
-
-        # Each job's broadcast model becomes its (N, d) slab at the first step.
-        w_end = _local_steps(w[:, None], momentum, etas[t - 1], gradient)
-
-        exits = set_exits.ravel()[job_slot]
-        zero = probs[job_base + exits] <= 0
+        w_end = local_phase(w, set_exits, gen, local_states[t - 1], etas[t - 1])
+        exits = set_exits[job_set]
+        at = rows + (exits,)  # job r's client i on its sampled exit is entry [r, i]
+        zero = probs[at] <= 0
         if zero.any():
             r = int(np.flatnonzero(zero.any(axis=1))[0])
             i = next(i for i in by_name if zero[r, i])
             raise ZeroProbabilityError(
                 f"update from ({clients[i]}, exit {exits[r, i] + 1}) with p=0"
             )
-        terms = coef[job_base + exits][..., None] * (w_end - w[:, None])
+        w_end -= w[:, None]  # the weighted deltas, in place: no second (R, N, d) slab
+        w_end *= coef[at][..., None]
         delta = np.zeros_like(w)
         for i in by_name:
-            delta += terms[:, i]
+            delta += w_end[:, i]
         w = w + server_lr * delta
         # project_ball row by row, wherever a row may lie outside its ball:
         # these norms can differ from project_ball's in the last bits only.

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyClientDatasetError, EmptyDatasetError
+from .fedtrain import _local_steps
 from .segments import SegmentMap
 from .topology import Topology
 
@@ -177,6 +178,32 @@ class MlpTask:
             raise EmptyClientDatasetError(f"client {client} has no samples")
         idx = rng.integers(0, n, size=batch_size)
         return self.gradient_on(w, x[idx], y[idx], exit)
+
+    @staticmethod
+    def local_phase(jobs, job_set: np.ndarray):
+        """The round engine's local phase: each (job, client) row steps on its own iterate.
+
+        Each step is :meth:`stochastic_gradient` on one batch drawn from the
+        row's stream, as in :func:`fedtrain.local_update`.
+        """
+        clients, momentum = jobs[0].sampling.clients, jobs[0].cfg.momentum
+
+        def phase(w, exits, gen, states, etas):
+            w_end = np.empty((len(jobs), len(clients), w.shape[1]))
+            for r, (job, s) in enumerate(zip(jobs, job_set.tolist())):
+                for i, client in enumerate(clients):
+                    exit = int(exits[s, i]) + 1
+                    rng = rngmod.reseat(gen, states[s * len(clients) + i])
+
+                    def gradient(v: np.ndarray, j: int) -> np.ndarray:
+                        return job.task.stochastic_gradient(
+                            v, client, exit, job.cfg.batch_size, rng
+                        )
+
+                    w_end[r, i] = _local_steps(w[r], momentum, etas[:, r], gradient)
+            return w_end
+
+        return phase
 
     def init_params(self, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
         """Fan-in scaled Gaussian weights, zero biases."""

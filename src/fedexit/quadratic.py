@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import SingularSystemError
+from .fedtrain import _local_steps
 from .strategies import ExitPools, ExitWeights
 from .topology import Topology
 
@@ -100,6 +101,51 @@ class QuadraticTask:
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
+
+    @staticmethod
+    def local_phase(jobs, job_set: np.ndarray):
+        """The round engine's local phase: all (job, client) rows step on one ``(R, N, d)`` slab.
+
+        Each step is one batched matmul, row by row the matrix-vector product
+        of :meth:`stochastic_gradient`. A stream-set row draws the noise of
+        all its local steps in one call, which equals one call per step, and
+        every job of the set shares that draw.
+        """
+        first = jobs[0]
+        clients, dim, momentum = first.sampling.clients, first.task.dim, first.cfg.momentum
+        sqrt_dim = np.sqrt(dim)
+        leads = [jobs[int(np.flatnonzero(job_set == s)[0])].task for s in range(job_set.max() + 1)]
+        rows = [[task.client_index(c) for c in clients] for task in leads]
+        # Stream set s's client i on exit e + 1 is entry [s, i, e] of these tables.
+        matrices, centers, noise_scale, max_exit = (
+            np.stack([getattr(task, name)[r] for task, r in zip(leads, rows)])
+            for name in ("matrices", "centers", "noise_scale", "max_exit")
+        )
+        cells = np.arange(len(leads))[:, None], np.arange(len(clients))
+
+        def phase(w, exits, gen, states, etas):
+            if (exits >= max_exit).any():
+                s, i = np.argwhere(exits >= max_exit)[0]
+                leads[s].pair(clients[i], int(exits[s, i]) + 1)  # raises ValueError
+            sigma = noise_scale[cells + (exits,)].ravel()
+            draws = np.zeros((sigma.size, first.cfg.local_steps, dim))
+            for k in np.flatnonzero(sigma > 0).tolist():
+                rngmod.reseat(gen, states[k]).standard_normal(out=draws[k])
+            # A noiseless client adds 0.0 where the reference adds nothing;
+            # that can only flip the sign of a zero, which the engine's
+            # w_end - w and its sum from 0.0 erase.
+            noise = (sigma[:, None, None] * draws / sqrt_dim).reshape(exits.shape + (-1, dim))
+            at = job_set[:, None], cells[1], exits[job_set]
+            a_sel, c_sel, noise = matrices[at], centers[at], noise[job_set]
+
+            def gradient(stack: np.ndarray, j: int) -> np.ndarray:
+                return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, :, j]
+
+            # Each job's broadcast model becomes its (N, d) slab at the first
+            # step, and its step size broadcasts over that slab.
+            return _local_steps(w[:, None], momentum, etas[..., None, None], gradient)
+
+        return phase
 
     def loss_cap(self) -> float:
         """Exact upper bound on any pair loss over the feasible ball."""

@@ -200,24 +200,6 @@ def empirical_bias(
     return worst
 
 
-def empirical_opt_error(
-    task: QuadraticTask,
-    final_models,
-    weights: ExitWeights,
-    pools: ExitPools,
-) -> float:
-    """Mean optimality gap of the final iterates against the closed-form optimum."""
-    from .objective import weighted_objective
-
-    minimum = quadratic_minimizers(task, weights, pools)
-    gaps = [
-        weighted_objective(task, np.asarray(w, dtype=float), weights, pools)
-        - minimum.f_star
-        for w in final_models
-    ]
-    return float(np.mean(gaps))
-
-
 def gen_proxy(weights: ExitWeights, flops, pool_sizes) -> float:
     """Capacity-over-data diagnostic: sum of w_e * sqrt(cost_e / pool_e).
 

@@ -83,6 +83,24 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "serving, message",
+        [
+            ({"budgets": {"edgeX": 0.2}}, "budget for 'edgeX', which is no node of the tree"),
+            ({"budgets": {"edge1": -0.2}}, "budget of edge1 must be >= 0, got -0.2"),
+            ({"budgets": {"edge1": float("nan")}}, "budget of edge1 must be >= 0, got nan"),
+            ({"splits": [[45, 35]]}, r"needs one entry per exit \(3\)"),
+            ({"splits": [[45, float("nan"), 20]]}, "bad split"),
+        ],
+        ids=["unknown-node", "negative-budget", "nan-budget", "short-split", "nan-split"],
+    )
+    def test_serving_checked_at_parse_time(self, serving, message):
+        # An unknown budget key used to be dropped without a word, a negative
+        # budget or a short split to end the run in a raw ValueError, and a
+        # NaN budget or split in a DivergenceError that blamed training.
+        with pytest.raises(ConfigParseError, match=message):
+            parse_config(quadratic_config(serving=serving))
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigParseError):
             parse_config(mlp_config(strategies=[{"name": "mystery"}]))
@@ -454,19 +472,21 @@ class TestGroupReuse:
         runs = []
         probes = []
         tasks = []  # keeps every task alive so id(task) stays unique
-        real_run, real_sigma = experiment.run, experiment.estimate_sigma
+        real_stacked, real_sigma = experiment.run_stacked, experiment.estimate_sigma
 
-        def counting_run(topo, task, weights, sampling, cfg, **kwargs):
-            tasks.append(task)
-            runs.append((id(task), sampling.probs.tobytes(), weights.weights.tobytes()))
-            return real_run(topo, task, weights, sampling, cfg, **kwargs)
+        def counting_stacked(jobs):
+            for job in jobs:
+                tasks.append(job.task)
+                runs.append((id(job.task), job.sampling.probs.tobytes(),
+                             job.weights.weights.tobytes()))
+            return real_stacked(jobs)
 
         def counting_sigma(task, client, exit, *args, **kwargs):
             tasks.append(task)
             probes.append((id(task), client, exit))
             return real_sigma(task, client, exit, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run", counting_run)
+        monkeypatch.setattr(experiment, "run_stacked", counting_stacked)
         monkeypatch.setattr(experiment, "estimate_sigma", counting_sigma)
         run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
 
@@ -575,6 +595,25 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "serving",
+        [
+            {"budgets": {"edgeX": 0.2}},
+            {"budgets": {"edge1": -0.2}},
+            {"budgets": {"edge1": float("nan")}},
+            {"splits": [[45, 35]]},
+        ],
+        ids=["unknown-node", "negative-budget", "nan-budget", "short-split"],
+    )
+    def test_bad_serving_is_reported(self, tmp_path, capsys, serving):
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        path = write_config(tmp_path, dict(raw, serving=serving))
+        out = tmp_path / "out"
+        code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+        assert code == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_task_is_reported(self, tmp_path, capsys):
         raw = quadratic_config()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_tree, seven_node_topology
+from fedexit import fedtrain
 from fedexit import rng as rngmod
 from fedexit.errors import DivergenceError, ZeroProbabilityError
 from fedexit.fedtrain import (
@@ -286,32 +289,6 @@ class TestRun:
         np.testing.assert_array_equal(w_end[~mask], w0[~mask])
         assert np.any(w_end[mask] != w0[mask])
 
-    def test_skipping_objective_keeps_iterate_quadratic(self):
-        topo = seven_node_topology()
-        task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
-        sampling = build_sampling_matrix(topo, 0.1)
-        cfg = theory_cfg(rounds=15, mu=task.mu, smoothness=task.smoothness,
-                         projection_radius=task.radius, seed=9)
-        w_rec, traj_rec = run(topo, task, equal_weight(3), sampling, cfg)
-        w_skip, traj_skip = run(topo, task, equal_weight(3), sampling, cfg,
-                                record_objective=False)
-        assert w_skip.tobytes() == w_rec.tobytes()
-        assert traj_rec.objective is not None and traj_skip.objective is None
-
-    def test_skipping_objective_keeps_iterate_mlp(self):
-        topo = seven_node_topology()
-        task = make_classification_task(
-            topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=6
-        )
-        topo = topo.with_dataset_sizes(task.sizes)
-        sampling = build_sampling_matrix(topo, 0.1)
-        cfg = TrainConfig(rounds=4, local_steps=2, batch_size=8, base_lr=0.1, seed=2)
-        w_rec, _ = run(topo, task, equal_weight(3), sampling, cfg)
-        w_skip, traj_skip = run(topo, task, equal_weight(3), sampling, cfg,
-                                record_objective=False)
-        assert w_skip.tobytes() == w_rec.tobytes()
-        assert traj_skip.objective is None
-
     def test_size_mismatch_rejected(self):
         topo = seven_node_topology()
         task = make_classification_task(
@@ -351,34 +328,72 @@ def stacked_round_cases():
         yield f"tree{i}", topo, equal_weight(topo.num_exits), None
 
 
+def both_orders(sampling):
+    """The matrix as built, and with its clients listed out of name order.
+
+    Streams follow the list, sums the names.
+    """
+    return sampling, SamplingMatrix(clients=sampling.clients[::-1], probs=sampling.probs[::-1])
+
+
+def mlp_case(seed=6):
+    """A small MLP task and its seven-node tree, sized to the task's data."""
+    topo = seven_node_topology()
+    task = make_classification_task(
+        topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=seed
+    )
+    return topo.with_dataset_sizes(task.sizes), task
+
+
+def quadratic_reference_cases(k, momentum):
+    """(name, topology, task, weights, sampling, cfg, w_star) on quadratic tasks."""
+    for name, topo, weights, radius in stacked_round_cases():
+        task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
+        task.noise_scale[0] = 0.0  # one noiseless client: it opens but never draws
+        for sampling in both_orders(build_sampling_matrix(topo, k)):
+            pools = exit_pools(topo, sampling)
+            w_star = quadratic_minimizers(task, weights, pools).w_star
+            cfg = theory_cfg(
+                rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
+                projection_radius=radius or task.radius, momentum=momentum, seed=5,
+            )
+            yield name, topo, task, weights, sampling, cfg, w_star
+
+
+def mlp_reference_cases(k, momentum):
+    """(name, topology, task, weights, sampling, cfg, w_star) on a small MLP task."""
+    topo, task = mlp_case()
+    # Any fixed point serves for the distance column; the MLP has no closed-form optimum.
+    w_star = task.init_params(rngmod.stream(0, rngmod.INIT))
+    for batch_size, schedule in ((8, "constant"), (5, "cosine")):
+        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, lr_schedule=schedule,
+                          base_lr=0.1, momentum=momentum, seed=4)
+        for sampling in both_orders(build_sampling_matrix(topo, k)):
+            yield (f"mlp {schedule} batch {batch_size}", topo, task,
+                   normalized_weights([0.2, 0.3, 0.5]), sampling, cfg, w_star)
+
+
+def assert_matches_reference(cases):
+    """run() must equal the per-client reference loop bit for bit on every case."""
+    for name, topo, task, weights, sampling, cfg, w_star in cases:
+        w_end, traj = run(topo, task, weights, sampling, cfg,
+                          w_star=w_star, record_snapshots=True)
+        ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
+            topo, task, weights, sampling, cfg, w_star
+        )
+        assert np.array_equal(w_end, ref_w), name
+        assert np.array_equal(traj.objective, ref_obj), name
+        assert np.array_equal(traj.dist_to_opt, ref_dist), name
+        assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates)), name
+
+
 class TestStackedQuadraticRound:
-    """run() on a QuadraticTask must equal the per-client reference loop bit for bit."""
+    """run() on a quadratic task must equal the per-client reference loop bit for bit."""
 
     @pytest.mark.parametrize("momentum", [0.0, 0.5])
     @pytest.mark.parametrize("k", [0.0, 0.1])
     def test_matches_per_pair_reference(self, k, momentum):
-        for name, topo, weights, radius in stacked_round_cases():
-            task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
-            task.noise_scale[0] = 0.0  # one noiseless client: it opens but never draws
-            built = build_sampling_matrix(topo, k)
-            # Clients listed out of name order: streams follow the list, sums the names.
-            shuffled = SamplingMatrix(clients=built.clients[::-1], probs=built.probs[::-1])
-            for sampling in (built, shuffled):
-                pools = exit_pools(topo, sampling)
-                w_star = quadratic_minimizers(task, weights, pools).w_star
-                cfg = theory_cfg(
-                    rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
-                    projection_radius=radius or task.radius, momentum=momentum, seed=5,
-                )
-                w_end, traj = run(topo, task, weights, sampling, cfg,
-                                  w_star=w_star, record_snapshots=True)
-                ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
-                    topo, task, weights, sampling, cfg, w_star
-                )
-                assert np.array_equal(w_end, ref_w), name
-                assert np.array_equal(traj.objective, ref_obj), name
-                assert np.array_equal(traj.dist_to_opt, ref_dist), name
-                assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates)), name
+        assert_matches_reference(quadratic_reference_cases(k, momentum))
 
     def test_exit_beyond_client_rejected(self):
         topo = seven_node_topology()
@@ -390,6 +405,15 @@ class TestStackedQuadraticRound:
         cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
         with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
             run(topo, task, equal_weight(3), bad, cfg)
+
+
+class TestPerClientRound:
+    """run() on an MLP task must equal the per-client reference loop bit for bit."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_matches_per_pair_reference(self, k):
+        for momentum in (0.0, 0.5):
+            assert_matches_reference(mlp_reference_cases(k, momentum))
 
 
 class TestStackedJobs:
@@ -422,12 +446,31 @@ class TestStackedJobs:
             stacked = run_stacked(jobs)
             assert stacked.shape == (len(jobs), 3)
             for job, row in zip(jobs, stacked):
-                alone, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg,
-                               record_objective=False)
+                alone, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg)
                 reference = reference_run(job.topology, job.task, job.weights, job.sampling,
                                           job.cfg, alone)[0]
                 assert np.array_equal(row, alone), name
                 assert np.array_equal(row, reference), name
+
+    def test_mlp_jobs_over_several_stacks_match_reference(self, monkeypatch):
+        topo, first = mlp_case(seed=6)
+        _, second = mlp_case(seed=7)
+        # Room for two jobs per stack, so five jobs train as stacks of 2, 2 and 1;
+        # the first stack's two jobs share one stream set.
+        monkeypatch.setattr(fedtrain, "STACK_BYTES", 2 * len(topo.nodes) * first.dim * 8)
+        jobs = []
+        for task, base_lr, batch_size in ((first, 0.1, 8), (second, 0.2, 5)):
+            for k, seed in ((0.0, 3), (0.1, 4)):
+                cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size,
+                                  lr_schedule="cosine", base_lr=base_lr, momentum=0.5, seed=seed)
+                jobs.append(Job(topo, task, normalized_weights([0.2, 0.3, 0.5]),
+                                build_sampling_matrix(topo, k), cfg))
+        jobs.insert(1, dataclasses.replace(jobs[0], weights=equal_weight(3)))
+        stacked = run_stacked(jobs)
+        for r, (job, row) in enumerate(zip(jobs, stacked)):
+            reference = reference_run(job.topology, job.task, job.weights, job.sampling,
+                                      job.cfg, row)[0]
+            assert np.array_equal(row, reference), r
 
     def test_jobs_that_cannot_share_a_stack_rejected(self):
         topo = seven_node_topology()
@@ -466,38 +509,10 @@ class TestDivergence:
         x, y = task.data["dev1"]
         task.data["dev1"] = (np.full_like(x, np.nan), y)
         cfg = TrainConfig(rounds=4, local_steps=2, batch_size=8, base_lr=0.1, seed=2)
+        jobs = [Job(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg,
+                    label="strategy equal, k=0")]
         with pytest.raises(DivergenceError, match="^seed 2, strategy equal, k=0, round 1:"):
-            run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg,
-                label="strategy equal, k=0")
-
-
-class TestPerClientRound:
-    """run() on an MLP task must equal the per-client reference loop bit for bit."""
-
-    @pytest.mark.parametrize("k", [0.0, 0.1])
-    def test_matches_per_pair_reference(self, k):
-        topo = seven_node_topology()
-        task = make_classification_task(
-            topo, partition="equal", total_samples=210, input_dim=5, hidden_dim=6, seed=6
-        )
-        topo = topo.with_dataset_sizes(task.sizes)
-        weights = normalized_weights([0.2, 0.3, 0.5])
-        built = build_sampling_matrix(topo, k)
-        # Clients listed out of name order: streams follow the list, sums the names.
-        shuffled = SamplingMatrix(clients=built.clients[::-1], probs=built.probs[::-1])
-        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
-        # Any fixed point serves for the distance column; the MLP has no closed-form optimum.
-        w_star = task.init_params(rngmod.stream(0, rngmod.INIT))
-        for sampling in (built, shuffled):
-            w_end, traj = run(topo, task, weights, sampling, cfg,
-                              w_star=w_star, record_snapshots=True)
-            ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
-                topo, task, weights, sampling, cfg, w_star
-            )
-            assert np.array_equal(w_end, ref_w)
-            assert np.array_equal(traj.objective, ref_obj)
-            assert np.array_equal(traj.dist_to_opt, ref_dist)
-            assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates))
+            run_stacked(jobs)
 
 
 class TestAggregationMoments:

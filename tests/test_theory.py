@@ -238,28 +238,6 @@ class TestGenProxy:
             gen_proxy(equal_weight(2), [1, 1], [10, 0])
 
 
-class TestEmpiricalOptError:
-    def test_zero_at_the_optimum(self):
-        task = two_pair_1d_task((0.0, 2.0))
-        weights = normalized_weights([0.5, 0.5])
-        pools = pools_for(task)
-        from fedexit.quadratic import quadratic_minimizers
-        from fedexit.theory import empirical_opt_error
-
-        w_star = quadratic_minimizers(task, weights, pools).w_star
-        assert empirical_opt_error(task, [w_star, w_star], weights, pools) == (
-            pytest.approx(0.0, abs=1e-14)
-        )
-
-    def test_positive_away_from_the_optimum(self):
-        from fedexit.theory import empirical_opt_error
-
-        task = two_pair_1d_task((0.0, 2.0))
-        weights = normalized_weights([0.5, 0.5])
-        value = empirical_opt_error(task, [np.array([3.0])], weights, pools_for(task))
-        assert value > 0.0
-
-
 class TestSigmaEstimate:
     def test_quadratic_estimate_near_truth(self):
         topo = seven_node_topology()
