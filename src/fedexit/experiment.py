@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
-import numbers
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +65,14 @@ from .theory import (
     theory_params,
     tv_distance,
 )
-from .topology import RatePlan, Topology, budgets_for_split, compute_rate_plan, from_node_dicts
+from .topology import (
+    RatePlan,
+    Topology,
+    budgets_for_split,
+    compute_rate_plan,
+    from_node_dicts,
+    integer,
+)
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
 
@@ -147,12 +154,8 @@ def _reject_duplicates(what: str, values) -> None:
         seen.add(value)
 
 
-def _integer(what: str, value) -> int:
-    """``value`` as an int; refuse one with a fractional part, which ``int()`` would cut."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ConfigParseError(f"{what} must be an integer, got {value!r}")
+# A whole-number config value; int() would cut a fractional one.
+_integer = functools.partial(integer, error=ConfigParseError)
 
 
 def _seeds(values) -> tuple[int, ...]:
@@ -256,6 +259,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
             spec = StrategySpec(name=name, k=float(s.get("k", 0.0)))
+            build_sampling_matrix(topo, spec.k)  # raises InvalidKError
             # Reports are named by strategy and k:g, so two entries that agree
             # there would write one report over the other.
             report_name = (name, f"{spec.k:g}")
@@ -269,6 +273,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         flops = tuple(float(f) for f in raw.get("flops", REFERENCE_FLOPS))
         if len(flops) != topo.num_exits:
             raise ConfigParseError("need one flops value per exit")
+        if not all(0 < f < np.inf for f in flops):
+            raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
 
         return ExperimentConfig(
             topology=topo,

@@ -80,15 +80,17 @@ class TrainConfig:
             raise ValueError("local_steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.server_lr <= 0:
-            raise ValueError("server_lr must be positive")
-        if self.projection_radius <= 0:
-            raise ValueError("projection_radius must be positive")
+        if not self.server_lr > 0:
+            raise ValueError(f"server_lr must be positive, got {self.server_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
+        if not self.projection_radius > 0:
+            raise ValueError(f"projection_radius must be positive, got {self.projection_radius}")
         if self.lr_schedule not in SCHEDULES:
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.lr_schedule == "theory":
-            if self.mu <= 0 or self.smoothness < self.mu:
-                raise ValueError("theory schedule needs 0 < mu <= smoothness")
+            if not 0 < self.mu <= self.smoothness < math.inf:
+                raise ValueError("theory schedule needs 0 < mu <= smoothness < inf")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import rng as rngmod
 from .errors import EmptyClientDatasetError, EmptyDatasetError
 from .fedtrain import _local_steps
-from .segments import SegmentMap
 from .topology import Topology
 
 # Layer share of the total training data per exit layer (devices, edges, cloud).
@@ -30,21 +29,48 @@ PARTITIONS: dict[str, tuple[float, ...]] = {
 }
 
 
-def build_segments(input_dim: int, hidden_dim: int, num_classes: int, num_exits: int) -> SegmentMap:
-    """Flat layout: backbone blocks first, then one head per exit."""
-    blocks: list[tuple[int, int]] = []
-    cursor = 0
-    for b in range(num_exits):
-        fan_in = input_dim if b == 0 else hidden_dim
-        size = hidden_dim * fan_in + hidden_dim
-        blocks.append((cursor, cursor + size))
-        cursor += size
-    heads: list[tuple[int, int]] = []
-    head_size = num_classes * hidden_dim + num_classes
-    for _ in range(num_exits):
-        heads.append((cursor, cursor + head_size))
-        cursor += head_size
-    return SegmentMap(blocks=tuple(blocks), heads=tuple(heads), dim=cursor)
+@dataclass(frozen=True)
+class Segments:
+    """Half-open ranges of each backbone block and each head in the flat vector.
+
+    Exit ``e`` trains blocks 1..e and head ``e``, so the backbone parts of
+    the exits' active sets are nested.
+    """
+
+    blocks: tuple[tuple[int, int], ...]
+    heads: tuple[tuple[int, int], ...]
+    dim: int
+
+    def active_mask(self, exit: int) -> np.ndarray:
+        mask = np.zeros(self.dim, dtype=bool)
+        for start, stop in self.blocks[:exit] + self.heads[exit - 1 : exit]:
+            mask[start:stop] = True
+        return mask
+
+
+def build_segments(input_dim: int, hidden_dim: int, num_classes: int, num_exits: int) -> Segments:
+    """Flat layout: backbone blocks first, then one head per exit.
+
+    Each range holds a row-major weight, then one bias per row. Block 1
+    reads the input; every later block and every head reads a hidden state.
+    """
+    shapes = [(hidden_dim, input_dim)] + [(hidden_dim, hidden_dim)] * (num_exits - 1)
+    shapes += [(num_classes, hidden_dim)] * num_exits
+    stops = np.cumsum([rows * (fan_in + 1) for rows, fan_in in shapes]).tolist()
+    spans = tuple(zip([0] + stops[:-1], stops))
+    return Segments(blocks=spans[:num_exits], heads=spans[num_exits:], dim=stops[-1])
+
+
+def _weight_and_bias(w: np.ndarray, span: tuple[int, int], rows: int):
+    """Views of the ``(rows, fan_in)`` weight and the ``rows`` bias stored in ``w[span]``."""
+    start, stop = span
+    return w[start : stop - rows].reshape(rows, -1), w[stop - rows : stop]
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    return expz / expz.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -63,7 +89,7 @@ class MlpTask:
         return "mlp"
 
     @cached_property
-    def segments(self) -> SegmentMap:
+    def segments(self) -> Segments:
         return build_segments(self.input_dim, self.hidden_dim, self.num_classes, self.num_exits)
 
     @property
@@ -75,19 +101,18 @@ class MlpTask:
         return {c: len(y) for c, (_, y) in self.data.items()}
 
     def _block(self, w: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = self.segments.blocks[b - 1]
-        fan_in = self.input_dim if b == 1 else self.hidden_dim
-        weight = w[start : start + self.hidden_dim * fan_in].reshape(self.hidden_dim, fan_in)
-        bias = w[start + self.hidden_dim * fan_in : stop]
-        return weight, bias
+        """Backbone block ``b``'s weight and bias, as views of ``w``."""
+        return _weight_and_bias(w, self.segments.blocks[b - 1], self.hidden_dim)
 
     def _head(self, w: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = self.segments.heads[e - 1]
-        weight = w[start : start + self.num_classes * self.hidden_dim].reshape(
-            self.num_classes, self.hidden_dim
-        )
-        bias = w[start + self.num_classes * self.hidden_dim : stop]
-        return weight, bias
+        """Exit ``e``'s head weight and bias, as views of ``w``."""
+        return _weight_and_bias(w, self.segments.heads[e - 1], self.num_classes)
+
+    def _client_data(self, client: str) -> tuple[np.ndarray, np.ndarray]:
+        x, y = self.data[client]
+        if len(y) == 0:
+            raise EmptyClientDatasetError(f"client {client} has no samples")
+        return x, y
 
     def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
         """Activations h_1..h_exit; h_0 is the input itself."""
@@ -105,10 +130,7 @@ class MlpTask:
         return h @ weight.T + bias
 
     def probs(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
-        z = self.logits(w, x, exit)
-        z = z - z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        return expz / expz.sum(axis=1, keepdims=True)
+        return _softmax(self.logits(w, x, exit))
 
     def predict(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
         return np.argmax(self.logits(w, x, exit), axis=1)
@@ -121,47 +143,34 @@ class MlpTask:
         return float(np.mean(logsumexp - z[np.arange(len(y)), y]))
 
     def loss(self, w: np.ndarray, client: str, exit: int) -> float:
-        x, y = self.data[client]
-        if len(y) == 0:
-            raise EmptyClientDatasetError(f"client {client} has no samples")
-        return self.loss_on(w, x, y, exit)
+        return self.loss_on(w, *self._client_data(client), exit)
 
     def gradient_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
         """Backprop of the mean cross-entropy; zero outside the exit's active set."""
         n = len(y)
         states = self.hidden_states(w, x, exit)
         head_w, head_b = self._head(w, exit)
-        z = states[-1] @ head_w.T + head_b
-        z = z - z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        dlogits = probs
+        dlogits = _softmax(states[-1] @ head_w.T + head_b)
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
 
         grad = np.zeros_like(w)
-        hstart, _ = self.segments.heads[exit - 1]
-        hw_size = self.num_classes * self.hidden_dim
-        grad[hstart : hstart + hw_size] = (dlogits.T @ states[-1]).ravel()
-        grad[hstart + hw_size : hstart + hw_size + self.num_classes] = dlogits.sum(axis=0)
+        grad_w, grad_b = self._head(grad, exit)
+        grad_w[:] = dlogits.T @ states[-1]
+        grad_b[:] = dlogits.sum(axis=0)
 
         dh = dlogits @ head_w
         for b in range(exit, 0, -1):
             dz = dh * (1.0 - states[b] ** 2)
             weight, _ = self._block(w, b)
-            bstart, _ = self.segments.blocks[b - 1]
-            fan_in = self.input_dim if b == 1 else self.hidden_dim
-            bw_size = self.hidden_dim * fan_in
-            grad[bstart : bstart + bw_size] = (dz.T @ states[b - 1]).ravel()
-            grad[bstart + bw_size : bstart + bw_size + self.hidden_dim] = dz.sum(axis=0)
+            grad_w, grad_b = self._block(grad, b)
+            grad_w[:] = dz.T @ states[b - 1]
+            grad_b[:] = dz.sum(axis=0)
             dh = dz @ weight
         return grad
 
     def full_gradient(self, w: np.ndarray, client: str, exit: int) -> np.ndarray:
-        x, y = self.data[client]
-        if len(y) == 0:
-            raise EmptyClientDatasetError(f"client {client} has no samples")
-        return self.gradient_on(w, x, y, exit)
+        return self.gradient_on(w, *self._client_data(client), exit)
 
     def stochastic_gradient(
         self,
@@ -172,11 +181,8 @@ class MlpTask:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Gradient on a batch drawn uniformly with replacement from the client."""
-        x, y = self.data[client]
-        n = len(y)
-        if n == 0:
-            raise EmptyClientDatasetError(f"client {client} has no samples")
-        idx = rng.integers(0, n, size=batch_size)
+        x, y = self._client_data(client)
+        idx = rng.integers(0, len(y), size=batch_size)
         return self.gradient_on(w, x[idx], y[idx], exit)
 
     @staticmethod
@@ -208,15 +214,10 @@ class MlpTask:
     def init_params(self, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
         """Fan-in scaled Gaussian weights, zero biases."""
         w = np.zeros(self.dim)
-        for b in range(1, self.num_exits + 1):
-            start, _ = self.segments.blocks[b - 1]
-            fan_in = self.input_dim if b == 1 else self.hidden_dim
-            size = self.hidden_dim * fan_in
-            w[start : start + size] = gain * rng.standard_normal(size) / np.sqrt(fan_in)
-        for e in range(1, self.num_exits + 1):
-            start, _ = self.segments.heads[e - 1]
-            size = self.num_classes * self.hidden_dim
-            w[start : start + size] = gain * rng.standard_normal(size) / np.sqrt(self.hidden_dim)
+        weights = [self._block(w, b)[0] for b in range(1, self.num_exits + 1)]
+        weights += [self._head(w, e)[0] for e in range(1, self.num_exits + 1)]
+        for weight in weights:
+            weight[:] = gain * rng.standard_normal(weight.shape) / np.sqrt(weight.shape[1])
         return w
 
 
@@ -227,23 +228,30 @@ def exit_accuracy(task: MlpTask, w: np.ndarray, exit: int, x: np.ndarray, y: np.
     return float(np.mean(task.predict(w, x, exit) == y))
 
 
+def largest_remainder(raw: np.ndarray, total: int) -> np.ndarray:
+    """Round ``raw``, which sums to ``total``, to integers that sum to ``total`` exactly.
+
+    Every entry gets its floor, then the entries with the largest fractional
+    parts get one more each; ties go to the earlier entry.
+    """
+    counts = np.floor(raw).astype(int)
+    order = np.argsort(-(raw - counts), kind="stable")
+    for i in range(total - int(counts.sum())):
+        counts[order[i]] += 1
+    return counts
+
+
 def layer_allocation(fractions, total: int, layer_counts: list[int]) -> list[list[int]]:
     """Split ``total`` samples into per-client counts, layer by layer.
 
-    Layer totals follow the fractions by largest remainder (they sum to
-    ``total`` exactly); within a layer clients differ by at most one sample.
+    Layer totals follow the fractions by :func:`largest_remainder` (they sum
+    to ``total`` exactly); within a layer clients differ by at most one sample.
     """
     fractions = np.asarray(fractions, dtype=float)
     if abs(fractions.sum() - 1.0) > 1e-9 or np.any(fractions < 0):
         raise ValueError("layer fractions must be nonnegative and sum to 1")
-    raw = fractions * total
-    floors = np.floor(raw).astype(int)
-    remainder = total - int(floors.sum())
-    order = np.argsort(-(raw - floors), kind="stable")
-    for i in range(remainder):
-        floors[order[i]] += 1
     out: list[list[int]] = []
-    for layer_total, n_clients in zip(floors, layer_counts):
+    for layer_total, n_clients in zip(largest_remainder(fractions * total, total), layer_counts):
         base, extra = divmod(int(layer_total), n_clients)
         out.append([base + (1 if j < extra else 0) for j in range(n_clients)])
     return out

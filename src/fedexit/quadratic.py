@@ -179,14 +179,16 @@ def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) 
     """Raise ValueError unless :func:`make_quadratic_task` can build from these values."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if len(eig_range) != 2 or not 0 < eig_range[0] <= eig_range[1]:
-        raise ValueError(f"eig_range must be [lo, hi] with 0 < lo <= hi, got {list(eig_range)}")
-    if len(sigma_range) != 2 or not 0 <= sigma_range[0] <= sigma_range[1]:
+    if len(eig_range) != 2 or not 0 < eig_range[0] <= eig_range[1] < np.inf:
         raise ValueError(
-            f"sigma_range must be [lo, hi] with 0 <= lo <= hi, got {list(sigma_range)}"
+            f"eig_range must be [lo, hi] with 0 < lo <= hi < inf, got {list(eig_range)}"
         )
-    if not center_scale >= 0:
-        raise ValueError(f"center_scale must be >= 0, got {center_scale}")
+    if len(sigma_range) != 2 or not 0 <= sigma_range[0] <= sigma_range[1] < np.inf:
+        raise ValueError(
+            f"sigma_range must be [lo, hi] with 0 <= lo <= hi < inf, got {list(sigma_range)}"
+        )
+    if not 0 <= center_scale < np.inf:
+        raise ValueError(f"center_scale must be finite and >= 0, got {center_scale}")
 
 
 def make_quadratic_task(
@@ -196,15 +198,14 @@ def make_quadratic_task(
     eig_range: tuple[float, float] = (1.0, 2.0),
     sigma_range: tuple[float, float] = (0.0, 0.5),
     center_scale: float = 1.0,
-    radius: float | None = None,
     seed: int = 0,
 ) -> QuadraticTask:
     """Draw a random instance over the topology's clients.
 
     Eigenvalues are drawn per pair from ``eig_range`` so the global strong
     convexity and smoothness constants are known exactly. Centers lie in a
-    ball of radius ``center_scale``; the feasible radius defaults to a value
-    that keeps every minimizer strictly interior.
+    ball of radius ``center_scale``; the feasible radius keeps every
+    minimizer strictly interior.
 
     Raises:
         ValueError: a value :func:`check_quadratic_task` refuses.
@@ -228,9 +229,7 @@ def make_quadratic_task(
             sigmas[i, e] = gen.uniform(sigma_range[0], sigma_range[1])
             mu = min(mu, float(eigs.min()))
             smooth = max(smooth, float(eigs.max()))
-    if radius is None:
-        kappa_bound = eig_range[1] / eig_range[0]
-        radius = 1.0 + 2.0 * kappa_bound * center_scale
+    kappa_bound = eig_range[1] / eig_range[0]
     return QuadraticTask(
         clients=clients,
         num_exits=e_max,
@@ -240,7 +239,7 @@ def make_quadratic_task(
         noise_scale=sigmas,
         max_exit=max_exit,
         sizes={c: topology.by_id[c].dataset_size for c in clients},
-        radius=float(radius),
+        radius=1.0 + 2.0 * kappa_bound * center_scale,
         mu=mu,
         smoothness=smooth,
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroTrafficError
+from .mlp import exit_accuracy, largest_remainder
 from .topology import RatePlan, Topology
 
 
@@ -24,16 +25,6 @@ def entropy_confidence(task, w: np.ndarray, exit: int, x: np.ndarray) -> np.ndar
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
     return -terms.sum(axis=1)
-
-
-def _largest_remainder_counts(shares: np.ndarray, total: int) -> np.ndarray:
-    raw = shares / shares.sum() * total
-    counts = np.floor(raw).astype(int)
-    leftover = total - int(counts.sum())
-    order = np.argsort(-(raw - counts), kind="stable")
-    for i in range(leftover):
-        counts[order[i]] += 1
-    return counts
 
 
 @dataclass
@@ -97,7 +88,7 @@ def simulate_serving(
     if not arrival_nodes:
         raise ZeroTrafficError("no node has a positive arrival rate")
     shares = np.array([topology.by_id[n].arrival_rate for n in arrival_nodes])
-    counts = _largest_remainder_counts(shares, len(y))
+    counts = largest_remainder(shares / shares.sum() * len(y), len(y))
     incoming: dict[str, list[np.ndarray]] = {n.id: [] for n in topology.nodes}
     cursor = 0
     for node_id, count in zip(arrival_nodes, counts):
@@ -137,10 +128,10 @@ def simulate_serving(
     iid_acc = np.zeros(num_exits)
     for e in range(1, num_exits + 1):
         indices = [served[n] for n in topology.layers.get(e, ()) if len(served[n])]
-        iid_acc[e - 1] = float(np.mean(task.predict(w, x, e) == y))
+        iid_acc[e - 1] = exit_accuracy(task, w, e, x, y)
         if indices:
             idx = np.concatenate(indices)
-            exit_acc[e - 1] = float(np.mean(task.predict(w, x[idx], e) == y[idx]))
+            exit_acc[e - 1] = exit_accuracy(task, w, e, x[idx], y[idx])
             exit_loss[e - 1] = task.loss_on(w, x[idx], y[idx], e)
     rates = plan.lambda_exit
     return ServingOutcome(

@@ -134,8 +134,8 @@ def build_sampling_matrix(topology: Topology, k: float) -> SamplingMatrix:
     ``E_c`` keeps probability ``1 - k*(E_c - 1)`` for it. Clients on exit 1
     always train their own exit.
     """
-    if k < 0:
-        raise InvalidKError("k must be nonnegative")
+    if not 0 <= k < np.inf:
+        raise InvalidKError(f"k must be finite and nonnegative, got {k}")
     clients = topology.client_ids
     probs = np.zeros((len(clients), topology.num_exits))
     for i, cid in enumerate(clients):

@@ -51,7 +51,6 @@ class TheoryParams:
     alpha: np.ndarray
     sigma: np.ndarray
     probs: np.ndarray
-    pool_sizes: np.ndarray
 
     @property
     def kappa(self) -> float:
@@ -100,7 +99,6 @@ def theory_params(
         alpha=np.array(alpha),
         sigma=np.array(sigma),
         probs=np.array(probs),
-        pool_sizes=np.asarray(pools.sizes, dtype=float),
     )
 
 

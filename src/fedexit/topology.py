@@ -10,6 +10,8 @@ serve rates and, for every exit, the total rate it answers.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -45,10 +47,11 @@ class NodeSpec:
     dataset_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_rate < 0:
-            raise ValueError(f"node {self.id}: arrival_rate must be >= 0")
-        if self.budget < 0:
-            raise ValueError(f"node {self.id}: budget must be >= 0")
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ValueError(f"node {self.id}: arrival_rate must be finite and >= 0, "
+                             f"got {self.arrival_rate}")
+        if not self.budget >= 0:
+            raise ValueError(f"node {self.id}: budget must be >= 0, got {self.budget}")
         if self.exit < 1:
             raise ValueError(f"node {self.id}: exit index must be >= 1")
         if self.dataset_size < 0:
@@ -149,6 +152,14 @@ class Topology:
         return float(sum(n.arrival_rate for n in self.nodes))
 
 
+def integer(what: str, value, error: type[Exception] = InvalidTopologyError) -> int:
+    """``value`` as an int; refuse a bool or a fractional part, which ``int()`` would cut."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 # The keys from_node_dicts reads from a node dict.
 NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "budget", "dataset_size")
 
@@ -158,7 +169,9 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
 
     Raises:
         InvalidTopologyError: a node dict has a key outside ``NODE_KEYS``, so
-            a misspelt one cannot fall back to its default.
+            a misspelt one cannot fall back to its default, or an integer
+            field (``exit``, ``dataset_size``, ``num_exits``) is not whole.
+        ValueError: a value :class:`NodeSpec` refuses.
     """
     for d in entries:
         unknown = sorted(set(d) - set(NODE_KEYS))
@@ -170,16 +183,16 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
         NodeSpec(
             id=str(d["id"]),
             parent=(None if d.get("parent") in (None, "") else str(d["parent"])),
-            exit=int(d["exit"]),
+            exit=integer(f"node {d['id']}: exit", d["exit"]),
             arrival_rate=float(d.get("arrival_rate", 0.0)),
             budget=float(d.get("budget", 0.0)),
-            dataset_size=int(d.get("dataset_size", 0)),
+            dataset_size=integer(f"node {d['id']}: dataset_size", d.get("dataset_size", 0)),
         )
         for d in entries
     )
     if num_exits is None:
         num_exits = max(n.exit for n in nodes)
-    return Topology(nodes=nodes, num_exits=int(num_exits))
+    return Topology(nodes=nodes, num_exits=integer("num_exits", num_exits))
 
 
 def validate(topology: Topology) -> None:
@@ -196,7 +209,7 @@ def validate(topology: Topology) -> None:
         raise InvalidTopologyError("empty topology")
     _ = topology.by_id
     _ = topology.children  # raises on unknown parent
-    root = topology.root
+    _ = topology.root
 
     for n in topology.nodes:
         if not 1 <= n.exit <= topology.num_exits:
@@ -204,19 +217,10 @@ def validate(topology: Topology) -> None:
                 f"node {n.id}: exit {n.exit} outside 1..{topology.num_exits}"
             )
 
-    # Reachability from the root; parents all exist, so any unreached node
+    # Every node has one parent, so a node the walk from the root misses
     # sits on a cycle.
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        for child in topology.children[node]:
-            if child in seen:
-                raise CycleError(f"node {child} reached twice")
-            seen.add(child)
-            frontier.append(child)
-    if len(seen) != len(topology.nodes):
-        missing = sorted(set(topology.by_id) - seen)
+    missing = sorted(set(topology.by_id) - set(topology.post_order))
+    if missing:
         raise CycleError(f"nodes unreachable from root (cycle): {missing}")
 
     for n in topology.nodes:

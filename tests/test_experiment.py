@@ -194,10 +194,20 @@ class TestParseConfig:
             ({"rounds": 4, "local_steps": 2, "momentum": 1.0}, "momentum"),
             ({"rounds": 4, "local_steps": 2, "lr_schedule": "theory", "mu": 2.0,
               "smoothness": 1.0}, "0 < mu <= smoothness"),
+            ({"rounds": 4, "local_steps": 2, "server_lr": float("nan")}, "server_lr"),
+            ({"rounds": 4, "local_steps": 2, "base_lr": float("nan")}, "base_lr"),
+            ({"rounds": 4, "local_steps": 2, "base_lr": float("inf")}, "base_lr"),
+            ({"rounds": 4, "local_steps": 2, "base_lr": -0.1}, "base_lr"),
+            ({"rounds": 4, "local_steps": 2, "projection_radius": float("nan")},
+             "projection_radius"),
+            ({"rounds": 4, "local_steps": 2, "lr_schedule": "theory", "mu": float("nan"),
+              "smoothness": 1.0}, "0 < mu <= smoothness"),
         ],
     )
     def test_training_checked_at_parse_time(self, training, message):
-        # These used to pass parse_config and die mid-run with a raw traceback.
+        # These used to pass parse_config and die mid-run with a raw traceback,
+        # or in "the iterate is not finite" (NaN values). base_lr -0.1 ran
+        # gradient ascent and exited 0.
         with pytest.raises(ConfigParseError, match=message):
             parse_config(mlp_config(training=training))
 
@@ -215,11 +225,16 @@ class TestParseConfig:
             ({"kind": "mlp", "input_dim": 0}, "input_dim"),
             ({"kind": "mlp", "hidden_dim": 0}, "hidden_dim"),
             ({"kind": "mlp", "num_classes": 0}, "num_classes"),
+            ({"eig_range": [1.0, float("inf")]}, "eig_range"),
+            ({"sigma_range": [0.0, float("inf")]}, "sigma_range"),
+            ({"center_scale": float("inf")}, "center_scale"),
         ],
     )
     def test_task_checked_at_parse_time(self, task, message):
         # eig_range [0, 1] used to end the run in a raw ZeroDivisionError, and
-        # [-1, 1] in an error that blamed the training section.
+        # [-1, 1] in an error that blamed the training section. An infinite
+        # range bound ended in a raw OverflowError, and an infinite
+        # center_scale in "the iterate is not finite".
         raw = mlp_config() if task.get("kind") == "mlp" else quadratic_config()
         raw["task"] = dict(raw["task"], **task)
         with pytest.raises(ConfigParseError, match=f"^bad task section: {message}"):
@@ -282,6 +297,40 @@ class TestParseConfig:
         raw = mlp_config(topology={"num_exits": 3, "nodes": nodes})
         with pytest.raises(InvalidTopologyError, match="'dev1'.*arrival_rte"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            ({"exit": 1.7}, "node dev1: exit must be an integer, got 1.7"),
+            ({"exit": True}, "node dev1: exit must be an integer, got True"),
+            ({"dataset_size": 100.9}, "node dev1: dataset_size must be an integer, got 100.9"),
+            ({"arrival_rate": float("nan")}, "node dev1: arrival_rate must be finite"),
+            ({"arrival_rate": float("inf")}, "node dev1: arrival_rate must be finite"),
+            ({"budget": float("nan")}, "node dev1: budget must be >= 0, got nan"),
+        ],
+        ids=["fractional-exit", "bool-exit", "fractional-size", "nan-arrival", "inf-arrival",
+             "nan-budget"],
+    )
+    def test_node_values_checked_at_parse_time(self, node, message):
+        # Fractional integers used to be cut by int(), a NaN arrival rate wrote
+        # NaN into every rate plan, and an infinite one warned on inf - inf;
+        # all three exited 0.
+        nodes = [dict(n) for n in SEVEN_NODES]
+        nodes[3].update(node)
+        with pytest.raises((ConfigParseError, InvalidTopologyError), match=message):
+            parse_config(quadratic_config(topology={"num_exits": 3, "nodes": nodes}))
+
+    @pytest.mark.parametrize(
+        "flops",
+        [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [float("nan"), 1.0, 2.0], [float("inf"), 1.0, 2.0]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_flops_checked_at_parse_time(self, flops):
+        # [0, 1, 2] used to end flops_prop in a raw ValueError, [-1, 1, 2] to
+        # write nan into every gen_proxy cell, and NaN to raise a
+        # DivergenceError that blamed training round 1.
+        with pytest.raises(ConfigParseError, match="flops must be finite and > 0"):
+            parse_config(mlp_config(flops=flops))
 
     def test_shipped_configs_load(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
@@ -613,6 +662,49 @@ class TestCli:
         code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
         assert code == 2
         assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"node": {"exit": 1.7}},
+            {"node": {"dataset_size": 100.9}},
+            {"topology": {"num_exits": 3.5}},
+            {"node": {"arrival_rate": float("nan")}},
+            {"node": {"arrival_rate": float("inf")}},
+            {"node": {"budget": float("nan")}},
+            {"flops": [0.0, 1.0, 2.0], "strategies": [{"name": "flops_prop"}]},
+            {"flops": [-1.0, 1.0, 2.0]},
+            {"flops": [float("nan"), 1.0, 2.0], "strategies": [{"name": "gen_error_adj"}]},
+            {"task": {"eig_range": [1.0, float("inf")]}},
+            {"task": {"sigma_range": [0.0, float("inf")]}},
+            {"task": {"center_scale": float("inf")}},
+            {"training": {"server_lr": float("nan")}},
+            {"training": {"lr_schedule": "constant", "base_lr": float("nan")}},
+            {"training": {"lr_schedule": "constant", "base_lr": -0.1}},
+            {"training": {"projection_radius": float("nan")}},
+            {"strategies": [{"name": "serving_rate", "k": float("nan")}]},
+        ],
+        ids=["fractional-exit", "fractional-size", "fractional-num-exits", "nan-arrival",
+             "inf-arrival", "nan-node-budget", "zero-flops", "negative-flops", "nan-flops",
+             "inf-eig", "inf-sigma", "inf-center", "nan-server-lr", "nan-base-lr",
+             "negative-base-lr", "nan-radius", "nan-k"],
+    )
+    def test_bad_value_is_reported(self, tmp_path, capsys, edit):
+        # Each of these used to exit 0 with truncated values or nan in the
+        # outputs, or end in a raw traceback or an error that blamed training;
+        # a NaN k reported "exit 1 has no contributing client".
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        edit = dict(edit)
+        raw["topology"]["nodes"][3].update(edit.pop("node", {}))
+        for section in ("topology", "task", "training"):
+            raw[section].update(edit.pop(section, {}))
+        raw.update(edit)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_bad_task_is_reported(self, tmp_path, capsys):

@@ -83,7 +83,7 @@ class TestGradient:
 
     def test_active_sets_nest_in_backbone(self):
         segs = small_task().segments
-        for e in range(1, segs.num_exits):
+        for e in range(1, len(segs.blocks)):
             backbone_e = set()
             for start, stop in segs.blocks[:e]:
                 backbone_e.update(range(start, stop))

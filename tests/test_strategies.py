@@ -137,6 +137,12 @@ class TestSamplingMatrix:
         with pytest.raises(InvalidKError):
             build_sampling_matrix(seven_node_topology(), k=-0.1)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_k_rejected(self, k):
+        # NaN passed the k < 0 check and gave every client a NaN row.
+        with pytest.raises(InvalidKError, match="finite"):
+            build_sampling_matrix(seven_node_topology(), k=k)
+
 
 class TestExitPools:
     def test_own_layer_only_when_k_zero(self):

@@ -48,7 +48,6 @@ def plain_params(alpha, sigma, probs, *, mu=1.0, smooth=1.0, radius=0.5, J=1):
         alpha=alpha,
         sigma=np.asarray(sigma, dtype=float),
         probs=np.asarray(probs, dtype=float),
-        pool_sizes=np.ones(alpha.size),
     )
 
 

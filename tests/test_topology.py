@@ -88,6 +88,38 @@ class TestValidate:
         assert topo.num_exits == 2
         assert topo.by_id["a"].dataset_size == 7
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("exit", 1.7), ("exit", True), ("dataset_size", 100.9), ("dataset_size", "7")],
+    )
+    def test_from_node_dicts_refuses_non_integers(self, key, value):
+        # int() used to cut 1.7 to 1 and 100.9 to 100 without a word.
+        entries = [
+            {"id": "r", "parent": None, "exit": 2},
+            {"id": "a", "parent": "r", "exit": 1, "arrival_rate": 1.0, key: value},
+        ]
+        with pytest.raises(InvalidTopologyError, match=f"node a: {key} must be an integer"):
+            from_node_dicts(entries)
+
+    def test_from_node_dicts_refuses_fractional_num_exits(self):
+        entries = [{"id": "r", "parent": None, "exit": 1, "arrival_rate": 1.0}]
+        with pytest.raises(InvalidTopologyError, match="num_exits must be an integer"):
+            from_node_dicts(entries, num_exits=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("arrival_rate", float("nan")), ("arrival_rate", float("inf")),
+         ("budget", float("nan"))],
+    )
+    def test_node_refuses_non_finite_values(self, field, value):
+        values = dict(id="a", parent=None, exit=1, arrival_rate=1.0, budget=0.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"node a: {field} must be"):
+            NodeSpec(**values)
+
+    def test_node_accepts_infinite_budget(self):
+        assert NodeSpec("a", None, 1, 1.0, float("inf"), 0).budget == float("inf")
+
 
 class TestRatePlan:
     def test_zero_budgets_force_local_serving(self):
