@@ -1,19 +1,21 @@
 """Experiment runner: wire topology, strategy, task, training, and metrics.
 
 A JSON config describes a grid of (seed, partition, split, strategy) cells.
-Every cell contributes one CSV row plus one JSON report.
+Every cell contributes one CSV row plus one JSON report. :func:`parse_config`
+plans every serving point and builds every strategy's sampling matrix once,
+so a tree that cannot carry the config is refused before any output exists.
 
-The runner works in three passes. It first plans every cell: each (seed,
+The runner then works in three passes. It first plans every cell: each (seed,
 partition) group builds once, and shares across all of its splits and
-strategies, the task instance, the test set, the initial model, the training
-config and a table of estimated noise scales per (client, exit). Training
-never reads the split's budgets, so a cell's training job is keyed by (seed,
-partition, k, exit weights), and ``equal`` and ``flops_prop`` give one job
-per group rather than one per split. It then trains every distinct job once
-through :func:`fedtrain.run_stacked`, which trains as many jobs side by side
-as its byte budget allows: all quadratic jobs of a grid in one stack, each MLP
-job alone. Each MLP job is scored once on its group's test set.
-Last, it evaluates each cell from its job's result and its split. Strategy
+strategies, the task instance, the tree sized to it, the test set, the
+initial model, the training config and a table of estimated noise scales per
+(client, exit). Training never reads budgets, so a cell's training job is
+keyed by (seed, partition, k, exit weights), and ``equal`` and ``flops_prop``
+give one job per group rather than one per split. It then trains every
+distinct job once through :func:`fedtrain.run_stacked`, which trains as many
+jobs side by side as its byte budget allows: all quadratic jobs of a grid in
+one stack, each MLP job alone. Each MLP job is scored once on its group's test
+set. Last, it evaluates each cell from its job's result and its split. Strategy
 comparisons are therefore paired, and reruns of the same config produce
 byte-identical outputs.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigParseError, MissingRowsError
+from .errors import ConfigParseError, MissingRowsError, ZeroTrafficError
 from .fedtrain import Job, TrainConfig, run_stacked
 from .fedtrain import run  # noqa: F401  kept: perfbench's tracer wraps fedexit.experiment.run
 from .mlp import (
@@ -47,6 +49,7 @@ from .serving import simulate_serving, weighted_quality
 from .strategies import (
     ExitPools,
     ExitWeights,
+    SamplingMatrix,
     build_sampling_matrix,
     equal_weight,
     exit_pools,
@@ -100,20 +103,23 @@ STRATEGY_NAMES = ("equal", "flops_prop", "serving_rate", "gen_error_adj")
 @dataclass(frozen=True)
 class StrategySpec:
     name: str
-    k: float = 0.0
+    k: float
+    sampling: SamplingMatrix  # built once, by parse_config
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    label: str
-    fractions: tuple[float, ...]  # normalized
+    """One serving point, planned by parse_config: a split, or the explicit budgets."""
+
+    label: str  # "budgets" for the explicit budgets
+    fractions: tuple[float, ...]  # normalized; for budgets, the plan's normalized rates
+    plan: RatePlan
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     topology: Topology
-    splits: tuple[SplitSpec, ...] | None
-    budgets: dict[str, float] | None
+    splits: tuple[SplitSpec, ...]
     partitions: tuple[str, ...]
     total_samples: int
     test_samples: int
@@ -188,10 +194,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _reject_unknown_keys("serving", serving, ("splits", "budgets"))
         if ("splits" in serving) == ("budgets" in serving):
             raise ConfigParseError("serving needs exactly one of 'splits' or 'budgets'")
-        splits = None
-        budgets = None
+        if not topo.total_arrival > 0:
+            raise ZeroTrafficError("no node has a positive arrival rate, so nothing is served")
+        splits = []
         if "splits" in serving:
-            parsed = []
+            if not serving["splits"]:
+                raise ConfigParseError("serving needs at least one split")
             for entry in serving["splits"]:
                 vec = np.asarray(entry, dtype=float)
                 if vec.shape != (topo.num_exits,):
@@ -200,10 +208,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     )
                 if not (np.isfinite(vec).all() and np.all(vec >= 0) and vec.sum() > 0):
                     raise ConfigParseError(f"bad split {entry}")
-                parsed.append(
-                    SplitSpec(label=_split_label(entry), fractions=tuple(vec / vec.sum()))
-                )
-            splits = tuple(parsed)
+                fractions = vec / vec.sum()
+                plan = compute_rate_plan(topo.with_budgets(budgets_for_split(topo, fractions)))
+                splits.append(SplitSpec(_split_label(entry), tuple(fractions), plan))
             _reject_duplicates("split", [s.label for s in splits])
         else:
             budgets = {str(k): float(v) for k, v in serving["budgets"].items()}
@@ -212,20 +219,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     raise ConfigParseError(f"budget for {node!r}, which is no node of the tree")
                 if not value >= 0:
                     raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
+            plan = compute_rate_plan(topo.with_budgets(budgets))
+            splits.append(SplitSpec("budgets", tuple(plan.lambda_exit_normalized), plan))
 
         task = dict(raw["task"])
         kind = task.get("kind")
         if kind not in TASK_KEYS:
             raise ConfigParseError(f"unknown task kind {kind!r}")
         _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
-        args = _task_args(task)
+        check = check_quadratic_task if kind == "quadratic" else check_classification_task
         try:
-            if kind == "quadratic":
-                check_quadratic_task(**args)
-            else:
-                check_classification_task(
-                    args["input_dim"], args["hidden_dim"], args["num_classes"]
-                )
+            check(**_task_args(task))
         except ValueError as exc:
             raise ConfigParseError(f"bad task section: {exc}") from exc
         _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
@@ -258,8 +262,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             name = s["name"]
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
-            spec = StrategySpec(name=name, k=float(s.get("k", 0.0)))
-            build_sampling_matrix(topo, spec.k)  # raises InvalidKError
+            k = float(s.get("k", 0.0))
+            spec = StrategySpec(name, k, build_sampling_matrix(topo, k))  # may raise InvalidKError
             # Reports are named by strategy and k:g, so two entries that agree
             # there would write one report over the other.
             report_name = (name, f"{spec.k:g}")
@@ -278,8 +282,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
         return ExperimentConfig(
             topology=topo,
-            splits=splits,
-            budgets=budgets,
+            splits=tuple(splits),
             partitions=partitions,
             total_samples=_integer("total_samples", data.get("total_samples", 0)),
             test_samples=_integer("test_samples", data.get("test_samples", 0)),
@@ -290,10 +293,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             seeds=seeds,
             output_dir=str(raw.get("output_dir", "results")),
         )
-    except ConfigParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"malformed config: {exc!r}") from exc
+    except KeyError as exc:
+        raise ConfigParseError(f"missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ConfigParseError(f"malformed config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigParseError(str(exc)) from exc
 
 
 # The keys _task_args reads from the task section, per kind.
@@ -333,54 +338,45 @@ def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     )
 
 
-# The keys _train_config reads from the training section.
-TRAINING_KEYS = (
-    "rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr", "mu",
-    "smoothness", "projection_radius", "momentum",
-)
+# The training section sets TrainConfig's fields by name, all but the seed.
+TRAINING_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
 
 
 def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfig:
     """The round loop's config for one seed, validated by ``TrainConfig`` itself.
 
-    A theory schedule that names no ``mu`` takes ``mu`` and ``smoothness``
-    from the quadratic task, and a missing ``projection_radius`` is the
-    quadratic task's feasible radius (1e6 for mlp tasks). ``parse_config``
-    calls this without a task: stand-ins that ``TrainConfig`` accepts fill
-    those values, so everything the section names is checked before any run.
+    Only the values the section sets reach ``TrainConfig``, which owns every
+    default. A theory schedule that names no ``mu`` takes ``mu`` and
+    ``smoothness`` from the quadratic task, and a missing or null
+    ``projection_radius`` is the quadratic task's feasible radius.
+    ``parse_config`` calls this without a task: stand-ins that ``TrainConfig``
+    accepts fill those values, so everything the section names is checked
+    before any run.
 
     Raises:
         ConfigParseError: ``rounds`` or ``local_steps`` is missing, an integer
             field has a fractional part, a value is refused by
             ``TrainConfig``, or an mlp theory schedule has no mu.
     """
-    t = training
-    schedule = t.get("lr_schedule", "constant")
-    mu = float(t.get("mu", 0.0))
-    smooth = float(t.get("smoothness", 0.0))
-    if schedule == "theory" and mu == 0.0:
+    for key in ("rounds", "local_steps"):
+        if key not in training:
+            raise ConfigParseError(f"training needs {key!r}")
+    args = {}
+    for key, value in training.items():
+        if key in ("rounds", "local_steps", "batch_size"):
+            args[key] = _integer(key, value)
+        elif key == "lr_schedule":
+            args[key] = value
+        elif value is not None or key != "projection_radius":
+            args[key] = float(value)
+    if args.get("lr_schedule") == "theory" and args.get("mu", 0.0) == 0.0:
         if kind != "quadratic":
             raise ConfigParseError("theory schedule needs mu/smoothness for mlp tasks")
-        mu, smooth = (1.0, 1.0) if task is None else (task.mu, task.smoothness)
-    radius = t.get("projection_radius")
-    if radius is None:
-        radius = task.radius if kind == "quadratic" and task is not None else 1e6
+        args["mu"], args["smoothness"] = (1.0, 1.0) if task is None else (task.mu, task.smoothness)
+    if "projection_radius" not in args and kind == "quadratic" and task is not None:
+        args["projection_radius"] = float(task.radius)
     try:
-        return TrainConfig(
-            rounds=_integer("rounds", t["rounds"]),
-            local_steps=_integer("local_steps", t["local_steps"]),
-            batch_size=_integer("batch_size", t.get("batch_size", 32)),
-            server_lr=float(t.get("server_lr", 1.0)),
-            lr_schedule=schedule,
-            base_lr=float(t.get("base_lr", 0.1)),
-            mu=mu,
-            smoothness=smooth,
-            projection_radius=float(radius),
-            momentum=float(t.get("momentum", 0.0)),
-            seed=seed,
-        )
-    except KeyError as exc:
-        raise ConfigParseError(f"training needs {exc.args[0]!r}") from exc
+        return TrainConfig(**args, seed=seed)
     except ValueError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
 
@@ -407,6 +403,7 @@ class _Group:
     seed: int
     partition: str
     task: object
+    topology: Topology  # the config's tree, sized to the task
     train_cfg: TrainConfig
     w_init: np.ndarray
     test_x: np.ndarray | None
@@ -439,6 +436,7 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
         seed=seed,
         partition=partition,
         task=task,
+        topology=cfg.topology.with_dataset_sizes(task.sizes),
         train_cfg=_train_config(cfg.training, cfg.task["kind"], seed, task),
         w_init=task.init_params(rngmod.stream(seed, rngmod.INIT)),
         test_x=test_x,
@@ -451,10 +449,8 @@ class _Cell:
     """One (group, split, strategy) cell: its training job and what it reports on."""
 
     group: _Group
-    split_label: str
+    split: SplitSpec
     spec: StrategySpec
-    plan: RatePlan
-    lam_norm: np.ndarray
     pools: ExitPools
     job: Job
 
@@ -466,29 +462,15 @@ class _Cell:
         return (group.seed, group.partition, self.spec.k, weights.tobytes())
 
 
-def _plan_cells(cfg: ExperimentConfig, group: _Group, split: SplitSpec | None) -> list[_Cell]:
-    """Every strategy's cell at one split of a group."""
-    base = cfg.topology
-    if split is not None:
-        topo = base.with_budgets(budgets_for_split(base, np.asarray(split.fractions)))
-    else:
-        topo = base.with_budgets(cfg.budgets)
-    plan = compute_rate_plan(topo)
-    lam_norm = (
-        np.asarray(split.fractions) if split is not None else plan.lambda_exit_normalized
-    )
-    if group.task.kind == "mlp":
-        topo = topo.with_dataset_sizes(group.task.sizes)
-    cells = []
-    for spec in cfg.strategies:
-        sampling = build_sampling_matrix(topo, spec.k)
-        pools = exit_pools(topo, sampling)
-        weights = _strategy_weights(spec, cfg, lam_norm, pools)
-        job = Job(topo, group.task, weights, sampling, group.train_cfg, w_init=group.w_init,
-                  label=f"strategy {spec.name}, k={spec.k:g}")
-        label = split.label if split is not None else "budgets"
-        cells.append(_Cell(group, label, spec, plan, lam_norm, pools, job))
-    return cells
+def _plan_cell(
+    cfg: ExperimentConfig, group: _Group, split: SplitSpec, spec: StrategySpec
+) -> _Cell:
+    """One strategy's cell at one split of a group."""
+    pools = exit_pools(group.topology, spec.sampling)
+    weights = _strategy_weights(spec, cfg, np.asarray(split.fractions), pools)
+    job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
+              w_init=group.w_init, label=f"strategy {spec.name}, k={spec.k:g}")
+    return _Cell(group, split, spec, pools, job)
 
 
 def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
@@ -514,7 +496,8 @@ def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
 
 def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -> tuple[dict, dict]:
     """One cell's CSV row and report, from its job's result and its split."""
-    group, spec, plan, lam_norm, pools = cell.group, cell.spec, cell.plan, cell.lam_norm, cell.pools
+    group, split, spec, pools = cell.group, cell.split, cell.spec, cell.pools
+    lam_norm = np.asarray(split.fractions)
     topo, task, weights, sampling, train_cfg = (
         cell.job.topology, cell.job.task, cell.job.weights, cell.job.sampling, cell.job.cfg
     )
@@ -523,7 +506,7 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
     row = {
         "seed": group.seed,
         "partition": group.partition,
-        "split": cell.split_label,
+        "split": split.label,
         "strategy": spec.name,
         "k": spec.k,
         "tv": tv_value,
@@ -532,7 +515,7 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
     report = ErrorReport(tv_value=tv_value, gen_proxy=proxy)
 
     if task.kind == "mlp":
-        outcome = simulate_serving(topo, plan, task, w_final, group.test_x, group.test_y)
+        outcome = simulate_serving(topo, split.plan, task, w_final, group.test_x, group.test_y)
         accs, losses = scores
         for e, acc in enumerate(accs[:3], start=1):
             row[f"exit{e}_acc"] = acc
@@ -577,10 +560,10 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
     return row, {
         "seed": group.seed,
         "partition": group.partition,
-        "split": cell.split_label,
+        "split": split.label,
         "strategy": spec.name,
         "k": spec.k,
-        "rate_plan": plan.to_dict(),
+        "rate_plan": split.plan.to_dict(),
         "exit_weights": [float(v) for v in weights.weights],
         "sampling_probs": {
             c: [float(p) for p in sampling.probs[i]] for i, c in enumerate(sampling.clients)
@@ -615,14 +598,13 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
 
-    split_list: list[SplitSpec | None] = list(cfg.splits) if cfg.splits else [None]
     cells = [
-        cell
+        _plan_cell(cfg, group, split, spec)
         for seed in cfg.seeds
         for partition in cfg.partitions
         for group in [_build_group(cfg, seed, partition)]
-        for split in split_list
-        for cell in _plan_cells(cfg, group, split)
+        for split in cfg.splits
+        for spec in cfg.strategies
     ]
     trained = _train(cells)
     cell_key = operator.itemgetter("seed", "partition", "split", "strategy", "k")

@@ -257,12 +257,19 @@ def layer_allocation(fractions, total: int, layer_counts: list[int]) -> list[lis
     return out
 
 
-def check_classification_task(input_dim: int, hidden_dim: int, num_classes: int) -> None:
-    """Raise ValueError unless :func:`make_classification_task` can build these layers."""
+def check_classification_task(
+    input_dim: int, hidden_dim: int, num_classes: int, teacher_gain: float
+) -> None:
+    """Raise ValueError unless :func:`make_classification_task` can build this task.
+
+    A zero or non-finite ``teacher_gain`` would label every sample class 0.
+    """
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
                         ("num_classes", num_classes)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 0 < teacher_gain < np.inf:
+        raise ValueError(f"teacher_gain must be finite and > 0, got {teacher_gain}")
 
 
 def make_classification_task(
@@ -283,10 +290,10 @@ def make_classification_task(
     same feature distribution; within a layer the data is split near-equally.
 
     Raises:
-        ValueError: a layer size :func:`check_classification_task` refuses, or
-            not one layer fraction per exit.
+        ValueError: a layer size or gain :func:`check_classification_task`
+            refuses, or not one layer fraction per exit.
     """
-    check_classification_task(input_dim, hidden_dim, num_classes)
+    check_classification_task(input_dim, hidden_dim, num_classes, teacher_gain)
     fractions = PARTITIONS[partition] if isinstance(partition, str) else tuple(partition)
     if len(fractions) != topology.num_exits:
         raise ValueError("need one layer fraction per exit")

@@ -356,12 +356,15 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
 
     Raises:
         InfeasibleSplitError: some node would have to serve more than reaches it.
+        ValueError: the split is not one finite, nonnegative entry per exit
+            summing to 1, or the tree has no arrivals.
     """
     split = np.asarray(split, dtype=float)
     if split.ndim != 1 or split.size != topology.num_exits:
         raise ValueError(f"split must have one entry per exit ({topology.num_exits})")
-    if np.any(split < 0) or abs(split.sum() - 1.0) > 1e-9:
-        raise ValueError("split entries must be nonnegative and sum to 1")
+    # Written so that a NaN or infinite entry fails too.
+    if not (np.all(split >= 0) and abs(split.sum() - 1.0) <= 1e-9):
+        raise ValueError("split entries must be finite, nonnegative and sum to 1")
 
     _require_layered(topology)
     total = topology.total_arrival

@@ -34,6 +34,10 @@ SEVEN_NODES = [
 ]
 
 
+# Node edits that leave a tree with no traffic to serve.
+NO_ARRIVALS = {f"dev{i}": {"arrival_rate": 0.0} for i in range(1, 5)}
+
+
 def mlp_config(**overrides) -> dict:
     cfg = {
         "topology": {"num_exits": 3, "nodes": SEVEN_NODES},
@@ -100,6 +104,20 @@ class TestParseConfig:
         # NaN budget or split in a DivergenceError that blamed training.
         with pytest.raises(ConfigParseError, match=message):
             parse_config(quadratic_config(serving=serving))
+
+    def test_serving_points_planned_at_parse_time(self):
+        cfg = parse_config(mlp_config())
+        assert [point.label for point in cfg.splits] == ["80-15-5", "33-33-33"]
+        for point in cfg.splits:
+            np.testing.assert_allclose(
+                point.plan.lambda_exit_normalized, point.fractions, rtol=0, atol=1e-12
+            )
+        budgets = {"dev1": 0.6, "dev2": 0.6, "dev3": 0.6, "dev4": 0.6, "edge1": 0.8,
+                   "edge2": 0.8}
+        (point,) = parse_config(mlp_config(serving={"budgets": budgets})).splits
+        assert point.label == "budgets"
+        assert point.fractions == tuple(point.plan.lambda_exit_normalized)
+        np.testing.assert_allclose(point.fractions, [0.4, 0.2, 0.4], rtol=0, atol=1e-12)
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigParseError):
@@ -228,13 +246,17 @@ class TestParseConfig:
             ({"eig_range": [1.0, float("inf")]}, "eig_range"),
             ({"sigma_range": [0.0, float("inf")]}, "sigma_range"),
             ({"center_scale": float("inf")}, "center_scale"),
+            ({"kind": "mlp", "teacher_gain": 0.0}, "teacher_gain"),
+            ({"kind": "mlp", "teacher_gain": float("nan")}, "teacher_gain"),
+            ({"kind": "mlp", "teacher_gain": float("inf")}, "teacher_gain"),
         ],
     )
     def test_task_checked_at_parse_time(self, task, message):
         # eig_range [0, 1] used to end the run in a raw ZeroDivisionError, and
         # [-1, 1] in an error that blamed the training section. An infinite
         # range bound ended in a raw OverflowError, and an infinite
-        # center_scale in "the iterate is not finite".
+        # center_scale in "the iterate is not finite". A zero or NaN
+        # teacher_gain labelled every sample class 0.
         raw = mlp_config() if task.get("kind") == "mlp" else quadratic_config()
         raw["task"] = dict(raw["task"], **task)
         with pytest.raises(ConfigParseError, match=f"^bad task section: {message}"):
@@ -652,8 +674,9 @@ class TestCli:
             {"budgets": {"edge1": -0.2}},
             {"budgets": {"edge1": float("nan")}},
             {"splits": [[45, 35]]},
+            {"splits": []},
         ],
-        ids=["unknown-node", "negative-budget", "nan-budget", "short-split"],
+        ids=["unknown-node", "negative-budget", "nan-budget", "short-split", "no-splits"],
     )
     def test_bad_serving_is_reported(self, tmp_path, capsys, serving):
         raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
@@ -684,19 +707,31 @@ class TestCli:
             {"training": {"lr_schedule": "constant", "base_lr": -0.1}},
             {"training": {"projection_radius": float("nan")}},
             {"strategies": [{"name": "serving_rate", "k": float("nan")}]},
+            {"nodes": NO_ARRIVALS},
+            {"nodes": NO_ARRIVALS, "serving": {"budgets": {"dev1": 0.5}}},
+            {"node": {"parent": "dev1"}},
+            {"node": {"exit": 3}},
+            {"nodes": {"edge1": {"arrival_rate": 1.0}}},
+            {"node": {"arrival_rate": 0.1}},
         ],
         ids=["fractional-exit", "fractional-size", "fractional-num-exits", "nan-arrival",
              "inf-arrival", "nan-node-budget", "zero-flops", "negative-flops", "nan-flops",
              "inf-eig", "inf-sigma", "inf-center", "nan-server-lr", "nan-base-lr",
-             "negative-base-lr", "nan-radius", "nan-k"],
+             "negative-base-lr", "nan-radius", "nan-k", "no-arrivals", "no-arrivals-budgets",
+             "cycle", "exit-order", "non-leaf-arrival", "infeasible-split"],
     )
     def test_bad_value_is_reported(self, tmp_path, capsys, edit):
         # Each of these used to exit 0 with truncated values or nan in the
         # outputs, or end in a raw traceback or an error that blamed training;
-        # a NaN k reported "exit 1 has no contributing client".
+        # a NaN k reported "exit 1 has no contributing client". A tree with no
+        # arrivals ended in a raw ValueError, and a tree the split cannot be
+        # planned on was refused only after the output directory was made.
         raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
         edit = dict(edit)
         raw["topology"]["nodes"][3].update(edit.pop("node", {}))
+        by_id = edit.pop("nodes", {})
+        for node in raw["topology"]["nodes"]:
+            node.update(by_id.get(node["id"], {}))
         for section in ("topology", "task", "training"):
             raw[section].update(edit.pop(section, {}))
         raw.update(edit)
@@ -706,6 +741,25 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            ({"node": {"arrival_rate": float("nan")}},
+             "error: node dev1: arrival_rate must be finite and >= 0, got nan"),
+            ({"drop": "strategies"}, "error: missing key 'strategies'"),
+        ],
+        ids=["nan-arrival", "missing-key"],
+    )
+    def test_refusal_is_one_plain_line(self, tmp_path, capsys, edit, line):
+        # These used to print a repr, as in "error: malformed config:
+        # ValueError('node dev1: ...')" or "KeyError('strategies')".
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        raw["topology"]["nodes"][3].update(edit.get("node", {}))
+        raw.pop(edit.get("drop"), None)
+        path = write_config(tmp_path, raw)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
     def test_bad_task_is_reported(self, tmp_path, capsys):
         raw = quadratic_config()

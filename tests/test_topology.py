@@ -262,6 +262,12 @@ class TestBudgetsForSplit:
         with pytest.raises(ValueError):
             budgets_for_split(topo, [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("split", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.0, 0.0]])
+    def test_non_finite_split_rejected(self, split):
+        # A NaN entry used to pass and give NaN budgets to every non-root node.
+        with pytest.raises(ValueError, match="finite"):
+            budgets_for_split(seven_node_topology(), split)
+
 
 class TestGridSearchOracle:
     def test_chain_saturating_plan_is_optimal(self):
