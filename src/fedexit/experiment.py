@@ -39,9 +39,9 @@ from .fedtrain import run  # noqa: F401  kept: perfbench's tracer wraps fedexit.
 from .mlp import (
     PARTITIONS,
     check_classification_task,
-    exit_accuracy,
     make_classification_task,
     make_test_set,
+    score_exits,
 )
 from .objective import weighted_objective
 from .quadratic import check_quadratic_task, make_quadratic_task, quadratic_minimizers
@@ -485,12 +485,12 @@ def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
     finals = run_stacked([cell.job for cell in firsts.values()])
     trained = {}
     for (key, cell), w in zip(firsts.items(), finals):
-        task, test_x, test_y = cell.job.task, cell.group.test_x, cell.group.test_y
-        exits = range(1, cell.job.topology.num_exits + 1)
-        trained[key] = (w, None if test_x is None else (
-            [exit_accuracy(task, w, e, test_x, test_y) for e in exits],
-            [task.loss_on(w, test_x, test_y, e) for e in exits],
-        ))
+        scores = None
+        if cell.group.test_x is not None:
+            per_exit = score_exits(cell.job.task, w, cell.group.test_x, cell.group.test_y)
+            scores = ([float(np.mean(s.correct)) for s in per_exit],
+                      [float(np.mean(s.loss)) for s in per_exit])
+        trained[key] = (w, scores)
     return trained
 
 

@@ -10,8 +10,10 @@ keeps them honest.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +75,26 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=1, keepdims=True)
 
 
+def cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample softmax cross-entropy of logits ``z`` against labels ``y``."""
+    zmax = z.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    return logsumexp - z[np.arange(len(y)), y]
+
+
+def is_correct(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample flag: the top logit is the label."""
+    return np.argmax(z, axis=1) == y
+
+
+def softmax_entropy(z: np.ndarray) -> np.ndarray:
+    """Per-sample Shannon entropy of the softmax of logits ``z``."""
+    p = _softmax(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p), 0.0)
+    return -terms.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class MlpTask:
     """Client datasets plus the shared early-exit MLP architecture."""
@@ -114,20 +136,34 @@ class MlpTask:
             raise EmptyClientDatasetError(f"client {client} has no samples")
         return x, y
 
-    def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
-        """Activations h_1..h_exit; h_0 is the input itself."""
-        states = [x]
+    def _states(self, w: np.ndarray, x: np.ndarray):
+        """Activations h_1, h_2, ... of one pass through the backbone, one at a time."""
         h = x
-        for b in range(1, exit + 1):
+        for b in range(1, self.num_exits + 1):
             weight, bias = self._block(w, b)
             h = np.tanh(h @ weight.T + bias)
-            states.append(h)
-        return states
+            yield h
 
-    def logits(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
-        h = self.hidden_states(w, x, exit)[-1]
+    def _head_logits(self, w: np.ndarray, h: np.ndarray, exit: int) -> np.ndarray:
         weight, bias = self._head(w, exit)
         return h @ weight.T + bias
+
+    def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
+        """Activations h_1..h_exit; h_0 is the input itself."""
+        return [x, *itertools.islice(self._states(w, x), exit)]
+
+    def logits(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
+        return self._head_logits(w, self.hidden_states(w, x, exit)[-1], exit)
+
+    def exit_logits(self, w: np.ndarray, x: np.ndarray):
+        """Every exit's logits in turn, exit 1 first, from one backbone pass.
+
+        Exit ``e``'s logits equal ``logits(w, x, e)`` bit for bit. Only the
+        current hidden state is held, so a caller that drops each exit's
+        logits after use never holds more than one exit's.
+        """
+        for e, h in enumerate(self._states(w, x), start=1):
+            yield self._head_logits(w, h, e)
 
     def probs(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
         return _softmax(self.logits(w, x, exit))
@@ -137,10 +173,7 @@ class MlpTask:
 
     def loss_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> float:
         """Mean softmax cross-entropy of the requested head."""
-        z = self.logits(w, x, exit)
-        zmax = z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
-        return float(np.mean(logsumexp - z[np.arange(len(y)), y]))
+        return float(np.mean(cross_entropy(self.logits(w, x, exit), y)))
 
     def loss(self, w: np.ndarray, client: str, exit: int) -> float:
         return self.loss_on(w, *self._client_data(client), exit)
@@ -225,7 +258,33 @@ def exit_accuracy(task: MlpTask, w: np.ndarray, exit: int, x: np.ndarray, y: np.
     """Fraction of samples whose predicted class matches the label."""
     if len(y) == 0:
         raise EmptyDatasetError("accuracy of an empty dataset is undefined")
-    return float(np.mean(task.predict(w, x, exit) == y))
+    return float(np.mean(is_correct(task.logits(w, x, exit), y)))
+
+
+class ExitScores(NamedTuple):
+    """One exit's per-sample scores on a labeled set."""
+
+    correct: np.ndarray  # bool: the exit's prediction is the label
+    loss: np.ndarray  # softmax cross-entropy
+    entropy: np.ndarray | None  # softmax entropy, None where not asked for
+
+
+def score_exits(
+    task: MlpTask, w: np.ndarray, x: np.ndarray, y: np.ndarray, entropy_exits=()
+) -> list[ExitScores]:
+    """Every exit's per-sample scores on ``(x, y)`` from one backbone pass.
+
+    Entropy is computed only for the exits in ``entropy_exits``. Each score
+    is the per-sample term that :func:`exit_accuracy`, ``MlpTask.loss_on``
+    and ``serving.entropy_confidence`` average or return.
+    """
+    if len(y) == 0:
+        raise EmptyDatasetError("scores of an empty dataset are undefined")
+    return [
+        ExitScores(is_correct(z, y), cross_entropy(z, y),
+                   softmax_entropy(z) if e in entropy_exits else None)
+        for e, z in enumerate(task.exit_logits(w, x), start=1)
+    ]
 
 
 def largest_remainder(raw: np.ndarray, total: int) -> np.ndarray:

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroTrafficError
-from .mlp import exit_accuracy, largest_remainder
+from .mlp import largest_remainder, score_exits, softmax_entropy
 from .topology import RatePlan, Topology
 
 
 def entropy_confidence(task, w: np.ndarray, exit: int, x: np.ndarray) -> np.ndarray:
     """Shannon entropy of the head's softmax output; lower means more confident."""
-    p = task.probs(w, x, exit)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    return -terms.sum(axis=1)
+    return softmax_entropy(task.logits(w, x, exit))
 
 
 @dataclass
@@ -39,10 +36,12 @@ class ServingOutcome:
     serving_gap: np.ndarray  # accuracy on served minus accuracy on iid stream
     system_accuracy: float
     system_loss: float
+    served_share: np.ndarray  # per exit: samples served there over the stream
 
     def to_dict(self) -> dict:
         return {
             "served_counts": dict(self.served_counts),
+            "served_share": [float(v) for v in self.served_share],
             "exit_accuracy": [float(v) for v in self.exit_accuracy],
             "exit_mean_loss": [float(v) for v in self.exit_mean_loss],
             "iid_exit_accuracy": [float(v) for v in self.iid_exit_accuracy],
@@ -80,6 +79,10 @@ def simulate_serving(
     easiest samples of its pooled stream (local arrivals and everything its
     children forwarded, ranked jointly) and forwards the rest. ``ranking``
     may be ``"entropy"`` or ``"random"`` (an ablation baseline).
+
+    The whole stream goes through the backbone once (:func:`score_exits`);
+    ranking and scoring then index its per-sample scores, so a sample's
+    scores do not depend on the pool it sits in.
     """
     if ranking not in ("entropy", "random"):
         raise ValueError(f"unknown ranking {ranking!r}")
@@ -94,6 +97,8 @@ def simulate_serving(
     for node_id, count in zip(arrival_nodes, counts):
         incoming[node_id].append(np.arange(cursor, cursor + count))
         cursor += count
+    ranked_exits = {n.exit for n in topology.nodes if n.id != topology.root}
+    scores = score_exits(task, w, x, y, ranked_exits if ranking == "entropy" else ())
 
     rng = np.random.default_rng(seed)
     served: dict[str, np.ndarray] = {}
@@ -112,8 +117,8 @@ def simulate_serving(
             keep = min(max(keep, 0), len(pooled))
         if len(pooled) and keep < len(pooled):
             if ranking == "entropy":
-                scores = entropy_confidence(task, w, node.exit, x[pooled])
-                ranked = pooled[np.argsort(scores, kind="stable")]
+                entropy = scores[node.exit - 1].entropy[pooled]
+                ranked = pooled[np.argsort(entropy, kind="stable")]
             else:
                 ranked = pooled[rng.permutation(len(pooled))]
         else:
@@ -126,13 +131,15 @@ def simulate_serving(
     exit_acc = np.full(num_exits, np.nan)
     exit_loss = np.full(num_exits, np.nan)
     iid_acc = np.zeros(num_exits)
-    for e in range(1, num_exits + 1):
+    share = np.zeros(num_exits)
+    for e, (correct, loss, _) in enumerate(scores, start=1):
         indices = [served[n] for n in topology.layers.get(e, ()) if len(served[n])]
-        iid_acc[e - 1] = exit_accuracy(task, w, e, x, y)
+        iid_acc[e - 1] = np.mean(correct)
         if indices:
             idx = np.concatenate(indices)
-            exit_acc[e - 1] = exit_accuracy(task, w, e, x[idx], y[idx])
-            exit_loss[e - 1] = task.loss_on(w, x[idx], y[idx], e)
+            exit_acc[e - 1] = np.mean(correct[idx])
+            exit_loss[e - 1] = np.mean(loss[idx])
+            share[e - 1] = len(idx) / len(y)
     rates = plan.lambda_exit
     return ServingOutcome(
         served_indices=served,
@@ -143,4 +150,5 @@ def simulate_serving(
         serving_gap=exit_acc - iid_acc,
         system_accuracy=weighted_quality(exit_acc, rates),
         system_loss=weighted_quality(exit_loss, rates),
+        served_share=share,
     )

@@ -374,6 +374,11 @@ class TestRunExperiment:
         first = run_experiment(path, out_dir=tmp_path / "a").read_bytes()
         second = run_experiment(path, out_dir=tmp_path / "b").read_bytes()
         assert first == second
+        reports = [
+            {p.name: p.read_bytes() for p in (tmp_path / run / "reports").iterdir()}
+            for run in ("a", "b")
+        ]
+        assert reports[0] and reports[0] == reports[1]
 
     def test_shared_weights_share_rows_on_even_split(self, tmp_path):
         path = write_config(tmp_path, mlp_config())
@@ -574,16 +579,19 @@ class TestGroupReuse:
         import fedexit.experiment as experiment
 
         scored = []
-        real_accuracy = experiment.exit_accuracy
+        real_score = experiment.score_exits
 
-        def counting_accuracy(task, w, exit, *args, **kwargs):
-            scored.append((w.tobytes(), exit))
-            return real_accuracy(task, w, exit, *args, **kwargs)
+        def counting_score(task, w, *args, **kwargs):
+            scores = real_score(task, w, *args, **kwargs)
+            scored.append((w.tobytes(), len(scores)))
+            return scores
 
-        monkeypatch.setattr(experiment, "exit_accuracy", counting_accuracy)
+        monkeypatch.setattr(experiment, "score_exits", counting_score)
         run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
-        # Six trained iterates per group (see above), three exits each.
-        assert len(scored) == len(set(scored)) == 2 * 6 * 3
+        # Six trained iterates per group (see above), each scored on all three
+        # exits by one backbone pass.
+        assert len(scored) == len(set(scored)) == 2 * 6
+        assert all(exits == 3 for _, exits in scored)
 
 
 class TestStackedTraining:

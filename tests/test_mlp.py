@@ -15,6 +15,7 @@ from fedexit.mlp import (
     layer_allocation,
     make_classification_task,
     make_test_set,
+    score_exits,
 )
 
 
@@ -53,6 +54,31 @@ class TestForward:
         x, _ = task.data["edge1"]
         p = task.probs(w, x, 2)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(len(x)), atol=1e-12)
+
+    def test_exit_logits_equal_logits_bit_for_bit(self):
+        task = small_task()
+        w = task.init_params(np.random.default_rng(5))
+        x, _ = make_test_set(task, 300, seed=4)
+        per_exit = list(task.exit_logits(w, x))
+        assert len(per_exit) == task.num_exits
+        for e, z in enumerate(per_exit, start=1):
+            assert z.tobytes() == task.logits(w, x, e).tobytes()
+
+    def test_one_pass_scores_equal_per_exit_scores(self):
+        task = small_task()
+        w = task.init_params(np.random.default_rng(6))
+        x, y = make_test_set(task, 300, seed=5)
+        scores = score_exits(task, w, x, y, entropy_exits={2})
+        assert len(scores) == task.num_exits
+        for e, s in enumerate(scores, start=1):
+            assert float(np.mean(s.correct)) == exit_accuracy(task, w, e, x, y)
+            assert float(np.mean(s.loss)) == task.loss_on(w, x, y, e)
+            assert (s.entropy is None) == (e != 2)
+
+    def test_one_pass_scores_of_empty_set_rejected(self):
+        task = small_task()
+        with pytest.raises(EmptyDatasetError):
+            score_exits(task, task.teacher, np.zeros((0, 5)), np.zeros(0, dtype=int))
 
 
 class TestGradient:

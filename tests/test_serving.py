@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import seven_node_topology
+from fedexit.errors import EmptyDatasetError
 from fedexit.fedtrain import TrainConfig, run
-from fedexit.mlp import make_classification_task, make_test_set
+from fedexit.mlp import MlpTask, exit_accuracy, make_classification_task, make_test_set
 from fedexit.serving import (
     entropy_confidence,
     simulate_serving,
@@ -19,7 +20,7 @@ from fedexit.strategies import build_sampling_matrix, equal_weight
 from fedexit.topology import budgets_for_split, compute_rate_plan
 
 
-def trained_setup(split=(0.4, 0.35, 0.25), seed=0, rounds=40):
+def trained_setup(split=(0.4, 0.35, 0.25), seed=0, rounds=40, test_samples=360):
     topo = seven_node_topology()
     budgets = budgets_for_split(topo, split)
     topo = topo.with_budgets(budgets)
@@ -30,8 +31,43 @@ def trained_setup(split=(0.4, 0.35, 0.25), seed=0, rounds=40):
     cfg = TrainConfig(rounds=rounds, local_steps=2, batch_size=16, base_lr=0.3, seed=seed)
     w, _ = run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg)
     plan = compute_rate_plan(topo)
-    xt, yt = make_test_set(task, 360, seed=seed + 50)
+    xt, yt = make_test_set(task, test_samples, seed=seed + 50)
     return topo, plan, task, w, xt, yt
+
+
+def per_node_reference(topo, plan, task, w, x, y):
+    """Entropy-ranked serving in which each node scores its own pool.
+
+    Each exit is scored on its own served set. Arrivals split evenly over
+    the arrival nodes. Returns the served indices, the per-exit accuracies
+    and losses, and the smallest pool that any node ranked or any exit scored.
+    """
+    arrival_nodes = sorted(n.id for n in topo.nodes if n.arrival_rate > 0)
+    per_arrival, extra = divmod(len(y), len(arrival_nodes))
+    incoming = {n: [] for n in topo.by_id}
+    cursor = 0
+    for i, node_id in enumerate(arrival_nodes):
+        count = per_arrival + (1 if i < extra else 0)
+        incoming[node_id].append(np.arange(cursor, cursor + count))
+        cursor += count
+    served, smallest = {}, len(y)
+    for node_id in sorted(topo.by_id, key=lambda n: (-topo.depth[n], n)):
+        node, pooled = topo.by_id[node_id], np.concatenate(incoming[node_id])
+        keep = len(pooled)
+        if node_id != topo.root:
+            keep = int(round(plan.fraction[node_id] * len(pooled)))
+            scores = entropy_confidence(task, w, node.exit, x[pooled])
+            pooled = pooled[np.argsort(scores, kind="stable")]
+            smallest = min(smallest, len(pooled))
+            incoming[node.parent].append(pooled[keep:])
+        served[node_id] = np.sort(pooled[:keep])
+    accs, losses = [], []
+    for e in range(1, topo.num_exits + 1):
+        idx = np.concatenate([served[n] for n in topo.layers[e]])
+        smallest = min(smallest, len(idx))
+        accs.append(exit_accuracy(task, w, e, x[idx], y[idx]))
+        losses.append(task.loss_on(w, x[idx], y[idx], e))
+    return served, accs, losses, smallest
 
 
 class TestEntropy:
@@ -141,6 +177,46 @@ class TestSimulateServing:
             )
             wins.append(entropy_outcome.system_accuracy - random_outcome.system_accuracy)
         assert np.mean(wins) >= 0.0
+
+    def test_matches_per_node_reference(self):
+        topo, plan, task, w, xt, yt = trained_setup(test_samples=2400)
+        served, accs, losses, smallest = per_node_reference(topo, plan, task, w, xt, yt)
+        # Every forward pass of the reference covers more than 200 rows, where
+        # a BLAS gemm row does not depend on how many rows share the call.
+        assert smallest > 200
+        outcome = simulate_serving(topo, plan, task, w, xt, yt)
+        assert served.keys() == outcome.served_indices.keys()
+        for node_id, idx in served.items():
+            assert np.array_equal(outcome.served_indices[node_id], idx)
+            assert outcome.served_counts[node_id] == len(idx)
+        assert list(outcome.exit_accuracy) == accs
+        np.testing.assert_allclose(outcome.exit_mean_loss, losses, rtol=1e-12, atol=0)
+
+    def test_one_backbone_pass_per_call(self, monkeypatch):
+        topo, plan, task, w, xt, yt = trained_setup(rounds=1)
+        calls = {"exit_logits": 0, "hidden_states": 0, "logits": 0}
+        for name in calls:
+            real = getattr(MlpTask, name)
+
+            def counting(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(MlpTask, name, counting)
+        simulate_serving(topo, plan, task, w, xt, yt)
+        assert calls == {"exit_logits": 1, "hidden_states": 0, "logits": 0}
+
+    def test_empty_stream_rejected(self):
+        topo, plan, task, w, xt, yt = trained_setup(rounds=1)
+        with pytest.raises(EmptyDatasetError):
+            simulate_serving(topo, plan, task, w, xt[:0], yt[:0])
+
+    def test_served_share_is_realised_split(self):
+        topo, plan, task, w, xt, yt = trained_setup()
+        outcome = simulate_serving(topo, plan, task, w, xt, yt)
+        per_exit = [sum(outcome.served_counts[n] for n in topo.layers[e]) for e in (1, 2, 3)]
+        assert list(outcome.served_share) == [c / len(yt) for c in per_exit]
+        assert outcome.to_dict()["served_share"] == list(outcome.served_share)
 
     def test_serving_gap_reported(self):
         topo, plan, task, w, xt, yt = trained_setup()
