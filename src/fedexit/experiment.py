@@ -595,8 +595,6 @@ def run_experiment(
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seeds=_seeds([seed_override]))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "reports").mkdir(exist_ok=True)
 
     cells = [
         _plan_cell(cfg, group, split, spec)
@@ -615,6 +613,8 @@ def run_experiment(
         all_rows.append(row)
         all_reports[cell_key(row)] = report
 
+    # Made only here: a run refused in training or evaluation leaves no directory.
+    (out / "reports").mkdir(parents=True, exist_ok=True)
     all_rows.sort(key=cell_key)
     csv_path = out / "results.csv"
     with csv_path.open("w", newline="") as handle:

@@ -13,23 +13,24 @@ before each draw site, which gives the same draws as opening each stream
 with :func:`rng.stream`.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
-:func:`run` is the engine with R = 1). It samples the exits, sums each job's
-weighted deltas in client-name order, projects and checks that the iterates
-stay finite. The task class supplies the local phase: the quadratic steps the
-whole ``(R, N, d)`` slab with one batched matmul per local step and draws each
-client's noise for all of its local steps at once, and the MLP steps each
-(job, client) row on its own. Jobs that share a seed, a task and a sampling
-matrix draw the same exits and local streams, so they share one stream table
-and one exit draw per round. The result is bit-identical to calling
-:func:`local_update` and :func:`aggregate` per client and per job, which stay
-the reference implementation.
+:func:`run` trains one job through it and also returns the weighted objective
+at the last iterate). It samples the exits, sums each job's weighted deltas in
+client-name order, projects and checks that the iterates stay finite. The task
+class supplies the local phase: the quadratic steps the whole ``(R, N, d)``
+slab with one batched matmul per local step and draws each client's noise for
+all of its local steps at once, and the MLP steps each (job, client) row on
+its own. Jobs that share a seed, a task and a sampling matrix draw the same
+exits and local streams, so they share one stream table and one exit draw per
+round. The result is bit-identical to calling :func:`local_update` and
+:func:`aggregate` per client and per job, which stay the reference
+implementation.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,18 +237,9 @@ def aggregate(
     return project_ball(raw, radius)
 
 
-@dataclass
-class Trajectory:
-    """Per-round summary of a run; index 0 is the initial model."""
-
-    objective: np.ndarray
-    dist_to_opt: np.ndarray | None = None
-    snapshots: list[np.ndarray] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Job:
-    """One training run: the arguments of :func:`run` that decide its iterates.
+    """One training run: everything that decides its iterates.
 
     ``label`` names the job, next to its seed, in a :class:`DivergenceError`
     raised by :func:`run_stacked`.
@@ -297,37 +289,16 @@ def run(
     sampling: SamplingMatrix,
     cfg: TrainConfig,
     w_init: np.ndarray | None = None,
-    w_star: np.ndarray | None = None,
-    record_snapshots: bool = False,
-) -> tuple[np.ndarray, Trajectory]:
-    """Train for ``cfg.rounds`` rounds and return the last iterate.
+) -> tuple[np.ndarray, float]:
+    """Train one job for ``cfg.rounds`` rounds through :func:`run_stacked`.
+
+    Returns the last iterate and the weighted objective at it.
 
     Raises:
-        EmptyPoolError: some exit has no client able to train it.
-        ValueError: task and topology disagree on client dataset sizes.
-        DivergenceError: an iterate stopped being finite.
+        As :func:`run_stacked`.
     """
-    job = Job(topology, task, weights, sampling, cfg, w_init)
-    pools, w = _start(job)
-    advance = _stacked_round([job], [pools])
-
-    objective = np.zeros(cfg.rounds + 1)
-    dist = np.zeros(cfg.rounds + 1) if w_star is not None else None
-    snapshots: list[np.ndarray] = []
-
-    def record(index: int, vec: np.ndarray) -> None:
-        objective[index] = weighted_objective(task, vec, weights, pools)
-        if dist is not None:
-            dist[index] = float(np.linalg.norm(vec - w_star))
-        if record_snapshots:
-            snapshots.append(vec.copy())
-
-    record(0, w)
-    for t in range(1, cfg.rounds + 1):
-        w = advance(w[None], t)[0]
-        record(t, w)
-
-    return w, Trajectory(objective=objective, dist_to_opt=dist, snapshots=snapshots)
+    w = run_stacked([Job(topology, task, weights, sampling, cfg, w_init)])[0]
+    return w, weighted_objective(task, w, weights, exit_pools(topology, sampling))
 
 
 # Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
@@ -338,14 +309,18 @@ STACK_BYTES = 256 * 1024
 def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     """Train jobs side by side; row ``r`` is the last iterate of ``jobs[r]``.
 
-    Each row equals the iterate :func:`run` returns for that job alone, bit
-    for bit. The jobs must share their task class, clients, ``rounds``,
-    ``local_steps``, ``momentum`` and ``dim``, as the jobs of one grid do.
-    Consecutive jobs train together in stacks of at most :data:`STACK_BYTES`.
+    This is the one driver of the round engine. Each row equals, bit for bit,
+    the iterate of that job trained alone. The jobs must share their task
+    class, clients, ``rounds``, ``local_steps``, ``momentum`` and ``dim``, as
+    the jobs of one grid do. Consecutive jobs train together in stacks of at
+    most :data:`STACK_BYTES`.
 
     Raises:
-        ValueError: the jobs cannot share a stack, or as :func:`run`.
-        EmptyPoolError, ZeroProbabilityError, DivergenceError: as :func:`run`.
+        ValueError: the jobs cannot share a stack, or a job's task and
+            topology disagree on client dataset sizes.
+        EmptyPoolError: some weighted exit has no client able to train it.
+        ZeroProbabilityError: a client drew an exit it samples with p=0.
+        DivergenceError: an iterate stopped being finite.
     """
     def shape(job: Job) -> tuple:
         cfg = job.cfg

@@ -165,9 +165,6 @@ class MlpTask:
         for e, h in enumerate(self._states(w, x), start=1):
             yield self._head_logits(w, h, e)
 
-    def probs(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
-        return _softmax(self.logits(w, x, exit))
-
     def predict(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
         return np.argmax(self.logits(w, x, exit), axis=1)
 

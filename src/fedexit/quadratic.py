@@ -278,9 +278,14 @@ def quadratic_minimizers(
         w_star = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+    # Relative to the sizes of the terms, so that far-off centers, which scale
+    # rhs and w_star alike, do not read as a singular system.
     residual = float(np.linalg.norm(lhs @ w_star - rhs))
-    if residual > 1e-10:
-        raise SingularSystemError(f"normal equations residual {residual:.3e}")
+    scale = float(np.linalg.norm(lhs) * np.linalg.norm(w_star) + np.linalg.norm(rhs))
+    if not residual <= 1e-10 * scale:
+        raise SingularSystemError(
+            f"normal equations residual {residual:.3e} against a scale of {scale:.3e}"
+        )
     from .objective import weighted_objective
 
     f_star = weighted_objective(task, w_star, weights, pools)

@@ -252,7 +252,6 @@ class ErrorReport:
     opt_bound: dict[int, float] = field(default_factory=dict)
     empirical_opt_error: dict[int, float] = field(default_factory=dict)
     bias_bound: float | None = None
-    empirical_bias: float | None = None
     loss_cap: float | None = None
     sigma_source: str = "exact"
 
@@ -267,7 +266,6 @@ class ErrorReport:
             "opt_bound": {str(k): v for k, v in self.opt_bound.items()},
             "empirical_opt_error": {str(k): v for k, v in self.empirical_opt_error.items()},
             "bias_bound": self.bias_bound,
-            "empirical_bias": self.empirical_bias,
             "loss_cap": self.loss_cap,
             "sigma_source": self.sigma_source,
         }

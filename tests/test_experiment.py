@@ -11,7 +11,12 @@ import pytest
 
 from conftest import random_tree
 from fedexit.cli import main as cli_main
-from fedexit.errors import ConfigParseError, InvalidTopologyError, MissingRowsError
+from fedexit.errors import (
+    ConfigParseError,
+    InvalidTopologyError,
+    MissingRowsError,
+    SingularSystemError,
+)
 from fedexit.experiment import (
     CSV_COLUMNS,
     compare,
@@ -792,6 +797,28 @@ class TestCli:
             r"error: seed 1, strategy \w+, k=0\.1, round \d+: the iterate is not finite", err
         )
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("stage", ["training", "evaluation"])
+    def test_failed_run_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, stage):
+        # The output directory and its reports/ used to be made before
+        # planning, so a run refused later left an empty reports/ behind.
+        import fedexit.experiment as experiment
+
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        if stage == "training":
+            raw["training"].update(lr_schedule="constant", base_lr=1e200, rounds=20)
+        else:
+            def refuse(*args):
+                raise SingularSystemError("refused in evaluation")
+
+            monkeypatch.setattr(experiment, "quadratic_minimizers", refuse)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = cli_main(["run", str(tmp_path / "missing.json")])

@@ -236,11 +236,16 @@ class TestRun:
             projection_radius=task.radius, seed=1,
         )
         minimum = quadratic_minimizers(task, weights, pools)
-        _, traj = run(topo, task, weights, sampling, cfg)
-        gap = traj.objective - minimum.f_star
+        w0 = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
+        objective = [weighted_objective(task, w0, weights, pools)]
+        # The theory schedule and the round streams do not read cfg.rounds, so a
+        # shorter run ends on the longer run's iterate of that round.
+        for rounds in (15, 30, 60):
+            objective.append(run(topo, task, weights, sampling,
+                                 dataclasses.replace(cfg, rounds=rounds))[1])
+        gap = np.array(objective) - minimum.f_star
         assert gap[-1] >= -1e-12
-        quarters = [gap[0], gap[15], gap[30], gap[-1]]
-        assert quarters[3] < quarters[2] < quarters[1] < quarters[0]
+        assert gap[3] < gap[2] < gap[1] < gap[0]
 
     def test_bit_identical_given_seed(self):
         topo = seven_node_topology()
@@ -248,10 +253,10 @@ class TestRun:
         sampling = build_sampling_matrix(topo, 0.1)
         cfg = theory_cfg(rounds=15, mu=task.mu, smoothness=task.smoothness,
                          projection_radius=task.radius, seed=9)
-        w_a, traj_a = run(topo, task, equal_weight(3), sampling, cfg)
-        w_b, traj_b = run(topo, task, equal_weight(3), sampling, cfg)
+        w_a, objective_a = run(topo, task, equal_weight(3), sampling, cfg)
+        w_b, objective_b = run(topo, task, equal_weight(3), sampling, cfg)
         np.testing.assert_array_equal(w_a, w_b)
-        np.testing.assert_array_equal(traj_a.objective, traj_b.objective)
+        assert objective_a == objective_b
 
     def test_different_seed_changes_run(self):
         topo = seven_node_topology()
@@ -268,11 +273,12 @@ class TestRun:
         task = make_quadratic_task(topo, dim=4, sigma_range=(0.3, 0.5), seed=12)
         sampling = build_sampling_matrix(topo, 0.1)
         radius = 0.5  # deliberately tight so the projection engages
-        cfg = theory_cfg(rounds=30, mu=task.mu, smoothness=task.smoothness,
-                         projection_radius=radius, seed=3)
-        _, traj = run(topo, task, equal_weight(3), sampling, cfg, record_snapshots=True)
-        for snap in traj.snapshots:
-            assert np.linalg.norm(snap) <= radius + 1e-12
+        # Every prefix of the 30-round run, one run per length.
+        for rounds in range(1, 31):
+            cfg = theory_cfg(rounds=rounds, mu=task.mu, smoothness=task.smoothness,
+                             projection_radius=radius, seed=3)
+            w_end, _ = run(topo, task, equal_weight(3), sampling, cfg)
+            assert np.linalg.norm(w_end) <= radius + 1e-12
 
     def test_one_hot_weights_move_only_their_exit(self):
         topo = seven_node_topology()
@@ -299,12 +305,32 @@ class TestRun:
         with pytest.raises(ValueError):
             run(topo, task, equal_weight(3), sampling, cfg)
 
+    def test_returns_run_stacked_iterate_and_its_objective(self):
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
+        sampling = build_sampling_matrix(topo, 0.1)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        cfg = theory_cfg(rounds=6, mu=task.mu, smoothness=task.smoothness,
+                         projection_radius=task.radius, seed=2)
+        w_init = np.full(task.dim, 0.25)
+        for start in (None, w_init):
+            result = run(topo, task, weights, sampling, cfg, w_init=start)
+            assert isinstance(result, tuple) and len(result) == 2
+            w_end, objective = result
+            stacked = run_stacked([Job(topo, task, weights, sampling, cfg, start)])
+            assert w_end.tobytes() == stacked[0].tobytes()
+            assert type(objective) is float
+            assert objective == weighted_objective(task, w_end, weights,
+                                                   exit_pools(topo, sampling))
 
-def reference_run(topo, task, weights, sampling, cfg, w_star):
-    """The round loop spelled out with the per-pair reference functions."""
+
+def reference_run(topo, task, weights, sampling, cfg):
+    """The round loop spelled out with the per-pair reference functions.
+
+    Returns the last iterate and the weighted objective at it.
+    """
     pools = exit_pools(topo, sampling)
     w = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
-    iterates = [w]
     for t in range(1, cfg.rounds + 1):
         chosen = sample_round(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
         updates = []
@@ -313,10 +339,7 @@ def reference_run(topo, task, weights, sampling, cfg, w_star):
             updates.append((c, e, local_update(task, w, c, e, cfg, t, local_rng)))
         w = aggregate(w, updates, weights, sampling, pools, task.sizes,
                       cfg.server_lr, cfg.projection_radius)
-        iterates.append(w)
-    objective = [weighted_objective(task, v, weights, pools) for v in iterates]
-    dist = [float(np.linalg.norm(v - w_star)) for v in iterates]
-    return w, np.array(objective), np.array(dist), iterates
+    return w, weighted_objective(task, w, weights, pools)
 
 
 def stacked_round_cases():
@@ -346,45 +369,36 @@ def mlp_case(seed=6):
 
 
 def quadratic_reference_cases(k, momentum):
-    """(name, topology, task, weights, sampling, cfg, w_star) on quadratic tasks."""
+    """(name, topology, task, weights, sampling, cfg) on quadratic tasks."""
     for name, topo, weights, radius in stacked_round_cases():
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
         task.noise_scale[0] = 0.0  # one noiseless client: it opens but never draws
         for sampling in both_orders(build_sampling_matrix(topo, k)):
-            pools = exit_pools(topo, sampling)
-            w_star = quadratic_minimizers(task, weights, pools).w_star
             cfg = theory_cfg(
                 rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
                 projection_radius=radius or task.radius, momentum=momentum, seed=5,
             )
-            yield name, topo, task, weights, sampling, cfg, w_star
+            yield name, topo, task, weights, sampling, cfg
 
 
 def mlp_reference_cases(k, momentum):
-    """(name, topology, task, weights, sampling, cfg, w_star) on a small MLP task."""
+    """(name, topology, task, weights, sampling, cfg) on a small MLP task."""
     topo, task = mlp_case()
-    # Any fixed point serves for the distance column; the MLP has no closed-form optimum.
-    w_star = task.init_params(rngmod.stream(0, rngmod.INIT))
     for batch_size, schedule in ((8, "constant"), (5, "cosine")):
         cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, lr_schedule=schedule,
                           base_lr=0.1, momentum=momentum, seed=4)
         for sampling in both_orders(build_sampling_matrix(topo, k)):
             yield (f"mlp {schedule} batch {batch_size}", topo, task,
-                   normalized_weights([0.2, 0.3, 0.5]), sampling, cfg, w_star)
+                   normalized_weights([0.2, 0.3, 0.5]), sampling, cfg)
 
 
 def assert_matches_reference(cases):
     """run() must equal the per-client reference loop bit for bit on every case."""
-    for name, topo, task, weights, sampling, cfg, w_star in cases:
-        w_end, traj = run(topo, task, weights, sampling, cfg,
-                          w_star=w_star, record_snapshots=True)
-        ref_w, ref_obj, ref_dist, ref_iterates = reference_run(
-            topo, task, weights, sampling, cfg, w_star
-        )
+    for name, topo, task, weights, sampling, cfg in cases:
+        w_end, objective = run(topo, task, weights, sampling, cfg)
+        ref_w, ref_objective = reference_run(topo, task, weights, sampling, cfg)
         assert np.array_equal(w_end, ref_w), name
-        assert np.array_equal(traj.objective, ref_obj), name
-        assert np.array_equal(traj.dist_to_opt, ref_dist), name
-        assert np.array_equal(np.array(traj.snapshots), np.array(ref_iterates)), name
+        assert objective == ref_objective, name
 
 
 class TestStackedQuadraticRound:
@@ -448,7 +462,7 @@ class TestStackedJobs:
             for job, row in zip(jobs, stacked):
                 alone, _ = run(job.topology, job.task, job.weights, job.sampling, job.cfg)
                 reference = reference_run(job.topology, job.task, job.weights, job.sampling,
-                                          job.cfg, alone)[0]
+                                          job.cfg)[0]
                 assert np.array_equal(row, alone), name
                 assert np.array_equal(row, reference), name
 
@@ -469,7 +483,7 @@ class TestStackedJobs:
         stacked = run_stacked(jobs)
         for r, (job, row) in enumerate(zip(jobs, stacked)):
             reference = reference_run(job.topology, job.task, job.weights, job.sampling,
-                                      job.cfg, row)[0]
+                                      job.cfg)[0]
             assert np.array_equal(row, reference), r
 
     def test_jobs_that_cannot_share_a_stack_rejected(self):

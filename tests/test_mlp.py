@@ -48,13 +48,6 @@ class TestForward:
         for e in range(1, 4):
             assert task.loss_on(w, x, y, e) == pytest.approx(math.log(3), abs=1e-12)
 
-    def test_probs_rows_sum_to_one(self):
-        task = small_task()
-        w = task.init_params(np.random.default_rng(1))
-        x, _ = task.data["edge1"]
-        p = task.probs(w, x, 2)
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(len(x)), atol=1e-12)
-
     def test_exit_logits_equal_logits_bit_for_bit(self):
         task = small_task()
         w = task.init_params(np.random.default_rng(5))

@@ -188,6 +188,18 @@ class TestMinimizers:
                 grad += coef * task.full_gradient(res.w_star, c, e)
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-10)
 
+    def test_far_off_centers_are_not_refused_as_singular(self):
+        # The system is as well conditioned as at center_scale 1; only rhs and
+        # w_star grow, and with them the absolute residual (about 5e-10 here).
+        topo = seven_node_topology()
+        pools = exit_pools(topo, build_sampling_matrix(topo, 0.1))
+        near = make_quadratic_task(topo, dim=4, seed=0)
+        far = make_quadratic_task(topo, dim=4, center_scale=1e7, seed=0)
+        res = quadratic_minimizers(far, equal_weight(3), pools)
+        scale = np.linalg.norm(quadratic_minimizers(near, equal_weight(3), pools).w_star)
+        assert np.linalg.norm(res.w_star) > 1e6 * scale
+        assert np.isfinite(res.f_star)
+
 
 class TestFactory:
     def test_curvature_constants_cover_all_pairs(self):
