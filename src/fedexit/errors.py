@@ -79,5 +79,9 @@ class ConfigParseError(FedexitError):
     """An experiment configuration file is missing or malformed."""
 
 
+class OutputExistsError(FedexitError):
+    """An experiment's output directory already holds files."""
+
+
 class MissingRowsError(FedexitError):
     """A results table lacks the rows needed for the requested comparison."""

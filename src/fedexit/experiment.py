@@ -14,10 +14,11 @@ keyed by (seed, partition, k, exit weights), and ``equal`` and ``flops_prop``
 give one job per group rather than one per split. It then trains every
 distinct job once through :func:`fedtrain.run_stacked`, which trains as many
 jobs side by side as its byte budget allows: all quadratic jobs of a grid in
-one stack, each MLP job alone. Each MLP job is scored once on its group's test
-set. Last, it evaluates each cell from its job's result and its split. Strategy
-comparisons are therefore paired, and reruns of the same config produce
-byte-identical outputs.
+one stack, each MLP job alone. Last, it evaluates each cell from its job's final
+iterate and its split. An MLP cell's accuracies and losses, on the requests it
+serves and on the i.i.d. test stream alike, come from the one backbone pass of
+its serving simulation. Strategy comparisons are therefore paired, and reruns
+of the same config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigParseError, MissingRowsError, ZeroTrafficError
+from .errors import ConfigParseError, MissingRowsError, OutputExistsError, ZeroTrafficError
 from .fedtrain import Job, TrainConfig, run_stacked
 from .fedtrain import run  # noqa: F401  kept: perfbench's tracer wraps fedexit.experiment.run
 from .mlp import (
@@ -41,7 +42,6 @@ from .mlp import (
     check_classification_task,
     make_classification_task,
     make_test_set,
-    score_exits,
 )
 from .objective import weighted_objective
 from .quadratic import check_quadratic_task, make_quadratic_task, quadratic_minimizers
@@ -57,7 +57,6 @@ from .strategies import (
     gen_error_adjusted,
 )
 from .theory import (
-    ErrorReport,
     bias_bound,
     bound_B,
     estimate_sigma,
@@ -473,29 +472,19 @@ def _plan_cell(
     return _Cell(group, split, spec, pools, job)
 
 
-def _train(cells: list[_Cell]) -> dict[tuple, tuple]:
-    """Train the distinct job of every cell once; return the results by job key.
+def _train(cells: list[_Cell]) -> dict[tuple, np.ndarray]:
+    """Train the distinct job of every cell once through :func:`run_stacked`.
 
-    A result is the final iterate and, on the MLP, its test-set accuracies and
-    losses per exit. All jobs train through :func:`run_stacked`.
+    Returns each job's final iterate by job key.
     """
-    firsts: dict[tuple, _Cell] = {}
+    jobs: dict[tuple, Job] = {}
     for cell in cells:
-        firsts.setdefault(cell.job_key, cell)
-    finals = run_stacked([cell.job for cell in firsts.values()])
-    trained = {}
-    for (key, cell), w in zip(firsts.items(), finals):
-        scores = None
-        if cell.group.test_x is not None:
-            per_exit = score_exits(cell.job.task, w, cell.group.test_x, cell.group.test_y)
-            scores = ([float(np.mean(s.correct)) for s in per_exit],
-                      [float(np.mean(s.loss)) for s in per_exit])
-        trained[key] = (w, scores)
-    return trained
+        jobs.setdefault(cell.job_key, cell.job)
+    return dict(zip(jobs, run_stacked(list(jobs.values()))))
 
 
-def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -> tuple[dict, dict]:
-    """One cell's CSV row and report, from its job's result and its split."""
+def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[dict, dict]:
+    """One cell's CSV row and report, from its job's final iterate and its split."""
     group, split, spec, pools = cell.group, cell.split, cell.spec, cell.pools
     lam_norm = np.asarray(split.fractions)
     topo, task, weights, sampling, train_cfg = (
@@ -512,18 +501,19 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
         "tv": tv_value,
         "gen_proxy": proxy,
     }
-    report = ErrorReport(tv_value=tv_value, gen_proxy=proxy)
+    error_report = {"tv": tv_value, "gen_proxy": proxy}
 
     if task.kind == "mlp":
         outcome = simulate_serving(topo, split.plan, task, w_final, group.test_x, group.test_y)
-        accs, losses = scores
+        accs = [float(v) for v in outcome.iid_exit_accuracy]
         for e, acc in enumerate(accs[:3], start=1):
             row[f"exit{e}_acc"] = acc
         row["weighted_acc"] = weighted_quality(accs, lam_norm)
         row["system_acc_routed"] = outcome.system_accuracy
-        row["weighted_loss"] = weighted_quality(losses, lam_norm)
-        report.sigma_source = "estimated"
-        report.g_per_pair = {
+        row["weighted_loss"] = weighted_quality(outcome.iid_exit_mean_loss, lam_norm)
+        # The worst probed batch-gradient deviation per pair (estimate_sigma).
+        error_report["sigma_source"] = "estimated"
+        error_report["noise_scale_per_pair"] = {
             f"{c}:{e}": group.noise_scale(c, e)
             for e in range(1, topo.num_exits + 1)
             for c in pools.clients[e - 1]
@@ -547,14 +537,19 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
         row["empirical_opt_error"] = empirical
 
         g_pairs, g_max = grad_second_moment(params)
-        report.gamma_value = gamma_value
-        report.g_max = g_max
-        report.g_per_pair = {f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)}
-        report.b_value = b_value
-        report.opt_bound = {train_cfg.rounds: bound}
-        report.empirical_opt_error = {train_cfg.rounds: empirical}
-        report.loss_cap = params.loss_cap
-        report.bias_bound = bias_bound(params.loss_cap, weights.weights, lam_norm)
+        error_report.update(
+            heterogeneity=gamma_value,
+            grad_second_moment_max=g_max,
+            grad_second_moment_per_pair={
+                f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)
+            },
+            B=b_value,
+            opt_bound={str(train_cfg.rounds): bound},
+            empirical_opt_error={str(train_cfg.rounds): empirical},
+            bias_bound=bias_bound(params.loss_cap, weights.weights, lam_norm),
+            loss_cap=params.loss_cap,
+            sigma_source="exact",
+        )
         extra = {}
 
     return row, {
@@ -568,7 +563,7 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray, scores) -
         "sampling_probs": {
             c: [float(p) for p in sampling.probs[i]] for i, c in enumerate(sampling.clients)
         },
-        "error_report": report.to_dict(),
+        "error_report": error_report,
         **extra,
     }
 
@@ -590,11 +585,17 @@ def run_experiment(
 
     Returns the path of the CSV. Output is byte-identical across reruns of
     the same config.
+
+    Raises:
+        OutputExistsError: the output directory exists and is not empty, so
+            its files would mix with this run's. Nothing is deleted.
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seeds=_seeds([seed_override]))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise OutputExistsError(f"output path {out} exists and is not an empty directory")
 
     cells = [
         _plan_cell(cfg, group, split, spec)
@@ -609,7 +610,7 @@ def run_experiment(
     all_rows = []
     all_reports = {}
     for cell in cells:
-        row, report = _evaluate(cfg, cell, *trained[cell.job_key])
+        row, report = _evaluate(cfg, cell, trained[cell.job_key])
         all_rows.append(row)
         all_reports[cell_key(row)] = report
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import SingularSystemError
 from .fedtrain import _local_steps
+from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights
 from .topology import Topology
 
@@ -286,7 +287,5 @@ def quadratic_minimizers(
         raise SingularSystemError(
             f"normal equations residual {residual:.3e} against a scale of {scale:.3e}"
         )
-    from .objective import weighted_objective
-
     f_star = weighted_objective(task, w_star, weights, pools)
     return Minimizers(w_star=w_star, f_star=f_star)

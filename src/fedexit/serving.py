@@ -33,6 +33,7 @@ class ServingOutcome:
     exit_accuracy: np.ndarray  # nan for exits that served nothing
     exit_mean_loss: np.ndarray
     iid_exit_accuracy: np.ndarray
+    iid_exit_mean_loss: np.ndarray  # not in to_dict: the CSV's weighted_loss reads it
     serving_gap: np.ndarray  # accuracy on served minus accuracy on iid stream
     system_accuracy: float
     system_loss: float
@@ -131,10 +132,12 @@ def simulate_serving(
     exit_acc = np.full(num_exits, np.nan)
     exit_loss = np.full(num_exits, np.nan)
     iid_acc = np.zeros(num_exits)
+    iid_loss = np.zeros(num_exits)
     share = np.zeros(num_exits)
     for e, (correct, loss, _) in enumerate(scores, start=1):
         indices = [served[n] for n in topology.layers.get(e, ()) if len(served[n])]
         iid_acc[e - 1] = np.mean(correct)
+        iid_loss[e - 1] = np.mean(loss)
         if indices:
             idx = np.concatenate(indices)
             exit_acc[e - 1] = np.mean(correct[idx])
@@ -147,6 +150,7 @@ def simulate_serving(
         exit_accuracy=exit_acc,
         exit_mean_loss=exit_loss,
         iid_exit_accuracy=iid_acc,
+        iid_exit_mean_loss=iid_loss,
         serving_gap=exit_acc - iid_acc,
         system_accuracy=weighted_quality(exit_acc, rates),
         system_loss=weighted_quality(exit_loss, rates),

@@ -10,7 +10,7 @@ closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,35 +237,3 @@ def estimate_sigma(
         noisy = task.stochastic_gradient(w, client, exit, batch_size, gen)
         worst = max(worst, float(np.linalg.norm(noisy - exact)))
     return worst
-
-
-@dataclass
-class ErrorReport:
-    """Everything the bound machinery can say about one training run."""
-
-    tv_value: float
-    gen_proxy: float
-    gamma_value: float | None = None
-    g_max: float | None = None
-    g_per_pair: dict[str, float] = field(default_factory=dict)
-    b_value: float | None = None
-    opt_bound: dict[int, float] = field(default_factory=dict)
-    empirical_opt_error: dict[int, float] = field(default_factory=dict)
-    bias_bound: float | None = None
-    loss_cap: float | None = None
-    sigma_source: str = "exact"
-
-    def to_dict(self) -> dict:
-        return {
-            "tv": self.tv_value,
-            "gen_proxy": self.gen_proxy,
-            "heterogeneity": self.gamma_value,
-            "grad_second_moment_max": self.g_max,
-            "grad_second_moment_per_pair": self.g_per_pair,
-            "B": self.b_value,
-            "opt_bound": {str(k): v for k, v in self.opt_bound.items()},
-            "empirical_opt_error": {str(k): v for k, v in self.empirical_opt_error.items()},
-            "bias_bound": self.bias_bound,
-            "loss_cap": self.loss_cap,
-            "sigma_source": self.sigma_source,
-        }

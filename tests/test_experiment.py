@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from csv import DictReader
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ def quadratic_config(**overrides) -> dict:
     del cfg["data"]
     cfg.update(overrides)
     return cfg
+
+
+# The keys of a report's error_report, per task backend.
+ERROR_REPORT_KEYS = {
+    "mlp": {"tv", "gen_proxy", "noise_scale_per_pair", "sigma_source"},
+    "quadratic": {"tv", "gen_proxy", "heterogeneity", "grad_second_moment_max",
+                  "grad_second_moment_per_pair", "B", "opt_bound", "empirical_opt_error",
+                  "bias_bound", "loss_cap", "sigma_source"},
+}
 
 
 def write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -417,6 +427,27 @@ class TestRunExperiment:
         assert "rate_plan" in payload and "exit_weights" in payload
         assert payload["error_report"]["sigma_source"] == "estimated"
 
+    @pytest.mark.parametrize("kind", ["mlp", "quadratic"])
+    def test_error_report_keys(self, tmp_path, kind):
+        # MLP reports used to carry seven null or empty keys of the quadratic
+        # bound machinery, and filed the estimated noise scale under
+        # grad_second_moment_per_pair.
+        raw = mlp_config(seeds=[1]) if kind == "mlp" else quadratic_config(seeds=[1])
+        csv_path = run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+        reports = list((csv_path.parent / "reports").iterdir())
+        assert len(reports) == 4
+        for path in reports:
+            assert set(json.loads(path.read_text())["error_report"]) == ERROR_REPORT_KEYS[kind]
+
+    def test_exit_accuracies_are_the_reports_iid_accuracies(self, tmp_path):
+        csv_path = run_experiment(parse_config(mlp_config()), out_dir=tmp_path / "out")
+        for row in DictReader(csv_path.open()):
+            name = (f"report_s{row['seed']}_{row['partition']}_{row['split']}_"
+                    f"{row['strategy']}_k{float(row['k']):g}.json")
+            payload = json.loads((csv_path.parent / "reports" / name).read_text())
+            iid = payload["serving"]["iid_exit_accuracy"]
+            assert [float(row[f"exit{e}_acc"]) for e in (1, 2, 3)] == iid
+
     def test_quadratic_bound_columns(self, tmp_path):
         raw = mlp_config(
             task={"kind": "quadratic", "dim": 3, "sigma_range": [0.1, 0.3]},
@@ -580,23 +611,28 @@ class TestGroupReuse:
         assert len(probes) == len(set(probes)) == 2 * pairs_per_group
 
 
-    def test_each_trained_iterate_is_scored_once(self, tmp_path, monkeypatch):
+    def test_each_cell_is_scored_once(self, tmp_path, monkeypatch):
+        # Each trained iterate used to be scored once more, outside the serving
+        # pass of its cells, for the CSV's i.i.d. accuracies and losses.
         import fedexit.experiment as experiment
+        import fedexit.mlp as mlp
+        import fedexit.serving as serving
 
         scored = []
-        real_score = experiment.score_exits
+        real_score = mlp.score_exits
 
         def counting_score(task, w, *args, **kwargs):
             scores = real_score(task, w, *args, **kwargs)
-            scored.append((w.tobytes(), len(scores)))
+            scored.append(len(scores))
             return scores
 
-        monkeypatch.setattr(experiment, "score_exits", counting_score)
+        # Patched wherever it may be imported, so a second scorer is counted too.
+        for module in (mlp, serving, experiment):
+            monkeypatch.setattr(module, "score_exits", counting_score, raising=False)
         run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
-        # Six trained iterates per group (see above), each scored on all three
-        # exits by one backbone pass.
-        assert len(scored) == len(set(scored)) == 2 * 6
-        assert all(exits == 3 for _, exits in scored)
+        # 2 partitions x 2 splits x 4 strategies, each cell scored on all
+        # three exits by the one backbone pass of its serving simulation.
+        assert scored == [3] * (2 * 2 * 4)
 
 
 class TestStackedTraining:
@@ -819,6 +855,36 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_runs(self, tmp_path, path):
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 0
+        cfg = load_config(path)
+        rows = list(DictReader((out / "results.csv").open()))
+        cells = {(r["partition"], r["split"], r["strategy"], r["k"]) for r in rows}
+        assert len(rows) == len(cells)
+        assert len(cells) == len(cfg.partitions) * len(cfg.splits) * len(cfg.strategies)
+        assert len(list((out / "reports").iterdir())) == len(rows)
+
+    def test_used_output_directory_is_refused(self, tmp_path, capsys):
+        # A second run into a used directory used to exit 0 and leave the
+        # first run's reports next to its own results.csv.
+        out = tmp_path / "out"
+        mlp_path, quad_path = tmp_path / "mlp.json", tmp_path / "quadratic.json"
+        mlp_path.write_text(json.dumps(mlp_config(seeds=[1])))
+        quad_path.write_text(json.dumps(quadratic_config(seeds=[1])))
+        assert cli_main(["run", str(mlp_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert cli_main(["run", str(quad_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output path {out} exists and is not an empty directory\n"
+        )
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli_main(["run", str(quad_path), "--out", str(empty)]) == 0
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = cli_main(["run", str(tmp_path / "missing.json")])
