@@ -146,12 +146,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _reject_duplicates(what: str, values) -> None:
-    """Refuse a repeated grid value.
+def _check_grid_axis(what: str, values) -> None:
+    """Refuse an empty grid axis, which would run no cell, or a repeated value.
 
-    Reports are named by seed, partition and split label, so a repeated value
-    would write one cell's report over another's.
+    Reports are named by seed, partition, split label, strategy and k, so a
+    repeated value would write one cell's report over another's.
     """
+    if not values:
+        raise ConfigParseError(f"need at least one {what}")
     seen = set()
     for value in values:
         if value in seen:
@@ -165,16 +167,16 @@ _integer = functools.partial(integer, error=ConfigParseError)
 
 def _seeds(values) -> tuple[int, ...]:
     seeds = tuple(_integer("seed", s) for s in values)
-    if not seeds:
-        raise ConfigParseError("need at least one seed")
+    _check_grid_axis("seed", seeds)
     if min(seeds) < 0:
         raise ConfigParseError(f"seeds must be >= 0, got {min(seeds)}")
-    _reject_duplicates("seed", seeds)
     return seeds
 
 
 def _reject_unknown_keys(what: str, section: dict, known) -> None:
-    """Refuse a key nobody reads, so a misspelt one cannot fall back to a default."""
+    """Refuse a non-object or an unread key, so a misspelt one cannot fall back to a default."""
+    if not isinstance(section, dict):
+        raise ConfigParseError(f"{what} must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigParseError(f"unknown {what} keys {unknown}; known: {sorted(known)}")
@@ -188,6 +190,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ("topology", "serving", "data", "task", "strategies", "training", "seeds",
              "flops", "output_dir"),
         )
+        _reject_unknown_keys("topology", raw["topology"], ("nodes", "num_exits"))
         topo = from_node_dicts(raw["topology"]["nodes"], raw["topology"].get("num_exits"))
         serving = raw["serving"]
         _reject_unknown_keys("serving", serving, ("splits", "budgets"))
@@ -197,8 +200,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ZeroTrafficError("no node has a positive arrival rate, so nothing is served")
         splits = []
         if "splits" in serving:
-            if not serving["splits"]:
-                raise ConfigParseError("serving needs at least one split")
             for entry in serving["splits"]:
                 vec = np.asarray(entry, dtype=float)
                 if vec.shape != (topo.num_exits,):
@@ -210,21 +211,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 fractions = vec / vec.sum()
                 plan = compute_rate_plan(topo.with_budgets(budgets_for_split(topo, fractions)))
                 splits.append(SplitSpec(_split_label(entry), tuple(fractions), plan))
-            _reject_duplicates("split", [s.label for s in splits])
+            _check_grid_axis("split", [s.label for s in splits])
         else:
+            _reject_unknown_keys("serving budgets", serving["budgets"], topo.by_id)
             budgets = {str(k): float(v) for k, v in serving["budgets"].items()}
             for node, value in budgets.items():
-                if node not in topo.by_id:
-                    raise ConfigParseError(f"budget for {node!r}, which is no node of the tree")
                 if not value >= 0:
                     raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
             plan = compute_rate_plan(topo.with_budgets(budgets))
             splits.append(SplitSpec("budgets", tuple(plan.lambda_exit_normalized), plan))
 
-        task = dict(raw["task"])
-        kind = task.get("kind")
+        task = raw["task"]
+        kind = task.get("kind") if isinstance(task, dict) else None
         if kind not in TASK_KEYS:
-            raise ConfigParseError(f"unknown task kind {kind!r}")
+            raise ConfigParseError(f"task needs a kind in {sorted(TASK_KEYS)}, got {task!r}")
         _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
         check = check_quadratic_task if kind == "quadratic" else check_classification_task
         try:
@@ -237,7 +237,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         data = raw.get("data", {})
         _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
         partitions = tuple(data.get("partitions", ("none",)))
-        _reject_duplicates("partition", partitions)
+        _check_grid_axis("partition", partitions)
         if kind == "quadratic" and partitions != ("none",):
             raise ConfigParseError("quadratic tasks take their sizes from the topology")
         if kind == "mlp" and partitions == ("none",):
@@ -255,21 +255,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     )
 
         strategies = []
-        report_names = set()
         for s in raw["strategies"]:
             _reject_unknown_keys("strategy", s, ("name", "k"))
             name = s["name"]
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
             k = float(s.get("k", 0.0))
-            spec = StrategySpec(name, k, build_sampling_matrix(topo, k))  # may raise InvalidKError
-            # Reports are named by strategy and k:g, so two entries that agree
-            # there would write one report over the other.
-            report_name = (name, f"{spec.k:g}")
-            if report_name in report_names:
-                raise ConfigParseError(f"duplicate strategy {name!r} with k={spec.k:g}")
-            report_names.add(report_name)
-            strategies.append(spec)
+            # build_sampling_matrix may raise InvalidKError.
+            strategies.append(StrategySpec(name, k, build_sampling_matrix(topo, k)))
+        _check_grid_axis("strategy", [f"{s.name} with k={s.k:g}" for s in strategies])
 
         seeds = _seeds(raw["seeds"])
 
@@ -285,7 +279,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             partitions=partitions,
             total_samples=_integer("total_samples", data.get("total_samples", 0)),
             test_samples=_integer("test_samples", data.get("test_samples", 0)),
-            task=task,
+            task=dict(task),
             flops=flops,
             strategies=tuple(strategies),
             training=dict(raw["training"]),
@@ -337,43 +331,43 @@ def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     )
 
 
-# The training section sets TrainConfig's fields by name, all but the seed.
-TRAINING_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+# TrainConfig's fields but the seed and those a quadratic task sets.
+TRAINING_KEYS = ("rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr")
 
 
 def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfig:
     """The round loop's config for one seed, validated by ``TrainConfig`` itself.
 
     Only the values the section sets reach ``TrainConfig``, which owns every
-    default. A theory schedule that names no ``mu`` takes ``mu`` and
-    ``smoothness`` from the quadratic task, and a missing or null
-    ``projection_radius`` is the quadratic task's feasible radius.
-    ``parse_config`` calls this without a task: stand-ins that ``TrainConfig``
-    accepts fill those values, so everything the section names is checked
-    before any run.
+    default. A quadratic task always trains with its own ``mu``,
+    ``smoothness`` and feasible radius, the constants its ``opt_bound``
+    assumes. ``parse_config`` calls this without a task: stand-ins that
+    ``TrainConfig`` accepts fill those values, so everything the section
+    names is checked before any run.
 
     Raises:
         ConfigParseError: ``rounds`` or ``local_steps`` is missing, an integer
             field has a fractional part, a value is refused by
-            ``TrainConfig``, or an mlp theory schedule has no mu.
+            ``TrainConfig``, or an mlp task asks for the theory schedule,
+            which needs curvature constants an mlp does not have.
     """
     for key in ("rounds", "local_steps"):
         if key not in training:
             raise ConfigParseError(f"training needs {key!r}")
+    if kind == "mlp" and training.get("lr_schedule") == "theory":
+        raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
     args = {}
     for key, value in training.items():
         if key in ("rounds", "local_steps", "batch_size"):
             args[key] = _integer(key, value)
         elif key == "lr_schedule":
             args[key] = value
-        elif value is not None or key != "projection_radius":
+        else:
             args[key] = float(value)
-    if args.get("lr_schedule") == "theory" and args.get("mu", 0.0) == 0.0:
-        if kind != "quadratic":
-            raise ConfigParseError("theory schedule needs mu/smoothness for mlp tasks")
-        args["mu"], args["smoothness"] = (1.0, 1.0) if task is None else (task.mu, task.smoothness)
-    if "projection_radius" not in args and kind == "quadratic" and task is not None:
-        args["projection_radius"] = float(task.radius)
+    if kind == "quadratic":
+        args["mu"], args["smoothness"], args["projection_radius"] = (
+            (1.0, 1.0, 1.0) if task is None else (task.mu, task.smoothness, task.radius)
+        )
     try:
         return TrainConfig(**args, seed=seed)
     except ValueError as exc:

@@ -53,13 +53,15 @@ def step_offset(kappa: float, local_steps: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of the round loop.
+    """Knobs of the round loop: plain local SGD, as the bounds assume.
 
     The ``theory`` schedule needs the curvature constants ``mu`` and
     ``smoothness``; its offset is :func:`step_offset` of ``smoothness / mu``
     and ``local_steps``. ``constant`` and ``cosine`` schedules use
-    ``base_lr``. Momentum is an engineering option outside the convergence
-    analysis; the bounds assume it is 0.
+    ``base_lr``. Every round ends with a projection onto the ball of radius
+    ``projection_radius``. The experiment runner fills ``mu``,
+    ``smoothness`` and ``projection_radius`` from a quadratic task, whose
+    ``opt_bound`` assumes exactly those constants.
     """
 
     rounds: int
@@ -71,7 +73,6 @@ class TrainConfig:
     mu: float = 0.0
     smoothness: float = 0.0
     projection_radius: float = 1e6
-    momentum: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,8 +93,6 @@ class TrainConfig:
         if self.lr_schedule == "theory":
             if not 0 < self.mu <= self.smoothness < math.inf:
                 raise ValueError("theory schedule needs 0 < mu <= smoothness < inf")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
 
     @property
     def gamma_value(self) -> float:
@@ -152,22 +151,16 @@ def _lr_table(cfg: TrainConfig) -> np.ndarray:
     return np.broadcast_to(learning_rate(cfg, t, j), t.shape).astype(float)
 
 
-def _local_steps(w: np.ndarray, momentum: float, etas, gradient) -> np.ndarray:
-    """Take one SGD step from ``w`` per step size in ``etas``.
+def _local_steps(w: np.ndarray, etas, gradient) -> np.ndarray:
+    """Take one plain SGD step from ``w`` per step size in ``etas``.
 
     ``w`` is one iterate or a stack of them, and ``gradient(w, j)`` returns
     the gradient of the same shape at local step ``j``. A step size is a
-    float or an array that broadcasts against the stack. Step sizes and
-    momentum enter the local phase here and nowhere else.
+    float or an array that broadcasts against the stack. Step sizes enter
+    the local phase here and nowhere else.
     """
-    velocity = np.zeros_like(w) if momentum > 0 else None
     for j, eta in enumerate(etas):
-        grad = gradient(w, j)
-        if velocity is not None:
-            velocity = momentum * velocity + grad
-            w = w - eta * velocity
-        else:
-            w = w - eta * grad
+        w = w - eta * gradient(w, j)
     return w
 
 
@@ -189,7 +182,7 @@ def local_update(
         return task.stochastic_gradient(w, client, exit, cfg.batch_size, rng)
 
     etas = [learning_rate(cfg, t, j) for j in range(cfg.local_steps)]
-    return _local_steps(w_start, cfg.momentum, etas, gradient)
+    return _local_steps(w_start, etas, gradient)
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -311,8 +304,8 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
 
     This is the one driver of the round engine. Each row equals, bit for bit,
     the iterate of that job trained alone. The jobs must share their task
-    class, clients, ``rounds``, ``local_steps``, ``momentum`` and ``dim``, as
-    the jobs of one grid do. Consecutive jobs train together in stacks of at
+    class, clients, ``rounds``, ``local_steps`` and ``dim``, as the jobs of
+    one grid do. Consecutive jobs train together in stacks of at
     most :data:`STACK_BYTES`.
 
     Raises:
@@ -325,12 +318,12 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     def shape(job: Job) -> tuple:
         cfg = job.cfg
         return (type(job.task), job.sampling.clients, cfg.rounds, cfg.local_steps,
-                cfg.momentum, job.task.dim)
+                job.task.dim)
 
     first = jobs[0]
     if any(shape(job) != shape(first) for job in jobs):
         raise ValueError("stacked jobs must share task class, clients, rounds, "
-                         "local_steps, momentum and dim")
+                         "local_steps and dim")
     starts = [_start(job) for job in jobs]
     size = max(1, STACK_BYTES // (len(first.sampling.clients) * first.task.dim * 8))
     out = np.empty((len(jobs), first.task.dim))

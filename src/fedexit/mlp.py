@@ -222,7 +222,7 @@ class MlpTask:
         Each step is :meth:`stochastic_gradient` on one batch drawn from the
         row's stream, as in :func:`fedtrain.local_update`.
         """
-        clients, momentum = jobs[0].sampling.clients, jobs[0].cfg.momentum
+        clients = jobs[0].sampling.clients
 
         def phase(w, exits, gen, states, etas):
             w_end = np.empty((len(jobs), len(clients), w.shape[1]))
@@ -236,7 +236,7 @@ class MlpTask:
                             v, client, exit, job.cfg.batch_size, rng
                         )
 
-                    w_end[r, i] = _local_steps(w[r], momentum, etas[:, r], gradient)
+                    w_end[r, i] = _local_steps(w[r], etas[:, r], gradient)
             return w_end
 
         return phase

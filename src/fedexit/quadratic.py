@@ -113,7 +113,7 @@ class QuadraticTask:
         every job of the set shares that draw.
         """
         first = jobs[0]
-        clients, dim, momentum = first.sampling.clients, first.task.dim, first.cfg.momentum
+        clients, dim = first.sampling.clients, first.task.dim
         sqrt_dim = np.sqrt(dim)
         leads = [jobs[int(np.flatnonzero(job_set == s)[0])].task for s in range(job_set.max() + 1)]
         rows = [[task.client_index(c) for c in clients] for task in leads]
@@ -144,7 +144,7 @@ class QuadraticTask:
 
             # Each job's broadcast model becomes its (N, d) slab at the first
             # step, and its step size broadcasts over that slab.
-            return _local_steps(w[:, None], momentum, etas[..., None, None], gradient)
+            return _local_steps(w[:, None], etas[..., None, None], gradient)
 
         return phase
 

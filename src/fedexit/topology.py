@@ -160,20 +160,23 @@ def integer(what: str, value, error: type[Exception] = InvalidTopologyError) -> 
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-# The keys from_node_dicts reads from a node dict.
-NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "budget", "dataset_size")
+# The keys from_node_dicts reads from a node dict; budgets are set per serving point.
+NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "dataset_size")
 
 
 def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topology:
     """Build a topology from plain dicts with the keys in ``NODE_KEYS``.
 
     Raises:
-        InvalidTopologyError: a node dict has a key outside ``NODE_KEYS``, so
-            a misspelt one cannot fall back to its default, or an integer
-            field (``exit``, ``dataset_size``, ``num_exits``) is not whole.
+        InvalidTopologyError: a node is not a dict or has a key outside
+            ``NODE_KEYS``, so a misspelt one cannot fall back to its default,
+            or an integer field (``exit``, ``dataset_size``, ``num_exits``)
+            is not whole.
         ValueError: a value :class:`NodeSpec` refuses.
     """
     for d in entries:
+        if not isinstance(d, dict):
+            raise InvalidTopologyError(f"node must be a JSON object, got {d!r}")
         unknown = sorted(set(d) - set(NODE_KEYS))
         if unknown:
             raise InvalidTopologyError(
@@ -185,7 +188,6 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
             parent=(None if d.get("parent") in (None, "") else str(d["parent"])),
             exit=integer(f"node {d['id']}: exit", d["exit"]),
             arrival_rate=float(d.get("arrival_rate", 0.0)),
-            budget=float(d.get("budget", 0.0)),
             dataset_size=integer(f"node {d['id']}: dataset_size", d.get("dataset_size", 0)),
         )
         for d in entries

@@ -78,6 +78,24 @@ ERROR_REPORT_KEYS = {
 }
 
 
+# Every key each config section accepts, sorted.
+ACCEPTED_KEYS = {
+    "config": ["data", "flops", "output_dir", "seeds", "serving", "strategies", "task",
+               "topology", "training"],
+    "topology": ["nodes", "num_exits"],
+    "node": ["arrival_rate", "dataset_size", "exit", "id", "parent"],
+    "serving": ["budgets", "splits"],
+    "data": ["partitions", "test_samples", "total_samples"],
+    "mlp task": ["hidden_dim", "input_dim", "kind", "num_classes", "teacher_gain"],
+    "quadratic task": ["center_scale", "dim", "eig_range", "kind", "sigma_range"],
+    "training": ["base_lr", "batch_size", "local_steps", "lr_schedule", "rounds", "server_lr"],
+    "strategy": ["k", "name"],
+}
+
+
+TRAINING, NODE = ACCEPTED_KEYS["training"], ACCEPTED_KEYS["node"]
+
+
 def write_config(tmp_path: Path, cfg: dict) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -105,7 +123,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "serving, message",
         [
-            ({"budgets": {"edgeX": 0.2}}, "budget for 'edgeX', which is no node of the tree"),
+            ({"budgets": {"edgeX": 0.2}}, r"unknown serving budgets keys \['edgeX'\]"),
             ({"budgets": {"edge1": -0.2}}, "budget of edge1 must be >= 0, got -0.2"),
             ({"budgets": {"edge1": float("nan")}}, "budget of edge1 must be >= 0, got nan"),
             ({"splits": [[45, 35]]}, r"needs one entry per exit \(3\)"),
@@ -180,17 +198,52 @@ class TestParseConfig:
             ("data", "test_sample"),
             ("task", "hidden"),
             ("training", "base_rl"),
+            ("topology", "num_exit"),
+            ("training", "momentum"),
+            ("training", "mu"),
+            ("training", "smoothness"),
+            ("training", "projection_radius"),
+            ("node", "budget"),
         ],
     )
     def test_unknown_key_rejected(self, section, key):
-        # A misspelt key used to run silently on the default value.
+        # A misspelt key used to run silently on the default value. momentum
+        # and the training mu, smoothness and projection_radius changed the
+        # run while a quadratic report kept its task's bound, and a node's
+        # budget was overwritten by every serving point.
         raw = mlp_config()
         if section is None:
             raw[key] = 1
+        elif section == "node":
+            nodes = [dict(SEVEN_NODES[0], **{key: 1e6}), *SEVEN_NODES[1:]]
+            raw["topology"] = dict(raw["topology"], nodes=nodes)
         else:
             raw[section] = dict(raw[section], **{key: 1e6})
-        with pytest.raises(ConfigParseError, match=f"unknown .*{key}"):
+        with pytest.raises((ConfigParseError, InvalidTopologyError), match=f"unknown .*{key}"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("section", sorted(ACCEPTED_KEYS))
+    def test_accepted_keys(self, section):
+        # The refusal of one more key lists every key the section accepts,
+        # so adding an option shows up here.
+        raw = quadratic_config() if section == "quadratic task" else mlp_config()
+        raw = json.loads(json.dumps(raw))  # a deep copy: SEVEN_NODES is shared
+        target = {
+            "config": raw,
+            "topology": raw["topology"],
+            "node": raw["topology"]["nodes"][0],
+            "serving": raw["serving"],
+            "data": raw.get("data"),
+            "mlp task": raw["task"],
+            "quadratic task": raw["task"],
+            "training": raw["training"],
+            "strategy": raw["strategies"][0],
+        }[section]
+        target["extra"] = 1
+        with pytest.raises((ConfigParseError, InvalidTopologyError),
+                           match=r"unknown .*\['extra'\]; known: ") as refused:
+            parse_config(raw)
+        assert str(refused.value).split("known: ")[1] == str(ACCEPTED_KEYS[section])
 
     def test_task_keys_are_per_kind(self):
         raw = mlp_config(task={"kind": "quadratic", "dim": 3, "hidden_dim": 8})
@@ -225,16 +278,13 @@ class TestParseConfig:
             ({"rounds": 4, "local_steps": 2, "lr_schedule": "theroy"}, "unknown lr_schedule"),
             ({"rounds": 0, "local_steps": 2}, "rounds must be >= 1"),
             ({"rounds": 4, "local_steps": 2, "momentum": 1.0}, "momentum"),
-            ({"rounds": 4, "local_steps": 2, "lr_schedule": "theory", "mu": 2.0,
-              "smoothness": 1.0}, "0 < mu <= smoothness"),
+            ({"rounds": 4, "local_steps": 2, "batch_size": 0}, "batch_size must be >= 1"),
             ({"rounds": 4, "local_steps": 2, "server_lr": float("nan")}, "server_lr"),
             ({"rounds": 4, "local_steps": 2, "base_lr": float("nan")}, "base_lr"),
             ({"rounds": 4, "local_steps": 2, "base_lr": float("inf")}, "base_lr"),
             ({"rounds": 4, "local_steps": 2, "base_lr": -0.1}, "base_lr"),
             ({"rounds": 4, "local_steps": 2, "projection_radius": float("nan")},
              "projection_radius"),
-            ({"rounds": 4, "local_steps": 2, "lr_schedule": "theory", "mu": float("nan"),
-              "smoothness": 1.0}, "0 < mu <= smoothness"),
         ],
     )
     def test_training_checked_at_parse_time(self, training, message):
@@ -343,7 +393,7 @@ class TestParseConfig:
             ({"dataset_size": 100.9}, "node dev1: dataset_size must be an integer, got 100.9"),
             ({"arrival_rate": float("nan")}, "node dev1: arrival_rate must be finite"),
             ({"arrival_rate": float("inf")}, "node dev1: arrival_rate must be finite"),
-            ({"budget": float("nan")}, "node dev1: budget must be >= 0, got nan"),
+            ({"budget": float("nan")}, r"node 'dev1': unknown keys \['budget'\]"),
         ],
         ids=["fractional-exit", "bool-exit", "fractional-size", "nan-arrival", "inf-arrival",
              "nan-budget"],
@@ -666,6 +716,30 @@ class TestStackedTraining:
         assert stacks == [2 * (1 + 2 + 2)]
         assert sorted(tables) == [3, 3, 4, 4]
 
+    @pytest.mark.parametrize("schedule", ["theory", "constant"])
+    def test_quadratic_jobs_carry_their_task_constants(self, tmp_path, monkeypatch, schedule):
+        # opt_bound assumes the task's mu, smoothness and radius; a constant
+        # schedule used to train with mu = smoothness = 0.
+        import fedexit.experiment as experiment
+
+        jobs = []
+        real_stacked = experiment.run_stacked
+
+        def recording_stacked(stack):
+            jobs.extend(stack)
+            return real_stacked(stack)
+
+        monkeypatch.setattr(experiment, "run_stacked", recording_stacked)
+        training = {"rounds": 4, "local_steps": 2, "lr_schedule": schedule}
+        raw = quadratic_config(training=training, seeds=[3, 4])
+        run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+        assert len({id(job.task) for job in jobs}) == 2
+        for job in jobs:
+            cfg, task = job.cfg, job.task
+            assert (cfg.mu, cfg.smoothness, cfg.projection_radius) == (
+                task.mu, task.smoothness, task.radius
+            )
+
 
 class TestCompare:
     def test_identical_strategy_zero_delta(self, tmp_path):
@@ -792,23 +866,60 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "edit, line",
+        "config, edit, line",
         [
-            ({"node": {"arrival_rate": float("nan")}},
+            ("quadratic_bounds", {"node": {"arrival_rate": float("nan")}},
              "error: node dev1: arrival_rate must be finite and >= 0, got nan"),
-            ({"drop": "strategies"}, "error: missing key 'strategies'"),
+            ("quadratic_bounds", {"drop": "strategies"}, "error: missing key 'strategies'"),
+            ("quadratic_bounds", {"training": {"momentum": 0.9}},
+             f"error: unknown training keys ['momentum']; known: {TRAINING}"),
+            ("quadratic_bounds", {"training": {"mu": 1e-3, "smoothness": 1e3}},
+             f"error: unknown training keys ['mu', 'smoothness']; known: {TRAINING}"),
+            ("quadratic_bounds", {"training": {"projection_radius": 5.0}},
+             f"error: unknown training keys ['projection_radius']; known: {TRAINING}"),
+            ("quadratic_bounds", {"node": {"budget": 0.3}},
+             f"error: node 'dev1': unknown keys ['budget']; known: {NODE}"),
+            ("strategy_grid_equal", {"training": {"lr_schedule": "theory"}},
+             "error: the theory schedule needs a quadratic task's mu/smoothness"),
+            ("quadratic_bounds", {"strategies": []}, "error: need at least one strategy"),
+            ("strategy_grid_equal", {"data": {"partitions": []}},
+             "error: need at least one partition"),
+            ("quadratic_bounds", {"strategies": ["equal", "serving_rate"]},
+             "error: strategy must be a JSON object, got 'equal'"),
+            ("quadratic_bounds", {"serving": "splits"},
+             "error: serving must be a JSON object, got 'splits'"),
+            ("quadratic_bounds", {"topology": {"nodes": ["cloud"]}},
+             "error: node must be a JSON object, got 'cloud'"),
+            ("quadratic_bounds", {"task": "quadratic"},
+             "error: task needs a kind in ['mlp', 'quadratic'], got 'quadratic'"),
+            ("quadratic_bounds", {"topology": "tree"},
+             "error: topology must be a JSON object, got 'tree'"),
+            ("quadratic_bounds", {"serving": {"budgets": [0.5]}},
+             "error: serving budgets must be a JSON object, got [0.5]"),
         ],
-        ids=["nan-arrival", "missing-key"],
+        ids=["nan-arrival", "missing-key", "momentum", "mu-smoothness", "projection-radius",
+             "node-budget", "mlp-theory", "no-strategies", "no-partitions", "string-strategy",
+             "string-serving", "string-node", "string-task", "string-topology",
+             "list-budgets"],
     )
-    def test_refusal_is_one_plain_line(self, tmp_path, capsys, edit, line):
+    def test_refusal_is_one_plain_line(self, tmp_path, capsys, config, edit, line):
         # These used to print a repr, as in "error: malformed config:
-        # ValueError('node dev1: ...')" or "KeyError('strategies')".
-        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
-        raw["topology"]["nodes"][3].update(edit.get("node", {}))
-        raw.pop(edit.get("drop"), None)
+        # ValueError('node dev1: ...')" or "KeyError('strategies')", to run
+        # (momentum, mu, projection_radius, a node budget), to end in a raw
+        # traceback (no strategies or partitions, a string node), or to
+        # name the characters of a string ("unknown strategy keys ['a', ...]").
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        edit = dict(edit)
+        raw["topology"]["nodes"][3].update(edit.pop("node", {}))
+        raw.pop(edit.pop("drop", None), None)
+        for section in {"data", "training"} & set(edit):
+            raw[section].update(edit.pop(section))
+        raw.update(edit)
         path = write_config(tmp_path, raw)
-        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
     def test_bad_task_is_reported(self, tmp_path, capsys):
         raw = quadratic_config()

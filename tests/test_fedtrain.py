@@ -80,6 +80,15 @@ class TestLearningRate:
         with pytest.raises(ValueError):
             TrainConfig(rounds=0, local_steps=1)
 
+    def test_fields(self):
+        # Local SGD has no momentum: the bounds assume plain steps.
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr",
+            "mu", "smoothness", "projection_radius", "seed",
+        ]
+        with pytest.raises(TypeError, match="momentum"):
+            TrainConfig(rounds=1, local_steps=1, momentum=0.5)
+
 
 class TestSampleRound:
     def test_degenerate_row_always_own_exit(self):
@@ -368,7 +377,7 @@ def mlp_case(seed=6):
     return topo.with_dataset_sizes(task.sizes), task
 
 
-def quadratic_reference_cases(k, momentum):
+def quadratic_reference_cases(k):
     """(name, topology, task, weights, sampling, cfg) on quadratic tasks."""
     for name, topo, weights, radius in stacked_round_cases():
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
@@ -376,17 +385,17 @@ def quadratic_reference_cases(k, momentum):
         for sampling in both_orders(build_sampling_matrix(topo, k)):
             cfg = theory_cfg(
                 rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
-                projection_radius=radius or task.radius, momentum=momentum, seed=5,
+                projection_radius=radius or task.radius, seed=5,
             )
             yield name, topo, task, weights, sampling, cfg
 
 
-def mlp_reference_cases(k, momentum):
+def mlp_reference_cases(k):
     """(name, topology, task, weights, sampling, cfg) on a small MLP task."""
     topo, task = mlp_case()
     for batch_size, schedule in ((8, "constant"), (5, "cosine")):
         cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, lr_schedule=schedule,
-                          base_lr=0.1, momentum=momentum, seed=4)
+                          base_lr=0.1, seed=4)
         for sampling in both_orders(build_sampling_matrix(topo, k)):
             yield (f"mlp {schedule} batch {batch_size}", topo, task,
                    normalized_weights([0.2, 0.3, 0.5]), sampling, cfg)
@@ -404,10 +413,9 @@ def assert_matches_reference(cases):
 class TestStackedQuadraticRound:
     """run() on a quadratic task must equal the per-client reference loop bit for bit."""
 
-    @pytest.mark.parametrize("momentum", [0.0, 0.5])
     @pytest.mark.parametrize("k", [0.0, 0.1])
-    def test_matches_per_pair_reference(self, k, momentum):
-        assert_matches_reference(quadratic_reference_cases(k, momentum))
+    def test_matches_per_pair_reference(self, k):
+        assert_matches_reference(quadratic_reference_cases(k))
 
     def test_exit_beyond_client_rejected(self):
         topo = seven_node_topology()
@@ -426,15 +434,13 @@ class TestPerClientRound:
 
     @pytest.mark.parametrize("k", [0.0, 0.1])
     def test_matches_per_pair_reference(self, k):
-        for momentum in (0.0, 0.5):
-            assert_matches_reference(mlp_reference_cases(k, momentum))
+        assert_matches_reference(mlp_reference_cases(k))
 
 
 class TestStackedJobs:
     """run_stacked must give every job the iterate run() gives it alone, bit for bit."""
 
-    @pytest.mark.parametrize("momentum", [0.0, 0.5])
-    def test_matches_per_job_run(self, momentum):
+    def test_matches_per_job_run(self):
         for name, topo, weights, radius in stacked_round_cases():
             tasks = {}
             jobs = []
@@ -450,7 +456,7 @@ class TestStackedJobs:
                 task = tasks[task_seed]
                 cfg = theory_cfg(
                     rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
-                    projection_radius=job_radius or task.radius, momentum=momentum, seed=seed,
+                    projection_radius=job_radius or task.radius, seed=seed,
                 )
                 for k in (0.0, 0.1):
                     sampling = build_sampling_matrix(topo, k)
@@ -476,7 +482,7 @@ class TestStackedJobs:
         for task, base_lr, batch_size in ((first, 0.1, 8), (second, 0.2, 5)):
             for k, seed in ((0.0, 3), (0.1, 4)):
                 cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size,
-                                  lr_schedule="cosine", base_lr=base_lr, momentum=0.5, seed=seed)
+                                  lr_schedule="cosine", base_lr=base_lr, seed=seed)
                 jobs.append(Job(topo, task, normalized_weights([0.2, 0.3, 0.5]),
                                 build_sampling_matrix(topo, k), cfg))
         jobs.insert(1, dataclasses.replace(jobs[0], weights=equal_weight(3)))

@@ -79,9 +79,8 @@ class TestValidate:
 
     def test_from_node_dicts_roundtrip(self):
         entries = [
-            {"id": "r", "parent": None, "exit": 2, "arrival_rate": 0, "budget": 0},
-            {"id": "a", "parent": "r", "exit": 1, "arrival_rate": 1.5, "budget": 0.3,
-             "dataset_size": 7},
+            {"id": "r", "parent": None, "exit": 2, "arrival_rate": 0},
+            {"id": "a", "parent": "r", "exit": 1, "arrival_rate": 1.5, "dataset_size": 7},
         ]
         topo = from_node_dicts(entries)
         validate(topo)
