@@ -25,7 +25,6 @@ from .strategies import (
     exit_pools,
     flops_prop,
     gen_error_adjusted,
-    serving_rate_weights,
 )
 from .topology import (
     NodeSpec,
@@ -61,6 +60,5 @@ __all__ = [
     "make_quadratic_task",
     "make_test_set",
     "run",
-    "serving_rate_weights",
     "validate",
 ]

@@ -85,3 +85,7 @@ class OutputExistsError(FedexitError):
 
 class MissingRowsError(FedexitError):
     """A results table lacks the rows needed for the requested comparison."""
+
+
+class MixedKError(FedexitError):
+    """A strategy's rows in a results table were trained at more than one k."""

@@ -34,27 +34,26 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigParseError, MissingRowsError, OutputExistsError, ZeroTrafficError
-from .fedtrain import Job, TrainConfig, run_stacked
-from .fedtrain import run  # noqa: F401  kept: perfbench's tracer wraps fedexit.experiment.run
-from .mlp import (
-    PARTITIONS,
-    check_classification_task,
-    make_classification_task,
-    make_test_set,
+from .errors import (
+    ConfigParseError,
+    MissingRowsError,
+    MixedKError,
+    OutputExistsError,
+    ZeroTrafficError,
 )
+from .fedtrain import Job, TrainConfig, run_stacked
+from .fedtrain import run  # noqa: F401  perfbench's tests need a call site per traced span
+from .mlp import check_classification_task, layer_shares, make_classification_task, make_test_set
 from .objective import weighted_objective
 from .quadratic import check_quadratic_task, make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
 from .strategies import (
+    STRATEGY_NAMES,
     ExitPools,
-    ExitWeights,
     SamplingMatrix,
     build_sampling_matrix,
-    equal_weight,
     exit_pools,
-    flops_prop,
-    gen_error_adjusted,
+    exit_weights,
 )
 from .theory import (
     bias_bound,
@@ -70,10 +69,13 @@ from .theory import (
 from .topology import (
     RatePlan,
     Topology,
+    array,
     budgets_for_split,
     compute_rate_plan,
     from_node_dicts,
     integer,
+    number,
+    reject_unknown_keys,
 )
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
@@ -96,9 +98,6 @@ CSV_COLUMNS = [
     "empirical_opt_error",
 ]
 
-STRATEGY_NAMES = ("equal", "flops_prop", "serving_rate", "gen_error_adj")
-
-
 @dataclass(frozen=True)
 class StrategySpec:
     name: str
@@ -120,18 +119,14 @@ class ExperimentConfig:
     topology: Topology
     splits: tuple[SplitSpec, ...]
     partitions: tuple[str, ...]
-    total_samples: int
+    total_samples: int  # 0 for a quadratic task, which takes its sizes from the tree
     test_samples: int
-    task: dict
+    task: dict  # the task's kind and the builder's parsed keyword arguments
     flops: tuple[float, ...]
     strategies: tuple[StrategySpec, ...]
     training: dict
     seeds: tuple[int, ...]
     output_dir: str
-
-
-def _split_label(entries) -> str:
-    return "-".join(f"{float(v):g}" for v in entries)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -161,25 +156,24 @@ def _check_grid_axis(what: str, values) -> None:
         seen.add(value)
 
 
-# A whole-number config value; int() would cut a fractional one.
-_integer = functools.partial(integer, error=ConfigParseError)
+# The config's readers: every value parse_config reads goes through one.
+_integer, _number, _list, _reject_unknown_keys = (
+    functools.partial(reader, error=ConfigParseError)
+    for reader in (integer, number, array, reject_unknown_keys)
+)
+
+
+def _numbers(what: str, values) -> tuple[float, ...]:
+    """A JSON array of numbers as a tuple of floats."""
+    return tuple(_number(what, v) for v in _list(what, values))
 
 
 def _seeds(values) -> tuple[int, ...]:
-    seeds = tuple(_integer("seed", s) for s in values)
+    seeds = tuple(_integer("seed", s) for s in _list("seeds", values))
     _check_grid_axis("seed", seeds)
     if min(seeds) < 0:
         raise ConfigParseError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
-
-
-def _reject_unknown_keys(what: str, section: dict, known) -> None:
-    """Refuse a non-object or an unread key, so a misspelt one cannot fall back to a default."""
-    if not isinstance(section, dict):
-        raise ConfigParseError(f"{what} must be a JSON object, got {section!r}")
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ConfigParseError(f"unknown {what} keys {unknown}; known: {sorted(known)}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -200,8 +194,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ZeroTrafficError("no node has a positive arrival rate, so nothing is served")
         splits = []
         if "splits" in serving:
-            for entry in serving["splits"]:
-                vec = np.asarray(entry, dtype=float)
+            for entry in _list("serving splits", serving["splits"]):
+                vec = np.asarray(_numbers("split", entry))
                 if vec.shape != (topo.num_exits,):
                     raise ConfigParseError(
                         f"split {entry} needs one entry per exit ({topo.num_exits})"
@@ -210,11 +204,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     raise ConfigParseError(f"bad split {entry}")
                 fractions = vec / vec.sum()
                 plan = compute_rate_plan(topo.with_budgets(budgets_for_split(topo, fractions)))
-                splits.append(SplitSpec(_split_label(entry), tuple(fractions), plan))
+                label = "-".join(f"{v:g}" for v in vec)
+                splits.append(SplitSpec(label, tuple(fractions), plan))
             _check_grid_axis("split", [s.label for s in splits])
         else:
             _reject_unknown_keys("serving budgets", serving["budgets"], topo.by_id)
-            budgets = {str(k): float(v) for k, v in serving["budgets"].items()}
+            budgets = {k: _number(f"budget of {k}", v) for k, v in serving["budgets"].items()}
             for node, value in budgets.items():
                 if not value >= 0:
                     raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
@@ -225,49 +220,49 @@ def parse_config(raw: dict) -> ExperimentConfig:
         kind = task.get("kind") if isinstance(task, dict) else None
         if kind not in TASK_KEYS:
             raise ConfigParseError(f"task needs a kind in {sorted(TASK_KEYS)}, got {task!r}")
-        _reject_unknown_keys(f"{kind} task", task, TASK_KEYS[kind])
+        _reject_unknown_keys(f"{kind} task", task, ("kind", *TASK_KEYS[kind]))
+        task_args = _task_args(task)
         check = check_quadratic_task if kind == "quadratic" else check_classification_task
         try:
-            check(**_task_args(task))
+            check(**task_args)
         except ValueError as exc:
             raise ConfigParseError(f"bad task section: {exc}") from exc
         _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
         _train_config(raw["training"], kind, seed=0)
 
-        data = raw.get("data", {})
-        _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
-        partitions = tuple(data.get("partitions", ("none",)))
-        _check_grid_axis("partition", partitions)
-        if kind == "quadratic" and partitions != ("none",):
-            raise ConfigParseError("quadratic tasks take their sizes from the topology")
-        if kind == "mlp" and partitions == ("none",):
-            raise ConfigParseError("mlp tasks need data.partitions")
-        if kind == "mlp":
+        if kind == "quadratic":
+            if "data" in raw:
+                raise ConfigParseError(
+                    "a quadratic task reads no data section: its sizes come from the nodes"
+                )
+            partitions, samples = ("none",), (0, 0)
+        else:
+            data = raw["data"]
+            _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
+            partitions = tuple(_list("partitions", data["partitions"]))
+            _check_grid_axis("partition", partitions)
             for name in partitions:
-                if name not in PARTITIONS:
-                    raise ConfigParseError(
-                        f"unknown partition {name!r}; known: {sorted(PARTITIONS)}"
-                    )
-                if len(PARTITIONS[name]) != topo.num_exits:
-                    raise ConfigParseError(
-                        f"partition {name!r} has {len(PARTITIONS[name])} layer shares "
-                        f"but the tree has {topo.num_exits} exits"
-                    )
+                layer_shares(name, topo.num_exits)
+            samples = []
+            for key in ("total_samples", "test_samples"):
+                samples.append(_integer(f"data {key}", data[key]))
+                if samples[-1] < 1:
+                    raise ConfigParseError(f"data {key} must be >= 1, got {samples[-1]}")
 
         strategies = []
-        for s in raw["strategies"]:
+        for s in _list("strategies", raw["strategies"]):
             _reject_unknown_keys("strategy", s, ("name", "k"))
             name = s["name"]
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
-            k = float(s.get("k", 0.0))
+            k = _number("strategy k", s.get("k", 0.0))
             # build_sampling_matrix may raise InvalidKError.
             strategies.append(StrategySpec(name, k, build_sampling_matrix(topo, k)))
         _check_grid_axis("strategy", [f"{s.name} with k={s.k:g}" for s in strategies])
 
         seeds = _seeds(raw["seeds"])
 
-        flops = tuple(float(f) for f in raw.get("flops", REFERENCE_FLOPS))
+        flops = _numbers("flops", raw["flops"]) if "flops" in raw else REFERENCE_FLOPS
         if len(flops) != topo.num_exits:
             raise ConfigParseError("need one flops value per exit")
         if not all(0 < f < np.inf for f in flops):
@@ -277,9 +272,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             topology=topo,
             splits=tuple(splits),
             partitions=partitions,
-            total_samples=_integer("total_samples", data.get("total_samples", 0)),
-            test_samples=_integer("test_samples", data.get("test_samples", 0)),
-            task=dict(task),
+            total_samples=samples[0],
+            test_samples=samples[1],
+            task={"kind": kind, **task_args},
             flops=flops,
             strategies=tuple(strategies),
             training=dict(raw["training"]),
@@ -294,40 +289,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(str(exc)) from exc
 
 
-# The keys _task_args reads from the task section, per kind.
+# Per task kind, the reader and default of each key of the task section; each
+# key is a keyword argument of the kind's task builder.
 TASK_KEYS = {
-    "quadratic": ("kind", "dim", "eig_range", "sigma_range", "center_scale"),
-    "mlp": ("kind", "input_dim", "hidden_dim", "num_classes", "teacher_gain"),
+    "quadratic": {"dim": (_integer, 4), "eig_range": (_numbers, [1.0, 2.0]),
+                  "sigma_range": (_numbers, [0.0, 0.5]), "center_scale": (_number, 1.0)},
+    "mlp": {"input_dim": (_integer, 16), "hidden_dim": (_integer, 32),
+            "num_classes": (_integer, 3), "teacher_gain": (_number, 1.5)},
 }
 
 
 def _task_args(spec: dict) -> dict:
     """The task builder's keyword arguments that the task section sets, defaults filled in."""
-    if spec["kind"] == "quadratic":
-        return dict(
-            dim=_integer("task dim", spec.get("dim", 4)),
-            eig_range=tuple(spec.get("eig_range", (1.0, 2.0))),
-            sigma_range=tuple(spec.get("sigma_range", (0.0, 0.5))),
-            center_scale=float(spec.get("center_scale", 1.0)),
-        )
-    return dict(
-        input_dim=_integer("task input_dim", spec.get("input_dim", 16)),
-        hidden_dim=_integer("task hidden_dim", spec.get("hidden_dim", 32)),
-        num_classes=_integer("task num_classes", spec.get("num_classes", 3)),
-        teacher_gain=float(spec.get("teacher_gain", 1.5)),
-    )
+    return {key: read(f"task {key}", spec.get(key, default))
+            for key, (read, default) in TASK_KEYS[spec["kind"]].items()}
 
 
 def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     """Client data depend on the tree's structure and sizes, never on budgets."""
+    args = {key: value for key, value in cfg.task.items() if key != "kind"}
     if cfg.task["kind"] == "quadratic":
-        return make_quadratic_task(cfg.topology, **_task_args(cfg.task), seed=seed)
+        return make_quadratic_task(cfg.topology, **args, seed=seed)
     return make_classification_task(
-        cfg.topology,
-        partition=partition,
-        total_samples=cfg.total_samples,
-        **_task_args(cfg.task),
-        seed=seed,
+        cfg.topology, partition=partition, total_samples=cfg.total_samples, **args, seed=seed
     )
 
 
@@ -347,15 +331,19 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
 
     Raises:
         ConfigParseError: ``rounds`` or ``local_steps`` is missing, an integer
-            field has a fractional part, a value is refused by
-            ``TrainConfig``, or an mlp task asks for the theory schedule,
-            which needs curvature constants an mlp does not have.
+            field has a fractional part, a rate is not a number, a value is
+            refused by ``TrainConfig``, the theory schedule is given a
+            ``base_lr`` it never reads, or an mlp task asks for the theory
+            schedule, which needs curvature constants an mlp does not have.
     """
     for key in ("rounds", "local_steps"):
         if key not in training:
             raise ConfigParseError(f"training needs {key!r}")
-    if kind == "mlp" and training.get("lr_schedule") == "theory":
-        raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
+    if training.get("lr_schedule") == "theory":
+        if kind == "mlp":
+            raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
+        if "base_lr" in training:
+            raise ConfigParseError("the theory schedule reads no base_lr; its steps follow mu")
     args = {}
     for key, value in training.items():
         if key in ("rounds", "local_steps", "batch_size"):
@@ -363,7 +351,7 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
         elif key == "lr_schedule":
             args[key] = value
         else:
-            args[key] = float(value)
+            args[key] = _number(key, value)
     if kind == "quadratic":
         args["mu"], args["smoothness"], args["projection_radius"] = (
             (1.0, 1.0, 1.0) if task is None else (task.mu, task.smoothness, task.radius)
@@ -372,21 +360,6 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
         return TrainConfig(**args, seed=seed)
     except ValueError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
-
-
-def _strategy_weights(
-    spec: StrategySpec,
-    cfg: ExperimentConfig,
-    lam_norm: np.ndarray,
-    pools,
-) -> ExitWeights:
-    if spec.name == "equal":
-        return equal_weight(len(lam_norm))
-    if spec.name == "flops_prop":
-        return flops_prop(cfg.flops)
-    if spec.name == "serving_rate":
-        return ExitWeights(weights=lam_norm)
-    return gen_error_adjusted(lam_norm, pools.sizes, cfg.flops)
 
 
 @dataclass
@@ -460,7 +433,7 @@ def _plan_cell(
 ) -> _Cell:
     """One strategy's cell at one split of a group."""
     pools = exit_pools(group.topology, spec.sampling)
-    weights = _strategy_weights(spec, cfg, np.asarray(split.fractions), pools)
+    weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
     job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
               w_init=group.w_init, label=f"strategy {spec.name}, k={spec.k:g}")
     return _Cell(group, split, spec, pools, job)
@@ -486,15 +459,9 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[
     )
     tv_value = tv_distance(weights.weights, lam_norm)
     proxy = gen_proxy(weights, cfg.flops, pools.sizes)
-    row = {
-        "seed": group.seed,
-        "partition": group.partition,
-        "split": split.label,
-        "strategy": spec.name,
-        "k": spec.k,
-        "tv": tv_value,
-        "gen_proxy": proxy,
-    }
+    identity = {"seed": group.seed, "partition": group.partition, "split": split.label,
+                "strategy": spec.name, "k": spec.k}
+    row = {**identity, "tv": tv_value, "gen_proxy": proxy}
     error_report = {"tv": tv_value, "gen_proxy": proxy}
 
     if task.kind == "mlp":
@@ -547,11 +514,7 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[
         extra = {}
 
     return row, {
-        "seed": group.seed,
-        "partition": group.partition,
-        "split": split.label,
-        "strategy": spec.name,
-        "k": spec.k,
+        **identity,
         "rate_plan": split.plan.to_dict(),
         "exit_weights": [float(v) for v in weights.weights],
         "sampling_probs": {
@@ -627,17 +590,25 @@ def run_experiment(
 
 
 def compare(csv_path: str | Path, baseline: str, candidate: str) -> list[dict]:
-    """Per-(partition, split) mean accuracy deltas, candidate minus baseline."""
+    """Per-(partition, split) mean accuracy deltas, candidate minus baseline.
+
+    Raises:
+        MissingRowsError: no results file, or no paired accuracy rows.
+        MixedKError: a strategy's rows carry more than one ``k``, so one
+            row per seed and cell would stand for several runs.
+    """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise MissingRowsError(f"no such results file: {csv_path}")
     by_cell: dict[tuple[str, str], dict[str, dict[int, float]]] = {}
+    ks: dict[str, set[str]] = {baseline: set(), candidate: set()}
     with csv_path.open() as handle:
         for record in csv.DictReader(handle):
             if record["strategy"] not in (baseline, candidate):
                 continue
             if not record["weighted_acc"]:
                 continue
+            ks[record["strategy"]].add(record["k"])
             cell = (record["partition"], record["split"])
             per_strategy = by_cell.setdefault(cell, {baseline: {}, candidate: {}})
             per_strategy[record["strategy"]][int(record["seed"])] = float(
@@ -647,6 +618,10 @@ def compare(csv_path: str | Path, baseline: str, candidate: str) -> list[dict]:
         raise MissingRowsError(
             f"no accuracy rows for strategies {baseline!r}/{candidate!r}"
         )
+    for name, values in ks.items():
+        if len(values) > 1:
+            raise MixedKError(f"strategy {name!r} has rows at k = {', '.join(sorted(values))}; "
+                              "compare needs one k per strategy")
     out = []
     for (partition, split), per_strategy in sorted(by_cell.items()):
         base_rows, cand_rows = per_strategy[baseline], per_strategy[candidate]

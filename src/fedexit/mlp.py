@@ -313,6 +313,24 @@ def layer_allocation(fractions, total: int, layer_counts: list[int]) -> list[lis
     return out
 
 
+def layer_shares(partition, num_exits: int) -> tuple[float, ...]:
+    """Each exit layer's share of the training data under ``partition``.
+
+    ``partition`` is a name from :data:`PARTITIONS` or explicit shares.
+
+    Raises:
+        ValueError: an unknown name, or not one share per exit of the tree.
+    """
+    explicit = isinstance(partition, (tuple, list))
+    shares = tuple(partition) if explicit else PARTITIONS.get(partition)
+    if shares is None:
+        raise ValueError(f"unknown partition {partition!r}; known: {sorted(PARTITIONS)}")
+    if len(shares) != num_exits:
+        raise ValueError(f"partition {partition!r} has {len(shares)} layer shares "
+                         f"but the tree has {num_exits} exits")
+    return shares
+
+
 def check_classification_task(
     input_dim: int, hidden_dim: int, num_classes: int, teacher_gain: float
 ) -> None:
@@ -347,12 +365,10 @@ def make_classification_task(
 
     Raises:
         ValueError: a layer size or gain :func:`check_classification_task`
-            refuses, or not one layer fraction per exit.
+            refuses, or a partition :func:`layer_shares` refuses.
     """
     check_classification_task(input_dim, hidden_dim, num_classes, teacher_gain)
-    fractions = PARTITIONS[partition] if isinstance(partition, str) else tuple(partition)
-    if len(fractions) != topology.num_exits:
-        raise ValueError("need one layer fraction per exit")
+    fractions = layer_shares(partition, topology.num_exits)
     shell = MlpTask(
         input_dim=input_dim,
         hidden_dim=hidden_dim,

@@ -16,9 +16,8 @@ from .errors import (
     AllZeroWeightsError,
     EmptyPoolError,
     InvalidKError,
-    ZeroTrafficError,
 )
-from .topology import RatePlan, Topology
+from .topology import Topology
 
 SIMPLEX_TOL = 1e-12
 
@@ -68,21 +67,13 @@ def flops_prop(flops) -> ExitWeights:
     return normalized_weights(flops)
 
 
-def serving_rate_weights(plan: RatePlan) -> ExitWeights:
-    """Weights equal to the plan's normalized per-exit serving rates."""
-    if plan.total_rate <= 0:
-        raise ZeroTrafficError("rate plan serves no traffic")
-    return ExitWeights(weights=plan.lambda_exit_normalized)
-
-
 def gen_error_adjusted(rates, pool_sizes, flops) -> ExitWeights:
-    """Serving-rate weights rescaled by per-exit data volume over model cost.
+    """Per-exit serving rates rescaled by per-exit data volume over model cost.
 
-    ``rates`` may be a :class:`RatePlan` or a raw per-exit rate vector. Exits
-    with large serving rates but little pooled training data relative to
-    their cost get their weight damped.
+    Exits with large serving rates but little pooled training data relative
+    to their cost get their weight damped.
     """
-    lam = rates.lambda_exit if isinstance(rates, RatePlan) else np.asarray(rates, dtype=float)
+    lam = np.asarray(rates, dtype=float)
     pools = np.asarray(pool_sizes, dtype=float)
     flops = np.asarray(flops, dtype=float)
     if np.any(flops <= 0):
@@ -91,6 +82,27 @@ def gen_error_adjusted(rates, pool_sizes, flops) -> ExitWeights:
         raise ValueError("pool sizes must be nonnegative")
     raw = lam * pools / flops
     return normalized_weights(raw)
+
+
+STRATEGY_NAMES = ("equal", "flops_prop", "serving_rate", "gen_error_adj")
+
+
+def exit_weights(name: str, split, pool_sizes, flops) -> ExitWeights:
+    """The exit weights of strategy ``name`` at a normalized serving split.
+
+    ``equal`` weighs every exit alike, ``flops_prop`` by its inference cost,
+    ``serving_rate`` by the split itself, and ``gen_error_adj`` by the split
+    rescaled as in :func:`gen_error_adjusted`.
+    """
+    if name == "equal":
+        return equal_weight(len(split))
+    if name == "flops_prop":
+        return flops_prop(flops)
+    if name == "serving_rate":
+        return ExitWeights(weights=split)
+    if name == "gen_error_adj":
+        return gen_error_adjusted(split, pool_sizes, flops)
+    raise ValueError(f"unknown strategy {name!r}")
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,8 @@ class Topology:
         return float(sum(n.arrival_rate for n in self.nodes))
 
 
+# Readers of JSON config values. Each refuses what a bare int(), float() or
+# iteration would silently convert: a bool, a string, a fractional integer.
 def integer(what: str, value, error: type[Exception] = InvalidTopologyError) -> int:
     """``value`` as an int; refuse a bool or a fractional part, which ``int()`` would cut."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -160,41 +162,60 @@ def integer(what: str, value, error: type[Exception] = InvalidTopologyError) -> 
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def number(what: str, value, error: type[Exception] = InvalidTopologyError) -> float:
+    """``value`` as a float; refuse a bool or a string, which ``float()`` would take."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{what} must be a number, got {value!r}")
+
+
+def array(what: str, value, error: type[Exception] = InvalidTopologyError) -> list:
+    """``value`` if it is a JSON array; a string, an object or a scalar iterates wrongly."""
+    if isinstance(value, list):
+        return value
+    raise error(f"{what} must be a JSON array, got {value!r}")
+
+
+def reject_unknown_keys(
+    what: str, section, known, error: type[Exception] = InvalidTopologyError
+) -> None:
+    """Refuse a non-object or an unread key, so a misspelt one cannot fall back to a default."""
+    if not isinstance(section, dict):
+        raise error(f"{what} must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise error(f"unknown {what} keys {unknown}; known: {sorted(known)}")
+
+
 # The keys from_node_dicts reads from a node dict; budgets are set per serving point.
 NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "dataset_size")
 
 
 def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topology:
-    """Build a topology from plain dicts with the keys in ``NODE_KEYS``.
+    """Build a topology from a list of plain dicts with the keys in ``NODE_KEYS``.
 
     Raises:
-        InvalidTopologyError: a node is not a dict or has a key outside
-            ``NODE_KEYS``, so a misspelt one cannot fall back to its default,
-            or an integer field (``exit``, ``dataset_size``, ``num_exits``)
-            is not whole.
+        InvalidTopologyError: ``entries`` is not a list, a node is not a
+            dict or has a key outside ``NODE_KEYS``, so a misspelt one
+            cannot fall back to its default, an integer field (``exit``,
+            ``dataset_size``, ``num_exits``) is not whole, or
+            ``arrival_rate`` is not a number.
         ValueError: a value :class:`NodeSpec` refuses.
     """
-    for d in entries:
-        if not isinstance(d, dict):
-            raise InvalidTopologyError(f"node must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - set(NODE_KEYS))
-        if unknown:
-            raise InvalidTopologyError(
-                f"node {d.get('id')!r}: unknown keys {unknown}; known: {sorted(NODE_KEYS)}"
-            )
-    nodes = tuple(
-        NodeSpec(
+    nodes = []
+    for d in array("topology nodes", entries):
+        reject_unknown_keys(f"node {d.get('id')!r}" if isinstance(d, dict) else "node", d,
+                            NODE_KEYS)
+        nodes.append(NodeSpec(
             id=str(d["id"]),
             parent=(None if d.get("parent") in (None, "") else str(d["parent"])),
             exit=integer(f"node {d['id']}: exit", d["exit"]),
-            arrival_rate=float(d.get("arrival_rate", 0.0)),
+            arrival_rate=number(f"node {d['id']}: arrival_rate", d.get("arrival_rate", 0.0)),
             dataset_size=integer(f"node {d['id']}: dataset_size", d.get("dataset_size", 0)),
-        )
-        for d in entries
-    )
+        ))
     if num_exits is None:
         num_exits = max(n.exit for n in nodes)
-    return Topology(nodes=nodes, num_exits=integer("num_exits", num_exits))
+    return Topology(nodes=tuple(nodes), num_exits=integer("num_exits", num_exits))
 
 
 def validate(topology: Topology) -> None:

@@ -16,6 +16,7 @@ from fedexit.errors import (
     ConfigParseError,
     InvalidTopologyError,
     MissingRowsError,
+    MixedKError,
     SingularSystemError,
 )
 from fedexit.experiment import (
@@ -393,7 +394,7 @@ class TestParseConfig:
             ({"dataset_size": 100.9}, "node dev1: dataset_size must be an integer, got 100.9"),
             ({"arrival_rate": float("nan")}, "node dev1: arrival_rate must be finite"),
             ({"arrival_rate": float("inf")}, "node dev1: arrival_rate must be finite"),
-            ({"budget": float("nan")}, r"node 'dev1': unknown keys \['budget'\]"),
+            ({"budget": float("nan")}, r"unknown node 'dev1' keys \['budget'\]"),
         ],
         ids=["fractional-exit", "bool-exit", "fractional-size", "nan-arrival", "inf-arrival",
              "nan-budget"],
@@ -754,6 +755,25 @@ class TestCompare:
         with pytest.raises(MissingRowsError):
             compare(csv_path, "equal", "flops_prop")
 
+    def test_strategy_with_several_k_is_refused(self, tmp_path, capsys):
+        # Rows were keyed by strategy name alone, so the k=0.2 row of each
+        # seed silently replaced the k=0 and k=0.1 rows.
+        csv_path = tmp_path / "results.csv"
+        rows = [",".join(CSV_COLUMNS)]
+        for strategy, k, acc in [("equal", 0.0, 0.5), ("serving_rate", 0.0, 0.6),
+                                 ("serving_rate", 0.1, 0.7), ("serving_rate", 0.2, 0.8)]:
+            row = {"seed": 1, "partition": "equal", "split": "45-35-20", "strategy": strategy,
+                   "k": k, "weighted_acc": acc}
+            rows.append(",".join(str(row.get(col, "")) for col in CSV_COLUMNS))
+        csv_path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MixedKError, match=r"'serving_rate' has rows at k = 0.0, 0.1, 0.2"):
+            compare(csv_path, "equal", "serving_rate")
+        code = cli_main(["compare", str(csv_path), "--baseline", "serving_rate",
+                         "--candidate", "equal"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: strategy 'serving_rate' has rows at k")
+        assert compare(csv_path, "equal", "equal")[0]["delta_mean"] == 0.0
+
 
 class TestCli:
     def test_run_and_compare(self, tmp_path, capsys):
@@ -878,7 +898,7 @@ class TestCli:
             ("quadratic_bounds", {"training": {"projection_radius": 5.0}},
              f"error: unknown training keys ['projection_radius']; known: {TRAINING}"),
             ("quadratic_bounds", {"node": {"budget": 0.3}},
-             f"error: node 'dev1': unknown keys ['budget']; known: {NODE}"),
+             f"error: unknown node 'dev1' keys ['budget']; known: {NODE}"),
             ("strategy_grid_equal", {"training": {"lr_schedule": "theory"}},
              "error: the theory schedule needs a quadratic task's mu/smoothness"),
             ("quadratic_bounds", {"strategies": []}, "error: need at least one strategy"),
@@ -896,29 +916,88 @@ class TestCli:
              "error: topology must be a JSON object, got 'tree'"),
             ("quadratic_bounds", {"serving": {"budgets": [0.5]}},
              "error: serving budgets must be a JSON object, got [0.5]"),
+            ("offexit_sweep_cloud_bias", {"strategies": [{"name": "serving_rate", "k": "0.1"}]},
+             "error: strategy k must be a number, got '0.1'"),
+            ("strategy_grid_equal", {"training": {"base_lr": "0.2"}},
+             "error: base_lr must be a number, got '0.2'"),
+            ("quadratic_bounds", {"training": {"server_lr": True}},
+             "error: server_lr must be a number, got True"),
+            ("quadratic_bounds", {"node": {"arrival_rate": True}},
+             "error: node dev1: arrival_rate must be a number, got True"),
+            ("strategy_grid_equal", {"task": {"kind": "mlp", "teacher_gain": "2.5"}},
+             "error: task teacher_gain must be a number, got '2.5'"),
+            ("quadratic_bounds", {"task": {"kind": "quadratic", "center_scale": "1"}},
+             "error: task center_scale must be a number, got '1'"),
+            ("strategy_grid_equal", {"flops": ["1e8", "7e8", "2e9"]},
+             "error: flops must be a number, got '1e8'"),
+            ("quadratic_bounds", {"serving": {"splits": [[True, False, False]]}},
+             "error: split must be a number, got True"),
+            ("quadratic_bounds", {"serving": {"budgets": {"edge1": "0.5"}}},
+             "error: budget of edge1 must be a number, got '0.5'"),
+            ("strategy_grid_equal", {"data": {"partitions": "equal"}},
+             "error: partitions must be a JSON array, got 'equal'"),
+            ("quadratic_bounds", {"strategies": {"name": "equal"}},
+             "error: strategies must be a JSON array, got {'name': 'equal'}"),
+            ("quadratic_bounds", {"seeds": 5}, "error: seeds must be a JSON array, got 5"),
+            ("quadratic_bounds", {"serving": {"splits": "45-35-20"}},
+             "error: serving splits must be a JSON array, got '45-35-20'"),
+            ("quadratic_bounds", {"serving": {"splits": ["45-35-20"]}},
+             "error: split must be a JSON array, got '45-35-20'"),
+            ("quadratic_bounds", {"task": {"kind": "quadratic", "eig_range": {"low": 1}}},
+             "error: task eig_range must be a JSON array, got {'low': 1}"),
+            ("quadratic_bounds", {"topology": {"nodes": "cloud"}},
+             "error: topology nodes must be a JSON array, got 'cloud'"),
+            ("quadratic_bounds", {"data": {"total_samples": 1200}},
+             "error: a quadratic task reads no data section: its sizes come from the nodes"),
+            ("quadratic_bounds", {"training": {"base_lr": 0.1}},
+             "error: the theory schedule reads no base_lr; its steps follow mu"),
         ],
         ids=["nan-arrival", "missing-key", "momentum", "mu-smoothness", "projection-radius",
              "node-budget", "mlp-theory", "no-strategies", "no-partitions", "string-strategy",
              "string-serving", "string-node", "string-task", "string-topology",
-             "list-budgets"],
+             "list-budgets", "string-k", "string-base-lr", "bool-server-lr", "bool-arrival",
+             "string-gain", "string-center", "string-flops", "bool-split", "string-budget",
+             "string-partitions", "object-strategies", "scalar-seeds", "string-splits",
+             "string-split", "object-eig-range", "string-nodes", "quadratic-data",
+             "theory-base-lr"],
     )
     def test_refusal_is_one_plain_line(self, tmp_path, capsys, config, edit, line):
         # These used to print a repr, as in "error: malformed config:
         # ValueError('node dev1: ...')" or "KeyError('strategies')", to run
-        # (momentum, mu, projection_radius, a node budget), to end in a raw
-        # traceback (no strategies or partitions, a string node), or to
-        # name the characters of a string ("unknown strategy keys ['a', ...]").
+        # (momentum, mu, projection_radius, a node budget, string or bool
+        # numbers, a quadratic data section, base_lr under the theory
+        # schedule), to end in a raw traceback (no strategies or partitions,
+        # a string node), or to name the characters of a string ("unknown
+        # strategy keys ['a', ...]", "unknown partition 'e'").
         raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
         edit = dict(edit)
         raw["topology"]["nodes"][3].update(edit.pop("node", {}))
         raw.pop(edit.pop("drop", None), None)
         for section in {"data", "training"} & set(edit):
-            raw[section].update(edit.pop(section))
+            raw.setdefault(section, {}).update(edit.pop(section))
         raw.update(edit)
         path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, -5, 0])
+    @pytest.mark.parametrize("key", ["total_samples", "test_samples"])
+    def test_mlp_sample_counts_are_required(self, tmp_path, capsys, key, value):
+        # A missing count was refused only once training (total_samples) or
+        # all training (test_samples) had run, and -5 ended in a raw
+        # numpy ValueError.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["data"][key] = value
+        if value is None:
+            del raw["data"][key]
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
+        expected = (f"missing key {key!r}" if value is None
+                    else f"data {key} must be >= 1, got {value}")
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not out.exists()
 
     def test_bad_task_is_reported(self, tmp_path, capsys):

@@ -20,10 +20,10 @@ from fedexit.mlp import (
 
 
 def small_task(seed=3, total=210, **kwargs):
-    defaults = dict(input_dim=5, hidden_dim=6, num_classes=3)
+    defaults = dict(input_dim=5, hidden_dim=6, num_classes=3, partition="equal")
     defaults.update(kwargs)
     return make_classification_task(
-        seven_node_topology(), partition="equal", total_samples=total, seed=seed, **defaults
+        seven_node_topology(), total_samples=total, seed=seed, **defaults
     )
 
 
@@ -184,6 +184,18 @@ class TestDataGeneration:
     def test_empty_layer_rejected(self, dim):
         with pytest.raises(ValueError, match=dim):
             small_task(**{dim: 0})
+
+    @pytest.mark.parametrize(
+        "partition, message",
+        [("equl", r"unknown partition 'equl'; known: \['cloud_bias_minus'"),
+         ((0.5, 0.5), r"partition \(0.5, 0.5\) has 2 layer shares but the tree has 3 exits")],
+        ids=["unknown-name", "wrong-length"],
+    )
+    def test_partition_refused_as_parse_refuses_it(self, partition, message):
+        # An unknown name used to raise a bare KeyError('equl'), and a wrong
+        # length "need one layer fraction per exit".
+        with pytest.raises(ValueError, match=message):
+            small_task(partition=partition)
 
     def test_allocation_fractions(self):
         counts = layer_allocation(PARTITIONS["cloud_bias_plus"], 1000, [4, 2, 1])

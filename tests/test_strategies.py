@@ -12,18 +12,18 @@ from fedexit.errors import (
     AllZeroWeightsError,
     EmptyPoolError,
     InvalidKError,
-    ZeroTrafficError,
 )
 from fedexit.strategies import (
+    STRATEGY_NAMES,
     ExitWeights,
     build_sampling_matrix,
     equal_weight,
     exit_pools,
+    exit_weights,
     flops_prop,
     gen_error_adjusted,
-    serving_rate_weights,
 )
-from fedexit.topology import RatePlan, budgets_for_split, compute_rate_plan
+from fedexit.topology import budgets_for_split, compute_rate_plan
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
 
@@ -67,20 +67,38 @@ class TestFlopsProp:
 
 
 class TestServingRateWeights:
+    def serving_rate(self, topo):
+        split = compute_rate_plan(topo).lambda_exit_normalized
+        return exit_weights("serving_rate", split, [100, 100, 100], REFERENCE_FLOPS)
+
     def test_derived_plan(self):
         topo = seven_node_topology(device_budget=0.6, edge_budget=0.8)
-        w = serving_rate_weights(compute_rate_plan(topo))
+        w = self.serving_rate(topo)
         np.testing.assert_allclose(w.weights, [0.4, 0.2, 0.4], atol=1e-12)
 
     def test_one_hot(self):
         topo = seven_node_topology(device_budget=0.0, edge_budget=0.0)
-        w = serving_rate_weights(compute_rate_plan(topo))
+        w = self.serving_rate(topo)
         np.testing.assert_allclose(w.weights, [1, 0, 0])
 
-    def test_zero_traffic(self):
-        plan = RatePlan(transmit={}, serve={}, fraction={}, lambda_exit=np.zeros(3))
-        with pytest.raises(ZeroTrafficError):
-            serving_rate_weights(plan)
+
+class TestExitWeights:
+    def test_each_name_is_its_rule(self):
+        split, pools = (0.5, 0.3, 0.2), [300, 200, 100]
+        expected = {
+            "equal": equal_weight(3),
+            "flops_prop": flops_prop(REFERENCE_FLOPS),
+            "serving_rate": ExitWeights(weights=split),
+            "gen_error_adj": gen_error_adjusted(split, pools, REFERENCE_FLOPS),
+        }
+        assert tuple(expected) == STRATEGY_NAMES
+        for name, weights in expected.items():
+            got = exit_weights(name, split, pools, REFERENCE_FLOPS).weights
+            np.testing.assert_array_equal(got, weights.weights)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown strategy 'mystery'"):
+            exit_weights("mystery", (1.0,), [1], [1.0])
 
 
 class TestGenErrorAdjusted:
@@ -99,12 +117,6 @@ class TestGenErrorAdjusted:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroWeightsError):
             gen_error_adjusted(np.array([1.0, 1.0]), [0, 0], [1, 1])
-
-    def test_accepts_rate_plan(self):
-        topo = seven_node_topology(device_budget=0.6, edge_budget=0.8)
-        plan = compute_rate_plan(topo)
-        w = gen_error_adjusted(plan, [100, 100, 100], [1, 1, 1])
-        np.testing.assert_allclose(w.weights, [0.4, 0.2, 0.4], atol=1e-12)
 
 
 class TestSamplingMatrix:
