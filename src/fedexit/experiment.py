@@ -76,6 +76,7 @@ from .topology import (
     integer,
     number,
     reject_unknown_keys,
+    string,
 )
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
@@ -157,9 +158,9 @@ def _check_grid_axis(what: str, values) -> None:
 
 
 # The config's readers: every value parse_config reads goes through one.
-_integer, _number, _list, _reject_unknown_keys = (
+_integer, _number, _list, _string, _reject_unknown_keys = (
     functools.partial(reader, error=ConfigParseError)
-    for reader in (integer, number, array, reject_unknown_keys)
+    for reader in (integer, number, array, string, reject_unknown_keys)
 )
 
 
@@ -217,7 +218,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             splits.append(SplitSpec("budgets", tuple(plan.lambda_exit_normalized), plan))
 
         task = raw["task"]
-        kind = task.get("kind") if isinstance(task, dict) else None
+        has_kind = isinstance(task, dict) and "kind" in task
+        kind = _string("task kind", task["kind"]) if has_kind else None
         if kind not in TASK_KEYS:
             raise ConfigParseError(f"task needs a kind in {sorted(TASK_KEYS)}, got {task!r}")
         _reject_unknown_keys(f"{kind} task", task, ("kind", *TASK_KEYS[kind]))
@@ -239,7 +241,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         else:
             data = raw["data"]
             _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
-            partitions = tuple(_list("partitions", data["partitions"]))
+            partitions = tuple(
+                _string("partition", name) for name in _list("partitions", data["partitions"])
+            )
             _check_grid_axis("partition", partitions)
             for name in partitions:
                 layer_shares(name, topo.num_exits)
@@ -252,7 +256,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         strategies = []
         for s in _list("strategies", raw["strategies"]):
             _reject_unknown_keys("strategy", s, ("name", "k"))
-            name = s["name"]
+            name = _string("strategy name", s["name"])
             if name not in STRATEGY_NAMES:
                 raise ConfigParseError(f"unknown strategy {name!r}")
             k = _number("strategy k", s.get("k", 0.0))
@@ -279,7 +283,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             strategies=tuple(strategies),
             training=dict(raw["training"]),
             seeds=seeds,
-            output_dir=str(raw.get("output_dir", "results")),
+            output_dir=_string("output_dir", raw.get("output_dir", "results")),
         )
     except KeyError as exc:
         raise ConfigParseError(f"missing key {exc.args[0]!r}") from exc
@@ -349,7 +353,7 @@ def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfi
         if key in ("rounds", "local_steps", "batch_size"):
             args[key] = _integer(key, value)
         elif key == "lr_schedule":
-            args[key] = value
+            args[key] = _string(key, value)
         else:
             args[key] = _number(key, value)
     if kind == "quadratic":

@@ -10,7 +10,9 @@ origin-centered ball. All randomness comes from streams keyed by
 order. A run computes the states of all its round streams at once with
 :func:`rng.stream_states` and reseats one reused generator from that table
 before each draw site, which gives the same draws as opening each stream
-with :func:`rng.stream`.
+with :func:`rng.stream`. Before round 1 it also draws every round's exits
+from that table, so a round only reseats for its noise and batch draws and
+does arithmetic.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
@@ -21,9 +23,9 @@ slab with one batched matmul per local step and draws each client's noise for
 all of its local steps at once, and the MLP steps each (job, client) row on
 its own. Jobs that share a seed, a task and a sampling matrix draw the same
 exits and local streams, so they share one stream table and one exit draw per
-round. The result is bit-identical to calling :func:`local_update` and
-:func:`aggregate` per client and per job, which stay the reference
-implementation.
+round, all drawn before round 1. The result is bit-identical to calling
+:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round,
+per client and per job, which stay the reference implementation.
 """
 
 from __future__ import annotations
@@ -362,7 +364,9 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     client and per job: the same streams give the same draws, and each job's
     deltas are summed in the same ascending client order with the same
     coefficients. Jobs with the same seed, task and sampling matrix form one
-    stream set, which samples its exits once per round.
+    stream set, which samples its exits once per round. The exits of every
+    round are drawn before the first; a round whose exits a job samples with
+    p=0 is still refused in that round.
 
     The task class's ``local_phase(jobs, job_set)`` returns
     ``phase(w, exits, gen, states, etas)``: from the broadcast models, the
@@ -385,12 +389,19 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
         for job in jobs
     ])
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
-    sample_states = np.empty((rounds, len(leads), 4), dtype=np.uint64)
-    local_states = np.empty((rounds, len(leads) * n, 4), dtype=np.uint64)
-    for s, job in enumerate(leads):
-        sample_states[:, s], local_states[:, s * n:(s + 1) * n] = _round_states(job.cfg, n)
     # One generator serves every stream: each is done drawing before the next reseat.
     gen = np.random.default_rng(0)
+    # Every round's exits, drawn before round 1 as _sample_exits draws them:
+    # one uniform per client from the round's sample stream, then the count
+    # of cumulative probabilities <= it, capped at the last exit.
+    u = np.empty((rounds, len(leads), n))
+    local_states = np.empty((rounds, len(leads) * n, 4), dtype=np.uint64)
+    for s, job in enumerate(leads):
+        sample_states, local_states[:, s * n:(s + 1) * n] = _round_states(job.cfg, n)
+        for t, state in enumerate(sample_states):
+            rngmod.reseat(gen, state).random(out=u[t, s])
+    cumsum = np.stack([job.sampling.row_cumsum for job in leads])
+    exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), first.sampling.num_exits - 1)
     local_phase = type(first.task).local_phase(jobs, job_set)
 
     # Per job: aggregate_preprojection's coefficient for every pair it can be
@@ -408,10 +419,7 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     radius = np.array([job.cfg.projection_radius for job in jobs])
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        set_exits = np.stack([
-            _sample_exits(job.sampling, rngmod.reseat(gen, sample_states[t - 1, s]))
-            for s, job in enumerate(leads)
-        ])
+        set_exits = exit_table[t - 1]
         w_end = local_phase(w, set_exits, gen, local_states[t - 1], etas[t - 1])
         exits = set_exits[job_set]
         at = rows + (exits,)  # job r's client i on its sampled exit is entry [r, i]

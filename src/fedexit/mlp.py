@@ -192,11 +192,12 @@ class MlpTask:
         dh = dlogits @ head_w
         for b in range(exit, 0, -1):
             dz = dh * (1.0 - states[b] ** 2)
-            weight, _ = self._block(w, b)
             grad_w, grad_b = self._block(grad, b)
             grad_w[:] = dz.T @ states[b - 1]
             grad_b[:] = dz.sum(axis=0)
-            dh = dz @ weight
+            if b > 1:  # h_0 is the input, whose gradient nothing reads
+                weight, _ = self._block(w, b)
+                dh = dz @ weight
         return grad
 
     def full_gradient(self, w: np.ndarray, client: str, exit: int) -> np.ndarray:

@@ -9,11 +9,14 @@ A round loop opens one stream per round and one per (round, client), and
 building each through ``SeedSequence`` costs more than the draws it serves.
 So the loop builds a table once per run instead: :func:`stream_states`
 reproduces ``SeedSequence``'s hashing and PCG64's seeding for a whole
-``(K, L)`` array of key paths at once and returns each stream's 128-bit state
-and increment as four 64-bit words, 32 bytes per stream. :func:`reseat` then
-points one reused ``Generator`` at a row of that table. It gives the same
-draws as a fresh ``stream(seed, *key)``; the tests check this against
-:func:`stream` for multi-word seeds and every key length the loop uses.
+``(K, L)`` array of key paths at once, with no loop over rows: the hashing
+runs on 32-bit words and the 128-bit seeding arithmetic on 32-bit limbs, all
+held in numpy arrays. It returns each stream's 128-bit state and increment
+as four 64-bit words, 32 bytes per stream. :func:`reseat` then points one
+reused ``Generator`` at a row of that table. It gives the same draws as a
+fresh ``stream(seed, *key)``; the tests check the table against numpy's own
+seeding, and the draws against :func:`stream`, for multi-word seeds and
+every key length the loop uses.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# PCG64's default 128-bit LCG multiplier.
+# PCG64's default 128-bit LCG multiplier, as little-endian 32-bit limbs.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_LIMBS = tuple((_PCG_MULT >> (32 * i)) & _MASK32 for i in range(4))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -116,29 +118,60 @@ def stream_states(seed: int, keys) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
 
-    # generate_state(4, uint64): eight 32-bit words from the cycled pool,
-    # paired little end first into four 64-bit words.
+    # generate_state(4, uint64): eight 32-bit words from the cycled pool.
+    # Words 0-3 are the initial state and 4-7 the stream selector, each
+    # pair little end first and the high 64-bit word first, so their
+    # little-endian 32-bit limbs are words (2, 3, 0, 1) and (6, 7, 4, 5).
     rows = keys.shape[0]
     const = _INIT_B
     words = []
     for i in range(8):
         word, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
         words.append(np.broadcast_to(word, (rows,)).astype(np.uint64))
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
-    )
+    initstate = [words[i] for i in (2, 3, 0, 1)]
+    initseq = [words[i] for i in (6, 7, 4, 5)]
 
-    # PCG64 seeding: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc.
-    def pcg_words():
-        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            yield state >> 64
-            yield state & _MASK64
-            yield inc >> 64
-            yield inc & _MASK64
+    # PCG64 seeding, inc = 2 * initseq + 1 and state = (inc + initstate) *
+    # mult + inc mod 2**128, on 32-bit limbs held in uint64 so that no sum
+    # or product of two limbs overflows.
+    inc = [((initseq[0] << 1) | 1) & _MASK32] + [
+        ((word << 1) | (lower >> 31)) & _MASK32 for word, lower in zip(initseq[1:], initseq)
+    ]
+    state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT_LIMBS), inc)
+    table = np.empty((rows, 4), dtype=np.uint64)
+    for col, limbs in enumerate((state[2:], state[:2], inc[2:], inc[:2])):
+        table[:, col] = limbs[0] | (limbs[1] << 32)
+    return table
 
-    return np.fromiter(pcg_words(), dtype=np.uint64, count=4 * rows).reshape(rows, 4)
+
+def _carry(columns: list) -> list:
+    """Limbs mod 2**128 of a number given as column sums of 32-bit places."""
+    limbs, carry = [], 0
+    for column in columns:
+        column = column + carry
+        limbs.append(column & _MASK32)
+        carry = column >> 32
+    return limbs
+
+
+def _add128(a: list, b: list) -> list:
+    return _carry([x + y for x, y in zip(a, b)])
+
+
+def _mul128(a: list, b: tuple) -> list:
+    """``a * b`` mod 2**128: limb arrays ``a`` times the constant limbs ``b``.
+
+    Each limb product is below 2**64, so its low half goes to its own column
+    and its high half to the next; no column sum reaches 2**36.
+    """
+    columns = [0] * 4
+    for i in range(4):
+        for j in range(4 - i):
+            product = a[i] * b[j]
+            columns[i + j] = columns[i + j] + (product & _MASK32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+    return _carry(columns)
 
 
 def reseat(gen: np.random.Generator, state: np.ndarray) -> np.random.Generator:

@@ -176,6 +176,13 @@ def array(what: str, value, error: type[Exception] = InvalidTopologyError) -> li
     raise error(f"{what} must be a JSON array, got {value!r}")
 
 
+def string(what: str, value, error: type[Exception] = InvalidTopologyError) -> str:
+    """``value`` if it is a JSON string; ``str()`` would turn a list or a number into a name."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{what} must be a string, got {value!r}")
+
+
 def reject_unknown_keys(
     what: str, section, known, error: type[Exception] = InvalidTopologyError
 ) -> None:
@@ -197,21 +204,23 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
     Raises:
         InvalidTopologyError: ``entries`` is not a list, a node is not a
             dict or has a key outside ``NODE_KEYS``, so a misspelt one
-            cannot fall back to its default, an integer field (``exit``,
-            ``dataset_size``, ``num_exits``) is not whole, or
-            ``arrival_rate`` is not a number.
+            cannot fall back to its default, ``id`` or a non-null ``parent``
+            is not a string, an integer field (``exit``, ``dataset_size``,
+            ``num_exits``) is not whole, or ``arrival_rate`` is not a number.
         ValueError: a value :class:`NodeSpec` refuses.
     """
     nodes = []
     for d in array("topology nodes", entries):
         reject_unknown_keys(f"node {d.get('id')!r}" if isinstance(d, dict) else "node", d,
                             NODE_KEYS)
+        node = string("node id", d["id"])
+        parent = d.get("parent")
         nodes.append(NodeSpec(
-            id=str(d["id"]),
-            parent=(None if d.get("parent") in (None, "") else str(d["parent"])),
-            exit=integer(f"node {d['id']}: exit", d["exit"]),
-            arrival_rate=number(f"node {d['id']}: arrival_rate", d.get("arrival_rate", 0.0)),
-            dataset_size=integer(f"node {d['id']}: dataset_size", d.get("dataset_size", 0)),
+            id=node,
+            parent=None if parent in (None, "") else string(f"node {node}: parent", parent),
+            exit=integer(f"node {node}: exit", d["exit"]),
+            arrival_rate=number(f"node {node}: arrival_rate", d.get("arrival_rate", 0.0)),
+            dataset_size=integer(f"node {node}: dataset_size", d.get("dataset_size", 0)),
         ))
     if num_exits is None:
         num_exits = max(n.exit for n in nodes)

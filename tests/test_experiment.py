@@ -951,6 +951,19 @@ class TestCli:
              "error: a quadratic task reads no data section: its sizes come from the nodes"),
             ("quadratic_bounds", {"training": {"base_lr": 0.1}},
              "error: the theory schedule reads no base_lr; its steps follow mu"),
+            ("quadratic_bounds", {"output_dir": ["a"]},
+             "error: output_dir must be a string, got ['a']"),
+            ("quadratic_bounds", {"node": {"id": 5}}, "error: node id must be a string, got 5"),
+            ("quadratic_bounds", {"node": {"parent": ["edge1"]}},
+             "error: node dev1: parent must be a string, got ['edge1']"),
+            ("quadratic_bounds", {"task": {"kind": ["quadratic"]}},
+             "error: task kind must be a string, got ['quadratic']"),
+            ("quadratic_bounds", {"strategies": [{"name": ["equal"], "k": 0.1}]},
+             "error: strategy name must be a string, got ['equal']"),
+            ("quadratic_bounds", {"training": {"lr_schedule": ["theory"]}},
+             "error: lr_schedule must be a string, got ['theory']"),
+            ("strategy_grid_equal", {"data": {"partitions": [["equal"]]}},
+             "error: partition must be a string, got ['equal']"),
         ],
         ids=["nan-arrival", "missing-key", "momentum", "mu-smoothness", "projection-radius",
              "node-budget", "mlp-theory", "no-strategies", "no-partitions", "string-strategy",
@@ -959,16 +972,20 @@ class TestCli:
              "string-gain", "string-center", "string-flops", "bool-split", "string-budget",
              "string-partitions", "object-strategies", "scalar-seeds", "string-splits",
              "string-split", "object-eig-range", "string-nodes", "quadratic-data",
-             "theory-base-lr"],
+             "theory-base-lr", "list-output-dir", "int-node-id", "list-node-parent",
+             "list-task-kind", "list-strategy-name", "list-lr-schedule", "list-partition"],
     )
-    def test_refusal_is_one_plain_line(self, tmp_path, capsys, config, edit, line):
+    def test_refusal_is_one_plain_line(self, tmp_path, capsys, monkeypatch, config, edit,
+                                       line):
         # These used to print a repr, as in "error: malformed config:
         # ValueError('node dev1: ...')" or "KeyError('strategies')", to run
         # (momentum, mu, projection_radius, a node budget, string or bool
         # numbers, a quadratic data section, base_lr under the theory
         # schedule), to end in a raw traceback (no strategies or partitions,
         # a string node), or to name the characters of a string ("unknown
-        # strategy keys ['a', ...]", "unknown partition 'e'").
+        # strategy keys ['a', ...]", "unknown partition 'e'"), or to take a
+        # list or a number where a name belongs (an output directory named
+        # "['a']", a node named '5', "unhashable type: 'list'").
         raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
         edit = dict(edit)
         raw["topology"]["nodes"][3].update(edit.pop("node", {}))
@@ -977,10 +994,10 @@ class TestCli:
             raw.setdefault(section, {}).update(edit.pop(section))
         raw.update(edit)
         path = write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        monkeypatch.chdir(tmp_path)  # where a config's output_dir would be made
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == line + "\n"
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("value", [None, -5, 0])
     @pytest.mark.parametrize("key", ["total_samples", "test_samples"])

@@ -492,6 +492,45 @@ class TestStackedJobs:
                                       job.cfg)[0]
             assert np.array_equal(row, reference), r
 
+    def test_exits_of_every_round_match_sample_round(self, monkeypatch):
+        # The engine draws every round's exits before round 1. Stream set s
+        # (here job s: two seeds times two k) must still see, at round t,
+        # sample_round on its own round-t sample stream.
+        from fedexit.quadratic import QuadraticTask
+
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=5)
+        seen = []
+        real_phase = QuadraticTask.local_phase
+
+        def recording_phase(jobs, job_set):
+            phase = real_phase(jobs, job_set)
+
+            def recording(w, exits, gen, states, etas):
+                seen.append(exits.copy())
+                return phase(w, exits, gen, states, etas)
+
+            return recording
+
+        monkeypatch.setattr(QuadraticTask, "local_phase", staticmethod(recording_phase))
+        jobs = [
+            Job(topo, task, equal_weight(3), build_sampling_matrix(topo, k),
+                theory_cfg(rounds=30, mu=task.mu, smoothness=task.smoothness,
+                           projection_radius=task.radius, seed=seed))
+            for seed in (3, 4) for k in (0.1, 0.3)
+        ]
+        run_stacked(jobs)
+        assert len(seen) == 30
+        for t, exits in enumerate(seen, start=1):
+            assert exits.shape == (len(jobs), len(topo.client_ids))
+            for job, row in zip(jobs, exits):
+                want = sample_round(job.sampling, rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE, t))
+                assert [(c, int(e) + 1) for c, e in zip(job.sampling.clients, row)] == list(
+                    want.pairs
+                ), (t, job.cfg.seed)
+        # The draws reach past each client's own exit, so the table is no constant.
+        assert len(np.unique(np.stack(seen))) == 3
+
     def test_jobs_that_cannot_share_a_stack_rejected(self):
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=2)

@@ -10,6 +10,8 @@ from fedexit import rng as rngmod
 # 2**32 + 7 and 2**70 + 3 give SeedSequence two- and three-word entropy.
 SEEDS = [0, 1, 2**31 - 1, 2**32 + 7, 2**70 + 3]
 TOP = 2**32 - 1
+# PCG64's default 128-bit multiplier (numpy/random/_pcg64.pyx).
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def key_rows(length: int) -> list[list[int]]:
@@ -67,3 +69,40 @@ def test_key_entry_outside_32_bits_rejected(bad):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed"):
         rngmod.stream_states(-1, [[1]])
+
+
+def seeding_carries(seed: int, key: list[int]) -> list[bool]:
+    """Whether each sum of PCG64's seeding carries past bits 32, 64, 96 and 128.
+
+    Seeding takes ``inc = 2 * initseq + 1`` and ``state = (inc + initstate) *
+    mult + inc`` mod 2**128: two sums with ``inc``, four carries each.
+    """
+    words = np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(4, np.uint64)
+    s_hi, s_lo, q_hi, q_lo = (int(w) for w in words)
+    initstate = (s_hi << 64) | s_lo
+    inc = ((((q_hi << 64) | q_lo) << 1) | 1) % 2**128
+    product = (inc + initstate) % 2**128 * PCG_MULT % 2**128
+    return [
+        addend % 2**bits + inc % 2**bits >= 2**bits
+        for addend in (initstate, product)
+        for bits in (32, 64, 96, 128)
+    ]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_states_match_numpy_seeding(seed, length):
+    # The table computes PCG64's 128-bit seeding on 32-bit limbs. Over a
+    # thousand random key rows, each of its carries happens in some rows
+    # and not in others, and every row must equal numpy's own seeding.
+    keys = key_rows(length) + np.random.default_rng(length).integers(
+        0, TOP, size=(1000, length), endpoint=True).tolist()
+    table = rngmod.stream_states(seed, keys)
+    carries = []
+    for row, key in zip(table.tolist(), keys):
+        state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))).state
+        want = state["state"]["state"], state["state"]["inc"]
+        assert row == [want[0] >> 64, want[0] % 2**64, want[1] >> 64, want[1] % 2**64], key
+        carries.append(seeding_carries(seed, key))
+    carries = np.array(carries)
+    assert carries.any(axis=0).all() and not carries.all(axis=0).any()
