@@ -71,6 +71,10 @@ class SingularSystemError(FedexitError):
     """The weighted normal equations could not be solved."""
 
 
+class BoundOverflowError(FedexitError):
+    """A bound, or a constant it is built from, does not fit in a float."""
+
+
 class NotNormalizedError(FedexitError):
     """A weight vector expected to lie on the probability simplex does not."""
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import (
+    BoundOverflowError,
     ConfigParseError,
     MissingRowsError,
     MixedKError,
@@ -423,6 +424,8 @@ class _Cell:
     spec: StrategySpec
     pools: ExitPools
     job: Job
+    bounds: dict | None = None  # a quadratic cell's, from _quadratic_bounds
+    f_star: float | None = None
 
     @property
     def job_key(self) -> tuple:
@@ -440,7 +443,50 @@ def _plan_cell(
     weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
     job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
               w_init=group.w_init, label=f"strategy {spec.name}, k={spec.k:g}")
-    return _Cell(group, split, spec, pools, job)
+    bounds = () if group.task.kind == "mlp" else _quadratic_bounds(group, split, pools, job)
+    return _Cell(group, split, spec, pools, job, *bounds)
+
+
+def _quadratic_bounds(
+    group: _Group, split: SplitSpec, pools: ExitPools, job: Job
+) -> tuple[dict, float]:
+    """A quadratic cell's bound entries and its optimal objective f*, known before training.
+
+    Raises:
+        BoundOverflowError: a bound or one of its constants is not a finite float.
+        SingularSystemError: the weighted normal equations cannot be solved.
+    """
+    task, weights, sampling, cfg = job.task, job.weights, job.sampling, job.cfg
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            params = theory_params(task, weights, sampling, pools, cfg.server_lr, cfg.local_steps)
+            minimum = quadratic_minimizers(task, weights, pools)
+            gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
+            b_value = bound_B(params, gamma_value)
+            init_dist_sq = float(np.sum((group.w_init - minimum.w_star) ** 2))
+            bound = opt_error_bound(params, b_value, cfg.rounds, init_dist_sq)
+            g_pairs, g_max = grad_second_moment(params)
+            bias = bias_bound(params.loss_cap, weights.weights, np.asarray(split.fractions))
+            # A product of Python floats overflows to inf without raising.
+            if not np.isfinite([params.loss_cap, b_value, bound, bias]).all():
+                raise OverflowError
+    except (OverflowError, FloatingPointError) as exc:
+        raise BoundOverflowError(
+            f"seed {group.seed}, {job.label}: a bound does not fit in a float; lower the "
+            "task's eig_range, center_scale or sigma_range, or server_lr"
+        ) from exc
+    return dict(
+        heterogeneity=gamma_value,
+        grad_second_moment_max=g_max,
+        grad_second_moment_per_pair={
+            f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)
+        },
+        B=b_value,
+        opt_bound={str(cfg.rounds): bound},
+        bias_bound=bias,
+        loss_cap=params.loss_cap,
+        sigma_source="exact",
+    ), minimum.f_star
 
 
 def _train(cells: list[_Cell]) -> dict[tuple, np.ndarray]:
@@ -485,36 +531,14 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[
         }
         extra = {"serving": outcome.to_dict()}
     else:
-        params = theory_params(
-            task, weights, sampling, pools, train_cfg.server_lr, train_cfg.local_steps
-        )
-        minimum = quadratic_minimizers(task, weights, pools)
-        gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
-        b_value = bound_B(params, gamma_value)
-        init_dist_sq = float(np.sum((group.w_init - minimum.w_star) ** 2))
-        bound = opt_error_bound(params, b_value, train_cfg.rounds, init_dist_sq)
-        empirical = weighted_objective(task, w_final, weights, pools) - minimum.f_star
+        empirical = weighted_objective(task, w_final, weights, pools) - cell.f_star
         pop_losses = [
             task.population_exit_loss(w_final, e) for e in range(1, topo.num_exits + 1)
         ]
         row["weighted_loss"] = float(np.asarray(pop_losses) @ lam_norm)
-        row["opt_bound"] = bound
+        row["opt_bound"] = cell.bounds["opt_bound"][str(train_cfg.rounds)]
         row["empirical_opt_error"] = empirical
-
-        g_pairs, g_max = grad_second_moment(params)
-        error_report.update(
-            heterogeneity=gamma_value,
-            grad_second_moment_max=g_max,
-            grad_second_moment_per_pair={
-                f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)
-            },
-            B=b_value,
-            opt_bound={str(train_cfg.rounds): bound},
-            empirical_opt_error={str(train_cfg.rounds): empirical},
-            bias_bound=bias_bound(params.loss_cap, weights.weights, lam_norm),
-            loss_cap=params.loss_cap,
-            sigma_source="exact",
-        )
+        error_report.update(cell.bounds, empirical_opt_error={str(train_cfg.rounds): empirical})
         extra = {}
 
     return row, {

@@ -5,14 +5,12 @@ model, lets every client run a few local SGD steps on its sampled exit, and
 folds the parameter deltas back with weights that combine the exit's
 aggregation weight, the client's share of that exit's data pool, and the
 inverse sampling probability. The result is projected onto an
-origin-centered ball. All randomness comes from streams keyed by
-(seed, round, client), so runs are bit-reproducible regardless of execution
-order. A run computes the states of all its round streams at once with
-:func:`rng.stream_states` and reseats one reused generator from that table
-before each draw site, which gives the same draws as opening each stream
-with :func:`rng.stream`. Before round 1 it also draws every round's exits
-from that table, so a round only reseats for its noise and batch draws and
-does arithmetic.
+origin-centered ball. All randomness comes from streams keyed by (seed,
+client), so runs are bit-reproducible regardless of execution order:
+``stream(seed, ROUND_SAMPLE)`` draws every round's exits, and client ``i``'s
+``stream(seed, LOCAL, i)`` its local noise or batches. Each is opened once per
+run and draws one fixed-size block per round whatever exit was sampled, so a
+T-round run is a prefix of a longer one.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
@@ -21,9 +19,9 @@ client-name order, projects and checks that the iterates stay finite. The task
 class supplies the local phase: the quadratic steps the whole ``(R, N, d)``
 slab with one batched matmul per local step and draws each client's noise for
 all of its local steps at once, and the MLP steps each (job, client) row on
-its own. Jobs that share a seed, a task and a sampling matrix draw the same
-exits and local streams, so they share one stream table and one exit draw per
-round, all drawn before round 1. The result is bit-identical to calling
+its own. Jobs that share a seed, a task, a sampling matrix and a batch size
+draw the same exits and local streams, so they share one set of streams and
+one draw per round. The result is bit-identical to calling
 :func:`sample_round`, :func:`local_update` and :func:`aggregate` per round,
 per client and per job, which stay the reference implementation.
 """
@@ -124,18 +122,12 @@ class RoundSample:
     pairs: tuple[tuple[str, int], ...]
 
 
-def _sample_exits(sampling: SamplingMatrix, rng: np.random.Generator) -> np.ndarray:
-    """0-based sampled exit of every client, in ``sampling.clients`` order."""
-    u = rng.random(len(sampling.clients))
-    # Rows of the cumulative sums never decrease, so counting the entries
-    # <= u is searchsorted(side="right").
-    exit_idx = (sampling.row_cumsum <= u[:, None]).sum(axis=1)
-    return np.minimum(exit_idx, sampling.num_exits - 1)
-
-
 def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSample:
     """Draw every client's exit independently from its categorical row."""
-    exits = _sample_exits(sampling, rng)
+    u = rng.random(len(sampling.clients))
+    # Rows of the cumulative sums never decrease, so counting the entries
+    # <= u is searchsorted(side="right"); the cap guards against rounding.
+    exits = np.minimum((sampling.row_cumsum <= u[:, None]).sum(axis=1), sampling.num_exits - 1)
     return RoundSample(
         pairs=tuple((client, int(e) + 1) for client, e in zip(sampling.clients, exits))
     )
@@ -339,69 +331,50 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     return out
 
 
-def _round_states(cfg: TrainConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """States of every stream a run's rounds draw from, for :func:`rng.reseat`.
-
-    ``sample[t - 1]`` is ``stream(seed, ROUND_SAMPLE, t)`` and
-    ``local[t - 1, i]`` is ``stream(seed, LOCAL, t, i)`` for the ``i``-th
-    client of the sampling matrix.
-    """
-    rounds = np.arange(1, cfg.rounds + 1)
-    sample = rngmod.stream_states(
-        cfg.seed, np.column_stack([np.full(cfg.rounds, rngmod.ROUND_SAMPLE), rounds])
-    )
-    t, i = np.meshgrid(rounds, np.arange(n), indexing="ij")
-    local = rngmod.stream_states(
-        cfg.seed, np.column_stack([np.full(t.size, rngmod.LOCAL), t.ravel(), i.ravel()])
-    )
-    return sample, local.reshape(cfg.rounds, n, 4)
-
-
 def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
     Bit-identical to :func:`local_update` and :func:`aggregate` run per
     client and per job: the same streams give the same draws, and each job's
     deltas are summed in the same ascending client order with the same
-    coefficients. Jobs with the same seed, task and sampling matrix form one
-    stream set, which samples its exits once per round. The exits of every
-    round are drawn before the first; a round whose exits a job samples with
-    p=0 is still refused in that round.
+    coefficients. Jobs with the same seed, task, sampling matrix and batch
+    size form one stream set, which opens its streams once per stack and
+    samples its exits once per round. The exits of every round are drawn
+    before the first; a round whose exits a job samples with p=0 is still
+    refused in that round.
 
     The task class's ``local_phase(jobs, job_set)`` returns
-    ``phase(w, exits, gen, states, etas)``: from the broadcast models, the
-    ``(S, N)`` 0-based exits of every stream set, the shared generator and the
-    round's local stream states (row ``s * N + i``; reseat ``gen`` on a row,
-    and finish drawing from it, before the next), and the ``(local_steps, R)``
-    step sizes, it returns the ``(R, N, d)`` local iterates in a new array.
+    ``phase(w, exits, gens, etas)``: from the broadcast models, the ``(S, N)``
+    0-based exits of every stream set, the local generators (``gens[s * N +
+    i]`` is stream set ``s``'s client ``i``; each draws one fixed-size block
+    per round, whatever its exit) and the ``(local_steps, R)`` step sizes, it
+    returns the ``(R, N, d)`` local iterates in a new array.
     """
     first = jobs[0]
     clients = first.sampling.clients
     n, rounds = len(clients), first.cfg.rounds
     by_name = sorted(range(n), key=lambda i: clients[i])
 
-    # Stream sets: the jobs whose rounds draw exactly the same numbers.
+    # Stream sets: the jobs whose rounds draw exactly the same numbers. A
+    # set's jobs share one batch draw per client, so the batch size is keyed.
     set_of: dict[tuple, int] = {}
     job_set = np.array([
         set_of.setdefault(
-            (job.cfg.seed, id(job.task), job.sampling.probs.tobytes()), len(set_of)
+            (job.cfg.seed, id(job.task), job.sampling.probs.tobytes(), job.cfg.batch_size),
+            len(set_of),
         )
         for job in jobs
     ])
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
-    # One generator serves every stream: each is done drawing before the next reseat.
-    gen = np.random.default_rng(0)
-    # Every round's exits, drawn before round 1 as _sample_exits draws them:
-    # one uniform per client from the round's sample stream, then the count
-    # of cumulative probabilities <= it, capped at the last exit.
-    u = np.empty((rounds, len(leads), n))
-    local_states = np.empty((rounds, len(leads) * n, 4), dtype=np.uint64)
-    for s, job in enumerate(leads):
-        sample_states, local_states[:, s * n:(s + 1) * n] = _round_states(job.cfg, n)
-        for t, state in enumerate(sample_states):
-            rngmod.reseat(gen, state).random(out=u[t, s])
+    # Every round's exits, drawn before round 1 as sample_round draws them:
+    # round t's N uniforms are row t - 1 of one draw from the sample stream,
+    # then the count of cumulative probabilities <= each, capped at the last exit.
+    u = np.stack([
+        rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE).random((rounds, n)) for job in leads
+    ], axis=1)
     cumsum = np.stack([job.sampling.row_cumsum for job in leads])
     exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), first.sampling.num_exits - 1)
+    gens = [rngmod.stream(job.cfg.seed, rngmod.LOCAL, i) for job in leads for i in range(n)]
     local_phase = type(first.task).local_phase(jobs, job_set)
 
     # Per job: aggregate_preprojection's coefficient for every pair it can be
@@ -420,7 +393,7 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
         set_exits = exit_table[t - 1]
-        w_end = local_phase(w, set_exits, gen, local_states[t - 1], etas[t - 1])
+        w_end = local_phase(w, set_exits, gens, etas[t - 1])
         exits = set_exits[job_set]
         at = rows + (exits,)  # job r's client i on its sampled exit is entry [r, i]
         zero = probs[at] <= 0

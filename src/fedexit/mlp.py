@@ -221,23 +221,30 @@ class MlpTask:
         """The round engine's local phase: each (job, client) row steps on its own iterate.
 
         Each step is :meth:`stochastic_gradient` on one batch drawn from the
-        row's stream, as in :func:`fedtrain.local_update`.
+        row's stream, as in :func:`fedtrain.local_update`. A stream-set row
+        draws the batches of all its local steps in one call, which equals
+        one call per step, and every job of the set trains on that draw.
         """
         clients = jobs[0].sampling.clients
+        n = len(clients)
+        members = [np.flatnonzero(job_set == s).tolist() for s in range(job_set.max() + 1)]
 
-        def phase(w, exits, gen, states, etas):
-            w_end = np.empty((len(jobs), len(clients), w.shape[1]))
-            for r, (job, s) in enumerate(zip(jobs, job_set.tolist())):
+        def phase(w, exits, gens, etas):
+            w_end = np.empty((len(jobs), n, w.shape[1]))
+            for s, rows in enumerate(members):
+                lead = jobs[rows[0]]
                 for i, client in enumerate(clients):
-                    exit = int(exits[s, i]) + 1
-                    rng = rngmod.reseat(gen, states[s * len(clients) + i])
+                    x, y = lead.task._client_data(client)
+                    idx = gens[s * n + i].integers(
+                        0, len(y), size=(lead.cfg.local_steps, lead.cfg.batch_size)
+                    )
+                    xb, yb, exit = x[idx], y[idx], int(exits[s, i]) + 1
 
                     def gradient(v: np.ndarray, j: int) -> np.ndarray:
-                        return job.task.stochastic_gradient(
-                            v, client, exit, job.cfg.batch_size, rng
-                        )
+                        return lead.task.gradient_on(v, xb[j], yb[j], exit)
 
-                    w_end[r, i] = _local_steps(w[r], etas[:, r], gradient)
+                    for r in rows:
+                        w_end[r, i] = _local_steps(w[r], etas[:, r], gradient)
             return w_end
 
         return phase

@@ -93,12 +93,14 @@ class QuadraticTask:
         batch_size: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Exact gradient plus isotropic noise with squared norm budget sigma^2."""
+        """Exact gradient plus isotropic noise with squared norm budget sigma^2.
+
+        The ``dim`` normals are drawn even where sigma is 0, so every call
+        advances ``rng`` by the same amount.
+        """
         grad = self.full_gradient(w, client, exit)
         sigma = self.sigma(client, exit)
-        if sigma > 0:
-            grad = grad + sigma * rng.standard_normal(self.dim) / np.sqrt(self.dim)
-        return grad
+        return grad + sigma * rng.standard_normal(self.dim) / np.sqrt(self.dim)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
@@ -124,17 +126,14 @@ class QuadraticTask:
         )
         cells = np.arange(len(leads))[:, None], np.arange(len(clients))
 
-        def phase(w, exits, gen, states, etas):
+        def phase(w, exits, gens, etas):
             if (exits >= max_exit).any():
                 s, i = np.argwhere(exits >= max_exit)[0]
                 leads[s].pair(clients[i], int(exits[s, i]) + 1)  # raises ValueError
             sigma = noise_scale[cells + (exits,)].ravel()
-            draws = np.zeros((sigma.size, first.cfg.local_steps, dim))
-            for k in np.flatnonzero(sigma > 0).tolist():
-                rngmod.reseat(gen, states[k]).standard_normal(out=draws[k])
-            # A noiseless client adds 0.0 where the reference adds nothing;
-            # that can only flip the sign of a zero, which the engine's
-            # w_end - w and its sum from 0.0 erase.
+            draws = np.empty((sigma.size, first.cfg.local_steps, dim))
+            for gen, out in zip(gens, draws):
+                gen.standard_normal(out=out)
             noise = (sigma[:, None, None] * draws / sqrt_dim).reshape(exits.shape + (-1, dim))
             at = job_set[:, None], cells[1], exits[job_set]
             a_sel, c_sel, noise = matrices[at], centers[at], noise[job_set]

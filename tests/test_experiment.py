@@ -688,23 +688,26 @@ class TestGroupReuse:
 
 class TestStackedTraining:
     def test_one_stream_table_per_stream_set(self, tmp_path, monkeypatch):
+        # A stack opens one sample stream and one local stream per client for
+        # each stream set, once for the whole run.
         import fedexit.experiment as experiment
-        import fedexit.fedtrain as fedtrain
+        import fedexit.rng as rngmod
 
         stacks = []
-        tables = []
-        real_stacked, real_states = experiment.run_stacked, fedtrain._round_states
+        opened = []
+        real_stacked, real_stream = experiment.run_stacked, rngmod.stream
 
         def counting_stacked(jobs):
             stacks.append(len(jobs))
             return real_stacked(jobs)
 
-        def counting_states(cfg, n):
-            tables.append(cfg.seed)
-            return real_states(cfg, n)
+        def counting_stream(seed, *key):
+            if key[0] in (rngmod.ROUND_SAMPLE, rngmod.LOCAL):
+                opened.append((seed, *key))
+            return real_stream(seed, *key)
 
         monkeypatch.setattr(experiment, "run_stacked", counting_stacked)
-        monkeypatch.setattr(fedtrain, "_round_states", counting_states)
+        monkeypatch.setattr(rngmod, "stream", counting_stream)
         raw = quadratic_config(
             serving={"splits": [[80, 15, 5], [45, 35, 20]]},
             strategies=[{"name": "equal", "k": 0.1}, {"name": "serving_rate", "k": 0.1},
@@ -715,7 +718,10 @@ class TestStackedTraining:
         # Per seed: equal once, serving_rate once per split at each k, all in
         # one stack; their sampling matrices are the k=0 and the k=0.1 one.
         assert stacks == [2 * (1 + 2 + 2)]
-        assert sorted(tables) == [3, 3, 4, 4]
+        n = len(parse_config(raw).topology.client_ids)
+        want = [(seed, rngmod.ROUND_SAMPLE) for seed in (3, 3, 4, 4)]
+        want += [(seed, rngmod.LOCAL, i) for seed in (3, 3, 4, 4) for i in range(n)]
+        assert sorted(opened) == sorted(want)
 
     @pytest.mark.parametrize("schedule", ["theory", "constant"])
     def test_quadratic_jobs_carry_their_task_constants(self, tmp_path, monkeypatch, schedule):
@@ -997,6 +1003,28 @@ class TestCli:
         monkeypatch.chdir(tmp_path)  # where a config's output_dir would be made
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == line + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("task", "center_scale", 1e300), ("task", "eig_range", [1.0, 1e300]),
+         ("training", "server_lr", 1e308), ("task", "sigma_range", [0.0, 1e300])],
+        ids=["center-scale", "eig-range", "server-lr", "sigma-range"],
+    )
+    def test_bound_overflow_is_refused(self, tmp_path, capsys, monkeypatch, section, key,
+                                       value):
+        # The first two ended in a raw OverflowError from QuadraticTask.loss_cap
+        # (exit 1); the last two wrote opt_bound as nan to results.csv (exit 0).
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        raw[section][key] = value
+        path = write_config(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed 1, strategy serving_rate, k=0.1: a bound does not fit in a float; "
+            "lower the task's eig_range, center_scale or sigma_range, or server_lr\n"
+        )
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("value", [None, -5, 0])

@@ -256,6 +256,28 @@ class TestRun:
         assert gap[-1] >= -1e-12
         assert gap[3] < gap[2] < gap[1] < gap[0]
 
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_short_run_is_prefix_of_longer_reference(self, backend):
+        # Every stream draws one fixed-size block per round, whatever exit was
+        # sampled, so round T of a 2T-round run is the end of a T-round run.
+        # Both tasks draw local noise or batches on every client.
+        rounds = 6
+        if backend == "quadratic":
+            topo = seven_node_topology()
+            task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+            cfg = TrainConfig(rounds=rounds, local_steps=3, base_lr=0.05,
+                              projection_radius=task.radius, seed=2)
+        else:
+            topo, task = mlp_case()
+            cfg = TrainConfig(rounds=rounds, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
+        sampling = build_sampling_matrix(topo, 0.1)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        short = run_stacked([Job(topo, task, weights, sampling, cfg)])[0]
+        longer = list(reference_iterates(topo, task, weights, sampling,
+                                         dataclasses.replace(cfg, rounds=2 * rounds)))
+        assert short.tobytes() == longer[rounds - 1].tobytes()
+        assert np.any(longer[-1] != short)
+
     def test_bit_identical_given_seed(self):
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
@@ -333,22 +355,31 @@ class TestRun:
                                                    exit_pools(topo, sampling))
 
 
-def reference_run(topo, task, weights, sampling, cfg):
+def reference_iterates(topo, task, weights, sampling, cfg):
     """The round loop spelled out with the per-pair reference functions.
 
-    Returns the last iterate and the weighted objective at it.
+    Yields the iterate after every round. One sample stream and one local
+    stream per client serve the whole run.
     """
     pools = exit_pools(topo, sampling)
     w = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
+    sample_rng = rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE)
+    local_rngs = [rngmod.stream(cfg.seed, rngmod.LOCAL, i) for i in range(len(sampling.clients))]
     for t in range(1, cfg.rounds + 1):
-        chosen = sample_round(sampling, rngmod.stream(cfg.seed, rngmod.ROUND_SAMPLE, t))
-        updates = []
-        for i, (c, e) in enumerate(chosen.pairs):
-            local_rng = rngmod.stream(cfg.seed, rngmod.LOCAL, t, i)
-            updates.append((c, e, local_update(task, w, c, e, cfg, t, local_rng)))
+        chosen = sample_round(sampling, sample_rng)
+        updates = [
+            (c, e, local_update(task, w, c, e, cfg, t, local_rng))
+            for (c, e), local_rng in zip(chosen.pairs, local_rngs)
+        ]
         w = aggregate(w, updates, weights, sampling, pools, task.sizes,
                       cfg.server_lr, cfg.projection_radius)
-    return w, weighted_objective(task, w, weights, pools)
+        yield w
+
+
+def reference_run(topo, task, weights, sampling, cfg):
+    """The last iterate of :func:`reference_iterates` and the weighted objective at it."""
+    *_, w = reference_iterates(topo, task, weights, sampling, cfg)
+    return w, weighted_objective(task, w, weights, exit_pools(topo, sampling))
 
 
 def stacked_round_cases():
@@ -381,7 +412,7 @@ def quadratic_reference_cases(k):
     """(name, topology, task, weights, sampling, cfg) on quadratic tasks."""
     for name, topo, weights, radius in stacked_round_cases():
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
-        task.noise_scale[0] = 0.0  # one noiseless client: it opens but never draws
+        task.noise_scale[0] = 0.0  # one noiseless client: it draws all the same
         for sampling in both_orders(build_sampling_matrix(topo, k)):
             cfg = theory_cfg(
                 rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
@@ -452,7 +483,7 @@ class TestStackedJobs:
                     tasks[task_seed] = make_quadratic_task(
                         topo, dim=3, sigma_range=(0.1, 0.6), seed=task_seed
                     )
-                    tasks[task_seed].noise_scale[0] = 0.0  # a noiseless client never draws
+                    tasks[task_seed].noise_scale[0] = 0.0  # a noiseless client draws too
                 task = tasks[task_seed]
                 cfg = theory_cfg(
                     rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
@@ -492,10 +523,29 @@ class TestStackedJobs:
                                       job.cfg)[0]
             assert np.array_equal(row, reference), r
 
+    def test_mlp_jobs_of_two_batch_sizes_match_each_alone(self):
+        # A stream set's jobs share one batch draw per client, so jobs that
+        # differ only in batch size must draw their own.
+        topo, task = mlp_case(seed=6)
+        sampling = build_sampling_matrix(topo, 0.1)
+        jobs = [
+            Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), sampling,
+                TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, base_lr=0.1, seed=3))
+            for batch_size in (8, 5, 8)
+        ]
+        stacked = run_stacked(jobs)
+        for r, (job, row) in enumerate(zip(jobs, stacked)):
+            alone = run_stacked([job])[0]
+            reference = reference_run(job.topology, job.task, job.weights, job.sampling,
+                                      job.cfg)[0]
+            assert row.tobytes() == alone.tobytes(), r
+            assert np.array_equal(row, reference), r
+        assert np.any(stacked[0] != stacked[1])
+
     def test_exits_of_every_round_match_sample_round(self, monkeypatch):
         # The engine draws every round's exits before round 1. Stream set s
         # (here job s: two seeds times two k) must still see, at round t,
-        # sample_round on its own round-t sample stream.
+        # sample_round's t-th draw from its own persistent sample stream.
         from fedexit.quadratic import QuadraticTask
 
         topo = seven_node_topology()
@@ -506,9 +556,9 @@ class TestStackedJobs:
         def recording_phase(jobs, job_set):
             phase = real_phase(jobs, job_set)
 
-            def recording(w, exits, gen, states, etas):
+            def recording(w, exits, gens, etas):
                 seen.append(exits.copy())
-                return phase(w, exits, gen, states, etas)
+                return phase(w, exits, gens, etas)
 
             return recording
 
@@ -521,10 +571,11 @@ class TestStackedJobs:
         ]
         run_stacked(jobs)
         assert len(seen) == 30
+        sample_rngs = [rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE) for job in jobs]
         for t, exits in enumerate(seen, start=1):
             assert exits.shape == (len(jobs), len(topo.client_ids))
-            for job, row in zip(jobs, exits):
-                want = sample_round(job.sampling, rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE, t))
+            for job, row, sample_rng in zip(jobs, exits, sample_rngs):
+                want = sample_round(job.sampling, sample_rng)
                 assert [(c, int(e) + 1) for c, e in zip(job.sampling.clients, row)] == list(
                     want.pairs
                 ), (t, job.cfg.seed)
