@@ -9,6 +9,7 @@ The package splits into:
 - :mod:`fedexit.fedtrain`: the federated round loop.
 - :mod:`fedexit.theory`: bound computations and diagnostics.
 - :mod:`fedexit.serving`: confidence-ranked serving simulation.
+- :mod:`fedexit.config`: the JSON experiment config, read once into typed values.
 - :mod:`fedexit.experiment` / :mod:`fedexit.cli`: the experiment grid runner.
 """
 

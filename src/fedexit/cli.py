@@ -51,6 +51,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FedexitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's names the allocation ("Unable to allocate 50.9 TiB ..."); a bare one is empty.
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,8 @@
 """Experiment runner: wire topology, strategy, task, training, and metrics.
 
-A JSON config describes a grid of (seed, partition, split, strategy) cells.
-Every cell contributes one CSV row plus one JSON report. :func:`parse_config`
-plans every serving point and builds every strategy's sampling matrix once,
-so a tree that cannot carry the config is refused before any output exists.
-
-The runner then works in three passes. It first plans every cell: each (seed,
+Every (seed, partition, split, strategy) cell of a parsed config
+(:mod:`fedexit.config`) contributes one CSV row plus one JSON report. The
+runner works in three passes. It first plans every cell: each (seed,
 partition) group builds once, and shares across all of its splits and
 strategies, the task instance, the tree sized to it, the test set, the
 initial model, the training config and a table of estimated noise scales per
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -34,28 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import (
-    BoundOverflowError,
-    ConfigParseError,
-    MissingRowsError,
-    MixedKError,
-    OutputExistsError,
-    ZeroTrafficError,
-)
+from .config import ExperimentConfig, SplitSpec, StrategySpec, load_config, parse_seeds
+from .config import parse_config  # noqa: F401  perfbench calls fedexit.experiment.parse_config
+from .errors import BoundOverflowError, MissingRowsError, MixedKError, OutputExistsError
 from .fedtrain import Job, TrainConfig, run_stacked
 from .fedtrain import run  # noqa: F401  perfbench's tests need a call site per traced span
-from .mlp import check_classification_task, layer_shares, make_classification_task, make_test_set
+from .mlp import make_classification_task, make_test_set
 from .objective import weighted_objective
-from .quadratic import check_quadratic_task, make_quadratic_task, quadratic_minimizers
+from .quadratic import make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
-from .strategies import (
-    STRATEGY_NAMES,
-    ExitPools,
-    SamplingMatrix,
-    build_sampling_matrix,
-    exit_pools,
-    exit_weights,
-)
+from .strategies import ExitPools, exit_pools, exit_weights
 from .theory import (
     bias_bound,
     bound_B,
@@ -67,20 +51,7 @@ from .theory import (
     theory_params,
     tv_distance,
 )
-from .topology import (
-    RatePlan,
-    Topology,
-    array,
-    budgets_for_split,
-    compute_rate_plan,
-    from_node_dicts,
-    integer,
-    number,
-    reject_unknown_keys,
-    string,
-)
-
-REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
+from .topology import Topology
 
 CSV_COLUMNS = [
     "seed",
@@ -100,215 +71,6 @@ CSV_COLUMNS = [
     "empirical_opt_error",
 ]
 
-@dataclass(frozen=True)
-class StrategySpec:
-    name: str
-    k: float
-    sampling: SamplingMatrix  # built once, by parse_config
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """One serving point, planned by parse_config: a split, or the explicit budgets."""
-
-    label: str  # "budgets" for the explicit budgets
-    fractions: tuple[float, ...]  # normalized; for budgets, the plan's normalized rates
-    plan: RatePlan
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    topology: Topology
-    splits: tuple[SplitSpec, ...]
-    partitions: tuple[str, ...]
-    total_samples: int  # 0 for a quadratic task, which takes its sizes from the tree
-    test_samples: int
-    task: dict  # the task's kind and the builder's parsed keyword arguments
-    flops: tuple[float, ...]
-    strategies: tuple[StrategySpec, ...]
-    training: dict
-    seeds: tuple[int, ...]
-    output_dir: str
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file; raise ConfigParseError on any defect."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(raw)
-
-
-def _check_grid_axis(what: str, values) -> None:
-    """Refuse an empty grid axis, which would run no cell, or a repeated value.
-
-    Reports are named by seed, partition, split label, strategy and k, so a
-    repeated value would write one cell's report over another's.
-    """
-    if not values:
-        raise ConfigParseError(f"need at least one {what}")
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ConfigParseError(f"duplicate {what} {value!r}")
-        seen.add(value)
-
-
-# The config's readers: every value parse_config reads goes through one.
-_integer, _number, _list, _string, _reject_unknown_keys = (
-    functools.partial(reader, error=ConfigParseError)
-    for reader in (integer, number, array, string, reject_unknown_keys)
-)
-
-
-def _numbers(what: str, values) -> tuple[float, ...]:
-    """A JSON array of numbers as a tuple of floats."""
-    return tuple(_number(what, v) for v in _list(what, values))
-
-
-def _seeds(values) -> tuple[int, ...]:
-    seeds = tuple(_integer("seed", s) for s in _list("seeds", values))
-    _check_grid_axis("seed", seeds)
-    if min(seeds) < 0:
-        raise ConfigParseError(f"seeds must be >= 0, got {min(seeds)}")
-    return seeds
-
-
-def parse_config(raw: dict) -> ExperimentConfig:
-    try:
-        _reject_unknown_keys(
-            "config",
-            raw,
-            ("topology", "serving", "data", "task", "strategies", "training", "seeds",
-             "flops", "output_dir"),
-        )
-        _reject_unknown_keys("topology", raw["topology"], ("nodes", "num_exits"))
-        topo = from_node_dicts(raw["topology"]["nodes"], raw["topology"].get("num_exits"))
-        serving = raw["serving"]
-        _reject_unknown_keys("serving", serving, ("splits", "budgets"))
-        if ("splits" in serving) == ("budgets" in serving):
-            raise ConfigParseError("serving needs exactly one of 'splits' or 'budgets'")
-        if not topo.total_arrival > 0:
-            raise ZeroTrafficError("no node has a positive arrival rate, so nothing is served")
-        splits = []
-        if "splits" in serving:
-            for entry in _list("serving splits", serving["splits"]):
-                vec = np.asarray(_numbers("split", entry))
-                if vec.shape != (topo.num_exits,):
-                    raise ConfigParseError(
-                        f"split {entry} needs one entry per exit ({topo.num_exits})"
-                    )
-                if not (np.isfinite(vec).all() and np.all(vec >= 0) and vec.sum() > 0):
-                    raise ConfigParseError(f"bad split {entry}")
-                fractions = vec / vec.sum()
-                plan = compute_rate_plan(topo.with_budgets(budgets_for_split(topo, fractions)))
-                label = "-".join(f"{v:g}" for v in vec)
-                splits.append(SplitSpec(label, tuple(fractions), plan))
-            _check_grid_axis("split", [s.label for s in splits])
-        else:
-            _reject_unknown_keys("serving budgets", serving["budgets"], topo.by_id)
-            budgets = {k: _number(f"budget of {k}", v) for k, v in serving["budgets"].items()}
-            for node, value in budgets.items():
-                if not value >= 0:
-                    raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
-            plan = compute_rate_plan(topo.with_budgets(budgets))
-            splits.append(SplitSpec("budgets", tuple(plan.lambda_exit_normalized), plan))
-
-        task = raw["task"]
-        has_kind = isinstance(task, dict) and "kind" in task
-        kind = _string("task kind", task["kind"]) if has_kind else None
-        if kind not in TASK_KEYS:
-            raise ConfigParseError(f"task needs a kind in {sorted(TASK_KEYS)}, got {task!r}")
-        _reject_unknown_keys(f"{kind} task", task, ("kind", *TASK_KEYS[kind]))
-        task_args = _task_args(task)
-        check = check_quadratic_task if kind == "quadratic" else check_classification_task
-        try:
-            check(**task_args)
-        except ValueError as exc:
-            raise ConfigParseError(f"bad task section: {exc}") from exc
-        _reject_unknown_keys("training", raw["training"], TRAINING_KEYS)
-        _train_config(raw["training"], kind, seed=0)
-
-        if kind == "quadratic":
-            if "data" in raw:
-                raise ConfigParseError(
-                    "a quadratic task reads no data section: its sizes come from the nodes"
-                )
-            partitions, samples = ("none",), (0, 0)
-        else:
-            data = raw["data"]
-            _reject_unknown_keys("data", data, ("partitions", "total_samples", "test_samples"))
-            partitions = tuple(
-                _string("partition", name) for name in _list("partitions", data["partitions"])
-            )
-            _check_grid_axis("partition", partitions)
-            for name in partitions:
-                layer_shares(name, topo.num_exits)
-            samples = []
-            for key in ("total_samples", "test_samples"):
-                samples.append(_integer(f"data {key}", data[key]))
-                if samples[-1] < 1:
-                    raise ConfigParseError(f"data {key} must be >= 1, got {samples[-1]}")
-
-        strategies = []
-        for s in _list("strategies", raw["strategies"]):
-            _reject_unknown_keys("strategy", s, ("name", "k"))
-            name = _string("strategy name", s["name"])
-            if name not in STRATEGY_NAMES:
-                raise ConfigParseError(f"unknown strategy {name!r}")
-            k = _number("strategy k", s.get("k", 0.0))
-            # build_sampling_matrix may raise InvalidKError.
-            strategies.append(StrategySpec(name, k, build_sampling_matrix(topo, k)))
-        _check_grid_axis("strategy", [f"{s.name} with k={s.k:g}" for s in strategies])
-
-        seeds = _seeds(raw["seeds"])
-
-        flops = _numbers("flops", raw["flops"]) if "flops" in raw else REFERENCE_FLOPS
-        if len(flops) != topo.num_exits:
-            raise ConfigParseError("need one flops value per exit")
-        if not all(0 < f < np.inf for f in flops):
-            raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
-
-        return ExperimentConfig(
-            topology=topo,
-            splits=tuple(splits),
-            partitions=partitions,
-            total_samples=samples[0],
-            test_samples=samples[1],
-            task={"kind": kind, **task_args},
-            flops=flops,
-            strategies=tuple(strategies),
-            training=dict(raw["training"]),
-            seeds=seeds,
-            output_dir=_string("output_dir", raw.get("output_dir", "results")),
-        )
-    except KeyError as exc:
-        raise ConfigParseError(f"missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ConfigParseError(f"malformed config: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
-
-
-# Per task kind, the reader and default of each key of the task section; each
-# key is a keyword argument of the kind's task builder.
-TASK_KEYS = {
-    "quadratic": {"dim": (_integer, 4), "eig_range": (_numbers, [1.0, 2.0]),
-                  "sigma_range": (_numbers, [0.0, 0.5]), "center_scale": (_number, 1.0)},
-    "mlp": {"input_dim": (_integer, 16), "hidden_dim": (_integer, 32),
-            "num_classes": (_integer, 3), "teacher_gain": (_number, 1.5)},
-}
-
-
-def _task_args(spec: dict) -> dict:
-    """The task builder's keyword arguments that the task section sets, defaults filled in."""
-    return {key: read(f"task {key}", spec.get(key, default))
-            for key, (read, default) in TASK_KEYS[spec["kind"]].items()}
-
 
 def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     """Client data depend on the tree's structure and sizes, never on budgets."""
@@ -318,53 +80,6 @@ def _build_task(cfg: ExperimentConfig, partition: str, seed: int):
     return make_classification_task(
         cfg.topology, partition=partition, total_samples=cfg.total_samples, **args, seed=seed
     )
-
-
-# TrainConfig's fields but the seed and those a quadratic task sets.
-TRAINING_KEYS = ("rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr")
-
-
-def _train_config(training: dict, kind: str, seed: int, task=None) -> TrainConfig:
-    """The round loop's config for one seed, validated by ``TrainConfig`` itself.
-
-    Only the values the section sets reach ``TrainConfig``, which owns every
-    default. A quadratic task always trains with its own ``mu``,
-    ``smoothness`` and feasible radius, the constants its ``opt_bound``
-    assumes. ``parse_config`` calls this without a task: stand-ins that
-    ``TrainConfig`` accepts fill those values, so everything the section
-    names is checked before any run.
-
-    Raises:
-        ConfigParseError: ``rounds`` or ``local_steps`` is missing, an integer
-            field has a fractional part, a rate is not a number, a value is
-            refused by ``TrainConfig``, the theory schedule is given a
-            ``base_lr`` it never reads, or an mlp task asks for the theory
-            schedule, which needs curvature constants an mlp does not have.
-    """
-    for key in ("rounds", "local_steps"):
-        if key not in training:
-            raise ConfigParseError(f"training needs {key!r}")
-    if training.get("lr_schedule") == "theory":
-        if kind == "mlp":
-            raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
-        if "base_lr" in training:
-            raise ConfigParseError("the theory schedule reads no base_lr; its steps follow mu")
-    args = {}
-    for key, value in training.items():
-        if key in ("rounds", "local_steps", "batch_size"):
-            args[key] = _integer(key, value)
-        elif key == "lr_schedule":
-            args[key] = _string(key, value)
-        else:
-            args[key] = _number(key, value)
-    if kind == "quadratic":
-        args["mu"], args["smoothness"], args["projection_radius"] = (
-            (1.0, 1.0, 1.0) if task is None else (task.mu, task.smoothness, task.radius)
-        )
-    try:
-        return TrainConfig(**args, seed=seed)
-    except ValueError as exc:
-        raise ConfigParseError(f"cannot build the training config: {exc}") from exc
 
 
 @dataclass
@@ -401,14 +116,17 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
     task = _build_task(cfg, partition, seed)
     if task.kind == "mlp":
         test_x, test_y = make_test_set(task, cfg.test_samples, seed)
+        constants = {}
     else:
         test_x = test_y = None
+        # The constants a quadratic task's opt_bound assumes.
+        constants = dict(mu=task.mu, smoothness=task.smoothness, projection_radius=task.radius)
     return _Group(
         seed=seed,
         partition=partition,
         task=task,
         topology=cfg.topology.with_dataset_sizes(task.sizes),
-        train_cfg=_train_config(cfg.training, cfg.task["kind"], seed, task),
+        train_cfg=TrainConfig(**cfg.training, **constants, seed=seed),
         w_init=task.init_params(rngmod.stream(seed, rngmod.INIT)),
         test_x=test_x,
         test_y=test_y,
@@ -577,7 +295,7 @@ def run_experiment(
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seeds=_seeds([seed_override]))
+        cfg = dataclasses.replace(cfg, seeds=parse_seeds([seed_override]))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise OutputExistsError(f"output path {out} exists and is not an empty directory")

@@ -180,7 +180,15 @@ def local_update(
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    """``v`` if it lies in the origin-centered ball of ``radius``, else ``v`` scaled onto it."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.isfinite(v).all():
+        # The squares overflow, not the norm: measure v in units of its largest entry.
+        scale = float(np.abs(v).max())
+        unit = v / scale
+        unit_norm = float(np.linalg.norm(unit))
+        return v if scale * unit_norm <= radius else unit * (radius / unit_norm)
     if norm <= radius:
         return v
     return v * (radius / norm)

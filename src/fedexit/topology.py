@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -150,81 +149,6 @@ class Topology:
     @property
     def total_arrival(self) -> float:
         return float(sum(n.arrival_rate for n in self.nodes))
-
-
-# Readers of JSON config values. Each refuses what a bare int(), float() or
-# iteration would silently convert: a bool, a string, a fractional integer.
-def integer(what: str, value, error: type[Exception] = InvalidTopologyError) -> int:
-    """``value`` as an int; refuse a bool or a fractional part, which ``int()`` would cut."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise error(f"{what} must be an integer, got {value!r}")
-
-
-def number(what: str, value, error: type[Exception] = InvalidTopologyError) -> float:
-    """``value`` as a float; refuse a bool or a string, which ``float()`` would take."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise error(f"{what} must be a number, got {value!r}")
-
-
-def array(what: str, value, error: type[Exception] = InvalidTopologyError) -> list:
-    """``value`` if it is a JSON array; a string, an object or a scalar iterates wrongly."""
-    if isinstance(value, list):
-        return value
-    raise error(f"{what} must be a JSON array, got {value!r}")
-
-
-def string(what: str, value, error: type[Exception] = InvalidTopologyError) -> str:
-    """``value`` if it is a JSON string; ``str()`` would turn a list or a number into a name."""
-    if isinstance(value, str):
-        return value
-    raise error(f"{what} must be a string, got {value!r}")
-
-
-def reject_unknown_keys(
-    what: str, section, known, error: type[Exception] = InvalidTopologyError
-) -> None:
-    """Refuse a non-object or an unread key, so a misspelt one cannot fall back to a default."""
-    if not isinstance(section, dict):
-        raise error(f"{what} must be a JSON object, got {section!r}")
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise error(f"unknown {what} keys {unknown}; known: {sorted(known)}")
-
-
-# The keys from_node_dicts reads from a node dict; budgets are set per serving point.
-NODE_KEYS = ("id", "parent", "exit", "arrival_rate", "dataset_size")
-
-
-def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topology:
-    """Build a topology from a list of plain dicts with the keys in ``NODE_KEYS``.
-
-    Raises:
-        InvalidTopologyError: ``entries`` is not a list, a node is not a
-            dict or has a key outside ``NODE_KEYS``, so a misspelt one
-            cannot fall back to its default, ``id`` or a non-null ``parent``
-            is not a string, an integer field (``exit``, ``dataset_size``,
-            ``num_exits``) is not whole, or ``arrival_rate`` is not a number.
-        ValueError: a value :class:`NodeSpec` refuses.
-    """
-    nodes = []
-    for d in array("topology nodes", entries):
-        reject_unknown_keys(f"node {d.get('id')!r}" if isinstance(d, dict) else "node", d,
-                            NODE_KEYS)
-        node = string("node id", d["id"])
-        parent = d.get("parent")
-        nodes.append(NodeSpec(
-            id=node,
-            parent=None if parent in (None, "") else string(f"node {node}: parent", parent),
-            exit=integer(f"node {node}: exit", d["exit"]),
-            arrival_rate=number(f"node {node}: arrival_rate", d.get("arrival_rate", 0.0)),
-            dataset_size=integer(f"node {node}: dataset_size", d.get("dataset_size", 0)),
-        ))
-    if num_exits is None:
-        num_exits = max(n.exit for n in nodes)
-    return Topology(nodes=tuple(nodes), num_exits=integer("num_exits", num_exits))
 
 
 def validate(topology: Topology) -> None:

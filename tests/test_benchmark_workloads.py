@@ -2,8 +2,10 @@
 
 ``perfbench/workloads.py`` calls ``fedexit.run``, ``TrainConfig``,
 ``simulate_serving(ranking=...)``, ``parse_config`` and reads
-``config.training["rounds"]`` and ``config.task[...]``. A change that breaks
-one of those calls fails here instead of in a benchmark run.
+``config.training["rounds"]`` and ``config.task[...]``, and
+``perfbench/tracing.py`` wraps fedexit call sites by module and name. A change
+that breaks one of those calls, or leaves a traced span with no call site,
+fails here instead of in a benchmark run.
 """
 
 from __future__ import annotations
@@ -15,13 +17,20 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# perfbench is not a package, so its workloads are imported by path; their
-# dataclasses need the module registered in sys.modules before it runs.
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+def load(name: str):
+    """perfbench is not a package, so its modules are imported by path; their
+    dataclasses need the module registered in sys.modules before it runs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load("workloads")
+tracing = load("tracing")
 
 
 def shrink(monkeypatch) -> None:
@@ -61,3 +70,14 @@ def test_workload_runs_a_clean_pass(tmp_path, monkeypatch, name):
     assert outcome.ops == workload.ops_per_pass >= 1
     assert outcome.failed == set()
     assert math.isfinite(outcome.error)
+
+
+def test_every_traced_span_keeps_a_call_site():
+    # Moving a function out of the module the tracer wraps it in leaves its
+    # span unmeasured; only the non-tier-1 benchmark tests noticed.
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(0)
+    finally:
+        tracer.uninstall()
+    assert tracer.unmeasured() == []

@@ -26,6 +26,7 @@ from fedexit.experiment import (
     parse_config,
     run_experiment,
 )
+from fedexit.fedtrain import TrainConfig
 from fedexit.topology import brute_force_rate_plan
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -357,6 +358,14 @@ class TestParseConfig:
             parse_config(with_value(1.5))
         parse_config(with_value(2.0))
 
+    def test_training_is_read_once_into_typed_values(self):
+        # The section used to be kept as raw JSON and read again per group, so
+        # rounds stayed the float 4.0.
+        training = {"rounds": 4.0, "local_steps": 2.0, "batch_size": 8.0}
+        cfg = parse_config(mlp_config(training=training))
+        assert cfg.training == {"rounds": 4, "local_steps": 2, "batch_size": 8}
+        assert all(type(value) is int for value in cfg.training.values())
+
     def test_negative_seed_rejected(self, tmp_path):
         # A negative seed used to end the run in a raw ValueError traceback.
         with pytest.raises(ConfigParseError, match="seeds must be >= 0"):
@@ -383,7 +392,7 @@ class TestParseConfig:
         nodes = [dict(n) for n in SEVEN_NODES]
         nodes[3]["arrival_rte"] = nodes[3].pop("arrival_rate")
         raw = mlp_config(topology={"num_exits": 3, "nodes": nodes})
-        with pytest.raises(InvalidTopologyError, match="'dev1'.*arrival_rte"):
+        with pytest.raises(ConfigParseError, match="'dev1'.*arrival_rte"):
             parse_config(raw)
 
     @pytest.mark.parametrize(
@@ -739,12 +748,18 @@ class TestStackedTraining:
         monkeypatch.setattr(experiment, "run_stacked", recording_stacked)
         training = {"rounds": 4, "local_steps": 2, "lr_schedule": schedule}
         raw = quadratic_config(training=training, seeds=[3, 4])
-        run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+        config = parse_config(raw)
+        run_experiment(config, out_dir=tmp_path / "out")
         assert len({id(job.task) for job in jobs}) == 2
         for job in jobs:
             cfg, task = job.cfg, job.task
             assert (cfg.mu, cfg.smoothness, cfg.projection_radius) == (
                 task.mu, task.smoothness, task.radius
+            )
+            # Built from the parsed section, with no second read of the JSON.
+            assert cfg.seed in (3, 4) and cfg == TrainConfig(
+                **config.training, seed=cfg.seed, mu=task.mu, smoothness=task.smoothness,
+                projection_radius=task.radius,
             )
 
 
@@ -1089,6 +1104,29 @@ class TestCli:
         code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError("Unable to allocate 50.9 TiB for an array"),
+          "error: out of memory: Unable to allocate 50.9 TiB for an array\n"),
+         (MemoryError(), "error: out of memory\n")],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        # training.rounds: 1e12 on quadratic_bounds ended in a raw
+        # _ArrayMemoryError traceback with exit status 1.
+        import fedexit.experiment as experiment
+
+        def refuse(jobs):
+            raise error
+
+        monkeypatch.setattr(experiment, "run_stacked", refuse)
+        out = tmp_path / "out"
+        path = CONFIG_DIR / "quadratic_bounds.json"
+        code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)

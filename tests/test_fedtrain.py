@@ -225,6 +225,20 @@ class TestAggregate:
         assert np.linalg.norm(out) == pytest.approx(2.5)
         np.testing.assert_allclose(out / np.linalg.norm(out), v / 5.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_projection_keeps_an_overflowing_iterate_inside_the_ball(self):
+        # The squared norm overflowed to inf, so an iterate of norm 5e200
+        # inside a ball of radius 1e201 came back as the zero vector.
+        v = np.array([3e200, -4e200])
+        assert project_ball(v, 1e201) is v
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_projection_scales_an_overflowing_iterate_onto_the_ball(self):
+        v = np.array([3e200, -4e200, 1.0])
+        out = project_ball(v, 1.0)
+        assert np.linalg.norm(out) == pytest.approx(1.0)
+        np.testing.assert_allclose(out, [0.6, -0.8, 2e-201])
+
     def test_zero_probability_update_rejected(self):
         topo, task, sampling, pools = self._setup()
         w = np.zeros(4)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import chain_topology, random_tree, seven_node_topology
+from fedexit.config import from_node_dicts
 from fedexit.errors import (
+    ConfigParseError,
     CycleError,
     ExitOrderError,
     InfeasibleSplitError,
@@ -20,7 +22,6 @@ from fedexit.topology import (
     brute_force_rate_plan,
     budgets_for_split,
     compute_rate_plan,
-    from_node_dicts,
     grid_search_p1,
     validate,
 )
@@ -97,12 +98,12 @@ class TestValidate:
             {"id": "r", "parent": None, "exit": 2},
             {"id": "a", "parent": "r", "exit": 1, "arrival_rate": 1.0, key: value},
         ]
-        with pytest.raises(InvalidTopologyError, match=f"node a: {key} must be an integer"):
+        with pytest.raises(ConfigParseError, match=f"node a: {key} must be an integer"):
             from_node_dicts(entries)
 
     def test_from_node_dicts_refuses_fractional_num_exits(self):
         entries = [{"id": "r", "parent": None, "exit": 1, "arrival_rate": 1.0}]
-        with pytest.raises(InvalidTopologyError, match="num_exits must be an integer"):
+        with pytest.raises(ConfigParseError, match="num_exits must be an integer"):
             from_node_dicts(entries, num_exits=1.5)
 
     @pytest.mark.parametrize(
