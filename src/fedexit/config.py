@@ -18,13 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ZeroTrafficError
-from .fedtrain import TrainConfig
-from .mlp import check_classification_task, layer_shares
+from .fedtrain import TrainConfig, stack_rows
+from .mlp import build_segments, check_classification_task, layer_shares
 from .quadratic import check_quadratic_task
 from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix
 from .topology import NodeSpec, RatePlan, Topology, budgets_for_split, compute_rate_plan
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
+
+# The most bytes one of the training engine's per-stack tables may take; a
+# config whose estimate exceeds it is refused before any work (see the README).
+TABLE_BYTES = 2**30
 
 
 # Readers of JSON config values. Each refuses what a bare int(), float() or
@@ -143,7 +147,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long for int()
         raise ConfigParseError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(raw)
 
@@ -267,6 +271,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not all(0 < f < np.inf for f in flops):
             raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
 
+        jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
+        _check_table_sizes(training, task_args, kind, topo, jobs)
+
         return ExperimentConfig(
             topology=topo,
             splits=tuple(splits),
@@ -336,3 +343,53 @@ def _training_args(training: dict, kind: str) -> dict:
     except ValueError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
     return args
+
+
+def _gib(nbytes: int) -> str:
+    """``nbytes`` in GiB for a message; a size past a float's range is only bounded."""
+    return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else "more than 2**970 GiB"
+
+
+def _check_table_sizes(training: dict, task: dict, kind: str, topo: Topology, jobs: int) -> None:
+    """Refuse a grid whose training would build a table larger than :data:`TABLE_BYTES`.
+
+    The estimate covers one stack of the engine, which trains at most
+    ``jobs`` jobs, and no more than ``stack_rows`` allows: every round's
+    exit draws (a uniform, one comparison per exit and the exit, per job,
+    round and client), the step sizes (per job, round and local step), one
+    round's local draw (a client's batches, features and labels on an MLP;
+    the noise of the whole stack on a quadratic) and the slab of local
+    iterates.
+
+    Raises:
+        ConfigParseError: naming the keys that size the table over budget.
+    """
+    n = len(topo.client_ids)
+    rounds, local_steps = training["rounds"], training["local_steps"]
+    if kind == "quadratic":
+        dim = task["dim"]
+    else:
+        dim = build_segments(task["input_dim"], task["hidden_dim"], task["num_classes"],
+                             topo.num_exits).dim
+    rows = min(jobs, stack_rows(n, dim))
+    slab = rows * n * dim * 8
+    if kind == "quadratic":
+        draw = ("training local_steps and task dim", local_steps * slab)
+        size = ("task dim", slab)
+    else:
+        batch_size = training.get("batch_size", TrainConfig.batch_size)
+        draw = ("training batch_size and local_steps, and task input_dim",
+                local_steps * batch_size * (task["input_dim"] + 2) * 8)
+        size = ("task input_dim, hidden_dim and num_classes", slab)
+    tables = (
+        ("training rounds", rows * rounds * n * (topo.num_exits + 16), "the exit draws"),
+        ("training rounds and local_steps", rows * rounds * local_steps * 8, "the step sizes"),
+        (*draw, "one round's local draw"),
+        (*size, "the slab of local iterates"),
+    )
+    for keys, nbytes, what in tables:
+        if nbytes > TABLE_BYTES:
+            raise ConfigParseError(
+                f"{keys}: {what} would take {_gib(nbytes)}, over the "
+                f"{_gib(TABLE_BYTES)} one training table may use"
+            )

@@ -9,13 +9,15 @@ initial model, the training config and a table of estimated noise scales per
 (client, exit). Training never reads budgets, so a cell's training job is
 keyed by (seed, partition, k, exit weights), and ``equal`` and ``flops_prop``
 give one job per group rather than one per split. It then trains every
-distinct job once through :func:`fedtrain.run_stacked`, which trains as many
-jobs side by side as its byte budget allows: all quadratic jobs of a grid in
-one stack, each MLP job alone. Last, it evaluates each cell from its job's final
-iterate and its split. An MLP cell's accuracies and losses, on the requests it
-serves and on the i.i.d. test stream alike, come from the one backbone pass of
-its serving simulation. Strategy comparisons are therefore paired, and reruns
-of the same config produce byte-identical outputs.
+distinct job once through :func:`fedtrain.run_stacked`, which trains whole
+stream sets side by side within its byte budget: all quadratic jobs of a grid
+in one stack, and the jobs of each MLP stream set (one seed, partition and
+sampling matrix) with one stacked backprop per client and local step. Last,
+it evaluates each cell from its job's final iterate and its split. An MLP
+cell's accuracies and losses, on the requests it serves and on the i.i.d.
+test stream alike, come from the one backbone pass of its serving simulation.
+Strategy comparisons are therefore paired, and reruns of the same config
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import csv
 import dataclasses
 import json
 import operator
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -287,7 +291,8 @@ def run_experiment(
     """Run the full grid and write results.csv plus per-cell reports.
 
     Returns the path of the CSV. Output is byte-identical across reruns of
-    the same config.
+    the same config. The files are written into a fresh hidden sibling of
+    the output directory and moved into it after the last one is written.
 
     Raises:
         OutputExistsError: the output directory exists and is not empty, so
@@ -317,22 +322,33 @@ def run_experiment(
         all_rows.append(row)
         all_reports[cell_key(row)] = report
 
-    # Made only here: a run refused in training or evaluation leaves no directory.
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    all_rows.sort(key=cell_key)
-    csv_path = out / "results.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in all_rows:
-            writer.writerow([_format_cell(row.get(col)) for col in CSV_COLUMNS])
+    # The outputs are written into a fresh sibling directory and moved into
+    # out after the last file, results.csv last. So a run refused in training
+    # or evaluation, or a write that fails, leaves no output behind.
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        (staging / "reports").mkdir()
+        all_rows.sort(key=cell_key)
+        with (staging / "results.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
+            for row in all_rows:
+                writer.writerow([_format_cell(row.get(col)) for col in CSV_COLUMNS])
 
-    for key in sorted(all_reports):
-        seed, partition, split_label, strategy, k = key
-        name = f"report_s{seed}_{partition}_{split_label}_{strategy}_k{k:g}.json"
-        payload = json.dumps(all_reports[key], indent=2, sort_keys=True)
-        (out / "reports" / name).write_text(payload + "\n")
-    return csv_path
+        for key in sorted(all_reports):
+            seed, partition, split_label, strategy, k = key
+            name = f"report_s{seed}_{partition}_{split_label}_{strategy}_k{k:g}.json"
+            payload = json.dumps(all_reports[key], indent=2, sort_keys=True)
+            (staging / "reports" / name).write_text(payload + "\n")
+        # Moved entry by entry, since out may be an existing empty directory,
+        # even the working one, which renaming a directory onto would unlink.
+        out.mkdir(exist_ok=True)
+        for entry in ("reports", "results.csv"):
+            (staging / entry).replace(out / entry)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return out / "results.csv"
 
 
 def compare(csv_path: str | Path, baseline: str, candidate: str) -> list[dict]:

@@ -16,12 +16,13 @@ One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
 at the last iterate). It samples the exits, sums each job's weighted deltas in
 client-name order, projects and checks that the iterates stay finite. The task
-class supplies the local phase: the quadratic steps the whole ``(R, N, d)``
-slab with one batched matmul per local step and draws each client's noise for
-all of its local steps at once, and the MLP steps each (job, client) row on
-its own. Jobs that share a seed, a task, a sampling matrix and a batch size
-draw the same exits and local streams, so they share one set of streams and
-one draw per round. The result is bit-identical to calling
+class supplies the local phase. Jobs that share a seed, a task, a sampling
+matrix and a batch size form a stream set: they draw the same exits and local
+streams, so they share one set of streams and one draw per round. The
+quadratic steps the whole ``(R, N, d)`` slab with one batched matmul per
+local step and draws each client's noise for all of its local steps at once;
+the MLP steps each stream set's jobs with one stacked backprop per client and
+local step, on the batch they share. The result is bit-identical to calling
 :func:`sample_round`, :func:`local_update` and :func:`aggregate` per round,
 per client and per job, which stay the reference implementation.
 """
@@ -297,8 +298,21 @@ def run(
 
 
 # Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
-# trains a job list in as few stacks as stay under it.
-STACK_BYTES = 256 * 1024
+# packs whole stream sets into stacks that stay under it.
+STACK_BYTES = 1024 * 1024
+
+
+def stack_rows(clients: int, dim: int) -> int:
+    """How many jobs one stack holds: as many as keep the slab within STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES // (clients * dim * 8))
+
+
+def _set_key(job: Job) -> tuple:
+    """Jobs with equal keys form one stream set: every round they draw the same numbers.
+
+    A set's jobs share one batch draw per client, so the batch size is keyed.
+    """
+    return (job.cfg.seed, id(job.task), job.sampling.probs.tobytes(), job.cfg.batch_size)
 
 
 def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
@@ -307,8 +321,11 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     This is the one driver of the round engine. Each row equals, bit for bit,
     the iterate of that job trained alone. The jobs must share their task
     class, clients, ``rounds``, ``local_steps`` and ``dim``, as the jobs of
-    one grid do. Consecutive jobs train together in stacks of at
-    most :data:`STACK_BYTES`.
+    one grid do. Stream sets (:func:`_set_key`), in order of first
+    appearance, are packed whole into stacks whose slab stays within
+    :data:`STACK_BYTES`; a set too large for one stack is cut into parts
+    that fill one each. Streams are keyed by (seed, client), so every part
+    of a cut set draws what the whole set would.
 
     Raises:
         ValueError: the jobs cannot share a stack, or a job's task and
@@ -327,12 +344,21 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
         raise ValueError("stacked jobs must share task class, clients, rounds, "
                          "local_steps and dim")
     starts = [_start(job) for job in jobs]
-    size = max(1, STACK_BYTES // (len(first.sampling.clients) * first.task.dim * 8))
+    size = stack_rows(len(first.sampling.clients), first.task.dim)
+    sets: dict[tuple, list[int]] = {}
+    for r, job in enumerate(jobs):
+        sets.setdefault(_set_key(job), []).append(r)
+    stacks = [[]]
+    for members in sets.values():
+        for lo in range(0, len(members), size):
+            part = members[lo : lo + size]
+            if len(stacks[-1]) + len(part) > size:
+                stacks.append([])
+            stacks[-1].extend(part)
     out = np.empty((len(jobs), first.task.dim))
-    for lo in range(0, len(jobs), size):
-        stack = slice(lo, lo + size)
-        advance = _stacked_round(jobs[stack], [pools for pools, _ in starts[stack]])
-        w = np.stack([w0 for _, w0 in starts[stack]])
+    for stack in map(sorted, stacks):
+        advance = _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack])
+        w = np.stack([starts[r][1] for r in stack])
         for t in range(1, first.cfg.rounds + 1):
             w = advance(w, t)
         out[stack] = w
@@ -363,16 +389,8 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     n, rounds = len(clients), first.cfg.rounds
     by_name = sorted(range(n), key=lambda i: clients[i])
 
-    # Stream sets: the jobs whose rounds draw exactly the same numbers. A
-    # set's jobs share one batch draw per client, so the batch size is keyed.
     set_of: dict[tuple, int] = {}
-    job_set = np.array([
-        set_of.setdefault(
-            (job.cfg.seed, id(job.task), job.sampling.probs.tobytes(), job.cfg.batch_size),
-            len(set_of),
-        )
-        for job in jobs
-    ])
+    job_set = np.array([set_of.setdefault(_set_key(job), len(set_of)) for job in jobs])
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
     # Every round's exits, drawn before round 1 as sample_round draws them:
     # round t's N uniforms are row t - 1 of one draw from the sample stream,

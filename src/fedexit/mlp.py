@@ -64,15 +64,19 @@ def build_segments(input_dim: int, hidden_dim: int, num_classes: int, num_exits:
 
 
 def _weight_and_bias(w: np.ndarray, span: tuple[int, int], rows: int):
-    """Views of the ``(rows, fan_in)`` weight and the ``rows`` bias stored in ``w[span]``."""
+    """Views of the ``(rows, fan_in)`` weight and the ``rows`` bias stored in ``w[..., span]``.
+
+    ``w`` is one flat vector or a stack of them; a stack gives stacked views.
+    """
     start, stop = span
-    return w[start : stop - rows].reshape(rows, -1), w[stop - rows : stop]
+    weight = w[..., start : stop - rows]
+    return weight.reshape(weight.shape[:-1] + (rows, -1)), w[..., stop - rows : stop]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     expz = np.exp(z)
-    return expz / expz.sum(axis=1, keepdims=True)
+    return expz / expz.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,16 +141,19 @@ class MlpTask:
         return x, y
 
     def _states(self, w: np.ndarray, x: np.ndarray):
-        """Activations h_1, h_2, ... of one pass through the backbone, one at a time."""
+        """Activations h_1, h_2, ... of one pass through the backbone, one at a time.
+
+        For a stack of ``R`` parameter vectors each state is ``(R, n, hidden)``.
+        """
         h = x
         for b in range(1, self.num_exits + 1):
             weight, bias = self._block(w, b)
-            h = np.tanh(h @ weight.T + bias)
+            h = np.tanh(h @ weight.swapaxes(-1, -2) + bias[..., None, :])
             yield h
 
     def _head_logits(self, w: np.ndarray, h: np.ndarray, exit: int) -> np.ndarray:
         weight, bias = self._head(w, exit)
-        return h @ weight.T + bias
+        return h @ weight.swapaxes(-1, -2) + bias[..., None, :]
 
     def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
         """Activations h_1..h_exit; h_0 is the input itself."""
@@ -176,25 +183,31 @@ class MlpTask:
         return self.loss_on(w, *self._client_data(client), exit)
 
     def gradient_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
-        """Backprop of the mean cross-entropy; zero outside the exit's active set."""
+        """Backprop of the mean cross-entropy; zero outside the exit's active set.
+
+        ``w`` is one parameter vector, or an ``(R, dim)`` stack of them that
+        all see the batch ``(x, y)``. Row ``r`` of a stack's gradient equals
+        the gradient at ``w[r]`` alone, bit for bit: each matmul runs the
+        same kernel per row, and each sum adds the same terms in the same order.
+        """
         n = len(y)
         states = self.hidden_states(w, x, exit)
         head_w, head_b = self._head(w, exit)
-        dlogits = _softmax(states[-1] @ head_w.T + head_b)
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits = _softmax(states[-1] @ head_w.swapaxes(-1, -2) + head_b[..., None, :])
+        dlogits[..., np.arange(n), y] -= 1.0
         dlogits /= n
 
         grad = np.zeros_like(w)
         grad_w, grad_b = self._head(grad, exit)
-        grad_w[:] = dlogits.T @ states[-1]
-        grad_b[:] = dlogits.sum(axis=0)
+        grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
+        grad_b[...] = dlogits.sum(axis=-2)
 
         dh = dlogits @ head_w
         for b in range(exit, 0, -1):
             dz = dh * (1.0 - states[b] ** 2)
             grad_w, grad_b = self._block(grad, b)
-            grad_w[:] = dz.T @ states[b - 1]
-            grad_b[:] = dz.sum(axis=0)
+            grad_w[...] = dz.swapaxes(-1, -2) @ states[b - 1]
+            grad_b[...] = dz.sum(axis=-2)
             if b > 1:  # h_0 is the input, whose gradient nothing reads
                 weight, _ = self._block(w, b)
                 dh = dz @ weight
@@ -218,12 +231,14 @@ class MlpTask:
 
     @staticmethod
     def local_phase(jobs, job_set: np.ndarray):
-        """The round engine's local phase: each (job, client) row steps on its own iterate.
+        """The round engine's local phase: each stream set's jobs step as one stack per client.
 
         Each step is :meth:`stochastic_gradient` on one batch drawn from the
-        row's stream, as in :func:`fedtrain.local_update`. A stream-set row
-        draws the batches of all its local steps in one call, which equals
-        one call per step, and every job of the set trains on that draw.
+        client's stream, as in :func:`fedtrain.local_update`. A stream set
+        draws the batches of all its local steps in one call per client,
+        which equals one call per step. Its jobs share that draw and the
+        sampled exit, so one stacked :meth:`gradient_on` steps all of them; a
+        set of one job steps its row alone.
         """
         clients = jobs[0].sampling.clients
         n = len(clients)
@@ -233,6 +248,7 @@ class MlpTask:
             w_end = np.empty((len(jobs), n, w.shape[1]))
             for s, rows in enumerate(members):
                 lead = jobs[rows[0]]
+                at = rows if len(rows) > 1 else rows[0]
                 for i, client in enumerate(clients):
                     x, y = lead.task._client_data(client)
                     idx = gens[s * n + i].integers(
@@ -243,8 +259,7 @@ class MlpTask:
                     def gradient(v: np.ndarray, j: int) -> np.ndarray:
                         return lead.task.gradient_on(v, xb[j], yb[j], exit)
 
-                    for r in rows:
-                        w_end[r, i] = _local_steps(w[r], etas[:, r], gradient)
+                    w_end[at, i] = _local_steps(w[at], etas[:, at, None], gradient)
             return w_end
 
         return phase

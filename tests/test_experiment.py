@@ -116,6 +116,15 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             load_config(tmp_path / "nope.json")
 
+    def test_integer_too_long_to_read(self, tmp_path):
+        # json.loads refuses an integer literal of more than 4,300 digits with
+        # a plain ValueError, which used to escape as a raw traceback.
+        path = tmp_path / "config.json"
+        text = json.dumps(mlp_config()).replace('"rounds": 4', '"rounds": 1' + "0" * 5000)
+        path.write_text(text)
+        with pytest.raises(ConfigParseError, match="invalid JSON in .*4300 digits"):
+            load_config(path)
+
     def test_split_and_budgets_mutually_exclusive(self, tmp_path):
         raw = mlp_config()
         raw["serving"]["budgets"] = {"dev1": 0.5}
@@ -732,6 +741,33 @@ class TestStackedTraining:
         want += [(seed, rngmod.LOCAL, i) for seed in (3, 3, 4, 4) for i in range(n)]
         assert sorted(opened) == sorted(want)
 
+    def test_one_stream_table_per_mlp_stream_set(self, tmp_path, monkeypatch):
+        # The MLP twin of the test above, at the shipped grids' network size:
+        # each stream set's jobs train as one stack, so the set opens its
+        # streams once, not once per job.
+        import fedexit.rng as rngmod
+
+        opened = []
+        real_stream = rngmod.stream
+
+        def counting_stream(seed, *key):
+            if key[0] in (rngmod.ROUND_SAMPLE, rngmod.LOCAL):
+                opened.append((seed, *key))
+            return real_stream(seed, *key)
+
+        monkeypatch.setattr(rngmod, "stream", counting_stream)
+        raw = reuse_config()
+        raw.update(task={"kind": "mlp", "input_dim": 16, "hidden_dim": 32, "num_classes": 6},
+                   seeds=[3, 4])
+        run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+        # Per (seed, partition) group, two stream sets: the four k=0 jobs
+        # (equal, flops_prop, serving_rate at each split) and the two k=0.1 ones.
+        sets = [seed for seed in (3, 4) for _ in range(2 * 2)]
+        n = len(parse_config(raw).topology.client_ids)
+        want = [(seed, rngmod.ROUND_SAMPLE) for seed in sets]
+        want += [(seed, rngmod.LOCAL, i) for seed in sets for i in range(n)]
+        assert sorted(opened) == sorted(want)
+
     @pytest.mark.parametrize("schedule", ["theory", "constant"])
     def test_quadratic_jobs_carry_their_task_constants(self, tmp_path, monkeypatch, schedule):
         # opt_bound assumes the task's mu, smoothness and radius; a constant
@@ -1129,6 +1165,46 @@ class TestCli:
         assert capsys.readouterr().err == line
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, edits, keys",
+        [
+            ("strategy_grid_equal", {"training": {"rounds": 1e308}}, "training rounds:"),
+            ("strategy_grid_equal", {"training": {"rounds": 1e12}}, "training rounds:"),
+            ("strategy_grid_equal", {"training": {"local_steps": 1e9}},
+             "training rounds and local_steps:"),
+            ("strategy_grid_equal", {"training": {"batch_size": 1e9}},
+             "training batch_size and local_steps, and task input_dim:"),
+            ("quadratic_bounds", {"training": {"rounds": 1e12}}, "training rounds:"),
+            ("quadratic_bounds", {"task": {"dim": 10_000}, "training": {"local_steps": 2_000}},
+             "training local_steps and task dim:"),
+            ("strategy_grid_equal", {"task": {"hidden_dim": 5_000}},
+             "task input_dim, hidden_dim and num_classes:"),
+        ],
+        ids=["rounds-1e308", "rounds-1e12", "local-steps", "batch-size", "quadratic-rounds",
+             "quadratic-draw", "mlp-slab"],
+    )
+    def test_oversized_training_table_is_refused_at_parse(
+        self, tmp_path, capsys, monkeypatch, config, edits, keys
+    ):
+        # Each of these reached the allocator (or numpy's dimension check) in
+        # training; the parse-time estimate refuses them before any work.
+        import fedexit.experiment as experiment
+
+        def refuse(jobs):
+            raise AssertionError("training must not start")
+
+        monkeypatch.setattr(experiment, "run_stacked", refuse)
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        for section, values in edits.items():
+            raw[section].update(values)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {keys} ") and err.count("\n") == 1, err
+        assert "over the 1 GiB one training table may use" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_runs(self, tmp_path, path):
         out = tmp_path / "out"
@@ -1158,6 +1234,37 @@ class TestCli:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert cli_main(["run", str(quad_path), "--out", str(empty)]) == 0
+
+    def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # Outputs used to be written file by file into out, so a write that
+        # failed between results.csv and the last report left a partial run.
+        path = write_config(tmp_path, mlp_config(seeds=[1]))
+        real_write = Path.write_text
+        writes = []
+
+        def failing_write(self, *args, **kwargs):
+            writes.append(self.name)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return real_write(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        out = tmp_path / "runs" / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [name[:7] for name in writes] == ["report_"] * 2
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_empty_working_directory_takes_the_outputs(self, tmp_path, monkeypatch):
+        # Renaming a finished directory onto "." fails, and onto the working
+        # directory's own path would unlink it from under the caller.
+        path = write_config(tmp_path, quadratic_config(seeds=[1]))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli_main(["run", str(path), "--out", "."]) == 0
+        assert sorted(p.name for p in Path(".").iterdir()) == ["reports", "results.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = cli_main(["run", str(tmp_path / "missing.json")])

@@ -537,6 +537,42 @@ class TestStackedJobs:
                                       job.cfg)[0]
             assert np.array_equal(row, reference), r
 
+    def test_mlp_stream_set_cut_across_stacks_matches_each_alone(self, monkeypatch):
+        # Two stream sets, interleaved: set A has five jobs, set B two. A stack
+        # holds two rows, so A is cut into parts of 2, 2 and 1, and B, packed
+        # after A, cannot join A's last part.
+        topo, task = mlp_case(seed=6)
+        monkeypatch.setattr(fedtrain, "STACK_BYTES", 2 * len(topo.nodes) * task.dim * 8)
+        stacks = []
+        real_round = fedtrain._stacked_round
+
+        def recording_round(jobs, pools):
+            stacks.append(len(jobs))
+            return real_round(jobs, pools)
+
+        monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
+        shares = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2],
+                  [1 / 3, 1 / 3, 1 / 3])
+        set_a = [
+            Job(topo, task, normalized_weights(share), build_sampling_matrix(topo, 0.1),
+                TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=base_lr, seed=3))
+            for share, base_lr in zip(shares, (0.1, 0.2, 0.1, 0.3, 0.1))
+        ]
+        set_b = [
+            Job(topo, task, normalized_weights(share), build_sampling_matrix(topo, 0.0),
+                TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=3))
+            for share in shares[:2]
+        ]
+        jobs = [set_a[0], set_b[0], *set_a[1:3], set_b[1], *set_a[3:]]
+        stacked = run_stacked(jobs)
+        assert stacks == [2, 2, 1, 2]
+        for r, (job, row) in enumerate(zip(jobs, stacked)):
+            alone = run_stacked([job])[0]
+            assert row.tobytes() == alone.tobytes(), r
+        reference = reference_run(topo, task, jobs[2].weights, jobs[2].sampling, jobs[2].cfg)[0]
+        assert np.array_equal(stacked[2], reference)
+        assert len({row.tobytes() for row in stacked}) == len(jobs)
+
     def test_mlp_jobs_of_two_batch_sizes_match_each_alone(self):
         # A stream set's jobs share one batch draw per client, so jobs that
         # differ only in batch size must draw their own.

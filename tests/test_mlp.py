@@ -100,6 +100,24 @@ class TestGradient:
             assert np.all(grad[~mask] == 0.0)
             assert np.any(grad[mask] != 0.0)
 
+    @pytest.mark.parametrize("rows", [2, 5])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("exit", [1, 2, 3])
+    def test_stacked_rows_equal_single_calls_bit_for_bit(self, rows, batch, exit):
+        # Batch 1 takes numpy's matrix-vector path, the others its matrix
+        # product. The layer sizes are the shipped grids'.
+        task = small_task(seed=4, input_dim=16, hidden_dim=32, num_classes=6)
+        rng = np.random.default_rng(rows * 100 + batch * 10 + exit)
+        stack = np.stack([task.init_params(rng) for _ in range(rows)])
+        x, y = task.data["cloud"]
+        idx = rng.integers(0, len(y), size=batch)
+        grads = task.gradient_on(stack, x[idx], y[idx], exit)
+        assert grads.shape == stack.shape
+        for w, grad in zip(stack, grads):
+            single = task.gradient_on(w, x[idx], y[idx], exit)
+            assert single.shape == (task.dim,)
+            assert grad.tobytes() == single.tobytes()
+
     def test_active_sets_nest_in_backbone(self):
         segs = small_task().segments
         for e in range(1, len(segs.blocks)):
