@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -272,7 +273,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
 
         jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
-        _check_table_sizes(training, task_args, kind, topo, jobs)
+        _check_table_sizes(training, task_args, kind, topo, jobs, samples)
 
         return ExperimentConfig(
             topology=topo,
@@ -350,8 +351,10 @@ def _gib(nbytes: int) -> str:
     return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else "more than 2**970 GiB"
 
 
-def _check_table_sizes(training: dict, task: dict, kind: str, topo: Topology, jobs: int) -> None:
-    """Refuse a grid whose training would build a table larger than :data:`TABLE_BYTES`.
+def _check_table_sizes(
+    training: dict, task: dict, kind: str, topo: Topology, jobs: int, samples: Sequence[int]
+) -> None:
+    """Refuse a grid whose task or training would build a table larger than :data:`TABLE_BYTES`.
 
     The estimate covers one stack of the engine, which trains at most
     ``jobs`` jobs, and no more than ``stack_rows`` allows: every round's
@@ -359,7 +362,9 @@ def _check_table_sizes(training: dict, task: dict, kind: str, topo: Topology, jo
     round and client), the step sizes (per job, round and local step), one
     round's local draw (a client's batches, features and labels on an MLP;
     the noise of the whole stack on a quadratic) and the slab of local
-    iterates.
+    iterates. It also covers the task's own arrays: an MLP's training and
+    test features and labels (``samples`` holds their two sizes), or a
+    quadratic's ``(N, E, d, d)`` matrices.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -374,9 +379,12 @@ def _check_table_sizes(training: dict, task: dict, kind: str, topo: Topology, jo
     rows = min(jobs, stack_rows(n, dim))
     slab = rows * n * dim * 8
     if kind == "quadratic":
+        data = ("task dim", n * topo.num_exits * dim * dim * 8, "the task's matrices")
         draw = ("training local_steps and task dim", local_steps * slab)
         size = ("task dim", slab)
     else:
+        data = ("data total_samples and test_samples, and task input_dim",
+                sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data")
         batch_size = training.get("batch_size", TrainConfig.batch_size)
         draw = ("training batch_size and local_steps, and task input_dim",
                 local_steps * batch_size * (task["input_dim"] + 2) * 8)
@@ -386,6 +394,7 @@ def _check_table_sizes(training: dict, task: dict, kind: str, topo: Topology, jo
         ("training rounds and local_steps", rows * rounds * local_steps * 8, "the step sizes"),
         (*draw, "one round's local draw"),
         (*size, "the slab of local iterates"),
+        data,
     )
     for keys, nbytes, what in tables:
         if nbytes > TABLE_BYTES:

@@ -104,7 +104,7 @@ class TrainConfig:
 def learning_rate(cfg: TrainConfig, t: int, j: int) -> float:
     """Local step size at round ``t`` (1-based) and local step ``j`` (0-based).
 
-    The ``theory`` and ``constant`` schedules also take integer arrays.
+    ``t`` and ``j`` may also be integer arrays.
     """
     if cfg.lr_schedule == "theory":
         step = (t - 1) * cfg.local_steps + j
@@ -112,8 +112,15 @@ def learning_rate(cfg: TrainConfig, t: int, j: int) -> float:
     if cfg.lr_schedule == "cosine":
         step = (t - 1) * cfg.local_steps + j
         horizon = cfg.rounds * cfg.local_steps
-        return cfg.base_lr * 0.5 * (1.0 + math.cos(math.pi * step / horizon))
+        return cfg.base_lr * 0.5 * (1.0 + _cos(math.pi * step / horizon))
     return cfg.base_lr
+
+
+def _cos(angle):
+    """``math.cos`` of a float, or of each entry of an array: ``np.cos`` need not round the same way."""
+    if np.ndim(angle) == 0:
+        return math.cos(angle)
+    return np.fromiter(map(math.cos, angle.flat), float, count=angle.size).reshape(angle.shape)
 
 
 @dataclass(frozen=True)
@@ -136,14 +143,8 @@ def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSam
 
 def _lr_table(cfg: TrainConfig) -> np.ndarray:
     """``learning_rate(cfg, t, j)`` for every round and local step, as one array."""
-    if cfg.lr_schedule == "cosine":
-        # math.cos takes scalars, and np.cos need not round the same way.
-        return np.array(
-            [[learning_rate(cfg, t, j) for j in range(cfg.local_steps)]
-             for t in range(1, cfg.rounds + 1)]
-        )
-    t, j = np.meshgrid(np.arange(1, cfg.rounds + 1), np.arange(cfg.local_steps), indexing="ij")
-    return np.broadcast_to(learning_rate(cfg, t, j), t.shape).astype(float)
+    t, j = np.arange(1, cfg.rounds + 1)[:, None], np.arange(cfg.local_steps)
+    return np.broadcast_to(learning_rate(cfg, t, j), (cfg.rounds, cfg.local_steps)).astype(float)
 
 
 def _local_steps(w: np.ndarray, etas, gradient) -> np.ndarray:

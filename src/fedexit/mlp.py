@@ -73,30 +73,88 @@ def _weight_and_bias(w: np.ndarray, span: tuple[int, int], rows: int):
     return weight.reshape(weight.shape[:-1] + (rows, -1)), w[..., stop - rows : stop]
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1)``, one class column at a time.
+
+    ``np.maximum`` propagates NaN as that reduction does, and a pass per
+    column skips the reduction's per-row cost on a narrow class axis.
+    """
+    zmax = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(zmax, z[..., j], out=zmax)
+    return zmax
+
+
+def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max, ``exp(z - max)`` and its row sum: what every softmax score of ``z`` reads.
+
+    ``z`` holds logits on its last axis. A caller that needs several scores
+    of the same logits computes these once.
+    """
+    zmax = _row_max(z)
+    expz = z - zmax[..., None]
+    np.exp(expz, out=expz)
+    return zmax, expz, expz.sum(axis=-1)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    expz = np.exp(z)
-    return expz / expz.sum(axis=-1, keepdims=True)
+    _, expz, expsum = _softmax_parts(z)
+    expz /= expsum[..., None]
+    return expz
+
+
+def _cross_entropy(z, y, zmax, expsum) -> np.ndarray:
+    loss = np.log(expsum)
+    loss += zmax
+    loss -= z[np.arange(len(y)), y]
+    return loss
+
+
+def _is_top(z, y, zmax) -> np.ndarray:
+    """``np.argmax(z, axis=1) == y``: the label is the first column that holds the row max.
+
+    A row with a NaN has a NaN max, and argmax picks its first NaN, so those
+    rows go through argmax itself.
+    """
+    correct = np.zeros(len(y), dtype=bool)
+    earlier = np.zeros(len(y), dtype=bool)  # an earlier column holds the max
+    for j in range(z.shape[1]):
+        at_max = z[:, j] == zmax
+        correct |= at_max & ~earlier & (y == j)
+        earlier |= at_max
+    nan = np.isnan(zmax)
+    if nan.any():
+        correct[nan] = np.argmax(z[nan], axis=1) == y[nan]
+    return correct
+
+
+def _entropy(expz, expsum) -> np.ndarray:
+    """Overwrites ``expz`` with the softmax; a zero or NaN probability adds nothing."""
+    p = expz
+    p /= expsum[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(p)
+        terms *= p
+    terms[~(p > 0)] = 0.0
+    h = terms.sum(axis=1)
+    return np.negative(h, out=h)
 
 
 def cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample softmax cross-entropy of logits ``z`` against labels ``y``."""
-    zmax = z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
-    return logsumexp - z[np.arange(len(y)), y]
+    zmax, _, expsum = _softmax_parts(z)
+    return _cross_entropy(z, y, zmax, expsum)
 
 
 def is_correct(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample flag: the top logit is the label."""
-    return np.argmax(z, axis=1) == y
+    return _is_top(z, y, _row_max(z))
 
 
 def softmax_entropy(z: np.ndarray) -> np.ndarray:
     """Per-sample Shannon entropy of the softmax of logits ``z``."""
-    p = _softmax(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    return -terms.sum(axis=1)
+    _, expz, expsum = _softmax_parts(z)
+    return _entropy(expz, expsum)
 
 
 @dataclass(frozen=True)
@@ -148,12 +206,15 @@ class MlpTask:
         h = x
         for b in range(1, self.num_exits + 1):
             weight, bias = self._block(w, b)
-            h = np.tanh(h @ weight.swapaxes(-1, -2) + bias[..., None, :])
-            yield h
+            h = h @ weight.swapaxes(-1, -2)
+            h += bias[..., None, :]
+            yield np.tanh(h, out=h)
 
     def _head_logits(self, w: np.ndarray, h: np.ndarray, exit: int) -> np.ndarray:
         weight, bias = self._head(w, exit)
-        return h @ weight.swapaxes(-1, -2) + bias[..., None, :]
+        z = h @ weight.swapaxes(-1, -2)
+        z += bias[..., None, :]
+        return z
 
     def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
         """Activations h_1..h_exit; h_0 is the input itself."""
@@ -296,15 +357,20 @@ def score_exits(
 
     Entropy is computed only for the exits in ``entropy_exits``. Each score
     is the per-sample term that :func:`exit_accuracy`, ``MlpTask.loss_on``
-    and ``serving.entropy_confidence`` average or return.
+    and ``serving.entropy_confidence`` average or return. Each exit's row
+    max, exponentials and row sums come from one :func:`_softmax_parts`
+    call, which the loss and the entropy share.
     """
     if len(y) == 0:
         raise EmptyDatasetError("scores of an empty dataset are undefined")
-    return [
-        ExitScores(is_correct(z, y), cross_entropy(z, y),
-                   softmax_entropy(z) if e in entropy_exits else None)
-        for e, z in enumerate(task.exit_logits(w, x), start=1)
-    ]
+    scores = []
+    for e, z in enumerate(task.exit_logits(w, x), start=1):
+        zmax, expz, expsum = _softmax_parts(z)
+        scores.append(ExitScores(
+            _is_top(z, y, zmax), _cross_entropy(z, y, zmax, expsum),
+            _entropy(expz, expsum) if e in entropy_exits else None,
+        ))
+    return scores
 
 
 def largest_remainder(raw: np.ndarray, total: int) -> np.ndarray:

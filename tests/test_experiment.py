@@ -1179,15 +1179,21 @@ class TestCli:
              "training local_steps and task dim:"),
             ("strategy_grid_equal", {"task": {"hidden_dim": 5_000}},
              "task input_dim, hidden_dim and num_classes:"),
+            ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
+             "data total_samples and test_samples, and task input_dim:"),
+            ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
+             "data total_samples and test_samples, and task input_dim:"),
+            ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
         ],
         ids=["rounds-1e308", "rounds-1e12", "local-steps", "batch-size", "quadratic-rounds",
-             "quadratic-draw", "mlp-slab"],
+             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices"],
     )
     def test_oversized_training_table_is_refused_at_parse(
         self, tmp_path, capsys, monkeypatch, config, edits, keys
     ):
         # Each of these reached the allocator (or numpy's dimension check) in
-        # training; the parse-time estimate refuses them before any work.
+        # training or in the task build; the parse-time estimate refuses them
+        # before any work.
         import fedexit.experiment as experiment
 
         def refuse(jobs):

@@ -72,6 +72,30 @@ class TestLearningRate:
         cfg = TrainConfig(rounds=3, local_steps=2, lr_schedule="constant", base_lr=0.1)
         assert learning_rate(cfg, 1, 0) == learning_rate(cfg, 3, 1) == 0.1
 
+    @pytest.mark.parametrize(
+        "rounds, local_steps, base_lr", [(1, 1, 0.2), (1, 7, 0.5), (40, 2, 0.2), (97, 3, 0.37)]
+    )
+    def test_cosine_table_equals_scalar_steps_bit_for_bit(self, rounds, local_steps, base_lr):
+        # The table maps math.cos over an array of angles; each entry must
+        # equal the scalar schedule, from step 0 (round 1, local step 0) to
+        # the end of the horizon (round rounds + 1, local step 0, where the
+        # cosine reaches -1).
+        cfg = TrainConfig(rounds=rounds, local_steps=local_steps, lr_schedule="cosine",
+                          base_lr=base_lr)
+        table = fedtrain._lr_table(cfg)
+        assert table.shape == (rounds, local_steps) and table.dtype == np.float64
+        expected = [[learning_rate(cfg, t, j) for j in range(local_steps)]
+                     for t in range(1, rounds + 1)]
+        assert table.tobytes() == np.array(expected).tobytes()
+        assert table[0, 0] == base_lr
+
+        t, j = np.meshgrid(np.arange(1, rounds + 2), np.arange(local_steps), indexing="ij")
+        steps = learning_rate(cfg, t, j)
+        scalars = [[learning_rate(cfg, int(a), int(b)) for a, b in zip(ra, rb)]
+                   for ra, rb in zip(t, j)]
+        assert steps.tobytes() == np.array(scalars).tobytes()
+        assert learning_rate(cfg, rounds + 1, 0) == steps[-1, 0] == 0.0
+
     def test_theory_needs_curvature(self):
         with pytest.raises(ValueError):
             TrainConfig(rounds=1, local_steps=1, lr_schedule="theory")

@@ -11,11 +11,14 @@ from conftest import seven_node_topology
 from fedexit.errors import EmptyDatasetError
 from fedexit.mlp import (
     PARTITIONS,
+    cross_entropy,
     exit_accuracy,
+    is_correct,
     layer_allocation,
     make_classification_task,
     make_test_set,
     score_exits,
+    softmax_entropy,
 )
 
 
@@ -72,6 +75,111 @@ class TestForward:
         task = small_task()
         with pytest.raises(EmptyDatasetError):
             score_exits(task, task.teacher, np.zeros((0, 5)), np.zeros(0, dtype=int))
+
+
+# The scoring formulas as they were written before the shared softmax kernel,
+# kept here as the oracle the kernel must match bit for bit.
+def oracle_cross_entropy(z, y):
+    zmax = z.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    return logsumexp - z[np.arange(len(y)), y]
+
+
+def oracle_entropy(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    p = expz / expz.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p), 0.0)
+    return -terms.sum(axis=1)
+
+
+def oracle_correct(z, y):
+    return np.argmax(z, axis=1) == y
+
+
+# Rows that stress the kernel, cut or repeated to the class count: ties in the
+# max, signed zeros, softmax entries that underflow to exactly 0, huge
+# magnitudes, and infinities and NaNs.
+FINITE_ROWS = [
+    [0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, 1.0], [2.0, -1.0, 2.0], [-3.0, 5.0, 5.0, 5.0],
+    [0.0, -800.0], [-800.0, 0.0, -745.0], [700.0, -700.0], [1e300, -1e300, 1e300],
+    [5e-324, 0.0, -5e-324],
+]
+SPECIAL_ROWS = [
+    [np.inf, 0.0], [0.0, -np.inf], [-np.inf, -np.inf], [np.inf, np.inf, 1.0],
+    [np.inf, -np.inf], [np.nan, 0.0], [0.0, np.nan, np.nan], [np.inf, np.nan], [-np.inf, np.nan],
+]
+
+
+def hard_logits(rng, n, classes, rows):
+    """``n`` rows of logits: the given hard rows first, then rounded draws with hard rows mixed in."""
+    hard = np.array([np.resize(np.array(r, dtype=float), classes) for r in rows])
+    z = np.round(rng.standard_normal((n, classes)) * 4, 1)  # rounding makes ties
+    pick = rng.random(n) < 0.2
+    z[pick] = hard[rng.integers(0, len(hard), pick.sum())]
+    z[: min(n, len(hard))] = hard[: min(n, len(hard))]
+    return z
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert a.tobytes() == b.tobytes()
+
+
+class ScoringStub:
+    """Stands in for a task whose exits emit given logits."""
+
+    def __init__(self, logits):
+        self.per_exit = logits
+
+    def exit_logits(self, w, x):
+        yield from (z.copy() for z in self.per_exit)
+
+
+class TestScoringKernel:
+    @pytest.mark.parametrize("classes", [1, 2, 6, 9])
+    @pytest.mark.parametrize("n", [1, 20_000])
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+    def test_scores_match_oracle_bit_for_bit(self, classes, n, special):
+        rng = np.random.default_rng(classes * 10 + n % 7 + special)
+        rows = FINITE_ROWS + (SPECIAL_ROWS if special else [])
+        # At n = 1 every hard row is scored as its own one-row set.
+        sets = ([hard_logits(rng, 1, classes, [r]) for r in rows] if n == 1
+                else [hard_logits(rng, n, classes, rows)])
+        # Finite logits must not warn (RuntimeWarnings are errors here);
+        # inf and NaN warn in the oracle as in the kernel.
+        def state():
+            return np.errstate(all="ignore") if special else np.errstate()
+
+        for z in sets:
+            y = rng.integers(0, classes, len(z))
+            with state():
+                expected = (oracle_correct(z, y), oracle_cross_entropy(z, y), oracle_entropy(z))
+                got = (is_correct(z, y), cross_entropy(z, y), softmax_entropy(z))
+                scores = score_exits(ScoringStub([z, z[::-1].copy()]), None, None, y, {1})
+            for a, b in zip(got, expected):
+                assert_same_bits(a, b)
+            assert_same_bits(scores[0].correct, expected[0])
+            assert_same_bits(scores[0].loss, expected[1])
+            assert_same_bits(scores[0].entropy, expected[2])
+            assert scores[1].entropy is None
+            with state():
+                assert_same_bits(scores[1].loss, oracle_cross_entropy(z[::-1].copy(), y))
+
+    def test_kernel_leaves_logits_alone(self):
+        rng = np.random.default_rng(1)
+        z = hard_logits(rng, 500, 6, FINITE_ROWS)
+        before = z.copy()
+        y = rng.integers(0, 6, 500)
+        is_correct(z, y), cross_entropy(z, y), softmax_entropy(z)
+        assert z.tobytes() == before.tobytes()
+
+    def test_underflowed_and_nan_probabilities_add_no_entropy(self):
+        with np.errstate(invalid="ignore"):
+            h = softmax_entropy(np.array([[0.0, -800.0], [np.nan, 0.0]]))
+        assert h.tolist() == [0.0, 0.0]
 
 
 class TestGradient:
