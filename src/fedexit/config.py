@@ -363,8 +363,9 @@ def _check_table_sizes(
     round's local draw (a client's batches, features and labels on an MLP;
     the noise of the whole stack on a quadratic) and the slab of local
     iterates. It also covers the task's own arrays: an MLP's training and
-    test features and labels (``samples`` holds their two sizes), or a
-    quadratic's ``(N, E, d, d)`` matrices.
+    test features and labels (``samples`` holds their two sizes) and the
+    teacher pass that labels the larger set, which holds two hidden states
+    while it builds the next, or a quadratic's ``(N, E, d, d)`` matrices.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -379,12 +380,16 @@ def _check_table_sizes(
     rows = min(jobs, stack_rows(n, dim))
     slab = rows * n * dim * 8
     if kind == "quadratic":
-        data = ("task dim", n * topo.num_exits * dim * dim * 8, "the task's matrices")
+        own = (("task dim", n * topo.num_exits * dim * dim * 8, "the task's matrices"),)
         draw = ("training local_steps and task dim", local_steps * slab)
         size = ("task dim", slab)
     else:
-        data = ("data total_samples and test_samples, and task input_dim",
-                sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data")
+        own = (
+            ("data total_samples and test_samples, and task input_dim",
+             sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data"),
+            ("data total_samples and test_samples, and task hidden_dim",
+             max(samples) * 2 * task["hidden_dim"] * 8, "the labelling pass's hidden states"),
+        )
         batch_size = training.get("batch_size", TrainConfig.batch_size)
         draw = ("training batch_size and local_steps, and task input_dim",
                 local_steps * batch_size * (task["input_dim"] + 2) * 8)
@@ -394,7 +399,7 @@ def _check_table_sizes(
         ("training rounds and local_steps", rows * rounds * local_steps * 8, "the step sizes"),
         (*draw, "one round's local draw"),
         (*size, "the slab of local iterates"),
-        data,
+        *own,
     )
     for keys, nbytes, what in tables:
         if nbytes > TABLE_BYTES:

@@ -110,24 +110,6 @@ def _cross_entropy(z, y, zmax, expsum) -> np.ndarray:
     return loss
 
 
-def _is_top(z, y, zmax) -> np.ndarray:
-    """``np.argmax(z, axis=1) == y``: the label is the first column that holds the row max.
-
-    A row with a NaN has a NaN max, and argmax picks its first NaN, so those
-    rows go through argmax itself.
-    """
-    correct = np.zeros(len(y), dtype=bool)
-    earlier = np.zeros(len(y), dtype=bool)  # an earlier column holds the max
-    for j in range(z.shape[1]):
-        at_max = z[:, j] == zmax
-        correct |= at_max & ~earlier & (y == j)
-        earlier |= at_max
-    nan = np.isnan(zmax)
-    if nan.any():
-        correct[nan] = np.argmax(z[nan], axis=1) == y[nan]
-    return correct
-
-
 def _entropy(expz, expsum) -> np.ndarray:
     """Overwrites ``expz`` with the softmax; a zero or NaN probability adds nothing."""
     p = expz
@@ -148,7 +130,7 @@ def cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def is_correct(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample flag: the top logit is the label."""
-    return _is_top(z, y, _row_max(z))
+    return np.argmax(z, axis=1) == y
 
 
 def softmax_entropy(z: np.ndarray) -> np.ndarray:
@@ -221,7 +203,9 @@ class MlpTask:
         return [x, *itertools.islice(self._states(w, x), exit)]
 
     def logits(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
-        return self._head_logits(w, self.hidden_states(w, x, exit)[-1], exit)
+        """Exit ``exit``'s logits; each hidden state is dropped once the next is built."""
+        h = next(itertools.islice(self._states(w, x), exit - 1, None))
+        return self._head_logits(w, h, exit)
 
     def exit_logits(self, w: np.ndarray, x: np.ndarray):
         """Every exit's logits in turn, exit 1 first, from one backbone pass.
@@ -367,7 +351,7 @@ def score_exits(
     for e, z in enumerate(task.exit_logits(w, x), start=1):
         zmax, expz, expsum = _softmax_parts(z)
         scores.append(ExitScores(
-            _is_top(z, y, zmax), _cross_entropy(z, y, zmax, expsum),
+            is_correct(z, y), _cross_entropy(z, y, zmax, expsum),
             _entropy(expz, expsum) if e in entropy_exits else None,
         ))
     return scores

@@ -1184,9 +1184,12 @@ class TestCli:
             ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
              "data total_samples and test_samples, and task input_dim:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
+            ("strategy_grid_equal", {"data": {"total_samples": 7e6}},
+             "data total_samples and test_samples, and task hidden_dim:"),
         ],
         ids=["rounds-1e308", "rounds-1e12", "local-steps", "batch-size", "quadratic-rounds",
-             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices"],
+             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices",
+             "labelling-pass"],
     )
     def test_oversized_training_table_is_refused_at_parse(
         self, tmp_path, capsys, monkeypatch, config, edits, keys
