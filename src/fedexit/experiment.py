@@ -5,17 +5,17 @@ Every (seed, partition, split, strategy) cell of a parsed config
 runner works in three passes. It first plans every cell: each (seed,
 partition) group builds once, and shares across all of its splits and
 strategies, the task instance, the tree sized to it, the test set, the
-initial model, the training config and a table of estimated noise scales per
-(client, exit). Training never reads budgets, so a cell's training job is
-keyed by (seed, partition, k, exit weights), and ``equal`` and ``flops_prop``
-give one job per group rather than one per split. It then trains every
-distinct job once through :func:`fedtrain.run_stacked`, which trains whole
-stream sets side by side within its byte budget: all quadratic jobs of a grid
-in one stack, and the jobs of each MLP stream set (one seed, partition and
-sampling matrix) with one stacked backprop per client and local step. Last,
-it evaluates each cell from its job's final iterate and its split. An MLP
-cell's accuracies and losses, on the requests it serves and on the i.i.d.
-test stream alike, come from the one backbone pass of its serving simulation.
+training config and a table of estimated noise scales per (client, exit). It
+then passes every cell's training job to :func:`fedtrain.run_stacked`, which
+trains each distinct job once. Training reads neither budgets nor the rate
+plan, so ``equal`` and ``flops_prop``, whose exit weights ignore the split,
+give one job per group rather than one per split. Whole stream sets train side
+by side within a byte budget: all quadratic jobs of a grid in one stack, and
+the jobs of each MLP stream set (one seed, partition and sampling matrix) with
+one stacked backprop per client and local step. Last, it evaluates each cell
+from its job's final iterate and its split. An MLP cell's accuracies and
+losses, on the requests it serves and on the i.i.d. test stream alike, come
+from the one backbone pass of its serving simulation.
 Strategy comparisons are therefore paired, and reruns of the same config
 produce byte-identical outputs.
 """
@@ -33,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng as rngmod
 from .config import ExperimentConfig, SplitSpec, StrategySpec, load_config, parse_seeds
 from .config import parse_config  # noqa: F401  perfbench calls fedexit.experiment.parse_config
 from .errors import BoundOverflowError, MissingRowsError, MixedKError, OutputExistsError
-from .fedtrain import Job, TrainConfig, run_stacked
+from .fedtrain import Job, TrainConfig, initial_iterate, run_stacked
 from .fedtrain import run  # noqa: F401  perfbench's tests need a call site per traced span
 from .mlp import make_classification_task, make_test_set
 from .objective import weighted_objective
@@ -95,7 +94,6 @@ class _Group:
     task: object
     topology: Topology  # the config's tree, sized to the task
     train_cfg: TrainConfig
-    w_init: np.ndarray
     test_x: np.ndarray | None
     test_y: np.ndarray | None
     sigma: dict[tuple[str, int], float] = field(default_factory=dict)
@@ -131,7 +129,6 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
         task=task,
         topology=cfg.topology.with_dataset_sizes(task.sizes),
         train_cfg=TrainConfig(**cfg.training, **constants, seed=seed),
-        w_init=task.init_params(rngmod.stream(seed, rngmod.INIT)),
         test_x=test_x,
         test_y=test_y,
     )
@@ -149,13 +146,6 @@ class _Cell:
     bounds: dict | None = None  # a quadratic cell's, from _quadratic_bounds
     f_star: float | None = None
 
-    @property
-    def job_key(self) -> tuple:
-        # Training reads neither budgets nor the rate plan, so the final
-        # iterate depends on the split only through the exit weights.
-        group, weights = self.group, self.job.weights.weights
-        return (group.seed, group.partition, self.spec.k, weights.tobytes())
-
 
 def _plan_cell(
     cfg: ExperimentConfig, group: _Group, split: SplitSpec, spec: StrategySpec
@@ -164,7 +154,7 @@ def _plan_cell(
     pools = exit_pools(group.topology, spec.sampling)
     weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
     job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
-              w_init=group.w_init, label=f"strategy {spec.name}, k={spec.k:g}")
+              label=f"strategy {spec.name}, k={spec.k:g}")
     bounds = () if group.task.kind == "mlp" else _quadratic_bounds(group, split, pools, job)
     return _Cell(group, split, spec, pools, job, *bounds)
 
@@ -185,7 +175,7 @@ def _quadratic_bounds(
             minimum = quadratic_minimizers(task, weights, pools)
             gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
             b_value = bound_B(params, gamma_value)
-            init_dist_sq = float(np.sum((group.w_init - minimum.w_star) ** 2))
+            init_dist_sq = float(np.sum((initial_iterate(job) - minimum.w_star) ** 2))
             bound = opt_error_bound(params, b_value, cfg.rounds, init_dist_sq)
             g_pairs, g_max = grad_second_moment(params)
             bias = bias_bound(params.loss_cap, weights.weights, np.asarray(split.fractions))
@@ -209,17 +199,6 @@ def _quadratic_bounds(
         loss_cap=params.loss_cap,
         sigma_source="exact",
     ), minimum.f_star
-
-
-def _train(cells: list[_Cell]) -> dict[tuple, np.ndarray]:
-    """Train the distinct job of every cell once through :func:`run_stacked`.
-
-    Returns each job's final iterate by job key.
-    """
-    jobs: dict[tuple, Job] = {}
-    for cell in cells:
-        jobs.setdefault(cell.job_key, cell.job)
-    return dict(zip(jobs, run_stacked(list(jobs.values()))))
 
 
 def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[dict, dict]:
@@ -313,12 +292,12 @@ def run_experiment(
         for split in cfg.splits
         for spec in cfg.strategies
     ]
-    trained = _train(cells)
+    trained = run_stacked([cell.job for cell in cells])
     cell_key = operator.itemgetter("seed", "partition", "split", "strategy", "k")
     all_rows = []
     all_reports = {}
-    for cell in cells:
-        row, report = _evaluate(cfg, cell, trained[cell.job_key])
+    for cell, w_final in zip(cells, trained):
+        row, report = _evaluate(cfg, cell, w_final)
         all_rows.append(row)
         all_reports[cell_key(row)] = report
 
@@ -339,7 +318,8 @@ def run_experiment(
         for key in sorted(all_reports):
             seed, partition, split_label, strategy, k = key
             name = f"report_s{seed}_{partition}_{split_label}_{strategy}_k{k:g}.json"
-            payload = json.dumps(all_reports[key], indent=2, sort_keys=True)
+            # Strict JSON: a NaN or infinity fails the run before anything is moved.
+            payload = json.dumps(all_reports[key], indent=2, sort_keys=True, allow_nan=False)
             (staging / "reports" / name).write_text(payload + "\n")
         # Moved entry by entry, since out may be an existing empty directory,
         # even the working one, which renaming a directory onto would unlink.

@@ -14,17 +14,18 @@ T-round run is a prefix of a longer one.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
-at the last iterate). It samples the exits, sums each job's weighted deltas in
-client-name order, projects and checks that the iterates stay finite. The task
-class supplies the local phase. Jobs that share a seed, a task, a sampling
-matrix and a batch size form a stream set: they draw the same exits and local
-streams, so they share one set of streams and one draw per round. The
-quadratic steps the whole ``(R, N, d)`` slab with one batched matmul per
-local step and draws each client's noise for all of its local steps at once;
-the MLP steps each stream set's jobs with one stacked backprop per client and
-local step, on the batch they share. The result is bit-identical to calling
-:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round,
-per client and per job, which stay the reference implementation.
+at the last iterate). Jobs equal in every field but their label train once.
+It samples the exits, sums each job's weighted deltas in client-name order,
+projects and checks that the iterates stay finite. The task class supplies
+the local phase. Jobs that share a seed, a task, a sampling matrix and a
+batch size form a stream set: they draw the same exits and local streams, so
+they share one set of streams and one draw per round. The quadratic steps the
+whole ``(R, N, d)`` slab with one batched matmul per local step and draws
+each client's noise for all of its local steps at once; the MLP steps each
+stream set's jobs with one stacked backprop per client and local step, on the
+batch they share. The result is bit-identical to calling :func:`sample_round`,
+:func:`local_update` and :func:`aggregate` per round, per client and per job,
+which stay the reference implementation.
 """
 
 from __future__ import annotations
@@ -251,6 +252,13 @@ class Job:
     label: str = ""
 
 
+def initial_iterate(job: Job) -> np.ndarray:
+    """Where ``job`` starts: a copy of its ``w_init``, else the task's draw from stream (seed, INIT)."""
+    if job.w_init is None:
+        return job.task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
+    return np.asarray(job.w_init, dtype=float).copy()
+
+
 def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
     """Check that ``job`` can train; return its exit pools and initial iterate."""
     task, sampling = job.task, job.sampling
@@ -264,9 +272,7 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
     for e in range(1, job.weights.num_exits + 1):
         if job.weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
             raise EmptyPoolError(f"exit {e} is weighted but has no pooled data")
-    if job.w_init is None:
-        return pools, task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
-    return pools, np.asarray(job.w_init, dtype=float).copy()
+    return pools, initial_iterate(job)
 
 
 def _require_finite(w: np.ndarray, t: int, jobs: Sequence[Job]) -> None:
@@ -316,17 +322,26 @@ def _set_key(job: Job) -> tuple:
     return (job.cfg.seed, id(job.task), job.sampling.probs.tobytes(), job.cfg.batch_size)
 
 
+def _job_key(job: Job) -> tuple:
+    """Jobs with equal keys train to the same iterate: every field but ``label`` matches."""
+    w_init = None if job.w_init is None else np.asarray(job.w_init, dtype=float).tobytes()
+    return (id(job.topology), id(job.task), job.sampling.clients, job.sampling.probs.tobytes(),
+            job.weights.weights.tobytes(), job.cfg, w_init)
+
+
 def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     """Train jobs side by side; row ``r`` is the last iterate of ``jobs[r]``.
 
     This is the one driver of the round engine. Each row equals, bit for bit,
-    the iterate of that job trained alone. The jobs must share their task
-    class, clients, ``rounds``, ``local_steps`` and ``dim``, as the jobs of
-    one grid do. Stream sets (:func:`_set_key`), in order of first
-    appearance, are packed whole into stacks whose slab stays within
-    :data:`STACK_BYTES`; a set too large for one stack is cut into parts
-    that fill one each. Streams are keyed by (seed, client), so every part
-    of a cut set draws what the whole set would.
+    the iterate of that job trained alone. Each distinct job (:func:`_job_key`)
+    trains once, under the label of its first appearance, and every job equal
+    to it gets the same row. The jobs must share their task class, clients,
+    ``rounds``, ``local_steps`` and ``dim``, as the jobs of one grid do.
+    Stream sets (:func:`_set_key`), in order of first appearance, are packed
+    whole into stacks whose slab stays within :data:`STACK_BYTES`; a set too
+    large for one stack is cut into parts that fill one each. Streams are
+    keyed by (seed, client), so every part of a cut set draws what the whole
+    set would.
 
     Raises:
         ValueError: the jobs cannot share a stack, or a job's task and
@@ -344,6 +359,9 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     if any(shape(job) != shape(first) for job in jobs):
         raise ValueError("stacked jobs must share task class, clients, rounds, "
                          "local_steps and dim")
+    index: dict[tuple, int] = {}
+    rows = [index.setdefault(_job_key(job), len(index)) for job in jobs]
+    jobs = [jobs[rows.index(r)] for r in range(len(index))]
     starts = [_start(job) for job in jobs]
     size = stack_rows(len(first.sampling.clients), first.task.dim)
     sets: dict[tuple, list[int]] = {}
@@ -363,7 +381,7 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
         for t in range(1, first.cfg.rounds + 1):
             w = advance(w, t)
         out[stack] = w
-    return out
+    return out[rows]
 
 
 def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):

@@ -237,8 +237,7 @@ class MlpTask:
         """
         n = len(y)
         states = self.hidden_states(w, x, exit)
-        head_w, head_b = self._head(w, exit)
-        dlogits = _softmax(states[-1] @ head_w.swapaxes(-1, -2) + head_b[..., None, :])
+        dlogits = _softmax(self._head_logits(w, states[-1], exit))
         dlogits[..., np.arange(n), y] -= 1.0
         dlogits /= n
 
@@ -247,7 +246,7 @@ class MlpTask:
         grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
         grad_b[...] = dlogits.sum(axis=-2)
 
-        dh = dlogits @ head_w
+        dh = dlogits @ self._head(w, exit)[0]
         for b in range(exit, 0, -1):
             dz = dh * (1.0 - states[b] ** 2)
             grad_w, grad_b = self._block(grad, b)

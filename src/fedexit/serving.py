@@ -40,13 +40,19 @@ class ServingOutcome:
     served_share: np.ndarray  # per exit: samples served there over the stream
 
     def to_dict(self) -> dict:
+        """The report's entry; an exit that served nothing reads ``None`` (JSON ``null``)."""
+        served = ~np.isnan(self.exit_accuracy)
+
+        def on_served(values) -> list:
+            return [float(v) if ok else None for v, ok in zip(values, served)]
+
         return {
             "served_counts": dict(self.served_counts),
             "served_share": [float(v) for v in self.served_share],
-            "exit_accuracy": [float(v) for v in self.exit_accuracy],
-            "exit_mean_loss": [float(v) for v in self.exit_mean_loss],
+            "exit_accuracy": on_served(self.exit_accuracy),
+            "exit_mean_loss": on_served(self.exit_mean_loss),
             "iid_exit_accuracy": [float(v) for v in self.iid_exit_accuracy],
-            "serving_gap": [float(v) for v in self.serving_gap],
+            "serving_gap": on_served(self.serving_gap),
             "system_accuracy": self.system_accuracy,
             "system_loss": self.system_loss,
         }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from csv import DictReader
 from pathlib import Path
@@ -102,6 +103,21 @@ def write_config(tmp_path: Path, cfg: dict) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses ``NaN`` and ``Infinity`` tokens and numbers that overflow."""
+
+    def refuse(token: str):
+        raise ValueError(f"{token} is not JSON")
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{token} is not a finite float")
+        return value
+
+    return json.loads(text, parse_constant=refuse, parse_float=finite)
 
 
 class TestParseConfig:
@@ -649,25 +665,26 @@ class TestGroupReuse:
 
     def test_each_group_trains_and_probes_once(self, tmp_path, monkeypatch):
         import fedexit.experiment as experiment
+        import fedexit.fedtrain as fedtrain
 
         runs = []
         probes = []
         tasks = []  # keeps every task alive so id(task) stays unique
-        real_stacked, real_sigma = experiment.run_stacked, experiment.estimate_sigma
+        real_round, real_sigma = fedtrain._stacked_round, experiment.estimate_sigma
 
-        def counting_stacked(jobs):
+        def counting_round(jobs, pools):
             for job in jobs:
                 tasks.append(job.task)
                 runs.append((id(job.task), job.sampling.probs.tobytes(),
                              job.weights.weights.tobytes()))
-            return real_stacked(jobs)
+            return real_round(jobs, pools)
 
         def counting_sigma(task, client, exit, *args, **kwargs):
             tasks.append(task)
             probes.append((id(task), client, exit))
             return real_sigma(task, client, exit, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_stacked", counting_stacked)
+        monkeypatch.setattr(fedtrain, "_stacked_round", counting_round)
         monkeypatch.setattr(experiment, "estimate_sigma", counting_sigma)
         run_experiment(parse_config(reuse_config()), out_dir=tmp_path / "out")
 
@@ -708,23 +725,23 @@ class TestStackedTraining:
     def test_one_stream_table_per_stream_set(self, tmp_path, monkeypatch):
         # A stack opens one sample stream and one local stream per client for
         # each stream set, once for the whole run.
-        import fedexit.experiment as experiment
+        import fedexit.fedtrain as fedtrain
         import fedexit.rng as rngmod
 
         stacks = []
         opened = []
-        real_stacked, real_stream = experiment.run_stacked, rngmod.stream
+        real_round, real_stream = fedtrain._stacked_round, rngmod.stream
 
-        def counting_stacked(jobs):
+        def counting_round(jobs, pools):
             stacks.append(len(jobs))
-            return real_stacked(jobs)
+            return real_round(jobs, pools)
 
         def counting_stream(seed, *key):
             if key[0] in (rngmod.ROUND_SAMPLE, rngmod.LOCAL):
                 opened.append((seed, *key))
             return real_stream(seed, *key)
 
-        monkeypatch.setattr(experiment, "run_stacked", counting_stacked)
+        monkeypatch.setattr(fedtrain, "_stacked_round", counting_round)
         monkeypatch.setattr(rngmod, "stream", counting_stream)
         raw = quadratic_config(
             serving={"splits": [[80, 15, 5], [45, 35, 20]]},
@@ -798,6 +815,37 @@ class TestStackedTraining:
                 projection_radius=task.radius,
             )
 
+    def test_bound_measures_init_dist_from_the_training_start(self, monkeypatch):
+        # opt_bound's init_dist_sq is ||w_0 - w*||^2 for the w_0 that training
+        # starts from, the seed's draw or a job's own w_init alike.
+        import dataclasses
+
+        import fedexit.experiment as experiment
+        from fedexit import fedtrain
+        from fedexit.quadratic import quadratic_minimizers
+
+        dists = []
+        real_bound = experiment.opt_error_bound
+
+        def recording_bound(params, b_value, rounds, init_dist_sq):
+            dists.append(init_dist_sq)
+            return real_bound(params, b_value, rounds, init_dist_sq)
+
+        monkeypatch.setattr(experiment, "opt_error_bound", recording_bound)
+        config = parse_config(quadratic_config(seeds=[3]))
+        group = experiment._build_group(config, 3, config.partitions[0])
+        split = config.splits[0]
+        cell = experiment._plan_cell(config, group, split, config.strategies[0])
+        moved = dataclasses.replace(cell.job, w_init=np.full(group.task.dim, 0.5))
+        dists.clear()
+        want = []
+        for job in (cell.job, moved):
+            experiment._quadratic_bounds(group, split, cell.pools, job)
+            _, start = fedtrain._start(job)
+            w_star = quadratic_minimizers(job.task, job.weights, cell.pools).w_star
+            want.append(float(np.sum((start - w_star) ** 2)))
+        assert dists == want and want[0] != want[1]
+
 
 class TestCompare:
     def test_identical_strategy_zero_delta(self, tmp_path):
@@ -844,6 +892,23 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "delta_mean" in out and "80-15-5" in out
+
+    def test_unserved_exit_reads_null(self, tmp_path):
+        # A zero share at the cloud leaves exit 3 serving nothing; its served
+        # accuracy, loss and gap were written as NaN, which no JSON reader takes.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["serving"]["splits"][2] = [20, 35, 0]
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 0
+        reports = sorted((out / "reports").iterdir())
+        assert len(reports) == len(raw["serving"]["splits"]) * len(raw["strategies"])
+        for report in reports:
+            serving = strict_json(report.read_text())["serving"]
+            unserved = [2] if "_20-35-0_" in report.name else []
+            for key in ("exit_accuracy", "exit_mean_loss", "serving_gap"):
+                nulls = [e for e, value in enumerate(serving[key]) if value is None]
+                assert nulls == unserved, (report.name, key)
 
     def test_unknown_partition_is_reported(self, tmp_path, capsys):
         # A misspelt partition used to end the run in a raw KeyError traceback.

@@ -599,13 +599,15 @@ class TestStackedJobs:
 
     def test_mlp_jobs_of_two_batch_sizes_match_each_alone(self):
         # A stream set's jobs share one batch draw per client, so jobs that
-        # differ only in batch size must draw their own.
+        # differ only in batch size must draw their own. The two batch-8 jobs
+        # differ in exit weights, so they are two jobs of one stream set.
         topo, task = mlp_case(seed=6)
         sampling = build_sampling_matrix(topo, 0.1)
         jobs = [
-            Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), sampling,
+            Job(topo, task, normalized_weights(shares), sampling,
                 TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, base_lr=0.1, seed=3))
-            for batch_size in (8, 5, 8)
+            for batch_size, shares in ((8, [0.2, 0.3, 0.5]), (5, [0.2, 0.3, 0.5]),
+                                       (8, [0.5, 0.3, 0.2]))
         ]
         stacked = run_stacked(jobs)
         for r, (job, row) in enumerate(zip(jobs, stacked)):
@@ -667,6 +669,41 @@ class TestStackedJobs:
         ]
         with pytest.raises(ValueError, match="share"):
             run_stacked(jobs)
+
+    def test_each_distinct_job_trains_once(self, monkeypatch):
+        # A repeated job and a copy that differs only in label train once and
+        # get the same row; a different seed, start or exit weighting trains
+        # on its own. An equal w_init in another array is the same start.
+        topo, task = mlp_case(seed=6)
+        trained = []
+        real_round = fedtrain._stacked_round
+
+        def recording_round(jobs, pools):
+            trained.extend(jobs)
+            return real_round(jobs, pools)
+
+        monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
+        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=3)
+        base = Job(topo, task, normalized_weights([0.2, 0.3, 0.5]),
+                   build_sampling_matrix(topo, 0.1), cfg, label="first")
+        started = dataclasses.replace(base, w_init=np.full(task.dim, 0.05))
+        jobs = [
+            base,
+            dataclasses.replace(base, label="second"),
+            dataclasses.replace(base, cfg=dataclasses.replace(cfg, seed=4)),
+            started,
+            dataclasses.replace(started, w_init=np.full(task.dim, 0.05)),
+            dataclasses.replace(base, weights=equal_weight(3)),
+            base,
+        ]
+        stacked = run_stacked(jobs)
+        assert trained[0] is base and len(trained) == 4
+        assert stacked.shape == (len(jobs), task.dim)
+        assert len({row.tobytes() for row in stacked}) == 4
+        for a, b in ((0, 1), (0, 6), (3, 4)):
+            assert stacked[a].tobytes() == stacked[b].tobytes(), (a, b)
+        for r, (job, row) in enumerate(zip(jobs, stacked)):
+            assert row.tobytes() == run_stacked([job])[0].tobytes(), r
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
