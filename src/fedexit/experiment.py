@@ -2,22 +2,20 @@
 
 Every (seed, partition, split, strategy) cell of a parsed config
 (:mod:`fedexit.config`) contributes one CSV row plus one JSON report. The
-runner works in three passes. It first plans every cell: each (seed,
-partition) group builds once, and shares across all of its splits and
-strategies, the task instance, the tree sized to it, the test set, the
-training config and a table of estimated noise scales per (client, exit). It
-then passes every cell's training job to :func:`fedtrain.run_stacked`, which
-trains each distinct job once. Training reads neither budgets nor the rate
-plan, so ``equal`` and ``flops_prop``, whose exit weights ignore the split,
-give one job per group rather than one per split. Whole stream sets train side
-by side within a byte budget: all quadratic jobs of a grid in one stack, and
-the jobs of each MLP stream set (one seed, partition and sampling matrix) with
-one stacked backprop per client and local step. Last, it evaluates each cell
-from its job's final iterate and its split. An MLP cell's accuracies and
-losses, on the requests it serves and on the i.i.d. test stream alike, come
-from the one backbone pass of its serving simulation.
-Strategy comparisons are therefore paired, and reruns of the same config
-produce byte-identical outputs.
+runner works in three passes. It first plans every cell: each (seed, partition)
+group builds once, and shares across all of its splits and strategies, the task
+instance, the tree sized to it, the test set and the training config. It then
+passes every cell's training job to :func:`fedtrain.run_stacked`, which trains
+each distinct job once. Training reads neither budgets nor the rate plan, so
+``equal`` and ``flops_prop``, whose exit weights ignore the split, give one job
+per group rather than one per split. Whole stream sets train side by side
+within a byte budget: all quadratic jobs of a grid in one stack, and the jobs
+of each MLP stream set (one seed, partition and sampling matrix) with one
+stacked backprop per client and local step. Last, it evaluates each cell from
+its job's final iterate and its split. An MLP cell's accuracies and losses, on
+the requests it serves and on the i.i.d. test stream alike, come from the one
+backbone pass of its serving simulation. Strategy comparisons are therefore
+paired, and reruns of the same config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import json
 import operator
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +40,11 @@ from .mlp import make_classification_task, make_test_set
 from .objective import weighted_objective
 from .quadratic import make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
-from .strategies import ExitPools, exit_pools, exit_weights
+from .strategies import ExitPools, exit_pools, exit_weights, require_pooled_data
+from .theory import estimate_sigma  # noqa: F401  unused here; perfbench traces this name
 from .theory import (
     bias_bound,
     bound_B,
-    estimate_sigma,
     gen_proxy,
     grad_second_moment,
     opt_error_bound,
@@ -96,22 +94,6 @@ class _Group:
     train_cfg: TrainConfig
     test_x: np.ndarray | None
     test_y: np.ndarray | None
-    sigma: dict[tuple[str, int], float] = field(default_factory=dict)
-
-    def noise_scale(self, client: str, exit: int) -> float:
-        """Estimated batch-gradient noise of one (client, exit) pair, computed once."""
-        key = (client, exit)
-        if key not in self.sigma:
-            self.sigma[key] = estimate_sigma(
-                self.task,
-                client,
-                exit,
-                self.train_cfg.batch_size,
-                radius=1.0,
-                n_probes=20,
-                seed=self.seed,
-            )
-        return self.sigma[key]
 
 
 def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
@@ -155,6 +137,7 @@ def _plan_cell(
     weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
     job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
               label=f"strategy {spec.name}, k={spec.k:g}")
+    require_pooled_data(weights, pools)
     bounds = () if group.task.kind == "mlp" else _quadratic_bounds(group, split, pools, job)
     return _Cell(group, split, spec, pools, job, *bounds)
 
@@ -197,7 +180,6 @@ def _quadratic_bounds(
         opt_bound={str(cfg.rounds): bound},
         bias_bound=bias,
         loss_cap=params.loss_cap,
-        sigma_source="exact",
     ), minimum.f_star
 
 
@@ -223,13 +205,6 @@ def _evaluate(cfg: ExperimentConfig, cell: _Cell, w_final: np.ndarray) -> tuple[
         row["weighted_acc"] = weighted_quality(accs, lam_norm)
         row["system_acc_routed"] = outcome.system_accuracy
         row["weighted_loss"] = weighted_quality(outcome.iid_exit_mean_loss, lam_norm)
-        # The worst probed batch-gradient deviation per pair (estimate_sigma).
-        error_report["sigma_source"] = "estimated"
-        error_report["noise_scale_per_pair"] = {
-            f"{c}:{e}": group.noise_scale(c, e)
-            for e in range(1, topo.num_exits + 1)
-            for c in pools.clients[e - 1]
-        }
         extra = {"serving": outcome.to_dict()}
     else:
         empirical = weighted_objective(task, w_final, weights, pools) - cell.f_star

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
+from .errors import DivergenceError, ZeroProbabilityError
 from .objective import weighted_objective
-from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
+from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools, require_pooled_data
 from .topology import Topology
 
 SCHEDULES = ("constant", "theory", "cosine")
@@ -269,9 +269,7 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
                 f"client {client}: task holds {task.sizes[client]} samples but "
                 f"topology declares {job.topology.by_id[client].dataset_size}"
             )
-    for e in range(1, job.weights.num_exits + 1):
-        if job.weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
-            raise EmptyPoolError(f"exit {e} is weighted but has no pooled data")
+    require_pooled_data(job.weights, pools)
     return pools, initial_iterate(job)
 
 
@@ -346,7 +344,7 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     Raises:
         ValueError: the jobs cannot share a stack, or a job's task and
             topology disagree on client dataset sizes.
-        EmptyPoolError: some weighted exit has no client able to train it.
+        EmptyPoolError: some weighted exit has no pooled data.
         ZeroProbabilityError: a client drew an exit it samples with p=0.
         DivergenceError: an iterate stopped being finite.
     """

@@ -187,3 +187,15 @@ def exit_pools(topology: Topology, sampling: SamplingMatrix) -> ExitPools:
         members.append(contributors)
         sizes[e - 1] = sum(topology.by_id[c].dataset_size for c in contributors)
     return ExitPools(clients=tuple(members), sizes=sizes)
+
+
+def require_pooled_data(weights: ExitWeights, pools: ExitPools) -> None:
+    """Refuse a weighted exit whose pool holds no data, naming the clients that pool it.
+
+    Raises:
+        EmptyPoolError: a weighted exit's clients all have ``dataset_size`` 0.
+    """
+    for e in range(1, weights.num_exits + 1):
+        if weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
+            raise EmptyPoolError(f"exit {e} is weighted but has no pooled data: dataset_size "
+                                 f"is 0 at {', '.join(pools.clients[e - 1])}")

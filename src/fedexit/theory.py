@@ -227,7 +227,8 @@ def estimate_sigma(
 ) -> float:
     """Worst observed batch-gradient deviation norm over random probe points.
 
-    Used to report an estimated noise scale for backends without a known one.
+    A diagnostic that no runner calls: its tests check it against a quadratic
+    task's exact noise scale, and the benchmark's tracer still wraps it.
     """
     gen = rngmod.stream(seed, rngmod.PROBE, rngmod.label("sigma"))
     worst = 0.0

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_tree, seven_node_topology
 from fedexit import fedtrain
 from fedexit import rng as rngmod
-from fedexit.errors import DivergenceError, ZeroProbabilityError
+from fedexit.errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
 from fedexit.fedtrain import (
     Job,
     RoundSample,
@@ -315,6 +315,14 @@ class TestRun:
                                          dataclasses.replace(cfg, rounds=2 * rounds)))
         assert short.tobytes() == longer[rounds - 1].tobytes()
         assert np.any(longer[-1] != short)
+
+    def test_weighted_empty_pool_is_refused(self):
+        topo = seven_node_topology(sizes={"cloud": 0})
+        task = make_quadratic_task(topo, dim=3, seed=4)
+        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05, projection_radius=task.radius)
+        job = Job(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg)
+        with pytest.raises(EmptyPoolError, match="^exit 3 .*dataset_size is 0 at cloud$"):
+            run_stacked([job])
 
     def test_bit_identical_given_seed(self):
         topo = seven_node_topology()

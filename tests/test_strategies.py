@@ -22,6 +22,8 @@ from fedexit.strategies import (
     exit_weights,
     flops_prop,
     gen_error_adjusted,
+    normalized_weights,
+    require_pooled_data,
 )
 from fedexit.topology import budgets_for_split, compute_rate_plan
 
@@ -190,6 +192,13 @@ class TestExitPools:
         broken = SamplingMatrix(clients=sm.clients, probs=probs)
         with pytest.raises(EmptyPoolError):
             exit_pools(topo, broken)
+
+    def test_weighted_empty_pool_names_its_clients(self):
+        topo = seven_node_topology(sizes={"edge1": 0, "edge2": 0})
+        pools = exit_pools(topo, build_sampling_matrix(topo, 0.0))
+        with pytest.raises(EmptyPoolError, match=r"^exit 2 .*dataset_size is 0 at edge1, edge2$"):
+            require_pooled_data(equal_weight(3), pools)
+        require_pooled_data(normalized_weights([1.0, 0.0, 1.0]), pools)
 
 
 class TestExitWeightsType:
