@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ConfigParseError, ZeroTrafficError
 from .fedtrain import TrainConfig, stack_rows
-from .mlp import build_segments, check_classification_task, layer_shares
+from .mlp import build_segments, check_classification_task, client_sizes
 from .quadratic import check_quadratic_task
-from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix
+from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix, exit_pools
 from .topology import NodeSpec, RatePlan, Topology, budgets_for_split, compute_rate_plan
 
 REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
@@ -245,8 +245,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 string("partition", name) for name in array("partitions", data["partitions"])
             )
             _check_grid_axis("partition", partitions)
-            for name in partitions:
-                layer_shares(name, topo.num_exits)
             samples = []
             for key in ("total_samples", "test_samples"):
                 samples.append(integer(f"data {key}", data[key]))
@@ -262,6 +260,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             k = number("strategy k", s.get("k", 0.0))
             # build_sampling_matrix may raise InvalidKError.
             strategies.append(StrategySpec(name, k, build_sampling_matrix(topo, k)))
+            if kind == "quadratic":  # its clients hold the nodes' dataset_size
+                exit_pools(topo, strategies[-1].sampling)
         _check_grid_axis("strategy", [f"{s.name} with k={s.k:g}" for s in strategies])
 
         seeds = parse_seeds(raw["seeds"])
@@ -274,6 +274,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
         jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
         _check_table_sizes(training, task_args, kind, topo, jobs, samples)
+        for name in partitions if kind == "mlp" else ():
+            empty = [c for c, n in sorted(client_sizes(topo, name, samples[0]).items()) if not n]
+            if empty:
+                raise ConfigParseError(f"data total_samples {samples[0]} leaves {', '.join(empty)} "
+                                       f"with no training samples under partition {name!r}")
 
         return ExperimentConfig(
             topology=topo,

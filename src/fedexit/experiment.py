@@ -40,7 +40,7 @@ from .mlp import make_classification_task, make_test_set
 from .objective import weighted_objective
 from .quadratic import make_quadratic_task, quadratic_minimizers
 from .serving import simulate_serving, weighted_quality
-from .strategies import ExitPools, exit_pools, exit_weights, require_pooled_data
+from .strategies import ExitPools, exit_pools, exit_weights
 from .theory import estimate_sigma  # noqa: F401  unused here; perfbench traces this name
 from .theory import (
     bias_bound,
@@ -137,7 +137,6 @@ def _plan_cell(
     weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
     job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
               label=f"strategy {spec.name}, k={spec.k:g}")
-    require_pooled_data(weights, pools)
     bounds = () if group.task.kind == "mlp" else _quadratic_bounds(group, split, pools, job)
     return _Cell(group, split, spec, pools, job, *bounds)
 

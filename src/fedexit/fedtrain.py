@@ -39,7 +39,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DivergenceError, ZeroProbabilityError
 from .objective import weighted_objective
-from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools, require_pooled_data
+from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
 from .topology import Topology
 
 SCHEDULES = ("constant", "theory", "cosine")
@@ -260,7 +260,10 @@ def initial_iterate(job: Job) -> np.ndarray:
 
 
 def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
-    """Check that ``job`` can train; return its exit pools and initial iterate."""
+    """Check that ``job`` can train; return its exit pools and initial iterate.
+
+    Raises as :func:`run_stacked`: some exit has no pooled data, or task and tree disagree on sizes.
+    """
     task, sampling = job.task, job.sampling
     pools = exit_pools(job.topology, sampling)
     for client in sampling.clients:
@@ -269,7 +272,6 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
                 f"client {client}: task holds {task.sizes[client]} samples but "
                 f"topology declares {job.topology.by_id[client].dataset_size}"
             )
-    require_pooled_data(job.weights, pools)
     return pools, initial_iterate(job)
 
 
@@ -344,7 +346,7 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     Raises:
         ValueError: the jobs cannot share a stack, or a job's task and
             topology disagree on client dataset sizes.
-        EmptyPoolError: some weighted exit has no pooled data.
+        EmptyPoolError: some exit has no pooled data.
         ZeroProbabilityError: a client drew an exit it samples with p=0.
         DivergenceError: an iterate stopped being finite.
     """
@@ -424,10 +426,9 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     # sent, the step sizes of every round, the server step and the radius.
     coef = np.zeros((len(jobs),) + first.sampling.probs.shape)
     for r, (job, job_pools) in enumerate(zip(jobs, pools)):
-        sent = job.sampling.probs > 0
-        sizes = np.array([[job.task.sizes[c]] for c in clients], dtype=float)
-        share = np.divide(sizes, job_pools.sizes, out=np.zeros(sent.shape), where=sent)
-        np.divide(job.weights.weights * share, job.sampling.probs, out=coef[r], where=sent)
+        share = np.array([[job.task.sizes[c]] for c in clients], dtype=float) / job_pools.sizes
+        np.divide(job.weights.weights * share, job.sampling.probs, out=coef[r],
+                  where=job.sampling.probs > 0)
     probs = np.stack([job.sampling.probs for job in jobs])
     rows = np.arange(len(jobs))[:, None], np.arange(n)
     etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)

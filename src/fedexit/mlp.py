@@ -403,6 +403,14 @@ def layer_shares(partition, num_exits: int) -> tuple[float, ...]:
     return shares
 
 
+def client_sizes(topology: Topology, partition, total_samples: int) -> dict[str, int]:
+    """Each client's training samples, by :func:`layer_allocation` of :func:`layer_shares`."""
+    layers = [topology.layers[e] for e in range(1, topology.num_exits + 1)]
+    counts = layer_allocation(layer_shares(partition, topology.num_exits), total_samples,
+                              [len(layer) for layer in layers])
+    return {c: n for layer, ns in zip(layers, counts) for c, n in zip(layer, ns)}
+
+
 def check_classification_task(
     input_dim: int, hidden_dim: int, num_classes: int, teacher_gain: float
 ) -> None:
@@ -440,7 +448,7 @@ def make_classification_task(
             refuses, or a partition :func:`layer_shares` refuses.
     """
     check_classification_task(input_dim, hidden_dim, num_classes, teacher_gain)
-    fractions = layer_shares(partition, topology.num_exits)
+    sizes = client_sizes(topology, partition, total_samples)
     shell = MlpTask(
         input_dim=input_dim,
         hidden_dim=hidden_dim,
@@ -454,14 +462,8 @@ def make_classification_task(
     features = rngmod.stream(seed, rngmod.DATA).standard_normal((total_samples, input_dim))
     labels = shell.predict(teacher, features, topology.num_exits)
 
-    layers = [topology.layers[e] for e in range(1, topology.num_exits + 1)]
-    counts = layer_allocation(fractions, total_samples, [len(layer) for layer in layers])
-    data: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    cursor = 0
-    for layer, layer_counts in zip(layers, counts):
-        for client, n in zip(layer, layer_counts):
-            data[client] = (features[cursor : cursor + n], labels[cursor : cursor + n])
-            cursor += n
+    bounds = np.cumsum([0, *sizes.values()])
+    data = {c: (features[a:b], labels[a:b]) for c, a, b in zip(sizes, bounds, bounds[1:])}
     return MlpTask(
         input_dim=input_dim,
         hidden_dim=hidden_dim,

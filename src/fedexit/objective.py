@@ -15,8 +15,6 @@ def weighted_objective(task, w: np.ndarray, weights: ExitWeights, pools: ExitPoo
     the strategy weights.
     """
     wvec = weights.weights
-    if wvec.sum() <= 0:
-        raise ValueError("exit weights sum to zero")
     if wvec.size != pools.num_exits:
         raise ValueError("weights and pools disagree on the number of exits")
     value = 0.0
@@ -25,8 +23,6 @@ def weighted_objective(task, w: np.ndarray, weights: ExitWeights, pools: ExitPoo
         if exit_weight == 0:
             continue
         pool_size = pools.sizes[e - 1]
-        if pool_size <= 0:
-            raise ValueError(f"exit {e} has weight {exit_weight} but an empty pool")
         for client in pools.clients[e - 1]:
             share = task.sizes[client] / pool_size
             if share == 0:

@@ -84,8 +84,9 @@ def simulate_serving(
     Samples are split across arrival nodes proportionally to their arrival
     rates. Each non-root node serves the rounded ``fraction * inflow``
     easiest samples of its pooled stream (local arrivals and everything its
-    children forwarded, ranked jointly) and forwards the rest. ``ranking``
-    may be ``"entropy"`` or ``"random"`` (an ablation baseline).
+    children forwarded, ranked jointly) and forwards the rest, children before
+    parents (``topology.post_order``). ``ranking`` may be ``"entropy"`` or
+    ``"random"`` (an ablation baseline, drawn node by node in that order).
 
     The whole stream goes through the backbone once (:func:`score_exits`);
     ranking and scoring then index its per-sample scores, so a sample's
@@ -109,8 +110,7 @@ def simulate_serving(
 
     rng = np.random.default_rng(seed)
     served: dict[str, np.ndarray] = {}
-    order = sorted(topology.by_id, key=lambda n: (-topology.depth[n], n))
-    for node_id in order:
+    for node_id in topology.post_order:
         pooled = (
             np.concatenate(incoming[node_id])
             if incoming[node_id]

@@ -2,7 +2,7 @@
 
 Each strategy picks a normalized per-exit weight vector for the training
 objective; the sampling matrix decides which exit every client trains in a
-given round.
+given round, and so which clients pool their data for each exit.
 """
 
 from __future__ import annotations
@@ -164,10 +164,22 @@ def build_sampling_matrix(topology: Topology, k: float) -> SamplingMatrix:
 
 @dataclass(frozen=True)
 class ExitPools:
-    """Which clients can train each exit, and how much data they pool."""
+    """Which clients can train each exit, and how much data they pool.
+
+    Every pool has a client and holds data, else :class:`EmptyPoolError`: a
+    round weighs each update by its client's share of its exit's pool.
+    """
 
     clients: tuple[tuple[str, ...], ...]  # per exit
     sizes: np.ndarray  # per exit, total samples
+
+    def __post_init__(self) -> None:
+        for e, (members, size) in enumerate(zip(self.clients, self.sizes), start=1):
+            if not members:
+                raise EmptyPoolError(f"exit {e} has no contributing client")
+            if not size > 0:
+                raise EmptyPoolError(f"exit {e} has no pooled data: dataset_size "
+                                     f"is 0 at {', '.join(members)}")
 
     @property
     def num_exits(self) -> int:
@@ -176,26 +188,7 @@ class ExitPools:
 
 def exit_pools(topology: Topology, sampling: SamplingMatrix) -> ExitPools:
     """Pool every client with positive sampling probability into its exits."""
-    sizes = np.zeros(sampling.num_exits)
-    members: list[tuple[str, ...]] = []
-    for e in range(1, sampling.num_exits + 1):
-        contributors = tuple(
-            c for c in sampling.clients if sampling.prob(c, e) > 0
-        )
-        if not contributors:
-            raise EmptyPoolError(f"exit {e} has no contributing client")
-        members.append(contributors)
-        sizes[e - 1] = sum(topology.by_id[c].dataset_size for c in contributors)
-    return ExitPools(clients=tuple(members), sizes=sizes)
-
-
-def require_pooled_data(weights: ExitWeights, pools: ExitPools) -> None:
-    """Refuse a weighted exit whose pool holds no data, naming the clients that pool it.
-
-    Raises:
-        EmptyPoolError: a weighted exit's clients all have ``dataset_size`` 0.
-    """
-    for e in range(1, weights.num_exits + 1):
-        if weights.weights[e - 1] > 0 and pools.sizes[e - 1] <= 0:
-            raise EmptyPoolError(f"exit {e} is weighted but has no pooled data: dataset_size "
-                                 f"is 0 at {', '.join(pools.clients[e - 1])}")
+    members = tuple(tuple(c for c in sampling.clients if sampling.prob(c, e) > 0)
+                    for e in range(1, sampling.num_exits + 1))
+    sizes = [float(sum(topology.by_id[c].dataset_size for c in pool)) for pool in members]
+    return ExitPools(clients=members, sizes=np.array(sizes))

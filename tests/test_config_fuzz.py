@@ -132,3 +132,26 @@ def test_accepted_mutant_runs_to_finite_outputs_or_is_refused(tmp_path, capsys, 
     assert len(reports) == len(rows)
     for report in reports:
         strict_json(report.read_text())
+
+
+ZERO_SIZE_SPLITS = (SHIPPED["quadratic_bounds"]["serving"]["splits"], [[50, 50, 0]])
+QUADRATIC_NODES = [n["id"] for n in SHIPPED["quadratic_bounds"]["topology"]["nodes"]]
+
+
+@pytest.mark.parametrize("splits", ZERO_SIZE_SPLITS, ids=("shipped-split", "split-50-50-0"))
+@pytest.mark.parametrize("node", QUADRATIC_NODES)
+def test_a_node_without_data_runs_or_is_refused_by_name(tmp_path, capsys, node, splits):
+    # The cloud alone pools exit 3. With split [50, 50, 0] that exit has
+    # weight 0 under serving_rate, and the run was refused as "a bound does
+    # not fit in a float", which names keys that are not the cause.
+    raw = copy.deepcopy(SHIPPED["quadratic_bounds"])
+    raw["serving"]["splits"] = splits
+    next(n for n in raw["topology"]["nodes"] if n["id"] == node)["dataset_size"] = 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, raw)
+    code = cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"])
+    if code == 2:
+        assert node in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0

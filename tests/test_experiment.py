@@ -19,6 +19,7 @@ from conftest import random_tree
 from fedexit.cli import main as cli_main
 from fedexit.errors import (
     ConfigParseError,
+    EmptyPoolError,
     InvalidTopologyError,
     MissingRowsError,
     MixedKError,
@@ -35,6 +36,7 @@ from fedexit.fedtrain import TrainConfig
 from fedexit.topology import brute_force_rate_plan
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+EMPTY_CLOUD = "exit 3 has no pooled data: dataset_size is 0 at cloud"
 
 SEVEN_NODES = [
     {"id": "cloud", "parent": None, "exit": 3, "arrival_rate": 0.0, "dataset_size": 100},
@@ -385,7 +387,7 @@ class TestParseConfig:
 
         with pytest.raises(ConfigParseError, match="must be an integer, got 1.5"):
             parse_config(with_value(1.5))
-        parse_config(with_value(2.0))
+        parse_config(with_value(20.0))  # 20 training samples leave none of 7 clients empty
 
     def test_training_is_read_once_into_typed_values(self):
         # The section used to be kept as raw JSON and read again per group, so
@@ -947,9 +949,41 @@ class TestCli:
         path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
-        assert capsys.readouterr().err == (
-            "error: exit 3 is weighted but has no pooled data: dataset_size is 0 at cloud\n"
-        )
+        assert capsys.readouterr().err == f"error: {EMPTY_CLOUD}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_empty_unweighted_pool_names_its_nodes(self, tmp_path, capsys, k):
+        # Split [50, 50, 0] gives exit 3 weight 0 under serving_rate, so the
+        # check of weighted pools let it through, and the bounds divided by
+        # the empty pool: "a bound does not fit in a float".
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        raw["topology"]["nodes"][0]["dataset_size"] = 0
+        raw.update(serving={"splits": [[50, 50, 0]]}, strategies=[{"name": "serving_rate", "k": k}],
+                   seeds=[1], training=dict(raw["training"], rounds=20))
+        with pytest.raises(EmptyPoolError, match=f"^{EMPTY_CLOUD}$"):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {EMPTY_CLOUD}\n"
+        assert not out.exists()
+
+    def test_mlp_client_without_samples_names_total_samples(self, tmp_path, capsys):
+        # Ten samples under devices_bias_plus leave the cloud none. The run
+        # warned of an invalid divide, then stopped at "client cloud has no
+        # samples", or named dataset_size, which an MLP config does not set.
+        raw = json.loads((CONFIG_DIR / "offexit_sweep_cloud_bias.json").read_text())
+        raw["data"].update(total_samples=10, partitions=["devices_bias_plus"])
+        raw.update(serving={"splits": [[50, 50, 0]]}, strategies=[{"name": "serving_rate", "k": 0}])
+        message = ("data total_samples 10 leaves cloud with no training samples under "
+                   "partition 'devices_bias_plus'")
+        with pytest.raises(ConfigParseError, match=f"^{message}$"):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_one_empty_edge_still_runs(self, tmp_path):

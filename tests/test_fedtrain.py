@@ -324,6 +324,16 @@ class TestRun:
         with pytest.raises(EmptyPoolError, match="^exit 3 .*dataset_size is 0 at cloud$"):
             run_stacked([job])
 
+    def test_unweighted_empty_pool_is_refused(self):
+        # Exit 3 has weight 0, so its update's coefficient was 0 * (0 / 0):
+        # NaN, reported as "seed 0, round 1: the iterate is not finite".
+        topo = seven_node_topology(sizes={"cloud": 0})
+        task = make_quadratic_task(topo, dim=3, seed=4)
+        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05, projection_radius=task.radius)
+        weights, sampling = normalized_weights([0.5, 0.5, 0]), build_sampling_matrix(topo, 0.1)
+        with pytest.raises(EmptyPoolError, match="^exit 3 has no pooled data: dataset_size is 0 at cloud$"):
+            run(topo, task, weights, sampling, cfg)
+
     def test_bit_identical_given_seed(self):
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)

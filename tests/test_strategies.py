@@ -15,6 +15,7 @@ from fedexit.errors import (
 )
 from fedexit.strategies import (
     STRATEGY_NAMES,
+    ExitPools,
     ExitWeights,
     build_sampling_matrix,
     equal_weight,
@@ -22,8 +23,6 @@ from fedexit.strategies import (
     exit_weights,
     flops_prop,
     gen_error_adjusted,
-    normalized_weights,
-    require_pooled_data,
 )
 from fedexit.topology import budgets_for_split, compute_rate_plan
 
@@ -194,11 +193,18 @@ class TestExitPools:
             exit_pools(topo, broken)
 
     def test_weighted_empty_pool_names_its_clients(self):
+        # Refused whatever the exit weights: a zero-weight exit's pool still
+        # divides every share in the round's coefficients.
         topo = seven_node_topology(sizes={"edge1": 0, "edge2": 0})
-        pools = exit_pools(topo, build_sampling_matrix(topo, 0.0))
-        with pytest.raises(EmptyPoolError, match=r"^exit 2 .*dataset_size is 0 at edge1, edge2$"):
-            require_pooled_data(equal_weight(3), pools)
-        require_pooled_data(normalized_weights([1.0, 0.0, 1.0]), pools)
+        with pytest.raises(EmptyPoolError,
+                           match=r"^exit 2 has no pooled data: dataset_size is 0 at edge1, edge2$"):
+            exit_pools(topo, build_sampling_matrix(topo, 0.0))
+
+    def test_hand_built_pools_keep_the_invariant(self):
+        with pytest.raises(EmptyPoolError, match="^exit 2 has no contributing client$"):
+            ExitPools(clients=(("a",), ()), sizes=np.array([1.0, 0.0]))
+        with pytest.raises(EmptyPoolError, match="^exit 1 has no pooled data: dataset_size is 0 at a"):
+            ExitPools(clients=(("a",),), sizes=np.array([0.0]))
 
 
 class TestExitWeightsType:
