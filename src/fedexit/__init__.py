@@ -34,7 +34,6 @@ from .topology import (
     brute_force_rate_plan,
     budgets_for_split,
     compute_rate_plan,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -61,5 +60,4 @@ __all__ = [
     "make_quadratic_task",
     "make_test_set",
     "run",
-    "validate",
 ]

@@ -91,6 +91,7 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
             string, an integer field (``exit``, ``dataset_size``,
             ``num_exits``) is not whole, or ``arrival_rate`` is not a number.
         ValueError: a value :class:`NodeSpec` refuses.
+        InvalidTopologyError: the nodes are no tree, as :class:`Topology` refuses.
     """
     nodes = []
     for d in array("topology nodes", entries):
@@ -106,7 +107,7 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
             dataset_size=integer(f"node {node}: dataset_size", d.get("dataset_size", 0)),
         ))
     if num_exits is None:
-        num_exits = max(n.exit for n in nodes)
+        num_exits = max((n.exit for n in nodes), default=0)
     return Topology(nodes=tuple(nodes), num_exits=integer("num_exits", num_exits))
 
 

@@ -10,11 +10,11 @@ each distinct job once. Training reads neither budgets nor the rate plan, so
 ``equal`` and ``flops_prop``, whose exit weights ignore the split, give one job
 per group rather than one per split. Whole stream sets train side by side
 within a byte budget: all quadratic jobs of a grid in one stack, and the jobs
-of each MLP stream set (one seed, partition and sampling matrix) with one
-stacked backprop per client and local step. Last, it evaluates each cell from
-its job's final iterate and its split. An MLP cell's accuracies and losses, on
-the requests it serves and on the i.i.d. test stream alike, come from the one
-backbone pass of its serving simulation. Strategy comparisons are therefore
+of an MLP stream set (one seed, partition and sampling matrix) that share a
+stack with one stacked backprop per client and local step. Last, it evaluates
+each cell from its job's final iterate and its split. An MLP cell's accuracies
+and losses, on the requests it serves and on the i.i.d. test stream alike, come
+from the one backbone pass of its serving simulation. Strategy comparisons are therefore
 paired, and reruns of the same config produce byte-identical outputs.
 """
 

@@ -21,11 +21,11 @@ the local phase. Jobs that share a seed, a task, a sampling matrix and a
 batch size form a stream set: they draw the same exits and local streams, so
 they share one set of streams and one draw per round. The quadratic steps the
 whole ``(R, N, d)`` slab with one batched matmul per local step and draws
-each client's noise for all of its local steps at once; the MLP steps each
-stream set's jobs with one stacked backprop per client and local step, on the
-batch they share. The result is bit-identical to calling :func:`sample_round`,
-:func:`local_update` and :func:`aggregate` per round, per client and per job,
-which stay the reference implementation.
+each client's noise for all of its local steps at once; the MLP steps the jobs
+of a stream set that share a stack with one stacked backprop per client and
+local step, on the batch they share. The result is bit-identical to calling
+:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
+client and per job, which stay the reference implementation.
 """
 
 from __future__ import annotations

@@ -187,7 +187,13 @@ class ExitPools:
 
 
 def exit_pools(topology: Topology, sampling: SamplingMatrix) -> ExitPools:
-    """Pool every client with positive sampling probability into its exits."""
+    """Pool every client with positive sampling probability into its exits.
+
+    A client of ``sampling`` that ``topology`` lacks is refused with ValueError.
+    """
+    lacking = sorted(set(sampling.clients) - set(topology.by_id))
+    if lacking:
+        raise ValueError(f"sampling matrix has clients the topology lacks: {', '.join(lacking)}")
     members = tuple(tuple(c for c in sampling.clients if sampling.prob(c, e) > 0)
                     for e in range(1, sampling.num_exits + 1))
     sizes = [float(sum(topology.by_id[c].dataset_size for c in pool)) for pool in members]

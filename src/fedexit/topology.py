@@ -24,6 +24,7 @@ from .errors import (
     MissingExitError,
     MultipleRootsError,
     NonConvergenceError,
+    ZeroTrafficError,
 )
 
 FLOW_TOL = 1e-12
@@ -59,36 +60,74 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    """A rooted tree of nodes with strictly increasing exits toward the root."""
+    """A rooted tree of nodes whose exits rise strictly toward the root, checked when built.
+
+    Raises:
+        InvalidTopologyError: no nodes, duplicate ids, an unknown parent, or
+            an exit outside 1..num_exits.
+        MultipleRootsError: more than one parentless node.
+        CycleError: no root, or nodes unreachable from the root.
+        ExitOrderError: a child's exit is not strictly below its parent's.
+        MissingExitError: some exit in 1..num_exits has no node.
+    """
 
     nodes: tuple[NodeSpec, ...]
     num_exits: int
 
+    def __post_init__(self) -> None:
+        if not self.nodes:
+            raise InvalidTopologyError("topology nodes is empty")
+        if len(self.by_id) != len(self.nodes):
+            raise InvalidTopologyError("duplicate node ids")
+        for n in self.nodes:
+            if n.parent is not None and n.parent not in self.by_id:
+                raise InvalidTopologyError(f"node {n.id}: unknown parent {n.parent}")
+        roots = sorted(n.id for n in self.nodes if n.parent is None)
+        if len(roots) > 1:
+            raise MultipleRootsError(f"multiple roots: {roots}")
+        if not roots:
+            raise CycleError("no root: every node has a parent")
+
+        for n in self.nodes:
+            if not 1 <= n.exit <= self.num_exits:
+                raise InvalidTopologyError(
+                    f"node {n.id}: exit {n.exit} outside 1..{self.num_exits}"
+                )
+
+        # Every node has one parent, so a node the walk from the root misses
+        # sits on a cycle.
+        missing = sorted(set(self.by_id) - set(self.post_order))
+        if missing:
+            raise CycleError(f"nodes unreachable from root (cycle): {missing}")
+
+        for n in self.nodes:
+            if n.parent is not None:
+                parent_exit = self.by_id[n.parent].exit
+                if n.exit >= parent_exit:
+                    raise ExitOrderError(
+                        f"node {n.id} (exit {n.exit}) under {n.parent} (exit {parent_exit})"
+                    )
+
+        assigned = {n.exit for n in self.nodes}
+        for e in range(1, self.num_exits + 1):
+            if e not in assigned:
+                raise MissingExitError(f"exit {e} has no node")
+
     @cached_property
     def by_id(self) -> dict[str, NodeSpec]:
-        out = {n.id: n for n in self.nodes}
-        if len(out) != len(self.nodes):
-            raise InvalidTopologyError("duplicate node ids")
-        return out
+        return {n.id: n for n in self.nodes}
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
         kids: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for n in self.nodes:
             if n.parent is not None:
-                if n.parent not in kids:
-                    raise InvalidTopologyError(f"node {n.id}: unknown parent {n.parent}")
                 kids[n.parent].append(n.id)
         return {i: tuple(sorted(c)) for i, c in kids.items()}
 
     @cached_property
     def root(self) -> str:
-        roots = [n.id for n in self.nodes if n.parent is None]
-        if len(roots) > 1:
-            raise MultipleRootsError(f"multiple roots: {sorted(roots)}")
-        if not roots:
-            raise CycleError("no root: every node has a parent")
-        return roots[0]
+        return next(n.id for n in self.nodes if n.parent is None)
 
     @cached_property
     def post_order(self) -> tuple[str, ...]:
@@ -149,48 +188,6 @@ class Topology:
     @property
     def total_arrival(self) -> float:
         return float(sum(n.arrival_rate for n in self.nodes))
-
-
-def validate(topology: Topology) -> None:
-    """Check all structural invariants; raise a typed error on the first violation.
-
-    Raises:
-        MultipleRootsError: more than one parentless node.
-        CycleError: no root, or nodes unreachable from the root.
-        ExitOrderError: a child's exit is not strictly below its parent's.
-        MissingExitError: some exit in 1..num_exits has no node.
-        InvalidTopologyError: duplicate ids, unknown parents, exits out of range.
-    """
-    if not topology.nodes:
-        raise InvalidTopologyError("empty topology")
-    _ = topology.by_id
-    _ = topology.children  # raises on unknown parent
-    _ = topology.root
-
-    for n in topology.nodes:
-        if not 1 <= n.exit <= topology.num_exits:
-            raise InvalidTopologyError(
-                f"node {n.id}: exit {n.exit} outside 1..{topology.num_exits}"
-            )
-
-    # Every node has one parent, so a node the walk from the root misses
-    # sits on a cycle.
-    missing = sorted(set(topology.by_id) - set(topology.post_order))
-    if missing:
-        raise CycleError(f"nodes unreachable from root (cycle): {missing}")
-
-    for n in topology.nodes:
-        if n.parent is not None:
-            parent_exit = topology.by_id[n.parent].exit
-            if n.exit >= parent_exit:
-                raise ExitOrderError(
-                    f"node {n.id} (exit {n.exit}) under {n.parent} (exit {parent_exit})"
-                )
-
-    assigned = {n.exit for n in topology.nodes}
-    for e in range(1, topology.num_exits + 1):
-        if e not in assigned:
-            raise MissingExitError(f"exit {e} has no node")
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,6 @@ def compute_rate_plan(topology: Topology) -> RatePlan:
     arrivals plus everything its children forward) is known when its transmit
     rate is capped at its budget. The root forwards nothing.
     """
-    validate(topology)
     return _flows(topology, lambda node, inflow: min(node.budget, inflow))
 
 
@@ -266,9 +262,8 @@ def brute_force_rate_plan(
 
     Starting from zero flows, every node repeatedly recomputes how much it
     would forward given its children's current flows, until no flow moves by
-    more than ``tol``. Agrees with :func:`compute_rate_plan` on valid trees.
+    more than ``tol``. Agrees with :func:`compute_rate_plan`.
     """
-    validate(topology)
     transmit = {n.id: 0.0 for n in topology.nodes}
     for _ in range(max_iter):
         delta = 0.0
@@ -286,7 +281,6 @@ def brute_force_rate_plan(
 
 def _require_layered(topology: Topology) -> None:
     """Check exit == depth class and arrivals only on leaves."""
-    validate(topology)
     e_max = topology.num_exits
     for n in topology.nodes:
         expected_exit = e_max - topology.depth[n.id]
@@ -312,8 +306,8 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
 
     Raises:
         InfeasibleSplitError: some node would have to serve more than reaches it.
-        ValueError: the split is not one finite, nonnegative entry per exit
-            summing to 1, or the tree has no arrivals.
+        ZeroTrafficError: the tree has no arrivals.
+        ValueError: the split is not one finite, nonnegative entry per exit summing to 1.
     """
     split = np.asarray(split, dtype=float)
     if split.ndim != 1 or split.size != topology.num_exits:
@@ -325,7 +319,7 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
     _require_layered(topology)
     total = topology.total_arrival
     if total <= 0:
-        raise ValueError("topology has no arrivals")
+        raise ZeroTrafficError("topology has no arrivals")
     tol = 1e-9 * max(1.0, total)
 
     def forward(node: NodeSpec, inflow: float) -> float:
@@ -357,7 +351,6 @@ def grid_search_p1(
     ``sum_i loss[exit_i] * serve_i`` is minimized. The root always serves all
     it receives.
     """
-    validate(topology)
     if len(topology.nodes) > 4:
         raise ValueError("grid search oracle is limited to 4 nodes")
     if not 0 < step <= 0.2:

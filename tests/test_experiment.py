@@ -997,6 +997,17 @@ class TestCli:
         assert len(rows) == len(raw["strategies"])
         assert all(math.isfinite(float(row["empirical_opt_error"])) for row in rows)
 
+    @pytest.mark.parametrize("topology", [{"nodes": []}, {"nodes": [], "num_exits": 3}],
+                             ids=["no-num-exits", "num-exits"])
+    def test_empty_node_list_is_reported(self, tmp_path, capsys, topology):
+        # Used to read "max() arg is an empty sequence", or with num_exits
+        # "no node has a positive arrival rate".
+        path = write_config(tmp_path, mlp_config(topology=topology))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: topology nodes is empty\n"
+        assert not out.exists()
+
     def test_unknown_partition_is_reported(self, tmp_path, capsys):
         # A misspelt partition used to end the run in a raw KeyError traceback.
         raw = mlp_config()

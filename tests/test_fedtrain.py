@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_tree, seven_node_topology
+from conftest import chain_topology, random_tree, seven_node_topology
 from fedexit import fedtrain
 from fedexit import rng as rngmod
 from fedexit.errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
@@ -390,6 +390,15 @@ class TestRun:
         sampling = build_sampling_matrix(topo, 0.0)
         cfg = TrainConfig(rounds=1, local_steps=1)
         with pytest.raises(ValueError):
+            run(topo, task, equal_weight(3), sampling, cfg)
+
+    def test_sampling_for_another_tree_rejected(self):
+        # Used to end in a raw KeyError: 'leaf'.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=4)
+        sampling = build_sampling_matrix(chain_topology(), 0.1)
+        cfg = TrainConfig(rounds=1, local_steps=1, projection_radius=task.radius)
+        with pytest.raises(ValueError, match="clients the topology lacks: leaf, mid, root$"):
             run(topo, task, equal_weight(3), sampling, cfg)
 
     def test_returns_run_stacked_iterate_and_its_objective(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seven_node_topology
+from conftest import chain_topology, seven_node_topology
 from fedexit.errors import (
     AllZeroWeightsError,
     EmptyPoolError,
@@ -199,6 +199,13 @@ class TestExitPools:
         with pytest.raises(EmptyPoolError,
                            match=r"^exit 2 has no pooled data: dataset_size is 0 at edge1, edge2$"):
             exit_pools(topo, build_sampling_matrix(topo, 0.0))
+
+    def test_sampling_for_another_tree_names_the_missing_clients(self):
+        # Used to end in a raw KeyError: 'leaf'.
+        sampling = build_sampling_matrix(chain_topology(), 0.1)
+        with pytest.raises(ValueError, match="^sampling matrix has clients the topology lacks: "
+                                             "leaf, mid, root$"):
+            exit_pools(seven_node_topology(), sampling)
 
     def test_hand_built_pools_keep_the_invariant(self):
         with pytest.raises(EmptyPoolError, match="^exit 2 has no contributing client$"):

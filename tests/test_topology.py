@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fedexit.errors import (
     InvalidTopologyError,
     MissingExitError,
     MultipleRootsError,
+    ZeroTrafficError,
 )
 from fedexit.topology import (
     NodeSpec,
@@ -23,17 +26,17 @@ from fedexit.topology import (
     budgets_for_split,
     compute_rate_plan,
     grid_search_p1,
-    validate,
 )
 
 
 class TestValidate:
+    """A ``Topology`` refuses a broken tree when it is built."""
+
     def test_seven_node_tree_is_valid(self):
-        validate(seven_node_topology())
+        seven_node_topology()
 
     def test_single_node_single_exit(self):
-        topo = Topology(nodes=(NodeSpec("only", None, 1, 1.0, 0.0, 10),), num_exits=1)
-        validate(topo)
+        Topology(nodes=(NodeSpec("only", None, 1, 1.0, 0.0, 10),), num_exits=1)
 
     def test_child_exit_not_below_parent(self):
         nodes = (
@@ -42,7 +45,7 @@ class TestValidate:
             NodeSpec("dev", "edge", 1, 1.0, 0.5, 0),
         )
         with pytest.raises(ExitOrderError):
-            validate(Topology(nodes=nodes, num_exits=3))
+            Topology(nodes=nodes, num_exits=3)
 
     def test_multiple_roots(self):
         nodes = (
@@ -51,7 +54,7 @@ class TestValidate:
             NodeSpec("c", "a", 1, 1.0, 0.0, 0),
         )
         with pytest.raises(MultipleRootsError):
-            validate(Topology(nodes=nodes, num_exits=2))
+            Topology(nodes=nodes, num_exits=2)
 
     def test_cycle(self):
         nodes = (
@@ -60,7 +63,7 @@ class TestValidate:
             NodeSpec("b", "a", 1, 1.0, 0.0, 0),
         )
         with pytest.raises(CycleError):
-            validate(Topology(nodes=nodes, num_exits=3))
+            Topology(nodes=nodes, num_exits=3)
 
     def test_missing_exit(self):
         nodes = (
@@ -68,7 +71,7 @@ class TestValidate:
             NodeSpec("a", "r", 1, 1.0, 0.0, 0),
         )
         with pytest.raises(MissingExitError):
-            validate(Topology(nodes=nodes, num_exits=3))
+            Topology(nodes=nodes, num_exits=3)
 
     def test_unknown_parent(self):
         nodes = (
@@ -76,7 +79,7 @@ class TestValidate:
             NodeSpec("a", "ghost", 1, 1.0, 0.0, 0),
         )
         with pytest.raises(InvalidTopologyError):
-            validate(Topology(nodes=nodes, num_exits=2))
+            Topology(nodes=nodes, num_exits=2)
 
     def test_from_node_dicts_roundtrip(self):
         entries = [
@@ -84,7 +87,6 @@ class TestValidate:
             {"id": "a", "parent": "r", "exit": 1, "arrival_rate": 1.5, "dataset_size": 7},
         ]
         topo = from_node_dicts(entries)
-        validate(topo)
         assert topo.num_exits == 2
         assert topo.by_id["a"].dataset_size == 7
 
@@ -119,6 +121,91 @@ class TestValidate:
 
     def test_node_accepts_infinite_budget(self):
         assert NodeSpec("a", None, 1, 1.0, float("inf"), 0).budget == float("inf")
+
+
+def _dicts(nodes) -> list[dict]:
+    return [{"id": n.id, "parent": n.parent, "exit": n.exit, "arrival_rate": n.arrival_rate,
+             "dataset_size": n.dataset_size} for n in nodes]
+
+
+def _refused_everywhere(topo: Topology, nodes, error) -> None:
+    """``nodes`` is refused with exactly ``error`` by each way of building a tree."""
+    for build in (lambda: Topology(nodes=tuple(nodes), num_exits=topo.num_exits),
+                  lambda: dataclasses.replace(topo, nodes=tuple(nodes)),
+                  lambda: from_node_dicts(_dicts(nodes), topo.num_exits)):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+
+
+def _subtree(topo: Topology, node: str) -> list[str]:
+    out = [node]
+    for child in topo.children[node]:
+        out += _subtree(topo, child)
+    return out
+
+
+def _corruptions(topo: Topology, rng: np.random.Generator):
+    """(name, nodes, error): one node of ``topo`` broken each way that applies."""
+    nodes = list(topo.nodes)
+    pick = int(rng.integers(len(nodes)))
+    node = nodes[pick]
+
+    def edited(**changes):
+        return nodes[:pick] + [dataclasses.replace(node, **changes)] + nodes[pick + 1:]
+
+    yield "exit out of range", edited(exit=topo.num_exits + 1), InvalidTopologyError
+    if node.parent is None:
+        return
+    descendants = _subtree(topo, node.id)
+    yield "unknown parent", edited(parent="ghost"), InvalidTopologyError
+    yield ("cycle", edited(parent=descendants[int(rng.integers(len(descendants)))]),
+           CycleError)
+    yield "exit order", edited(exit=topo.by_id[node.parent].exit), ExitOrderError
+    if topo.layers[node.exit] == (node.id,):
+        # Its children move up to its parent, so only its exit goes missing.
+        yield "only node of an exit", [
+            dataclasses.replace(n, parent=node.parent) if n.parent == node.id else n
+            for n in nodes if n is not node
+        ], MissingExitError
+
+
+class TestBuiltTreesAreValid:
+    """Every way of building a tree checks it, so no function sees a broken one."""
+
+    def test_random_trees_build_and_each_corruption_is_refused(self):
+        rng = np.random.default_rng(2023)
+        seen: dict[str, int] = {}
+        for _ in range(200):
+            topo = random_tree(rng)
+            topo.with_budgets({n.id: float(rng.uniform(0, 2)) for n in topo.nodes})
+            topo.with_dataset_sizes({n.id: int(rng.integers(0, 50)) for n in topo.nodes})
+            for name, nodes, error in _corruptions(topo, rng):
+                _refused_everywhere(topo, nodes, error)
+                seen[name] = seen.get(name, 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+    # Each of these used to build, and the public API then failed on it with a
+    # raw IndexError, or planned and trained on it without a word.
+    @pytest.mark.parametrize(
+        "extra, error",
+        [(NodeSpec("x", "cloud", 5, 1.0, 0.0, 50), InvalidTopologyError),
+         ((NodeSpec("a", "b", 2, 1.0, 0.0, 50), NodeSpec("b", "a", 1, 1.0, 0.0, 50)),
+          CycleError),
+         (NodeSpec("g", "ghost", 1, 1.0, 0.0, 50), InvalidTopologyError),
+         (NodeSpec("h", "dev1", 2, 1.0, 0.0, 50), ExitOrderError)],
+        ids=["exit-5-of-3", "cycle-beside-root", "unknown-parent", "exit-above-parent"],
+    )
+    def test_broken_seven_node_trees_are_refused(self, extra, error):
+        topo = seven_node_topology()
+        extra = extra if isinstance(extra, tuple) else (extra,)
+        _refused_everywhere(topo, topo.nodes + extra, error)
+
+    def test_empty_node_list_names_topology_nodes(self):
+        for build in (lambda: Topology(nodes=(), num_exits=3), lambda: from_node_dicts([]),
+                      lambda: from_node_dicts([], num_exits=3)):
+            with pytest.raises(InvalidTopologyError, match="^topology nodes is empty$"):
+                build()
 
 
 class TestRatePlan:
@@ -256,6 +343,10 @@ class TestBudgetsForSplit:
         topo = Topology(nodes=nodes, num_exits=3)
         with pytest.raises(InvalidTopologyError):
             budgets_for_split(topo, [0.5, 0.3, 0.2])
+
+    def test_no_arrivals_is_zero_traffic(self):
+        with pytest.raises(ZeroTrafficError, match="^topology has no arrivals$"):
+            budgets_for_split(seven_node_topology(arrival=0.0), [0.5, 0.3, 0.2])
 
     def test_bad_split_rejected(self):
         topo = seven_node_topology()
