@@ -365,13 +365,17 @@ def _check_table_sizes(
     The estimate covers one stack of the engine, which trains at most
     ``jobs`` jobs, and no more than ``stack_rows`` allows: every round's
     exit draws (a uniform, one comparison per exit and the exit, per job,
-    round and client), the step sizes (per job, round and local step), one
-    round's local draw (a client's batches, features and labels on an MLP;
-    the noise of the whole stack on a quadratic) and the slab of local
-    iterates. It also covers the task's own arrays: an MLP's training and
-    test features and labels (``samples`` holds their two sizes) and the
-    teacher pass that labels the larger set, which holds two hidden states
-    while it builds the next, or a quadratic's ``(N, E, d, d)`` matrices.
+    round and client), the step sizes (per job, round and local step), the
+    block of local draws (the batch indices of every client of the stack,
+    and one client's batch features and labels, on an MLP; the noise of the
+    whole stack on a quadratic) and the slab of local iterates. A block of
+    local draws holds one round when that round alone is over
+    ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
+    draws is what can exceed it. It also covers the task's own arrays: an
+    MLP's training and test features and labels (``samples`` holds their two
+    sizes) and the teacher pass that labels the larger set, which holds two
+    hidden states while it builds the next, or a quadratic's ``(N, E, d, d)``
+    matrices.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -398,12 +402,12 @@ def _check_table_sizes(
         )
         batch_size = training.get("batch_size", TrainConfig.batch_size)
         draw = ("training batch_size and local_steps, and task input_dim",
-                local_steps * batch_size * (task["input_dim"] + 2) * 8)
+                local_steps * batch_size * (rows * n + task["input_dim"] + 1) * 8)
         size = ("task input_dim, hidden_dim and num_classes", slab)
     tables = (
         ("training rounds", rows * rounds * n * (topo.num_exits + 16), "the exit draws"),
         ("training rounds and local_steps", rows * rounds * local_steps * 8, "the step sizes"),
-        (*draw, "one round's local draw"),
+        (*draw, "the block of local draws"),
         (*size, "the slab of local iterates"),
         *own,
     )

@@ -9,21 +9,24 @@ origin-centered ball. All randomness comes from streams keyed by (seed,
 client), so runs are bit-reproducible regardless of execution order:
 ``stream(seed, ROUND_SAMPLE)`` draws every round's exits, and client ``i``'s
 ``stream(seed, LOCAL, i)`` its local noise or batches. Each is opened once per
-run and draws one fixed-size block per round whatever exit was sampled, so a
-T-round run is a prefix of a longer one.
+run and gives every round one fixed-size draw whatever exit was sampled, so a
+T-round run is a prefix of a longer one. The engine draws the exits of all
+rounds before the first, and each local stream's draws in blocks of rounds,
+one call per block: a bulk draw equals the same draws made one round at a
+time, and the round loop itself makes no generator call.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
 at the last iterate). Jobs equal in every field but their label train once.
 It samples the exits, sums each job's weighted deltas in client-name order,
-projects and checks that the iterates stay finite. The task class supplies
-the local phase. Jobs that share a seed, a task, a sampling matrix and a
-batch size form a stream set: they draw the same exits and local streams, so
-they share one set of streams and one draw per round. The quadratic steps the
-whole ``(R, N, d)`` slab with one batched matmul per local step and draws
-each client's noise for all of its local steps at once; the MLP steps the jobs
-of a stream set that share a stack with one stacked backprop per client and
-local step, on the batch they share. The result is bit-identical to calling
+projects and checks that the iterates stay finite. The task class says how
+a local stream draws and supplies the local phase. Jobs that share a seed, a
+task, a sampling matrix and a batch size form a stream set: they draw the
+same exits and local streams, so they share one set of streams and one draw
+per round. The quadratic steps the whole ``(R, N, d)`` slab with one batched
+matmul per local step; the MLP steps the jobs of a stream set that share a
+stack with one stacked backprop per client and local step, on the batch they
+share. The result is bit-identical to calling
 :func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
 client and per job, which stay the reference implementation.
 """
@@ -252,17 +255,33 @@ class Job:
     label: str = ""
 
 
+def _name(job: Job) -> str:
+    """The job's seed and label, as errors name it."""
+    return ", ".join(filter(None, (f"seed {job.cfg.seed}", job.label)))
+
+
 def initial_iterate(job: Job) -> np.ndarray:
-    """Where ``job`` starts: a copy of its ``w_init``, else the task's draw from stream (seed, INIT)."""
+    """Where ``job`` starts: a copy of its ``w_init``, else the task's draw from stream (seed, INIT).
+
+    Raises:
+        ValueError: ``w_init`` is not one finite vector of the task's ``dim``.
+    """
     if job.w_init is None:
         return job.task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
-    return np.asarray(job.w_init, dtype=float).copy()
+    w = np.asarray(job.w_init, dtype=float).copy()
+    if w.shape != (job.task.dim,):
+        raise ValueError(f"{_name(job)}: w_init has shape {w.shape}, but the task's "
+                         f"iterates have shape {(job.task.dim,)}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"{_name(job)}: w_init is not finite")
+    return w
 
 
 def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
     """Check that ``job`` can train; return its exit pools and initial iterate.
 
-    Raises as :func:`run_stacked`: some exit has no pooled data, or task and tree disagree on sizes.
+    Raises as :func:`run_stacked`: some exit has no pooled data, task and tree disagree on
+    sizes, or ``w_init`` is not a finite vector of the task's ``dim``.
     """
     task, sampling = job.task, job.sampling
     pools = exit_pools(job.topology, sampling)
@@ -281,8 +300,7 @@ def _require_finite(w: np.ndarray, t: int, jobs: Sequence[Job]) -> None:
         return
     finite = np.isfinite(w.reshape(len(jobs), -1)).all(axis=1)
     job = jobs[int(np.argmin(finite))]
-    where = ", ".join(filter(None, (f"seed {job.cfg.seed}", job.label, f"round {t}")))
-    raise DivergenceError(f"{where}: the iterate is not finite")
+    raise DivergenceError(f"{_name(job)}, round {t}: the iterate is not finite")
 
 
 def run(
@@ -307,6 +325,10 @@ def run(
 # Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
 # packs whole stream sets into stacks that stay under it.
 STACK_BYTES = 1024 * 1024
+
+# Byte budget of one stack's block of local draws: each local stream draws as
+# many rounds at once as keep the block of all the stack's streams under it.
+DRAW_BYTES = 128 * 1024
 
 
 def stack_rows(clients: int, dim: int) -> int:
@@ -344,8 +366,9 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     set would.
 
     Raises:
-        ValueError: the jobs cannot share a stack, or a job's task and
-            topology disagree on client dataset sizes.
+        ValueError: the jobs cannot share a stack, a job's task and
+            topology disagree on client dataset sizes, or a job's
+            ``w_init`` is not a finite vector of the task's ``dim``.
         EmptyPoolError: some exit has no pooled data.
         ZeroProbabilityError: a client drew an exit it samples with p=0.
         DivergenceError: an iterate stopped being finite.
@@ -387,21 +410,28 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
 def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
-    Bit-identical to :func:`local_update` and :func:`aggregate` run per
-    client and per job: the same streams give the same draws, and each job's
-    deltas are summed in the same ascending client order with the same
-    coefficients. Jobs with the same seed, task, sampling matrix and batch
-    size form one stream set, which opens its streams once per stack and
-    samples its exits once per round. The exits of every round are drawn
-    before the first; a round whose exits a job samples with p=0 is still
-    refused in that round.
+    ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to
+    :func:`local_update` and :func:`aggregate` run per client and per job:
+    the same streams give the same draws, and each job's deltas are summed
+    in the same ascending client order with the same coefficients. Jobs with
+    the same seed, task, sampling matrix and batch size form one stream set,
+    which opens its streams once per stack and samples its exits once per
+    round. The exits of every round are drawn before the first; a round
+    whose exits a job samples with p=0 is still refused in that round.
+
+    This is the engine's one place that calls a local stream. Each stream
+    draws its rounds in blocks, one call per block, through the task's
+    ``draw_rounds(gen, client, cfg, rounds)``; a block holds as many rounds
+    as keep all of the stack's streams within :data:`DRAW_BYTES`, at least
+    one. A bulk draw equals the same draws made one round at a time, so the
+    block size changes no bit of the result.
 
     The task class's ``local_phase(jobs, job_set)`` returns
-    ``phase(w, exits, gens, etas)``: from the broadcast models, the ``(S, N)``
-    0-based exits of every stream set, the local generators (``gens[s * N +
-    i]`` is stream set ``s``'s client ``i``; each draws one fixed-size block
-    per round, whatever its exit) and the ``(local_steps, R)`` step sizes, it
-    returns the ``(R, N, d)`` local iterates in a new array.
+    ``phase(w, exits, draws, etas)``: from the broadcast models, the ``(S, N)``
+    0-based exits of every stream set, this round's local draws (``draws[s *
+    N + i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and
+    the ``(local_steps, R)`` step sizes, it returns the ``(R, N, d)`` local
+    iterates in a new array.
     """
     first = jobs[0]
     clients = first.sampling.clients
@@ -419,7 +449,26 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     ], axis=1)
     cumsum = np.stack([job.sampling.row_cumsum for job in leads])
     exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), first.sampling.num_exits - 1)
-    gens = [rngmod.stream(job.cfg.seed, rngmod.LOCAL, i) for job in leads for i in range(n)]
+    streams = [(job, rngmod.stream(job.cfg.seed, rngmod.LOCAL, i), client)
+               for job in leads for i, client in enumerate(clients)]
+    round_bytes = sum(math.prod(job.task.draw_shape(job.cfg)) * 8 for job, _, _ in streams)
+    block = max(1, DRAW_BYTES // round_bytes)
+
+    def round_draws():
+        """Each round's local draws, one row per stream, drawn one block of rounds at a time.
+
+        A round's rows form one array when they share a shape, as they do
+        unless the stack mixes batch sizes.
+        """
+        for lo in range(0, rounds, block):
+            k = min(block, rounds - lo)
+            drawn = [job.task.draw_rounds(gen, client, job.cfg, k) for job, gen, client in streams]
+            if len({d.shape for d in drawn}) == 1:
+                yield from np.stack(drawn, axis=1)
+            else:
+                yield from ([d[j] for d in drawn] for j in range(k))
+
+    draws = round_draws()
     local_phase = type(first.task).local_phase(jobs, job_set)
 
     # Per job: aggregate_preprojection's coefficient for every pair it can be
@@ -437,7 +486,7 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
         set_exits = exit_table[t - 1]
-        w_end = local_phase(w, set_exits, gens, etas[t - 1])
+        w_end = local_phase(w, set_exits, next(draws), etas[t - 1])
         exits = set_exits[job_set]
         at = rows + (exits,)  # job r's client i on its sampled exit is entry [r, i]
         zero = probs[at] <= 0

@@ -273,31 +273,40 @@ class MlpTask:
         idx = rng.integers(0, len(y), size=batch_size)
         return self.gradient_on(w, x[idx], y[idx], exit)
 
+    def draw_shape(self, cfg) -> tuple[int, int]:
+        """One round of one client's local draws: a batch of sample indices per local step."""
+        return (cfg.local_steps, cfg.batch_size)
+
+    def draw_rounds(self, gen: np.random.Generator, client: str, cfg, rounds: int) -> np.ndarray:
+        """``rounds`` rounds of ``client``'s batch indices, as :meth:`stochastic_gradient` draws.
+
+        Indices are drawn uniformly with replacement from the client's samples.
+        """
+        _, y = self._client_data(client)
+        return gen.integers(0, len(y), size=(rounds, *self.draw_shape(cfg)))
+
     @staticmethod
     def local_phase(jobs, job_set: np.ndarray):
         """The round engine's local phase: each stream set's jobs step as one stack per client.
 
-        Each step is :meth:`stochastic_gradient` on one batch drawn from the
-        client's stream, as in :func:`fedtrain.local_update`. A stream set
-        draws the batches of all its local steps in one call per client,
-        which equals one call per step. Its jobs share that draw and the
-        sampled exit, so one stacked :meth:`gradient_on` steps all of them; a
-        set of one job steps its row alone.
+        Each step is :meth:`stochastic_gradient` on one batch, whose indices
+        are the client's row of the round's draws (see :meth:`draw_rounds`),
+        as in :func:`fedtrain.local_update`. A stream set's jobs share that
+        batch and the sampled exit, so one stacked :meth:`gradient_on` steps
+        all of them; a set of one job steps its row alone.
         """
         clients = jobs[0].sampling.clients
         n = len(clients)
         members = [np.flatnonzero(job_set == s).tolist() for s in range(job_set.max() + 1)]
 
-        def phase(w, exits, gens, etas):
+        def phase(w, exits, draws, etas):
             w_end = np.empty((len(jobs), n, w.shape[1]))
             for s, rows in enumerate(members):
                 lead = jobs[rows[0]]
                 at = rows if len(rows) > 1 else rows[0]
                 for i, client in enumerate(clients):
-                    x, y = lead.task._client_data(client)
-                    idx = gens[s * n + i].integers(
-                        0, len(y), size=(lead.cfg.local_steps, lead.cfg.batch_size)
-                    )
+                    x, y = lead.task.data[client]
+                    idx = draws[s * n + i]
                     xb, yb, exit = x[idx], y[idx], int(exits[s, i]) + 1
 
                     def gradient(v: np.ndarray, j: int) -> np.ndarray:

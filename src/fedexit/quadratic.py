@@ -105,14 +105,26 @@ class QuadraticTask:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
+    def draw_shape(self, cfg) -> tuple[int, int]:
+        """One round of one client's local draws: a noise vector per local step."""
+        return (cfg.local_steps, self.dim)
+
+    def draw_rounds(self, gen: np.random.Generator, client: str, cfg, rounds: int) -> np.ndarray:
+        """``rounds`` rounds of ``client``'s local noise, as :meth:`stochastic_gradient` draws it.
+
+        The normals are drawn whatever the client's exit and sigma, so every
+        round advances ``gen`` by the same amount.
+        """
+        return gen.standard_normal((rounds, *self.draw_shape(cfg)))
+
     @staticmethod
     def local_phase(jobs, job_set: np.ndarray):
         """The round engine's local phase: all (job, client) rows step on one ``(R, N, d)`` slab.
 
         Each step is one batched matmul, row by row the matrix-vector product
-        of :meth:`stochastic_gradient`. A stream-set row draws the noise of
-        all its local steps in one call, which equals one call per step, and
-        every job of the set shares that draw.
+        of :meth:`stochastic_gradient`. A stream-set row's noise is
+        ``sigma * draw / sqrt(dim)`` on its row of the round's draws (see
+        :meth:`draw_rounds`), and every job of the set shares it.
         """
         first = jobs[0]
         clients, dim = first.sampling.clients, first.task.dim
@@ -126,14 +138,11 @@ class QuadraticTask:
         )
         cells = np.arange(len(leads))[:, None], np.arange(len(clients))
 
-        def phase(w, exits, gens, etas):
+        def phase(w, exits, draws, etas):
             if (exits >= max_exit).any():
                 s, i = np.argwhere(exits >= max_exit)[0]
                 leads[s].pair(clients[i], int(exits[s, i]) + 1)  # raises ValueError
             sigma = noise_scale[cells + (exits,)].ravel()
-            draws = np.empty((sigma.size, first.cfg.local_steps, dim))
-            for gen, out in zip(gens, draws):
-                gen.standard_normal(out=out)
             noise = (sigma[:, None, None] * draws / sqrt_dim).reshape(exits.shape + (-1, dim))
             at = job_set[:, None], cells[1], exits[job_set]
             a_sel, c_sel, noise = matrices[at], centers[at], noise[job_set]

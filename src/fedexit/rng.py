@@ -5,7 +5,9 @@ plus an integer key path, so results do not depend on call order.
 :func:`stream` builds one such generator: ``default_rng(SeedSequence(seed,
 spawn_key=key))``, a PCG64 generator. A training run opens one exit-sampling
 stream per seed and one local stream per (seed, client), each once for the
-whole run, and every round draws the next fixed-size block from them.
+whole run, and every round takes the next fixed-size draw from them. The
+round engine makes those draws a block of rounds at a time, one call per
+stream, which gives the same numbers as one call per round.
 """
 
 from __future__ import annotations

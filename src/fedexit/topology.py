@@ -172,15 +172,27 @@ class Topology:
         return self.by_id[node_id].exit
 
     def with_budgets(self, budgets: dict[str, float]) -> "Topology":
-        nodes = tuple(
-            replace(n, budget=float(budgets[n.id])) if n.id in budgets else n
-            for n in self.nodes
-        )
-        return Topology(nodes=nodes, num_exits=self.num_exits)
+        """This tree with each node named in ``budgets`` given that budget.
+
+        Raises:
+            InvalidTopologyError: a key of ``budgets`` names no node.
+        """
+        return self._with_each("budget", budgets, float)
 
     def with_dataset_sizes(self, sizes: dict[str, int]) -> "Topology":
+        """This tree with each node named in ``sizes`` given that dataset size.
+
+        Raises:
+            InvalidTopologyError: a key of ``sizes`` names no node.
+        """
+        return self._with_each("dataset_size", sizes, int)
+
+    def _with_each(self, field: str, values: dict, cast) -> "Topology":
+        unknown = sorted(set(values) - set(self.by_id))
+        if unknown:
+            raise InvalidTopologyError(f"{field} given for ids that name no node: {unknown}")
         nodes = tuple(
-            replace(n, dataset_size=int(sizes[n.id])) if n.id in sizes else n
+            replace(n, **{field: cast(values[n.id])}) if n.id in values else n
             for n in self.nodes
         )
         return Topology(nodes=nodes, num_exits=self.num_exits)

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fedexit
 from conftest import chain_topology, random_tree, seven_node_topology
 from fedexit import fedtrain
 from fedexit import rng as rngmod
@@ -401,6 +402,29 @@ class TestRun:
         with pytest.raises(ValueError, match="clients the topology lacks: leaf, mid, root$"):
             run(topo, task, equal_weight(3), sampling, cfg)
 
+    @pytest.mark.parametrize(
+        "w_init, message",
+        [(np.zeros(4), r"w_init has shape \(4,\), but the task's iterates have shape \(3,\)$"),
+         (np.zeros((2, 3)),
+          r"w_init has shape \(2, 3\), but the task's iterates have shape \(3,\)$"),
+         (np.array([0.0, np.nan, 0.0]), "w_init is not finite$"),
+         (np.array([0.0, 0.0, -np.inf]), "w_init is not finite$")],
+        ids=["length-4", "shape-2x3", "nan", "inf"],
+    )
+    def test_bad_start_is_refused_before_training(self, w_init, message):
+        # The shapes used to end in a raw numpy broadcast error inside the
+        # local phase, and NaN in "seed 1, round 1: the iterate is not finite".
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=4)
+        sampling = build_sampling_matrix(topo, 0.1)
+        cfg = TrainConfig(rounds=2, local_steps=2, projection_radius=task.radius, seed=1)
+        with pytest.raises(ValueError, match="^seed 1: " + message):
+            fedexit.run(topo, task, equal_weight(3), sampling, cfg, w_init=w_init)
+        job = Job(topo, task, equal_weight(3), sampling, cfg, w_init,
+                  label="strategy equal, k=0.1")
+        with pytest.raises(ValueError, match="^seed 1, strategy equal, k=0.1: " + message):
+            run_stacked([job])
+
     def test_returns_run_stacked_iterate_and_its_objective(self):
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
@@ -659,9 +683,9 @@ class TestStackedJobs:
         def recording_phase(jobs, job_set):
             phase = real_phase(jobs, job_set)
 
-            def recording(w, exits, gens, etas):
+            def recording(w, exits, draws, etas):
                 seen.append(exits.copy())
-                return phase(w, exits, gens, etas)
+                return phase(w, exits, draws, etas)
 
             return recording
 
@@ -731,6 +755,99 @@ class TestStackedJobs:
             assert stacked[a].tobytes() == stacked[b].tobytes(), (a, b)
         for r, (job, row) in enumerate(zip(jobs, stacked)):
             assert row.tobytes() == run_stacked([job])[0].tobytes(), r
+
+
+def block_case(backend):
+    """(topology, task, sampling, cfg, one round's bytes of local draws) for a 30-round run."""
+    if backend == "quadratic":
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+        cfg = TrainConfig(rounds=30, local_steps=3, base_lr=0.05,
+                          projection_radius=task.radius, seed=2)
+        width = task.dim
+    else:
+        topo, task = mlp_case()
+        cfg = TrainConfig(rounds=30, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
+        width = cfg.batch_size
+    round_bytes = len(topo.nodes) * cfg.local_steps * width * 8
+    return topo, task, build_sampling_matrix(topo, 0.1), cfg, round_bytes
+
+
+class CountingStream:
+    """A generator that appends ``tag`` to ``events`` at each call of one of its methods."""
+
+    def __init__(self, gen, events, tag):
+        self._gen, self._events, self._tag = gen, events, tag
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def logged(*args, **kwargs):
+            self._events.append(self._tag)
+            return method(*args, **kwargs)
+
+        return logged
+
+
+class TestBlockDraws:
+    """Each local stream draws its rounds in blocks; the results keep every bit."""
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_run_over_several_blocks_matches_reference(self, backend, monkeypatch):
+        # Blocks of 4 rounds: 30 rounds are 7 whole blocks and a block of 2.
+        topo, task, sampling, cfg, round_bytes = block_case(backend)
+        monkeypatch.setattr(fedtrain, "DRAW_BYTES", 4 * round_bytes + 8)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        w_end, objective = run(topo, task, weights, sampling, cfg)
+        ref_w, ref_objective = reference_run(topo, task, weights, sampling, cfg)
+        assert w_end.tobytes() == ref_w.tobytes()
+        assert objective == ref_objective
+
+    def test_mlp_stack_of_two_batch_sizes_over_several_blocks_matches_reference(
+        self, monkeypatch
+    ):
+        # Stream sets of batch 8 and batch 5 in one stack draw rows of two
+        # shapes, 8 + 5 indices a step; blocks of 4 rounds again.
+        topo, task, sampling, cfg, round_bytes = block_case("mlp")
+        monkeypatch.setattr(fedtrain, "DRAW_BYTES", 4 * round_bytes * 13 // 8 + 8)
+        jobs = [Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), sampling,
+                    dataclasses.replace(cfg, batch_size=batch_size))
+                for batch_size in (8, 5)]
+        for job, row in zip(jobs, run_stacked(jobs)):
+            reference = reference_run(topo, task, job.weights, sampling, job.cfg)[0]
+            assert row.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_each_local_stream_is_called_once_per_block(self, backend, monkeypatch):
+        # Every local stream is called at the first round of each block and at
+        # no other round, and no other stream is called once round 1 starts.
+        topo, task, sampling, cfg, round_bytes = block_case(backend)
+        monkeypatch.setattr(fedtrain, "DRAW_BYTES", 4 * round_bytes + 8)
+        events = []
+        real_stream, real_phase = rngmod.stream, type(task).local_phase
+
+        def counting_stream(seed, *key):
+            tag = "draw" if key[0] == rngmod.LOCAL else "other"
+            return CountingStream(real_stream(seed, *key), events, tag)
+
+        def logging_phase(jobs, job_set):
+            phase = real_phase(jobs, job_set)
+
+            def logged(w, exits, draws, etas):
+                events.append("round")
+                return phase(w, exits, draws, etas)
+
+            return logged
+
+        monkeypatch.setattr(rngmod, "stream", counting_stream)
+        monkeypatch.setattr(type(task), "local_phase", staticmethod(logging_phase))
+        run_stacked([Job(topo, task, equal_weight(3), sampling, cfg)])
+        streams = len(topo.nodes)
+        want = []
+        for lo in range(0, cfg.rounds, 4):
+            want += ["draw"] * streams + ["round"] * min(4, cfg.rounds - lo)
+        assert "other" not in events[events.index("round"):]
+        assert [event for event in events if event != "other"] == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

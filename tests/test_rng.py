@@ -51,3 +51,30 @@ def test_stream_matches_numpy_seeding(seed, length):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         rngmod.stream(-1, 1)
+
+
+# Shapes of one round's draw: odd sizes leave half of a 64-bit word
+# buffered between 32-bit integer draws.
+ROUND_SHAPES = [(2, 64), (1, 3), (3, 7), (5, 1)]
+
+# The draws a local stream makes: normals, and integers below each bound.
+DRAWS = {"normal": lambda gen, size: gen.standard_normal(size)}
+for _high in (1, 7, 100, 2**31 + 11):
+    DRAWS[f"integers below {_high}"] = lambda gen, size, high=_high: gen.integers(0, high, size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 + 7])
+@pytest.mark.parametrize("kind", sorted(DRAWS))
+def test_block_draw_equals_round_draws(seed, kind):
+    # The round engine draws a block of rounds in one call per local stream;
+    # that must give the draws one call per round gives, and leave the
+    # stream where they leave it.
+    draw = DRAWS[kind]
+    for client, shape in enumerate(ROUND_SHAPES):
+        for rounds in (1, 2, 5, 24):
+            bulk_gen = rngmod.stream(seed, rngmod.LOCAL, client)
+            round_gen = rngmod.stream(seed, rngmod.LOCAL, client)
+            bulk = draw(bulk_gen, (rounds, *shape))
+            by_round = np.stack([draw(round_gen, shape) for _ in range(rounds)])
+            assert bulk.tobytes() == by_round.tobytes(), (shape, rounds)
+            assert bulk_gen.bit_generator.state == round_gen.bit_generator.state, (shape, rounds)

@@ -201,6 +201,18 @@ class TestBuiltTreesAreValid:
         extra = extra if isinstance(extra, tuple) else (extra,)
         _refused_everywhere(topo, topo.nodes + extra, error)
 
+    def test_replacements_for_unknown_ids_are_refused(self):
+        # Both used to return the tree unchanged: "Dev1" is not "dev1".
+        topo = seven_node_topology()
+        with pytest.raises(InvalidTopologyError,
+                           match=r"^budget given for ids that name no node: \['dev9', 'edge0'\]$"):
+            topo.with_budgets({"edge0": 0.1, "dev1": 0.5, "dev9": 0.5})
+        with pytest.raises(InvalidTopologyError,
+                           match=r"^dataset_size given for ids that name no node: \['Dev1'\]$"):
+            topo.with_dataset_sizes({"Dev1": 5})
+        assert topo.with_budgets({}) == topo
+        assert topo.with_dataset_sizes({"dev1": 5}).by_id["dev1"].dataset_size == 5
+
     def test_empty_node_list_names_topology_nodes(self):
         for build in (lambda: Topology(nodes=(), num_exits=3), lambda: from_node_dicts([]),
                       lambda: from_node_dicts([], num_exits=3)):
