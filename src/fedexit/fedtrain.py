@@ -19,14 +19,14 @@ One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
 at the last iterate). Jobs equal in every field but their label train once.
 It samples the exits, sums each job's weighted deltas in client-name order,
-projects and checks that the iterates stay finite. The task class says how
-a local stream draws and supplies the local phase. Jobs that share a seed, a
-task, a sampling matrix and a batch size form a stream set: they draw the
-same exits and local streams, so they share one set of streams and one draw
-per round. The quadratic steps the whole ``(R, N, d)`` slab with one batched
-matmul per local step; the MLP steps the jobs of a stream set that share a
-stack with one stacked backprop per client and local step, on the batch they
-share. The result is bit-identical to calling
+projects and checks that the iterates stay finite; every other refusal comes
+before round 1. The task class says how a local stream draws and supplies the
+local phase. Jobs that share a seed, a task and a sampling matrix form a
+stream set: they draw the same exits and local streams, so they share one set
+of streams and one draw per round. The quadratic steps the whole ``(R, N, d)``
+slab with one batched matmul per local step; the MLP steps the jobs of a stream
+set that share a stack with one stacked backprop per client and local step, on
+the batch they share. The result is bit-identical to calling
 :func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
 client and per job, which stay the reference implementation.
 """
@@ -137,9 +137,10 @@ class RoundSample:
 def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSample:
     """Draw every client's exit independently from its categorical row."""
     u = rng.random(len(sampling.clients))
-    # Rows of the cumulative sums never decrease, so counting the entries
-    # <= u is searchsorted(side="right"); the cap guards against rounding.
-    exits = np.minimum((sampling.row_cumsum <= u[:, None]).sum(axis=1), sampling.num_exits - 1)
+    # Rows of the cumulative sums never decrease, so counting the entries <= u
+    # is searchsorted(side="right"). A row may sum to just below 1, so the
+    # count is capped at the row's last exit with p > 0, as the engine's is.
+    exits = np.minimum((sampling.row_cumsum <= u[:, None]).sum(axis=1), sampling.last_exit - 1)
     return RoundSample(
         pairs=tuple((client, int(e) + 1) for client, e in zip(sampling.clients, exits))
     )
@@ -264,11 +265,14 @@ def initial_iterate(job: Job) -> np.ndarray:
     """Where ``job`` starts: a copy of its ``w_init``, else the task's draw from stream (seed, INIT).
 
     Raises:
-        ValueError: ``w_init`` is not one finite vector of the task's ``dim``.
+        ValueError: ``w_init`` is not one finite vector of numbers of the task's ``dim``.
     """
     if job.w_init is None:
         return job.task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
-    w = np.asarray(job.w_init, dtype=float).copy()
+    try:
+        w = np.array(job.w_init, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{_name(job)}: w_init is not an array of numbers ({exc})") from None
     if w.shape != (job.task.dim,):
         raise ValueError(f"{_name(job)}: w_init has shape {w.shape}, but the task's "
                          f"iterates have shape {(job.task.dim,)}")
@@ -281,7 +285,7 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
     """Check that ``job`` can train; return its exit pools and initial iterate.
 
     Raises as :func:`run_stacked`: some exit has no pooled data, task and tree disagree on
-    sizes, or ``w_init`` is not a finite vector of the task's ``dim``.
+    sizes, or ``w_init`` is not a finite vector of numbers of the task's ``dim``.
     """
     task, sampling = job.task, job.sampling
     pools = exit_pools(job.topology, sampling)
@@ -292,15 +296,6 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
                 f"topology declares {job.topology.by_id[client].dataset_size}"
             )
     return pools, initial_iterate(job)
-
-
-def _require_finite(w: np.ndarray, t: int, jobs: Sequence[Job]) -> None:
-    """Raise :class:`DivergenceError` if a job's iterate, a row of ``w``, is not finite."""
-    if np.isfinite(w).all():
-        return
-    finite = np.isfinite(w.reshape(len(jobs), -1)).all(axis=1)
-    job = jobs[int(np.argmin(finite))]
-    raise DivergenceError(f"{_name(job)}, round {t}: the iterate is not finite")
 
 
 def run(
@@ -337,18 +332,14 @@ def stack_rows(clients: int, dim: int) -> int:
 
 
 def _set_key(job: Job) -> tuple:
-    """Jobs with equal keys form one stream set: every round they draw the same numbers.
-
-    A set's jobs share one batch draw per client, so the batch size is keyed.
-    """
-    return (job.cfg.seed, id(job.task), job.sampling.probs.tobytes(), job.cfg.batch_size)
+    """Jobs with equal keys form one stream set: every round they draw the same numbers."""
+    return (job.cfg.seed, id(job.task), job.sampling.probs.tobytes())
 
 
-def _job_key(job: Job) -> tuple:
+def _job_key(job: Job, w_init: np.ndarray | None) -> tuple:
     """Jobs with equal keys train to the same iterate: every field but ``label`` matches."""
-    w_init = None if job.w_init is None else np.asarray(job.w_init, dtype=float).tobytes()
     return (id(job.topology), id(job.task), job.sampling.clients, job.sampling.probs.tobytes(),
-            job.weights.weights.tobytes(), job.cfg, w_init)
+            job.weights.weights.tobytes(), job.cfg, None if w_init is None else w_init.tobytes())
 
 
 def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
@@ -358,32 +349,35 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     the iterate of that job trained alone. Each distinct job (:func:`_job_key`)
     trains once, under the label of its first appearance, and every job equal
     to it gets the same row. The jobs must share their task class, clients,
-    ``rounds``, ``local_steps`` and ``dim``, as the jobs of one grid do.
-    Stream sets (:func:`_set_key`), in order of first appearance, are packed
-    whole into stacks whose slab stays within :data:`STACK_BYTES`; a set too
-    large for one stack is cut into parts that fill one each. Streams are
-    keyed by (seed, client), so every part of a cut set draws what the whole
-    set would.
+    ``rounds``, ``local_steps``, ``dim`` and, on an MLP, ``batch_size``, as
+    the jobs of one grid do. Every job is checked before the first round, so
+    no refusal but divergence comes once training has begun. Stream sets
+    (:func:`_set_key`), in order of first appearance, are packed whole into
+    stacks whose slab stays within :data:`STACK_BYTES`; a set too large for
+    one stack is cut into parts that fill one each. Streams are keyed by
+    (seed, client), so every part of a cut set draws what the whole set would.
 
     Raises:
         ValueError: the jobs cannot share a stack, a job's task and
-            topology disagree on client dataset sizes, or a job's
-            ``w_init`` is not a finite vector of the task's ``dim``.
+            topology disagree on client dataset sizes, a job's ``w_init``
+            is not a finite vector of numbers of the task's ``dim``, or a
+            quadratic job samples an exit that a client does not hold.
         EmptyPoolError: some exit has no pooled data.
-        ZeroProbabilityError: a client drew an exit it samples with p=0.
+        EmptyClientDatasetError: an MLP client has no samples.
         DivergenceError: an iterate stopped being finite.
     """
     def shape(job: Job) -> tuple:
         cfg = job.cfg
         return (type(job.task), job.sampling.clients, cfg.rounds, cfg.local_steps,
-                job.task.dim)
+                job.task.dim, job.task.draw_shape(cfg))
 
     first = jobs[0]
     if any(shape(job) != shape(first) for job in jobs):
         raise ValueError("stacked jobs must share task class, clients, rounds, "
-                         "local_steps and dim")
+                         "local_steps, dim and, on an MLP, batch_size")
+    inits = [None if job.w_init is None else initial_iterate(job) for job in jobs]
     index: dict[tuple, int] = {}
-    rows = [index.setdefault(_job_key(job), len(index)) for job in jobs]
+    rows = [index.setdefault(_job_key(job, w), len(index)) for job, w in zip(jobs, inits)]
     jobs = [jobs[rows.index(r)] for r in range(len(index))]
     starts = [_start(job) for job in jobs]
     size = stack_rows(len(first.sampling.clients), first.task.dim)
@@ -397,9 +391,10 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
             if len(stacks[-1]) + len(part) > size:
                 stacks.append([])
             stacks[-1].extend(part)
+    advances = [(stack, _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack]))
+                for stack in map(sorted, stacks)]
     out = np.empty((len(jobs), first.task.dim))
-    for stack in map(sorted, stacks):
-        advance = _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack])
+    for stack, advance in advances:
         w = np.stack([starts[r][1] for r in stack])
         for t in range(1, first.cfg.rounds + 1):
             w = advance(w, t)
@@ -414,10 +409,10 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     :func:`local_update` and :func:`aggregate` run per client and per job:
     the same streams give the same draws, and each job's deltas are summed
     in the same ascending client order with the same coefficients. Jobs with
-    the same seed, task, sampling matrix and batch size form one stream set,
-    which opens its streams once per stack and samples its exits once per
-    round. The exits of every round are drawn before the first; a round
-    whose exits a job samples with p=0 is still refused in that round.
+    the same seed, task and sampling matrix form one stream set, which opens
+    its streams once per stack and samples its exits once per round. The
+    exits of every round are drawn before the first. ``advance`` only
+    trains: it refuses nothing but divergence.
 
     This is the engine's one place that calls a local stream. Each stream
     draws its rounds in blocks, one call per block, through the task's
@@ -431,7 +426,8 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     0-based exits of every stream set, this round's local draws (``draws[s *
     N + i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and
     the ``(local_steps, R)`` step sizes, it returns the ``(R, N, d)`` local
-    iterates in a new array.
+    iterates in a new array. Building the phase refuses a stack that some
+    round could not train.
     """
     first = jobs[0]
     clients = first.sampling.clients
@@ -443,30 +439,23 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
     # Every round's exits, drawn before round 1 as sample_round draws them:
     # round t's N uniforms are row t - 1 of one draw from the sample stream,
-    # then the count of cumulative probabilities <= each, capped at the last exit.
+    # then the count of cumulative probabilities <= each, capped as sample_round caps it.
     u = np.stack([
         rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE).random((rounds, n)) for job in leads
     ], axis=1)
     cumsum = np.stack([job.sampling.row_cumsum for job in leads])
-    exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), first.sampling.num_exits - 1)
+    last = np.stack([job.sampling.last_exit for job in leads]) - 1
+    exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), last)
     streams = [(job, rngmod.stream(job.cfg.seed, rngmod.LOCAL, i), client)
                for job in leads for i, client in enumerate(clients)]
-    round_bytes = sum(math.prod(job.task.draw_shape(job.cfg)) * 8 for job, _, _ in streams)
-    block = max(1, DRAW_BYTES // round_bytes)
+    block = max(1, DRAW_BYTES // (len(streams) * math.prod(first.task.draw_shape(first.cfg)) * 8))
 
     def round_draws():
-        """Each round's local draws, one row per stream, drawn one block of rounds at a time.
-
-        A round's rows form one array when they share a shape, as they do
-        unless the stack mixes batch sizes.
-        """
+        """Each round's local draws, one row per stream, drawn one block of rounds at a time."""
         for lo in range(0, rounds, block):
             k = min(block, rounds - lo)
-            drawn = [job.task.draw_rounds(gen, client, job.cfg, k) for job, gen, client in streams]
-            if len({d.shape for d in drawn}) == 1:
-                yield from np.stack(drawn, axis=1)
-            else:
-                yield from ([d[j] for d in drawn] for j in range(k))
+            yield from np.stack([job.task.draw_rounds(gen, client, job.cfg, k)
+                                 for job, gen, client in streams], axis=1)
 
     draws = round_draws()
     local_phase = type(first.task).local_phase(jobs, job_set)
@@ -478,7 +467,6 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
         share = np.array([[job.task.sizes[c]] for c in clients], dtype=float) / job_pools.sizes
         np.divide(job.weights.weights * share, job.sampling.probs, out=coef[r],
                   where=job.sampling.probs > 0)
-    probs = np.stack([job.sampling.probs for job in jobs])
     rows = np.arange(len(jobs))[:, None], np.arange(n)
     etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
@@ -487,17 +475,9 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     def advance(w: np.ndarray, t: int) -> np.ndarray:
         set_exits = exit_table[t - 1]
         w_end = local_phase(w, set_exits, next(draws), etas[t - 1])
-        exits = set_exits[job_set]
-        at = rows + (exits,)  # job r's client i on its sampled exit is entry [r, i]
-        zero = probs[at] <= 0
-        if zero.any():
-            r = int(np.flatnonzero(zero.any(axis=1))[0])
-            i = next(i for i in by_name if zero[r, i])
-            raise ZeroProbabilityError(
-                f"update from ({clients[i]}, exit {exits[r, i] + 1}) with p=0"
-            )
         w_end -= w[:, None]  # the weighted deltas, in place: no second (R, N, d) slab
-        w_end *= coef[at][..., None]
+        # Job r's client i on its sampled exit is entry [r, i] of the coefficients.
+        w_end *= coef[rows + (set_exits[job_set],)][..., None]
         delta = np.zeros_like(w)
         for i in by_name:
             delta += w_end[:, i]
@@ -507,7 +487,9 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
         norms = np.sqrt(np.einsum("rd,rd->r", w, w))
         for r in np.flatnonzero(~(norms <= radius * (1.0 - 1e-9))):
             w[r] = project_ball(w[r], radius[r])
-        _require_finite(w, t, jobs)
+        if not np.isfinite(w).all():
+            job = jobs[int(np.argmin(np.isfinite(w).all(axis=1)))]
+            raise DivergenceError(f"{_name(job)}, round {t}: the iterate is not finite")
         return w
 
     return advance

@@ -257,9 +257,6 @@ class MlpTask:
                 dh = dz @ weight
         return grad
 
-    def full_gradient(self, w: np.ndarray, client: str, exit: int) -> np.ndarray:
-        return self.gradient_on(w, *self._client_data(client), exit)
-
     def stochastic_gradient(
         self,
         w: np.ndarray,
@@ -298,6 +295,8 @@ class MlpTask:
         clients = jobs[0].sampling.clients
         n = len(clients)
         members = [np.flatnonzero(job_set == s).tolist() for s in range(job_set.max() + 1)]
+        for job, client in itertools.product(jobs, clients):
+            job.task._client_data(client)  # refuse a client with no samples before round 1
 
         def phase(w, exits, draws, etas):
             w_end = np.empty((len(jobs), n, w.shape[1]))

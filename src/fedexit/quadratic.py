@@ -129,19 +129,19 @@ class QuadraticTask:
         first = jobs[0]
         clients, dim = first.sampling.clients, first.task.dim
         sqrt_dim = np.sqrt(dim)
-        leads = [jobs[int(np.flatnonzero(job_set == s)[0])].task for s in range(job_set.max() + 1)]
-        rows = [[task.client_index(c) for c in clients] for task in leads]
+        leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(job_set.max() + 1)]
+        for job in leads:  # refuse an exit a client samples with p > 0 but does not hold
+            for client, last in zip(clients, job.sampling.last_exit):
+                job.task.pair(client, int(last))
+        rows = [[job.task.client_index(c) for c in clients] for job in leads]
         # Stream set s's client i on exit e + 1 is entry [s, i, e] of these tables.
-        matrices, centers, noise_scale, max_exit = (
-            np.stack([getattr(task, name)[r] for task, r in zip(leads, rows)])
-            for name in ("matrices", "centers", "noise_scale", "max_exit")
+        matrices, centers, noise_scale = (
+            np.stack([getattr(job.task, name)[r] for job, r in zip(leads, rows)])
+            for name in ("matrices", "centers", "noise_scale")
         )
         cells = np.arange(len(leads))[:, None], np.arange(len(clients))
 
         def phase(w, exits, draws, etas):
-            if (exits >= max_exit).any():
-                s, i = np.argwhere(exits >= max_exit)[0]
-                leads[s].pair(clients[i], int(exits[s, i]) + 1)  # raises ValueError
             sigma = noise_scale[cells + (exits,)].ravel()
             noise = (sigma[:, None, None] * draws / sqrt_dim).reshape(exits.shape + (-1, dim))
             at = job_set[:, None], cells[1], exits[job_set]

@@ -135,6 +135,11 @@ class SamplingMatrix:
     def row_cumsum(self) -> np.ndarray:
         return np.cumsum(self.probs, axis=1)
 
+    @cached_property
+    def last_exit(self) -> np.ndarray:
+        """Per client, the highest exit it samples with p > 0: where a draw is capped."""
+        return self.probs.shape[1] - np.argmax(self.probs[:, ::-1] > 0, axis=1)
+
     def prob(self, client: str, exit: int) -> float:
         return float(self.probs[self.client_index[client], exit - 1])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -183,8 +184,14 @@ class Topology:
         """This tree with each node named in ``sizes`` given that dataset size.
 
         Raises:
-            InvalidTopologyError: a key of ``sizes`` names no node.
+            InvalidTopologyError: a key of ``sizes`` names no node, or a size
+                is not a whole number, which ``int()`` would cut.
         """
+        for node, size in sizes.items():
+            if isinstance(size, bool) or not isinstance(size, numbers.Real) or not (
+                    isinstance(size, numbers.Integral) or float(size).is_integer()):
+                raise InvalidTopologyError(
+                    f"node {node}: dataset_size must be a whole number, got {size!r}")
         return self._with_each("dataset_size", sizes, int)
 
     def _with_each(self, field: str, values: dict, cast) -> "Topology":

@@ -167,6 +167,45 @@ class TestSampleRound:
             )
             assert got == want
 
+    def test_row_summing_below_one_never_draws_a_zero_probability_exit(self):
+        # edge1's row sums to 1 - 1e-13, so a uniform above its sum used to be
+        # capped at exit 3, which edge1 samples with p=0.
+        chosen = dict(sample_round(short_row_sampling(seven_node_topology()),
+                                   NearOneUniform()).pairs)
+        assert chosen == {"cloud": 3, "edge1": 2, "edge2": 2, "dev1": 1, "dev2": 1,
+                          "dev3": 1, "dev4": 1}
+
+
+class NearOneUniform:
+    """A generator whose every uniform is the largest float below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def short_row_sampling(topo):
+    """k = 0.3 sampling whose edge1 row, [0.3, 0.7 - 1e-13, 0], sums to just below 1."""
+    sampling = build_sampling_matrix(topo, 0.3)
+    probs = sampling.probs.copy()
+    probs[sampling.client_index["edge1"]] = [0.3, 0.7 - 1e-13, 0.0]
+    return SamplingMatrix(clients=sampling.clients, probs=probs)
+
+
+def recording_local_phase(monkeypatch, task_class, seen):
+    """Make ``task_class``'s local phase append a copy of each round's exits to ``seen``."""
+    real_phase = task_class.local_phase
+
+    def recording_phase(jobs, job_set):
+        phase = real_phase(jobs, job_set)
+
+        def recording(w, exits, draws, etas):
+            seen.append(exits.copy())
+            return phase(w, exits, draws, etas)
+
+        return recording
+
+    monkeypatch.setattr(task_class, "local_phase", staticmethod(recording_phase))
+
 
 class TestLocalUpdate:
     def test_fixed_point_at_center(self):
@@ -408,12 +447,17 @@ class TestRun:
          (np.zeros((2, 3)),
           r"w_init has shape \(2, 3\), but the task's iterates have shape \(3,\)$"),
          (np.array([0.0, np.nan, 0.0]), "w_init is not finite$"),
-         (np.array([0.0, 0.0, -np.inf]), "w_init is not finite$")],
-        ids=["length-4", "shape-2x3", "nan", "inf"],
+         (np.array([0.0, 0.0, -np.inf]), "w_init is not finite$"),
+         (["a", "b", "c"],
+          r"w_init is not an array of numbers \(could not convert string to float: 'a'\)$"),
+         (object(), r"w_init is not an array of numbers \(.+\)$")],
+        ids=["length-4", "shape-2x3", "nan", "inf", "strings", "object"],
     )
     def test_bad_start_is_refused_before_training(self, w_init, message):
         # The shapes used to end in a raw numpy broadcast error inside the
         # local phase, and NaN in "seed 1, round 1: the iterate is not finite".
+        # Strings and an object were read while keying jobs, and ended in a raw
+        # ValueError or TypeError that named no job.
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
         sampling = build_sampling_matrix(topo, 0.1)
@@ -424,6 +468,33 @@ class TestRun:
                   label="strategy equal, k=0.1")
         with pytest.raises(ValueError, match="^seed 1, strategy equal, k=0.1: " + message):
             run_stacked([job])
+
+    def test_mlp_client_without_samples_is_refused_before_round_1(self, monkeypatch):
+        # It used to be refused by its first batch draw, inside round 1.
+        from fedexit.errors import EmptyClientDatasetError
+
+        topo, task = mlp_case()
+        x, y = task.data["dev1"]
+        starved = dataclasses.replace(task, data={**task.data, "dev1": (x[:0], y[:0])})
+        topo = topo.with_dataset_sizes({"dev1": 0})
+        cfg = TrainConfig(rounds=2, local_steps=1, batch_size=4, base_lr=0.1, seed=1)
+        rounds = []
+        real_round = fedtrain._stacked_round
+
+        def recording_round(jobs, pools):
+            advance = real_round(jobs, pools)
+
+            def recording(w, t):
+                rounds.append(t)
+                return advance(w, t)
+
+            return recording
+
+        monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
+        job = Job(topo, starved, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg)
+        with pytest.raises(EmptyClientDatasetError, match="^client dev1 has no samples$"):
+            run_stacked([job])
+        assert rounds == []
 
     def test_returns_run_stacked_iterate_and_its_objective(self):
         topo = seven_node_topology()
@@ -442,6 +513,35 @@ class TestRun:
             assert type(objective) is float
             assert objective == weighted_objective(task, w_end, weights,
                                                    exit_pools(topo, sampling))
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_row_summing_below_one_trains_on_its_last_exit_with_p(self, backend, monkeypatch):
+        # Every round draws the largest uniform below 1. edge1 used to be sent
+        # to exit 3, which it samples with p=0: the MLP raised
+        # ZeroProbabilityError and the quadratic "edge1 holds exits 1..2, not 3".
+        if backend == "quadratic":
+            topo = seven_node_topology()
+            task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+        else:
+            topo, task = mlp_case()
+        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05,
+                          projection_radius=50.0, seed=2)
+        sampling = short_row_sampling(topo)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        real_stream = rngmod.stream
+
+        def near_one_stream(seed, *key):
+            return NearOneUniform() if key == (rngmod.ROUND_SAMPLE,) else real_stream(seed, *key)
+
+        monkeypatch.setattr(rngmod, "stream", near_one_stream)
+        seen = []
+        recording_local_phase(monkeypatch, type(task), seen)
+        w_end, objective = fedexit.run(topo, task, weights, sampling, cfg)
+        edge1 = sampling.client_index["edge1"]
+        assert [int(exits[0, edge1]) + 1 for exits in seen] == [2, 2, 2]
+        ref_w, ref_objective = reference_run(topo, task, weights, sampling, cfg)
+        assert w_end.tobytes() == ref_w.tobytes()
+        assert objective == ref_objective
 
 
 def reference_iterates(topo, task, weights, sampling, cfg):
@@ -548,6 +648,24 @@ class TestStackedQuadraticRound:
         with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
             run(topo, task, equal_weight(3), bad, cfg)
 
+    def test_exit_a_client_lacks_is_refused_before_any_round(self, monkeypatch):
+        # p=1e-9 on an exit dev1 does not hold: such a job used to train until
+        # a round drew that exit, which almost none does.
+        from fedexit.quadratic import QuadraticTask
+
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=2)
+        sampling = build_sampling_matrix(topo, 0.0)
+        probs = sampling.probs.copy()
+        probs[sampling.client_index["dev1"]] = [1.0 - 1e-9, 1e-9, 0.0]
+        bad = SamplingMatrix(clients=sampling.clients, probs=probs)
+        cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
+        seen = []
+        recording_local_phase(monkeypatch, QuadraticTask, seen)
+        with pytest.raises(ValueError, match="^client dev1 holds exits 1..1, not 2$"):
+            run_stacked([Job(topo, task, equal_weight(3), bad, cfg)])
+        assert seen == []
+
 
 class TestPerClientRound:
     """run() on an MLP task must equal the per-client reference loop bit for bit."""
@@ -599,9 +717,9 @@ class TestStackedJobs:
         # the first stack's two jobs share one stream set.
         monkeypatch.setattr(fedtrain, "STACK_BYTES", 2 * len(topo.nodes) * first.dim * 8)
         jobs = []
-        for task, base_lr, batch_size in ((first, 0.1, 8), (second, 0.2, 5)):
+        for task, base_lr in ((first, 0.1), (second, 0.2)):
             for k, seed in ((0.0, 3), (0.1, 4)):
-                cfg = TrainConfig(rounds=3, local_steps=2, batch_size=batch_size,
+                cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8,
                                   lr_schedule="cosine", base_lr=base_lr, seed=seed)
                 jobs.append(Job(topo, task, normalized_weights([0.2, 0.3, 0.5]),
                                 build_sampling_matrix(topo, k), cfg))
@@ -648,26 +766,45 @@ class TestStackedJobs:
         assert np.array_equal(stacked[2], reference)
         assert len({row.tobytes() for row in stacked}) == len(jobs)
 
-    def test_mlp_jobs_of_two_batch_sizes_match_each_alone(self):
-        # A stream set's jobs share one batch draw per client, so jobs that
-        # differ only in batch size must draw their own. The two batch-8 jobs
-        # differ in exit weights, so they are two jobs of one stream set.
+    def test_mlp_jobs_of_two_batch_sizes_refused(self, monkeypatch):
+        # Their rows of local draws differ in shape, which one call used to
+        # draw on a path of its own; a grid has one batch size.
         topo, task = mlp_case(seed=6)
         sampling = build_sampling_matrix(topo, 0.1)
         jobs = [
-            Job(topo, task, normalized_weights(shares), sampling,
+            Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), sampling,
                 TrainConfig(rounds=3, local_steps=2, batch_size=batch_size, base_lr=0.1, seed=3))
-            for batch_size, shares in ((8, [0.2, 0.3, 0.5]), (5, [0.2, 0.3, 0.5]),
-                                       (8, [0.5, 0.3, 0.2]))
+            for batch_size in (8, 5)
         ]
+        monkeypatch.setattr(fedtrain, "_stacked_round", None)  # nothing may train
+        with pytest.raises(ValueError, match="batch_size$"):
+            run_stacked(jobs)
+
+    def test_quadratic_jobs_of_two_batch_sizes_share_one_stream_set(self, monkeypatch):
+        # A quadratic draws noise, not batches, so its batch size keys no
+        # stream set: both jobs open one sample stream and one local stream per client.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+        jobs = [
+            Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), build_sampling_matrix(topo, 0.1),
+                TrainConfig(rounds=5, local_steps=2, batch_size=batch_size, base_lr=0.05,
+                            projection_radius=task.radius, seed=2))
+            for batch_size in (1, 7)
+        ]
+        opened = []
+        real_stream = rngmod.stream
+
+        def recording_stream(seed, *key):
+            opened.append(key[0])
+            return real_stream(seed, *key)
+
+        monkeypatch.setattr(rngmod, "stream", recording_stream)
         stacked = run_stacked(jobs)
+        assert opened.count(rngmod.ROUND_SAMPLE) == 1
+        assert opened.count(rngmod.LOCAL) == len(topo.nodes)
+        monkeypatch.undo()
         for r, (job, row) in enumerate(zip(jobs, stacked)):
-            alone = run_stacked([job])[0]
-            reference = reference_run(job.topology, job.task, job.weights, job.sampling,
-                                      job.cfg)[0]
-            assert row.tobytes() == alone.tobytes(), r
-            assert np.array_equal(row, reference), r
-        assert np.any(stacked[0] != stacked[1])
+            assert row.tobytes() == run_stacked([job])[0].tobytes(), r
 
     def test_exits_of_every_round_match_sample_round(self, monkeypatch):
         # The engine draws every round's exits before round 1. Stream set s
@@ -678,18 +815,7 @@ class TestStackedJobs:
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=5)
         seen = []
-        real_phase = QuadraticTask.local_phase
-
-        def recording_phase(jobs, job_set):
-            phase = real_phase(jobs, job_set)
-
-            def recording(w, exits, draws, etas):
-                seen.append(exits.copy())
-                return phase(w, exits, draws, etas)
-
-            return recording
-
-        monkeypatch.setattr(QuadraticTask, "local_phase", staticmethod(recording_phase))
+        recording_local_phase(monkeypatch, QuadraticTask, seen)
         jobs = [
             Job(topo, task, equal_weight(3), build_sampling_matrix(topo, k),
                 theory_cfg(rounds=30, mu=task.mu, smoothness=task.smoothness,
@@ -802,20 +928,6 @@ class TestBlockDraws:
         ref_w, ref_objective = reference_run(topo, task, weights, sampling, cfg)
         assert w_end.tobytes() == ref_w.tobytes()
         assert objective == ref_objective
-
-    def test_mlp_stack_of_two_batch_sizes_over_several_blocks_matches_reference(
-        self, monkeypatch
-    ):
-        # Stream sets of batch 8 and batch 5 in one stack draw rows of two
-        # shapes, 8 + 5 indices a step; blocks of 4 rounds again.
-        topo, task, sampling, cfg, round_bytes = block_case("mlp")
-        monkeypatch.setattr(fedtrain, "DRAW_BYTES", 4 * round_bytes * 13 // 8 + 8)
-        jobs = [Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), sampling,
-                    dataclasses.replace(cfg, batch_size=batch_size))
-                for batch_size in (8, 5)]
-        for job, row in zip(jobs, run_stacked(jobs)):
-            reference = reference_run(topo, task, job.weights, sampling, job.cfg)[0]
-            assert row.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
     def test_each_local_stream_is_called_once_per_block(self, backend, monkeypatch):

@@ -213,6 +213,17 @@ class TestBuiltTreesAreValid:
         assert topo.with_budgets({}) == topo
         assert topo.with_dataset_sizes({"dev1": 5}).by_id["dev1"].dataset_size == 5
 
+    def test_dataset_sizes_that_are_not_whole_are_refused(self):
+        # 2.7 used to give dev1 2 samples without a word.
+        topo = seven_node_topology()
+        for size in (2.7, True, "5"):
+            with pytest.raises(InvalidTopologyError, match=(
+                    f"^node dev1: dataset_size must be a whole number, got {size!r}$")):
+                topo.with_dataset_sizes({"dev1": size})
+        sized = topo.with_dataset_sizes({"dev1": 100.0, "dev2": np.int64(7)})
+        assert [sized.by_id[c].dataset_size for c in ("dev1", "dev2")] == [100, 7]
+        assert type(sized.by_id["dev1"].dataset_size) is int
+
     def test_empty_node_list_names_topology_nodes(self):
         for build in (lambda: Topology(nodes=(), num_exits=3), lambda: from_node_dicts([]),
                       lambda: from_node_dicts([], num_exits=3)):
