@@ -373,9 +373,10 @@ def _check_table_sizes(
     ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
     draws is what can exceed it. It also covers the task's own arrays: an
     MLP's training and test features and labels (``samples`` holds their two
-    sizes) and the teacher pass that labels the larger set, which holds two
-    hidden states while it builds the next, or a quadratic's ``(N, E, d, d)``
-    matrices.
+    sizes), or a quadratic's ``(N, E, d, d)`` matrices. The teacher pass that
+    labels an MLP's data holds the hidden states of one row tile
+    (``mlp.row_tiles``), under ``2 * mlp.TILE_ROWS`` rows, so the slab, with
+    ``hidden_dim ** 2`` entries per client, passes the budget first.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -394,12 +395,8 @@ def _check_table_sizes(
         draw = ("training local_steps and task dim", local_steps * slab)
         size = ("task dim", slab)
     else:
-        own = (
-            ("data total_samples and test_samples, and task input_dim",
-             sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data"),
-            ("data total_samples and test_samples, and task hidden_dim",
-             max(samples) * 2 * task["hidden_dim"] * 8, "the labelling pass's hidden states"),
-        )
+        own = (("data total_samples and test_samples, and task input_dim",
+                sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data"),)
         batch_size = training.get("batch_size", TrainConfig.batch_size)
         draw = ("training batch_size and local_steps, and task input_dim",
                 local_steps * batch_size * (rows * n + task["input_dim"] + 1) * 8)

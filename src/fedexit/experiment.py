@@ -14,8 +14,10 @@ of an MLP stream set (one seed, partition and sampling matrix) that share a
 stack with one stacked backprop per client and local step. Last, it evaluates
 each cell from its job's final iterate and its split. An MLP cell's accuracies
 and losses, on the requests it serves and on the i.i.d. test stream alike, come
-from the one backbone pass of its serving simulation. Strategy comparisons are therefore
-paired, and reruns of the same config produce byte-identical outputs.
+from the scores of its serving simulation, which passes the test stream through
+the backbone once, one row tile (``mlp.row_tiles``) at a time. Strategy
+comparisons are therefore paired, and reruns of the same config produce
+byte-identical outputs.
 """
 
 from __future__ import annotations

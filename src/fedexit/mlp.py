@@ -30,6 +30,9 @@ PARTITIONS: dict[str, tuple[float, ...]] = {
     "devices_bias_plus": (0.767, 0.199, 0.034),
 }
 
+# Fewest rows in one tile of a many-row forward pass (see :func:`row_tiles`).
+TILE_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Segments:
@@ -71,6 +74,20 @@ def _weight_and_bias(w: np.ndarray, span: tuple[int, int], rows: int):
     start, stop = span
     weight = w[..., start : stop - rows]
     return weight.reshape(weight.shape[:-1] + (rows, -1)), w[..., stop - rows : stop]
+
+
+def row_tiles(n: int) -> list[slice]:
+    """``max(1, n // TILE_ROWS)`` near-equal slices that cover ``range(n)`` in order.
+
+    No tile is shorter than :data:`TILE_ROWS` rows unless ``n`` is, so a
+    stream under ``2 * TILE_ROWS`` rows is one tile. A gemm row of that many
+    rows does not depend on how many rows share the call (BLAS takes its
+    small-matrix path only far below it), so a pass over the tiles gives the
+    bytes of one pass over the whole stream.
+    """
+    k = max(1, n // TILE_ROWS)
+    bounds = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -218,7 +235,11 @@ class MlpTask:
             yield self._head_logits(w, h, e)
 
     def predict(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
-        return np.argmax(self.logits(w, x, exit), axis=1)
+        """Exit ``exit``'s top class per row, one :func:`row_tiles` tile at a time."""
+        labels = np.empty(len(x), dtype=np.intp)
+        for tile in row_tiles(len(x)):
+            labels[tile] = np.argmax(self.logits(w, x[tile], exit), axis=1)
+        return labels
 
     def loss_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> float:
         """Mean softmax cross-entropy of the requested head."""
@@ -344,23 +365,33 @@ class ExitScores(NamedTuple):
 def score_exits(
     task: MlpTask, w: np.ndarray, x: np.ndarray, y: np.ndarray, entropy_exits=()
 ) -> list[ExitScores]:
-    """Every exit's per-sample scores on ``(x, y)`` from one backbone pass.
+    """Every exit's per-sample scores on ``(x, y)``, from one backbone pass per row tile.
 
     Entropy is computed only for the exits in ``entropy_exits``. Each score
     is the per-sample term that :func:`exit_accuracy`, ``MlpTask.loss_on``
-    and ``serving.entropy_confidence`` average or return. Each exit's row
-    max, exponentials and row sums come from one :func:`_softmax_parts`
-    call, which the loss and the entropy share.
+    and ``serving.entropy_confidence`` average or return. Each
+    :func:`row_tiles` tile goes through ``task.exit_logits`` in turn and its
+    scores fill the score arrays, so a call holds one tile's hidden state
+    and logits at a time. Each exit's row max, exponentials and row sums
+    come from one :func:`_softmax_parts` call, which the loss and the
+    entropy share.
     """
-    if len(y) == 0:
+    n = len(y)
+    if n == 0:
         raise EmptyDatasetError("scores of an empty dataset are undefined")
-    scores = []
-    for e, z in enumerate(task.exit_logits(w, x), start=1):
-        zmax, expz, expsum = _softmax_parts(z)
-        scores.append(ExitScores(
-            is_correct(z, y), _cross_entropy(z, y, zmax, expsum),
-            _entropy(expz, expsum) if e in entropy_exits else None,
-        ))
+    scores = [
+        ExitScores(np.empty(n, dtype=bool), np.empty(n),
+                   np.empty(n) if e in entropy_exits else None)
+        for e in range(1, task.num_exits + 1)
+    ]
+    for tile in row_tiles(n):
+        yt = y[tile]
+        for s, z in zip(scores, task.exit_logits(w, x[tile]), strict=True):
+            zmax, expz, expsum = _softmax_parts(z)
+            s.correct[tile] = is_correct(z, yt)
+            s.loss[tile] = _cross_entropy(z, yt, zmax, expsum)
+            if s.entropy is not None:
+                s.entropy[tile] = _entropy(expz, expsum)
     return scores
 
 

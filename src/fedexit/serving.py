@@ -88,9 +88,11 @@ def simulate_serving(
     parents (``topology.post_order``). ``ranking`` may be ``"entropy"`` or
     ``"random"`` (an ablation baseline, drawn node by node in that order).
 
-    The whole stream goes through the backbone once (:func:`score_exits`);
-    ranking and scoring then index its per-sample scores, so a sample's
-    scores do not depend on the pool it sits in.
+    :func:`score_exits` scores the whole stream at every exit, one backbone
+    pass per row tile (``mlp.row_tiles``), so a call holds one tile's hidden
+    state and logits, never the stream's. Ranking and scoring then index the
+    per-sample scores, so a sample's scores do not depend on the pool it
+    sits in.
     """
     if ranking not in ("entropy", "random"):
         raise ValueError(f"unknown ranking {ranking!r}")

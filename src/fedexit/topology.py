@@ -176,8 +176,13 @@ class Topology:
         """This tree with each node named in ``budgets`` given that budget.
 
         Raises:
-            InvalidTopologyError: a key of ``budgets`` names no node.
+            InvalidTopologyError: a key of ``budgets`` names no node, or a
+                budget is not a real number >= 0 (``inf`` is one).
         """
+        for node, budget in budgets.items():
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Real) or not budget >= 0:
+                raise InvalidTopologyError(
+                    f"node {node}: budget must be a real number >= 0, got {budget!r}")
         return self._with_each("budget", budgets, float)
 
     def with_dataset_sizes(self, sizes: dict[str, int]) -> "Topology":

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -36,6 +38,16 @@ from fedexit.fedtrain import TrainConfig
 from fedexit.topology import brute_force_rate_plan
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_DIGESTS = Path(__file__).resolve().parent / "shipped_digests.json"
+
+
+def toolchain() -> dict[str, str]:
+    """The versions that a run's output bytes can depend on, keyed as in :data:`SHIPPED_DIGESTS`."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": f"{blas['name']} {blas['version']}", "numpy": np.__version__,
+            "python": platform.python_version()}
+
+
 EMPTY_CLOUD = "exit 3 has no pooled data: dataset_size is 0 at cloud"
 
 SEVEN_NODES = [
@@ -1347,12 +1359,9 @@ class TestCli:
             ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
              "data total_samples and test_samples, and task input_dim:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
-            ("strategy_grid_equal", {"data": {"total_samples": 7e6}},
-             "data total_samples and test_samples, and task hidden_dim:"),
         ],
         ids=["rounds-1e308", "rounds-1e12", "local-steps", "batch-size", "quadratic-rounds",
-             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices",
-             "labelling-pass"],
+             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices"],
     )
     def test_oversized_training_table_is_refused_at_parse(
         self, tmp_path, capsys, monkeypatch, config, edits, keys
@@ -1377,6 +1386,14 @@ class TestCli:
         assert "over the 1 GiB one training table may use" in err
         assert not out.exists()
 
+    def test_labelling_pass_is_accepted_at_parse(self):
+        # The teacher labels one row tile at a time, so 7e6 samples, whose
+        # whole-set hidden states once counted 3.6 GB, are refused by no
+        # table: their features and labels take 0.95 GB.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["data"]["total_samples"] = 7e6
+        assert parse_config(raw).total_samples == 7_000_000
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_runs(self, tmp_path, path):
         out = tmp_path / "out"
@@ -1387,6 +1404,15 @@ class TestCli:
         assert len(rows) == len(cells)
         assert len(cells) == len(cfg.partitions) * len(cfg.splits) * len(cfg.strategies)
         assert len(list((out / "reports").iterdir())) == len(rows)
+        pinned = json.loads(SHIPPED_DIGESTS.read_text())
+        expected = pinned["outputs"][path.stem]
+        got = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.rglob("*") if f.is_file()}
+        moved = sorted(name for name in expected.keys() | got.keys()
+                       if expected.get(name) != got.get(name))
+        assert not moved, (
+            f"{path.stem}: {moved[0]} ({len(moved)} file(s) in all) differs from "
+            f"{SHIPPED_DIGESTS.name}, pinned with {pinned['made_with']}; this run has {toolchain()}")
 
     def test_used_output_directory_is_refused(self, tmp_path, capsys):
         # A second run into a used directory used to exit 0 and leave the

@@ -11,12 +11,14 @@ from conftest import seven_node_topology
 from fedexit.errors import EmptyDatasetError
 from fedexit.mlp import (
     PARTITIONS,
+    TILE_ROWS,
     cross_entropy,
     exit_accuracy,
     is_correct,
     layer_allocation,
     make_classification_task,
     make_test_set,
+    row_tiles,
     score_exits,
     softmax_entropy,
 )
@@ -129,13 +131,18 @@ def assert_same_bits(a, b):
 
 
 class ScoringStub:
-    """Stands in for a task whose exits emit given logits."""
+    """Stands in for a task whose exits emit given logits.
+
+    Its inputs are row indices into those logits, so a caller that passes
+    the rows of one tile gets that tile's logits.
+    """
 
     def __init__(self, logits):
         self.per_exit = logits
+        self.num_exits = len(logits)
 
     def exit_logits(self, w, x):
-        yield from (z.copy() for z in self.per_exit)
+        yield from (z[x] for z in self.per_exit)
 
 
 class TestScoringKernel:
@@ -158,7 +165,8 @@ class TestScoringKernel:
             with state():
                 expected = (oracle_correct(z, y), oracle_cross_entropy(z, y), oracle_entropy(z))
                 got = (is_correct(z, y), cross_entropy(z, y), softmax_entropy(z))
-                scores = score_exits(ScoringStub([z, z[::-1].copy()]), None, None, y, {1})
+                stub = ScoringStub([z, z[::-1].copy()])
+                scores = score_exits(stub, None, np.arange(len(z)), y, {1})
             for a, b in zip(got, expected):
                 assert_same_bits(a, b)
             assert_same_bits(scores[0].correct, expected[0])
@@ -180,6 +188,39 @@ class TestScoringKernel:
         with np.errstate(invalid="ignore"):
             h = softmax_entropy(np.array([[0.0, -800.0], [np.nan, 0.0]]))
         assert h.tolist() == [0.0, 0.0]
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", [0, 1, TILE_ROWS, 2 * TILE_ROWS - 1, 2 * TILE_ROWS,
+                                   2 * TILE_ROWS + 37, 12_000, 20_000])
+    def test_tiles_cover_the_stream_and_none_is_short(self, n):
+        tiles = row_tiles(n)
+        assert len(tiles) == max(1, n // TILE_ROWS)
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [t.stop - t.start for t in tiles]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(n, TILE_ROWS)
+
+    @pytest.mark.parametrize("hidden_dim", [32, 128])
+    @pytest.mark.parametrize("n", [2 * TILE_ROWS + 37, 20_000])
+    def test_tiled_passes_equal_one_whole_stream_pass_bit_for_bit(self, n, hidden_dim):
+        # The shipped layer sizes, and the paper's hidden_dim. Each reference
+        # is one logits call over the whole stream.
+        task = small_task(seed=7, input_dim=16, hidden_dim=hidden_dim, num_classes=6)
+        w = task.init_params(np.random.default_rng(hidden_dim))
+        x, y = make_test_set(task, n, seed=8)
+        assert len(row_tiles(n)) > 1
+        assert_same_bits(y, np.argmax(task.logits(task.teacher, x, task.num_exits), axis=1))
+        scores = score_exits(task, w, x, y, entropy_exits={1, 2})
+        for e, s in enumerate(scores, start=1):
+            z = task.logits(w, x, e)
+            assert_same_bits(task.predict(w, x, e), np.argmax(z, axis=1))
+            assert_same_bits(s.correct, oracle_correct(z, y))
+            assert_same_bits(s.loss, oracle_cross_entropy(z, y))
+            if e == task.num_exits:
+                assert s.entropy is None
+            else:
+                assert_same_bits(s.entropy, oracle_entropy(z))
 
 
 class TestGradient:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,31 @@ class TestSimulateServing:
             monkeypatch.setattr(MlpTask, name, counting)
         simulate_serving(topo, plan, task, w, xt, yt)
         assert calls == {"exit_logits": 1, "hidden_states": 0, "logits": 0}
+
+    def test_peak_memory_holds_one_tile_not_the_stream(self):
+        # At the shipped MLP sizes a 20,000-row stream is 2.7 MB of features
+        # and labels. A pass over the whole stream at once peaked at 12.8 MB
+        # labelling it and 13.4 MB serving it; row tiles keep both under 8 MB.
+        topo = seven_node_topology()
+        topo = topo.with_budgets(budgets_for_split(topo, (0.4, 0.35, 0.25)))
+        task = make_classification_task(topo, partition="equal", total_samples=420,
+                                        input_dim=16, hidden_dim=32, num_classes=6, seed=1)
+        topo = topo.with_dataset_sizes(task.sizes)
+        plan = compute_rate_plan(topo)
+        w = task.init_params(np.random.default_rng(2))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (x, y), labelling = peak(lambda: make_test_set(task, 20_000, seed=3))
+        _, serving = peak(lambda: simulate_serving(topo, plan, task, w, x, y))
+        assert x.nbytes + y.nbytes < 2.8e6
+        assert labelling < 8e6 and serving < 8e6, (labelling, serving)
 
     def test_empty_stream_rejected(self):
         topo, plan, task, w, xt, yt = trained_setup(rounds=1)

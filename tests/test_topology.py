@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ class TestBuiltTreesAreValid:
         sized = topo.with_dataset_sizes({"dev1": 100.0, "dev2": np.int64(7)})
         assert [sized.by_id[c].dataset_size for c in ("dev1", "dev2")] == [100, 7]
         assert type(sized.by_id["dev1"].dataset_size) is int
+
+    def test_budgets_that_are_not_real_numbers_are_refused(self):
+        # "0.5" and True used to become budgets 0.5 and 1.0 without a word,
+        # None a raw TypeError, and NaN or -1.0 a plain ValueError.
+        topo = seven_node_topology()
+        for budget in ("0.5", True, None, np.nan, -1.0, -np.inf, 1j):
+            with pytest.raises(InvalidTopologyError, match=(
+                    f"^node edge1: budget must be a real number >= 0, got {re.escape(repr(budget))}$")):
+                topo.with_budgets({"edge1": budget})
+        given = topo.with_budgets({"edge1": np.inf, "dev1": np.float64(0.5), "dev2": 0})
+        assert [given.by_id[c].budget for c in ("edge1", "dev1", "dev2")] == [np.inf, 0.5, 0.0]
+        assert type(given.by_id["dev1"].budget) is float
 
     def test_empty_node_list_names_topology_nodes(self):
         for build in (lambda: Topology(nodes=(), num_exits=3), lambda: from_node_dicts([]),
