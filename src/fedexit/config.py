@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ZeroTrafficError
-from .fedtrain import TrainConfig, stack_rows
+from .fedtrain import TrainConfig, grad_rows, stack_rows
 from .mlp import build_segments, check_classification_task, client_sizes
 from .quadratic import check_quadratic_task
 from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix, exit_pools
@@ -367,16 +367,20 @@ def _check_table_sizes(
     exit draws (a uniform, one comparison per exit and the exit, per job,
     round and client), the step sizes (per job, round and local step), the
     block of local draws (the batch indices of every client of the stack,
-    and one client's batch features and labels, on an MLP; the noise of the
-    whole stack on a quadratic) and the slab of local iterates. A block of
-    local draws holds one round when that round alone is over
-    ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
-    draws is what can exceed it. It also covers the task's own arrays: an
-    MLP's training and test features and labels (``samples`` holds their two
-    sizes), or a quadratic's ``(N, E, d, d)`` matrices. The teacher pass that
-    labels an MLP's data holds the hidden states of one row tile
-    (``mlp.row_tiles``), under ``2 * mlp.TILE_ROWS`` rows, so the slab, with
-    ``hidden_dim ** 2`` entries per client, passes the budget first.
+    and the batch features and labels of one stacked gradient's clients, on
+    an MLP; the noise of the whole stack on a quadratic) and the slab of
+    local iterates. A stacked gradient steps at most
+    ``max(1, grad_rows(dim) // R)`` clients of a stream set of ``R`` jobs,
+    so the estimate counts ``min(N, grad_rows(dim))`` clients' batches, as
+    a set of one job steps. A block of local draws holds one round when
+    that round alone is over ``fedtrain.DRAW_BYTES``, which is far below
+    this budget, so one round of draws is what can exceed it. It also
+    covers the task's own arrays: an MLP's training and test features and
+    labels (``samples`` holds their two sizes), or a quadratic's
+    ``(N, E, d, d)`` matrices. The teacher pass that labels an MLP's data
+    holds the hidden states of one row tile (``mlp.row_tiles``), under
+    ``2 * mlp.TILE_ROWS`` rows, so the slab, with ``hidden_dim ** 2``
+    entries per client, passes the budget first.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -398,8 +402,9 @@ def _check_table_sizes(
         own = (("data total_samples and test_samples, and task input_dim",
                 sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data"),)
         batch_size = training.get("batch_size", TrainConfig.batch_size)
+        per_call = min(n, grad_rows(dim))
         draw = ("training batch_size and local_steps, and task input_dim",
-                local_steps * batch_size * (rows * n + task["input_dim"] + 1) * 8)
+                local_steps * batch_size * (rows * n + per_call * (task["input_dim"] + 1)) * 8)
         size = ("task input_dim, hidden_dim and num_classes", slab)
     tables = (
         ("training rounds", rows * rounds * n * (topo.num_exits + 16), "the exit draws"),

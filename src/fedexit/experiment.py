@@ -11,7 +11,8 @@ each distinct job once. Training reads neither budgets nor the rate plan, so
 per group rather than one per split. Whole stream sets train side by side
 within a byte budget: all quadratic jobs of a grid in one stack, and the jobs
 of an MLP stream set (one seed, partition and sampling matrix) that share a
-stack with one stacked backprop per client and local step. Last, it evaluates
+stack with one stacked backprop per sampled exit and local step, up to the
+row budget ``fedtrain.GRAD_BYTES``. Last, it evaluates
 each cell from its job's final iterate and its split. An MLP cell's accuracies
 and losses, on the requests it serves and on the i.i.d. test stream alike, come
 from the scores of its serving simulation, which passes the test stream through

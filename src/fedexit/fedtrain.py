@@ -25,10 +25,12 @@ local phase. Jobs that share a seed, a task and a sampling matrix form a
 stream set: they draw the same exits and local streams, so they share one set
 of streams and one draw per round. The quadratic steps the whole ``(R, N, d)``
 slab with one batched matmul per local step; the MLP steps the jobs of a stream
-set that share a stack with one stacked backprop per client and local step, on
-the batch they share. The result is bit-identical to calling
-:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
-client and per job, which stay the reference implementation.
+set that share a stack with one stacked backprop per sampled exit and local
+step: the clients that drew the exit step together, each on its own batch, in
+calls of at most :func:`grad_rows` (job, client) rows. The result is
+bit-identical to calling :func:`sample_round`, :func:`local_update` and
+:func:`aggregate` per round, per client and per job, which stay the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -326,6 +328,19 @@ STACK_BYTES = 1024 * 1024
 DRAW_BYTES = 128 * 1024
 
 
+# Byte budget of one stacked MLP gradient: a local step packs as many
+# (job, client) rows into one backprop as keep its gradient under it.
+GRAD_BYTES = 128 * 1024
+
+
+def grad_rows(dim: int) -> int:
+    """How many (job, client) rows one stacked MLP gradient holds.
+
+    As many as keep it within GRAD_BYTES, at least one.
+    """
+    return max(1, GRAD_BYTES // (dim * 8))
+
+
 def stack_rows(clients: int, dim: int) -> int:
     """How many jobs one stack holds: as many as keep the slab within STACK_BYTES, at least one."""
     return max(1, STACK_BYTES // (clients * dim * 8))
@@ -356,6 +371,10 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     stacks whose slab stays within :data:`STACK_BYTES`; a set too large for
     one stack is cut into parts that fill one each. Streams are keyed by
     (seed, client), so every part of a cut set draws what the whole set would.
+    A quadratic stack steps its whole slab at once. An MLP stack steps each
+    stream set's clients that drew the same exit with one stacked backprop
+    per local step, in calls of at most :func:`grad_rows` (job, client)
+    rows (``MlpTask.local_phase``).
 
     Raises:
         ValueError: the jobs cannot share a stack, a job's task and

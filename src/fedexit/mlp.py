@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyClientDatasetError, EmptyDatasetError
-from .fedtrain import _local_steps
+from .fedtrain import _local_steps, grad_rows
 from .topology import Topology
 
 # Layer share of the total training data per exit layer (devices, edges, cloud).
@@ -88,6 +88,21 @@ def row_tiles(n: int) -> list[slice]:
     k = max(1, n // TILE_ROWS)
     bounds = [i * n // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _exit_calls(exits: list[int], per_call: int):
+    """``(exit, clients)`` of each stacked backprop of a round's local phase.
+
+    ``exits[i]`` is client ``i``'s 0-based sampled exit. Clients are grouped
+    by exit, in client order, and each group is cut into calls of at most
+    ``per_call`` clients.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, e in enumerate(exits):
+        groups.setdefault(e + 1, []).append(i)
+    for exit, group in groups.items():
+        for lo in range(0, len(group), per_call):
+            yield exit, group[lo : lo + per_call]
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -251,18 +266,24 @@ class MlpTask:
     def gradient_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
         """Backprop of the mean cross-entropy; zero outside the exit's active set.
 
-        ``w`` is one parameter vector, or an ``(R, dim)`` stack of them that
-        all see the batch ``(x, y)``. Row ``r`` of a stack's gradient equals
-        the gradient at ``w[r]`` alone, bit for bit: each matmul runs the
-        same kernel per row, and each sum adds the same terms in the same order.
+        ``w`` is one parameter vector or a stack of them, ``(..., dim)``. The
+        batch is ``x``, ``(..., b, input_dim)``, with labels ``y``,
+        ``(..., b)``; the leading dims of ``x`` and ``y`` are equal and
+        broadcast against those of ``w``. So an ``(R, dim)`` stack shares one
+        batch, and an ``(R, C, dim)`` stack (or an ``(R, 1, dim)`` one) steps
+        ``C`` clients, client ``c`` on its own batch ``x[c]``, ``y[c]``. Row
+        ``(r, c)`` of the gradient equals the gradient at ``w[r, c]`` on
+        batch ``c`` alone, bit for bit: each matmul runs the same kernel per
+        row, and each sum adds the same terms in the same order.
         """
-        n = len(y)
+        n = y.shape[-1]
         states = self.hidden_states(w, x, exit)
         dlogits = _softmax(self._head_logits(w, states[-1], exit))
-        dlogits[..., np.arange(n), y] -= 1.0
+        at = (np.arange(n),) if y.ndim == 1 else np.indices(y.shape, sparse=True)
+        dlogits[(..., *at, y)] -= 1.0
         dlogits /= n
 
-        grad = np.zeros_like(w)
+        grad = np.zeros(dlogits.shape[:-2] + w.shape[-1:])
         grad_w, grad_b = self._head(grad, exit)
         grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
         grad_b[...] = dlogits.sum(axis=-2)
@@ -305,34 +326,48 @@ class MlpTask:
 
     @staticmethod
     def local_phase(jobs, job_set: np.ndarray):
-        """The round engine's local phase: each stream set's jobs step as one stack per client.
+        """The round engine's local phase: one stacked backprop per sampled exit and local step.
 
         Each step is :meth:`stochastic_gradient` on one batch, whose indices
         are the client's row of the round's draws (see :meth:`draw_rounds`),
-        as in :func:`fedtrain.local_update`. A stream set's jobs share that
-        batch and the sampled exit, so one stacked :meth:`gradient_on` steps
-        all of them; a set of one job steps its row alone.
+        as in :func:`fedtrain.local_update`. A stream set's jobs share each
+        client's batch and sampled exit. The set's clients are grouped by the
+        exit they drew, and each group, in client order, is cut into calls of
+        ``max(1, grad_rows(dim) // R)`` clients for a set of ``R`` jobs, so
+        one stacked :meth:`gradient_on` steps every ``(job, client)`` row of
+        a call, each client on its own batch. A call of one client steps the
+        ``(R, dim)`` stack on its batch alone, and a set of one job steps its
+        rows without the job axis.
         """
         clients = jobs[0].sampling.clients
         n = len(clients)
         members = [np.flatnonzero(job_set == s).tolist() for s in range(job_set.max() + 1)]
         for job, client in itertools.product(jobs, clients):
             job.task._client_data(client)  # refuse a client with no samples before round 1
+        room = grad_rows(jobs[0].task.dim)
+        # Each set's rows of w_end, as an index that pairs them with a call's clients.
+        cols = [np.array(rows)[:, None] if len(rows) > 1 else rows[0] for rows in members]
 
         def phase(w, exits, draws, etas):
             w_end = np.empty((len(jobs), n, w.shape[1]))
-            for s, rows in enumerate(members):
-                lead = jobs[rows[0]]
+            for s, (rows, col) in enumerate(zip(members, cols)):
+                task = jobs[rows[0]].task
                 at = rows if len(rows) > 1 else rows[0]
-                for i, client in enumerate(clients):
-                    x, y = lead.task.data[client]
-                    idx = draws[s * n + i]
-                    xb, yb, exit = x[idx], y[idx], int(exits[s, i]) + 1
+                for exit, part in _exit_calls(exits[s].tolist(), max(1, room // len(rows))):
+                    batches = [(task.data[clients[i]], draws[s * n + i]) for i in part]
+                    if len(part) == 1:
+                        (x, y), idx = batches[0]
+                        xb, yb = x[idx], y[idx]
+                        w0, eta, dest = w[at], etas[:, at, None], (at, part[0])
+                    else:
+                        xb = np.stack([x[idx] for (x, _), idx in batches], axis=1)
+                        yb = np.stack([y[idx] for (_, y), idx in batches], axis=1)
+                        w0, eta, dest = w[at][..., None, :], etas[:, at, None, None], (col, part)
 
                     def gradient(v: np.ndarray, j: int) -> np.ndarray:
-                        return lead.task.gradient_on(v, xb[j], yb[j], exit)
+                        return task.gradient_on(v, xb[j], yb[j], exit)
 
-                    w_end[at, i] = _local_steps(w[at], etas[:, at, None], gradient)
+                    w_end[dest] = _local_steps(w0, eta, gradient)
             return w_end
 
         return phase

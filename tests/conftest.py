@@ -28,6 +28,18 @@ def seven_node_topology(
     return Topology(nodes=tuple(nodes), num_exits=3)
 
 
+def wide_topology(edges: int = 3, devices_per_edge: int = 4) -> Topology:
+    """Cloud over ``edges`` edges, each over ``devices_per_edge`` devices.
+
+    Arrivals enter at the devices.
+    """
+    nodes = [NodeSpec("cloud", None, 3)]
+    for i in range(edges):
+        nodes.append(NodeSpec(f"edge{i}", "cloud", 2))
+        nodes += [NodeSpec(f"dev{i}_{j}", f"edge{i}", 1, 1.0) for j in range(devices_per_edge)]
+    return Topology(nodes=tuple(nodes), num_exits=3)
+
+
 def chain_topology(
     arrivals=(1.0, 0.0, 0.0), budgets=(0.5, 0.25), sizes=(100, 100, 100)
 ) -> Topology:

@@ -1394,6 +1394,20 @@ class TestCli:
         raw["data"]["total_samples"] = 7e6
         assert parse_config(raw).total_samples == 7_000_000
 
+    def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
+        # 7 clients and dim 3,250: a stack holds 5 jobs, and one stacked
+        # gradient steps up to 5 clients. At 2 local steps and batch_size 1e6
+        # the stack's batch indices and one client's batch take
+        # 2e6 * (5 * 7 + 17) * 8 bytes = 0.77 GiB, within the budget; with the
+        # batches of 5 clients they take 2e6 * (5 * 7 + 5 * 17) * 8 = 1.79 GiB.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["training"]["batch_size"] = 1e6
+        with pytest.raises(ConfigParseError) as refused:
+            parse_config(raw)
+        assert str(refused.value) == (
+            "training batch_size and local_steps, and task input_dim: the block of local "
+            "draws would take 1.79 GiB, over the 1 GiB one training table may use")
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_runs(self, tmp_path, path):
         out = tmp_path / "out"

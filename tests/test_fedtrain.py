@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fedexit
-from conftest import chain_topology, random_tree, seven_node_topology
+from conftest import chain_topology, random_tree, seven_node_topology, wide_topology
 from fedexit import fedtrain
 from fedexit import rng as rngmod
 from fedexit.errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
@@ -25,7 +26,7 @@ from fedexit.fedtrain import (
     run_stacked,
     sample_round,
 )
-from fedexit.mlp import make_classification_task
+from fedexit.mlp import MlpTask, make_classification_task
 from fedexit.objective import weighted_objective
 from fedexit.quadratic import make_quadratic_task, quadratic_minimizers
 from fedexit.strategies import (
@@ -881,6 +882,89 @@ class TestStackedJobs:
             assert stacked[a].tobytes() == stacked[b].tobytes(), (a, b)
         for r, (job, row) in enumerate(zip(jobs, stacked)):
             assert row.tobytes() == run_stacked([job])[0].tobytes(), r
+
+
+def wide_case(hidden_dim):
+    """An MLP task on a cloud over 3 edges over 12 devices, and the tree sized to its data.
+
+    At ``hidden_dim`` 32, the shipped grids' layer sizes, the default row
+    budget holds 5 clients; at 6 it holds every client of an exit.
+    """
+    topo = wide_topology(edges=3, devices_per_edge=4)
+    task = make_classification_task(topo, partition="equal", total_samples=480, input_dim=16,
+                                    hidden_dim=hidden_dim, num_classes=6, seed=8)
+    return topo.with_dataset_sizes(task.sizes), task
+
+
+def recording_gradients(monkeypatch, calls):
+    """Append the number of clients of every ``MlpTask.gradient_on`` call to ``calls``."""
+    original = MlpTask.gradient_on
+
+    def recording(self, w, x, y, exit):
+        calls.append(len(x) if x.ndim == 3 else 1)
+        return original(self, w, x, y, exit)
+
+    monkeypatch.setattr(MlpTask, "gradient_on", recording)
+
+
+class TestWideTree:
+    """One backprop steps every client that drew an exit, up to the row budget; no bit moves."""
+
+    WIDE_CFG = TrainConfig(rounds=3, local_steps=2, batch_size=8, lr_schedule="cosine",
+                           base_lr=0.1, seed=4)
+
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    @pytest.mark.parametrize("hidden_dim, rows, calls", [
+        (32, 1, [1] * 16),  # one row per call: a backprop per client
+        (32, 3, [3, 3, 3, 3, 3, 1]),  # 12 devices in 4 calls, 3 edges in one
+        (32, None, [5, 5, 2, 3, 1]),  # the default budget: 5 rows
+        (6, None, [12, 3, 1]),  # the default budget holds every client of an exit
+    ], ids=["one-row", "cut", "default", "default-whole-exits"])
+    def test_matches_per_client_reference(self, monkeypatch, k, hidden_dim, rows, calls):
+        topo, task = wide_case(hidden_dim)
+        if rows is not None:
+            monkeypatch.setattr(fedtrain, "GRAD_BYTES", rows * task.dim * 8)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        seen = []
+        recording_gradients(monkeypatch, seen)
+        steps = self.WIDE_CFG.rounds * self.WIDE_CFG.local_steps
+        for sampling in both_orders(build_sampling_matrix(topo, k)):
+            seen.clear()
+            w_end, objective = run(topo, task, weights, sampling, self.WIDE_CFG)
+            if k == 0.0:  # every client draws its own exit: the calls are known
+                assert sorted(seen) == sorted(calls * steps)
+            ref_w, ref_objective = reference_run(topo, task, weights, sampling, self.WIDE_CFG)
+            assert w_end.tobytes() == ref_w.tobytes()
+            assert objective == ref_objective
+
+    def test_jobs_of_one_stream_set_match_reference(self, monkeypatch):
+        # Two jobs share a stream set and 4 rows hold 2 clients of each.
+        topo, task = wide_case(32)
+        monkeypatch.setattr(fedtrain, "GRAD_BYTES", 4 * task.dim * 8)
+        sampling = build_sampling_matrix(topo, 0.1)
+        jobs = [Job(topo, task, weights, sampling, self.WIDE_CFG)
+                for weights in (normalized_weights([0.2, 0.3, 0.5]), equal_weight(3))]
+        seen = []
+        recording_gradients(monkeypatch, seen)
+        stacked = run_stacked(jobs)
+        assert max(seen) == 2
+        for job, row in zip(jobs, stacked):
+            reference = reference_run(topo, task, job.weights, sampling, self.WIDE_CFG)[0]
+            assert row.tobytes() == reference.tobytes()
+
+    def test_peak_memory_holds_one_calls_rows(self):
+        # Training peaks at 0.64 MiB with one row per call, 0.97 MiB at the
+        # default 5 rows, and 1.61 MiB when one call steps all 12 devices.
+        topo, task = wide_case(32)
+        cfg = dataclasses.replace(self.WIDE_CFG, batch_size=32)
+        job = Job(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg)
+        tracemalloc.start()
+        try:
+            run_stacked([job])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20, peak
 
 
 def block_case(backend):

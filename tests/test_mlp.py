@@ -267,6 +267,30 @@ class TestGradient:
             assert single.shape == (task.dim,)
             assert grad.tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("clients", [1, 4])
+    @pytest.mark.parametrize("exit", [1, 2, 3])
+    def test_client_batches_stacked_equal_single_calls_bit_for_bit(self, jobs, clients, exit):
+        # An (R, C, dim) stack, client c on its own (b, in) batch, as a local
+        # step after the first steps it; an (R, 1, dim) stack, as the first
+        # step broadcasts it; and, for one job, the (C, dim) stack of a stream
+        # set of one job. The layer sizes are the shipped grids'.
+        task = small_task(seed=5, input_dim=16, hidden_dim=32, num_classes=6)
+        rng = np.random.default_rng(jobs * 100 + clients * 10 + exit)
+        stack = np.stack([[task.init_params(rng) for _ in range(clients)] for _ in range(jobs)])
+        x, y = task.data["cloud"]
+        idx = rng.integers(0, len(y), size=(clients, 7))
+        xb, yb = x[idx], y[idx]
+        starts = [stack, stack[:, :1]] + ([stack[0]] if jobs == 1 else [])
+        for w in starts:
+            grads = task.gradient_on(w, xb, yb, exit)
+            assert grads.shape == np.broadcast_shapes(w.shape, (clients, task.dim))
+            full = np.broadcast_to(w, grads.shape)
+            for row in np.ndindex(grads.shape[:-1]):
+                c = row[-1]
+                single = task.gradient_on(full[row], xb[c], yb[c], exit)
+                assert grads[row].tobytes() == single.tobytes(), (w.shape, row)
+
     def test_active_sets_nest_in_backbone(self):
         segs = small_task().segments
         for e in range(1, len(segs.blocks)):
