@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ZeroTrafficError
-from .fedtrain import TrainConfig, grad_rows, stack_rows
-from .mlp import build_segments, check_classification_task, client_sizes
+from .fedtrain import TrainConfig, stack_rows
+from .mlp import build_segments, check_classification_task, client_sizes, grad_rows
 from .quadratic import check_quadratic_task
 from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix, exit_pools
 from .topology import NodeSpec, RatePlan, Topology, budgets_for_split, compute_rate_plan
@@ -274,7 +274,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
 
         jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
-        _check_table_sizes(training, task_args, kind, topo, jobs, samples)
+        # A stream set is a seed's task (one per partition) under one sampling matrix.
+        sets = len(seeds) * len(partitions) * len({s.sampling.probs.tobytes() for s in strategies})
+        _check_table_sizes(training, task_args, kind, topo, jobs, sets, samples)
         for name in partitions if kind == "mlp" else ():
             empty = [c for c, n in sorted(client_sizes(topo, name, samples[0]).items()) if not n]
             if empty:
@@ -358,29 +360,32 @@ def _gib(nbytes: int) -> str:
 
 
 def _check_table_sizes(
-    training: dict, task: dict, kind: str, topo: Topology, jobs: int, samples: Sequence[int]
+    training: dict, task: dict, kind: str, topo: Topology, jobs: int, sets: int,
+    samples: Sequence[int],
 ) -> None:
     """Refuse a grid whose task or training would build a table larger than :data:`TABLE_BYTES`.
 
     The estimate covers one stack of the engine, which trains at most
-    ``jobs`` jobs, and no more than ``stack_rows`` allows: every round's
-    exit draws (a uniform, one comparison per exit and the exit, per job,
-    round and client), the step sizes (per job, round and local step), the
-    block of local draws (the batch indices of every client of the stack,
-    and the batch features and labels of one stacked gradient's clients, on
-    an MLP; the noise of the whole stack on a quadratic) and the slab of
-    local iterates. A stacked gradient steps at most
-    ``max(1, grad_rows(dim) // R)`` clients of a stream set of ``R`` jobs,
-    so the estimate counts ``min(N, grad_rows(dim))`` clients' batches, as
-    a set of one job steps. A block of local draws holds one round when
-    that round alone is over ``fedtrain.DRAW_BYTES``, which is far below
-    this budget, so one round of draws is what can exceed it. It also
-    covers the task's own arrays: an MLP's training and test features and
-    labels (``samples`` holds their two sizes), or a quadratic's
-    ``(N, E, d, d)`` matrices. The teacher pass that labels an MLP's data
-    holds the hidden states of one row tile (``mlp.row_tiles``), under
-    ``2 * mlp.TILE_ROWS`` rows, so the slab, with ``hidden_dim ** 2``
-    entries per client, passes the budget first.
+    ``jobs`` jobs of at most ``sets`` stream sets, and no more jobs than
+    ``stack_rows`` allows: every round's exit draws (a uniform, one
+    comparison per exit and the exit, per job, round and client), the step
+    sizes (per job, round and local step), the block of local draws (the
+    batch indices of every client of the stack, and the batch features and
+    labels of one stacked gradient's clients, on an MLP; the noise of the
+    whole stack on a quadratic) and the slab of local iterates. A stacked
+    gradient steps at most ``max(1, grad_rows(dim) // R)`` clients of a
+    stream set of ``R`` jobs, so the estimate counts
+    ``min(N, grad_rows(dim))`` clients' batches, as a set of one job steps.
+    A block of local draws holds one round when that round alone is over
+    ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
+    draws is what can exceed it. It also covers the task's own arrays: an
+    MLP's training and test features and labels (``samples`` holds their two
+    sizes), or a quadratic's ``(N, E, d, d)`` matrices, the stack's copy of
+    them per stream set and the ``(R, N, d, d)`` matrices that every round
+    gathers for the stack's jobs and sampled exits. The teacher pass that
+    labels an MLP's data holds the hidden states of one row tile
+    (``mlp.row_tiles``), under ``2 * mlp.TILE_ROWS`` rows, so the slab, with
+    ``hidden_dim ** 2`` entries per client, passes the budget first.
 
     Raises:
         ConfigParseError: naming the keys that size the table over budget.
@@ -395,7 +400,10 @@ def _check_table_sizes(
     rows = min(jobs, stack_rows(n, dim))
     slab = rows * n * dim * 8
     if kind == "quadratic":
-        own = (("task dim", n * topo.num_exits * dim * dim * 8, "the task's matrices"),)
+        matrices = n * topo.num_exits * dim * dim * 8
+        own = (("task dim", matrices, "the task's matrices"),
+               ("task dim and seeds", min(rows, sets) * matrices, "every stream set's matrices"),
+               ("task dim", rows * n * dim * dim * 8, "a round's matrices of every job"))
         draw = ("training local_steps and task dim", local_steps * slab)
         size = ("task dim", slab)
     else:

@@ -23,14 +23,12 @@ projects and checks that the iterates stay finite; every other refusal comes
 before round 1. The task class says how a local stream draws and supplies the
 local phase. Jobs that share a seed, a task and a sampling matrix form a
 stream set: they draw the same exits and local streams, so they share one set
-of streams and one draw per round. The quadratic steps the whole ``(R, N, d)``
-slab with one batched matmul per local step; the MLP steps the jobs of a stream
-set that share a stack with one stacked backprop per sampled exit and local
-step: the clients that drew the exit step together, each on its own batch, in
-calls of at most :func:`grad_rows` (job, client) rows. The result is
-bit-identical to calling :func:`sample_round`, :func:`local_update` and
-:func:`aggregate` per round, per client and per job, which stay the reference
-implementation.
+of streams and one draw per round. A stack holds several stream sets only where
+the task class steps them as one batch: the quadratic steps the whole
+``(R, N, d)`` slab with one batched matmul per local step, while an MLP stack
+is one stream set. The result is bit-identical to calling
+:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
+client and per job, which stay the reference implementation.
 """
 
 from __future__ import annotations
@@ -283,8 +281,8 @@ def initial_iterate(job: Job) -> np.ndarray:
     return w
 
 
-def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
-    """Check that ``job`` can train; return its exit pools and initial iterate.
+def _start(job: Job, w_init: np.ndarray | None = None) -> tuple[ExitPools, np.ndarray]:
+    """Check that ``job`` can train; return its exit pools and initial iterate, ``w_init`` if given.
 
     Raises as :func:`run_stacked`: some exit has no pooled data, task and tree disagree on
     sizes, or ``w_init`` is not a finite vector of numbers of the task's ``dim``.
@@ -297,7 +295,7 @@ def _start(job: Job) -> tuple[ExitPools, np.ndarray]:
                 f"client {client}: task holds {task.sizes[client]} samples but "
                 f"topology declares {job.topology.by_id[client].dataset_size}"
             )
-    return pools, initial_iterate(job)
+    return pools, initial_iterate(job) if w_init is None else w_init
 
 
 def run(
@@ -320,25 +318,12 @@ def run(
 
 
 # Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
-# packs whole stream sets into stacks that stay under it.
+# splits the jobs into stacks that stay under it.
 STACK_BYTES = 1024 * 1024
 
 # Byte budget of one stack's block of local draws: each local stream draws as
 # many rounds at once as keep the block of all the stack's streams under it.
 DRAW_BYTES = 128 * 1024
-
-
-# Byte budget of one stacked MLP gradient: a local step packs as many
-# (job, client) rows into one backprop as keep its gradient under it.
-GRAD_BYTES = 128 * 1024
-
-
-def grad_rows(dim: int) -> int:
-    """How many (job, client) rows one stacked MLP gradient holds.
-
-    As many as keep it within GRAD_BYTES, at least one.
-    """
-    return max(1, GRAD_BYTES // (dim * 8))
 
 
 def stack_rows(clients: int, dim: int) -> int:
@@ -367,14 +352,13 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     ``rounds``, ``local_steps``, ``dim`` and, on an MLP, ``batch_size``, as
     the jobs of one grid do. Every job is checked before the first round, so
     no refusal but divergence comes once training has begun. Stream sets
-    (:func:`_set_key`), in order of first appearance, are packed whole into
-    stacks whose slab stays within :data:`STACK_BYTES`; a set too large for
-    one stack is cut into parts that fill one each. Streams are keyed by
-    (seed, client), so every part of a cut set draws what the whole set would.
-    A quadratic stack steps its whole slab at once. An MLP stack steps each
-    stream set's clients that drew the same exit with one stacked backprop
-    per local step, in calls of at most :func:`grad_rows` (job, client)
-    rows (``MlpTask.local_phase``).
+    (:func:`_set_key`), in order of first appearance, go into stacks whose
+    slab stays within :data:`STACK_BYTES`; a set too large for one stack is
+    cut into parts that fill one each. Streams are keyed by (seed, client),
+    so every part of a cut set draws what the whole set would. Where the
+    task class's ``PACKS_SETS`` is true (the quadratic, which steps its whole
+    slab at once) whole sets and parts are packed together into a stack
+    while they fit; elsewhere (the MLP) a stack holds one set or part of one.
 
     Raises:
         ValueError: the jobs cannot share a stack, a job's task and
@@ -395,30 +379,30 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
         raise ValueError("stacked jobs must share task class, clients, rounds, "
                          "local_steps, dim and, on an MLP, batch_size")
     inits = [None if job.w_init is None else initial_iterate(job) for job in jobs]
-    index: dict[tuple, int] = {}
-    rows = [index.setdefault(_job_key(job, w), len(index)) for job, w in zip(jobs, inits)]
-    jobs = [jobs[rows.index(r)] for r in range(len(index))]
-    starts = [_start(job) for job in jobs]
+    index: dict[tuple, int] = {}  # each distinct job's key: its first place in jobs
+    rows = [index.setdefault(_job_key(job, w), r) for r, (job, w) in enumerate(zip(jobs, inits))]
+    starts = {r: _start(jobs[r], inits[r]) for r in index.values()}
     size = stack_rows(len(first.sampling.clients), first.task.dim)
     sets: dict[tuple, list[int]] = {}
-    for r, job in enumerate(jobs):
-        sets.setdefault(_set_key(job), []).append(r)
-    stacks = [[]]
+    for r in starts:
+        sets.setdefault(_set_key(jobs[r]), []).append(r)
+    stacks = []
     for members in sets.values():
         for lo in range(0, len(members), size):
             part = members[lo : lo + size]
-            if len(stacks[-1]) + len(part) > size:
-                stacks.append([])
-            stacks[-1].extend(part)
+            if first.task.PACKS_SETS and stacks and len(stacks[-1]) + len(part) <= size:
+                stacks[-1].extend(part)
+            else:
+                stacks.append(part)
     advances = [(stack, _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack]))
                 for stack in map(sorted, stacks)]
-    out = np.empty((len(jobs), first.task.dim))
+    out: dict[int, np.ndarray] = {}  # each distinct job's last iterate
     for stack, advance in advances:
         w = np.stack([starts[r][1] for r in stack])
         for t in range(1, first.cfg.rounds + 1):
             w = advance(w, t)
-        out[stack] = w
-    return out[rows]
+        out.update(zip(stack, w))
+    return np.stack([out[r] for r in rows])
 
 
 def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
@@ -445,8 +429,8 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     0-based exits of every stream set, this round's local draws (``draws[s *
     N + i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and
     the ``(local_steps, R)`` step sizes, it returns the ``(R, N, d)`` local
-    iterates in a new array. Building the phase refuses a stack that some
-    round could not train.
+    iterates in a new array. ``S`` is 1 unless the class's ``PACKS_SETS`` is
+    true. Building the phase refuses a stack that some round could not train.
     """
     first = jobs[0]
     clients = first.sampling.clients

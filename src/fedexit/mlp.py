@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyClientDatasetError, EmptyDatasetError
-from .fedtrain import _local_steps, grad_rows
+from .fedtrain import _local_steps
 from .topology import Topology
 
 # Layer share of the total training data per exit layer (devices, edges, cloud).
@@ -32,6 +32,9 @@ PARTITIONS: dict[str, tuple[float, ...]] = {
 
 # Fewest rows in one tile of a many-row forward pass (see :func:`row_tiles`).
 TILE_ROWS = 4096
+
+# Byte budget of one stacked gradient of the local phase (see :func:`grad_rows`).
+GRAD_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,11 @@ def row_tiles(n: int) -> list[slice]:
     k = max(1, n // TILE_ROWS)
     bounds = [i * n // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def grad_rows(dim: int) -> int:
+    """How many (job, client) rows of ``dim`` parameters fit in :data:`GRAD_BYTES`, at least one."""
+    return max(1, GRAD_BYTES // (dim * 8))
 
 
 def _exit_calls(exits: list[int], per_call: int):
@@ -174,6 +182,8 @@ def softmax_entropy(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MlpTask:
     """Client datasets plus the shared early-exit MLP architecture."""
+
+    PACKS_SETS = False  # a stack holds one stream set: local_phase batches one set's jobs only
 
     input_dim: int
     hidden_dim: int
@@ -279,8 +289,7 @@ class MlpTask:
         n = y.shape[-1]
         states = self.hidden_states(w, x, exit)
         dlogits = _softmax(self._head_logits(w, states[-1], exit))
-        at = (np.arange(n),) if y.ndim == 1 else np.indices(y.shape, sparse=True)
-        dlogits[(..., *at, y)] -= 1.0
+        dlogits -= y[..., None] == np.arange(self.num_classes)
         dlogits /= n
 
         grad = np.zeros(dlogits.shape[:-2] + w.shape[-1:])
@@ -330,44 +339,39 @@ class MlpTask:
 
         Each step is :meth:`stochastic_gradient` on one batch, whose indices
         are the client's row of the round's draws (see :meth:`draw_rounds`),
-        as in :func:`fedtrain.local_update`. A stream set's jobs share each
-        client's batch and sampled exit. The set's clients are grouped by the
-        exit they drew, and each group, in client order, is cut into calls of
-        ``max(1, grad_rows(dim) // R)`` clients for a set of ``R`` jobs, so
-        one stacked :meth:`gradient_on` steps every ``(job, client)`` row of
-        a call, each client on its own batch. A call of one client steps the
-        ``(R, dim)`` stack on its batch alone, and a set of one job steps its
-        rows without the job axis.
+        as in :func:`fedtrain.local_update`. A stack is one stream set
+        (``PACKS_SETS`` is false), so ``job_set`` is all zeros and the ``R``
+        jobs share the task and each client's batch and sampled exit. The
+        clients are grouped by the exit they drew, and each group, in client
+        order, is cut into calls of ``max(1, grad_rows(dim) // R)`` clients:
+        one stacked :meth:`gradient_on` steps every ``(job, client)`` row of a
+        call, each client on its own batch. So a call holds at most
+        ``grad_rows(dim)`` rows, or one client's ``R`` rows where ``R`` is
+        more. A call of one client steps the ``(R, dim)`` stack on its batch
+        alone, and a stack of one job steps its rows without the job axis.
         """
-        clients = jobs[0].sampling.clients
-        n = len(clients)
-        members = [np.flatnonzero(job_set == s).tolist() for s in range(job_set.max() + 1)]
-        for job, client in itertools.product(jobs, clients):
-            job.task._client_data(client)  # refuse a client with no samples before round 1
-        room = grad_rows(jobs[0].task.dim)
-        # Each set's rows of w_end, as an index that pairs them with a call's clients.
-        cols = [np.array(rows)[:, None] if len(rows) > 1 else rows[0] for rows in members]
+        task = jobs[0].task
+        # Refuses a client with no samples before round 1.
+        data = [task._client_data(client) for client in jobs[0].sampling.clients]
+        per_call = max(1, grad_rows(task.dim) // len(jobs))
+        at = slice(None) if len(jobs) > 1 else 0
 
         def phase(w, exits, draws, etas):
-            w_end = np.empty((len(jobs), n, w.shape[1]))
-            for s, (rows, col) in enumerate(zip(members, cols)):
-                task = jobs[rows[0]].task
-                at = rows if len(rows) > 1 else rows[0]
-                for exit, part in _exit_calls(exits[s].tolist(), max(1, room // len(rows))):
-                    batches = [(task.data[clients[i]], draws[s * n + i]) for i in part]
-                    if len(part) == 1:
-                        (x, y), idx = batches[0]
-                        xb, yb = x[idx], y[idx]
-                        w0, eta, dest = w[at], etas[:, at, None], (at, part[0])
-                    else:
-                        xb = np.stack([x[idx] for (x, _), idx in batches], axis=1)
-                        yb = np.stack([y[idx] for (_, y), idx in batches], axis=1)
-                        w0, eta, dest = w[at][..., None, :], etas[:, at, None, None], (col, part)
+            w_end = np.empty((len(jobs), len(data), w.shape[1]))
+            for exit, part in _exit_calls(exits[0].tolist(), per_call):
+                if len(part) == 1:
+                    (x, y), idx = data[part[0]], draws[part[0]]
+                    xb, yb = x[idx], y[idx]
+                    w0, eta, dest = w[at], etas[:, at, None], (at, part[0])
+                else:
+                    xb = np.stack([data[i][0][draws[i]] for i in part], axis=1)
+                    yb = np.stack([data[i][1][draws[i]] for i in part], axis=1)
+                    w0, eta, dest = w[at][..., None, :], etas[:, at, None, None], (at, part)
 
-                    def gradient(v: np.ndarray, j: int) -> np.ndarray:
-                        return task.gradient_on(v, xb[j], yb[j], exit)
+                def gradient(v: np.ndarray, j: int) -> np.ndarray:
+                    return task.gradient_on(v, xb[j], yb[j], exit)
 
-                    w_end[dest] = _local_steps(w0, eta, gradient)
+                w_end[dest] = _local_steps(w0, eta, gradient)
             return w_end
 
         return phase

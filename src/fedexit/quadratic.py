@@ -31,6 +31,8 @@ class QuadraticTask:
     gradient noise per pair.
     """
 
+    PACKS_SETS = True  # a stack packs stream sets: local_phase steps them all as one batch
+
     clients: tuple[str, ...]
     num_exits: int
     dim: int

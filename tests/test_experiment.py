@@ -1408,6 +1408,29 @@ class TestCli:
             "training batch_size and local_steps, and task input_dim: the block of local "
             "draws would take 1.79 GiB, over the 1 GiB one training table may use")
 
+    def test_stacked_quadratic_matrices_are_refused_at_parse(self, monkeypatch):
+        # One stack of 4 seeds' stream sets (8 jobs) copies the 7 clients' 3
+        # matrices once per set, and gathers one matrix per job and client
+        # every round. At dim 2,000 the task's own matrices take 0.63 GiB,
+        # which passed, and the stack's copy of them 2.5 GiB; one seed fits.
+        raw = json.loads((CONFIG_DIR / "quadratic_bounds.json").read_text())
+        raw["task"]["dim"] = 2_000
+        raw["seeds"] = [1]
+        parse_config(raw)
+        raw["seeds"] = [1, 2, 3, 4]
+        with pytest.raises(ConfigParseError) as refused:
+            parse_config(raw)
+        assert str(refused.value) == (
+            "task dim and seeds: every stream set's matrices would take 2.5 GiB, over the "
+            "1 GiB one training table may use")
+        # At dim 40 the copy is 4 * 21 * 40**2 * 8 = 1,075,200 bytes.
+        import fedexit.config as config
+
+        raw["task"]["dim"] = 40
+        monkeypatch.setattr(config, "TABLE_BYTES", 1_000_000)
+        with pytest.raises(ConfigParseError, match="^task dim and seeds: every stream set's"):
+            parse_config(raw)
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_runs(self, tmp_path, path):
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ import pytest
 
 import fedexit
 from conftest import chain_topology, random_tree, seven_node_topology, wide_topology
-from fedexit import fedtrain
+from fedexit import fedtrain, mlp
 from fedexit import rng as rngmod
 from fedexit.errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
 from fedexit.fedtrain import (
@@ -714,8 +714,8 @@ class TestStackedJobs:
     def test_mlp_jobs_over_several_stacks_match_reference(self, monkeypatch):
         topo, first = mlp_case(seed=6)
         _, second = mlp_case(seed=7)
-        # Room for two jobs per stack, so five jobs train as stacks of 2, 2 and 1;
-        # the first stack's two jobs share one stream set.
+        # Room for two jobs per stack, so five jobs in four stream sets train
+        # as stacks of 2, 1, 1 and 1; the first stack's two jobs share one set.
         monkeypatch.setattr(fedtrain, "STACK_BYTES", 2 * len(topo.nodes) * first.dim * 8)
         jobs = []
         for task, base_lr in ((first, 0.1), (second, 0.2)):
@@ -765,6 +765,41 @@ class TestStackedJobs:
             assert row.tobytes() == alone.tobytes(), r
         reference = reference_run(topo, task, jobs[2].weights, jobs[2].sampling, jobs[2].cfg)[0]
         assert np.array_equal(stacked[2], reference)
+        assert len({row.tobytes() for row in stacked}) == len(jobs)
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_stack_packs_stream_sets_only_where_its_backend_steps_them_together(
+        self, backend, monkeypatch
+    ):
+        # Three stream sets of two jobs, and room for six jobs per stack. The
+        # quadratic steps them in one stack; the MLP, which steps one set per
+        # backprop, used to pack them too and now trains one set per stack.
+        if backend == "quadratic":
+            topo = seven_node_topology()
+            task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+        else:
+            topo, task = mlp_case(seed=6)
+        monkeypatch.setattr(fedtrain, "STACK_BYTES", 6 * len(topo.nodes) * task.dim * 8)
+        stacks = []
+        real_round = fedtrain._stacked_round
+
+        def recording_round(jobs, pools):
+            stacks.append(len({fedtrain._set_key(job) for job in jobs}))
+            return real_round(jobs, pools)
+
+        monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
+        jobs = [
+            Job(topo, task, normalized_weights(share), build_sampling_matrix(topo, k),
+                TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05,
+                            projection_radius=50.0, seed=seed))
+            for k, seed in ((0.0, 3), (0.1, 3), (0.1, 4))
+            for share in ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2])
+        ]
+        stacked = run_stacked(jobs)
+        assert stacks == ([3] if backend == "quadratic" else [1, 1, 1])
+        monkeypatch.undo()
+        for r, (job, row) in enumerate(zip(jobs, stacked)):
+            assert row.tobytes() == run_stacked([job])[0].tobytes(), r
         assert len({row.tobytes() for row in stacked}) == len(jobs)
 
     def test_mlp_jobs_of_two_batch_sizes_refused(self, monkeypatch):
@@ -923,7 +958,7 @@ class TestWideTree:
     def test_matches_per_client_reference(self, monkeypatch, k, hidden_dim, rows, calls):
         topo, task = wide_case(hidden_dim)
         if rows is not None:
-            monkeypatch.setattr(fedtrain, "GRAD_BYTES", rows * task.dim * 8)
+            monkeypatch.setattr(mlp, "GRAD_BYTES", rows * task.dim * 8)
         weights = normalized_weights([0.2, 0.3, 0.5])
         seen = []
         recording_gradients(monkeypatch, seen)
@@ -940,7 +975,7 @@ class TestWideTree:
     def test_jobs_of_one_stream_set_match_reference(self, monkeypatch):
         # Two jobs share a stream set and 4 rows hold 2 clients of each.
         topo, task = wide_case(32)
-        monkeypatch.setattr(fedtrain, "GRAD_BYTES", 4 * task.dim * 8)
+        monkeypatch.setattr(mlp, "GRAD_BYTES", 4 * task.dim * 8)
         sampling = build_sampling_matrix(topo, 0.1)
         jobs = [Job(topo, task, weights, sampling, self.WIDE_CFG)
                 for weights in (normalized_weights([0.2, 0.3, 0.5]), equal_weight(3))]
