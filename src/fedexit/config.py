@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, ZeroTrafficError
+from .errors import ConfigParseError, InvalidArgumentError, ZeroTrafficError
 from .fedtrain import TrainConfig, stack_rows
 from .mlp import build_segments, check_classification_task, client_sizes, grad_rows
 from .quadratic import check_quadratic_task
@@ -90,7 +90,7 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
             back to its default, ``id`` or a non-null ``parent`` is not a
             string, an integer field (``exit``, ``dataset_size``,
             ``num_exits``) is not whole, or ``arrival_rate`` is not a number.
-        ValueError: a value :class:`NodeSpec` refuses.
+        InvalidArgumentError: a value :class:`NodeSpec` refuses.
         InvalidTopologyError: the nodes are no tree, as :class:`Topology` refuses.
     """
     nodes = []
@@ -229,7 +229,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         check = check_quadratic_task if kind == "quadratic" else check_classification_task
         try:
             check(**task_args)
-        except ValueError as exc:
+        except InvalidArgumentError as exc:
             raise ConfigParseError(f"bad task section: {exc}") from exc
         training = _training_args(raw["training"], kind)
 
@@ -298,9 +298,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ConfigParseError(f"missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ConfigParseError(f"malformed config: {exc}") from exc
-    except ValueError as exc:
+    except InvalidArgumentError as exc:
         raise ConfigParseError(str(exc)) from exc
 
 
@@ -349,7 +347,7 @@ def _training_args(training: dict, kind: str) -> dict:
     stand_ins = dict(mu=1.0, smoothness=1.0, projection_radius=1.0) if kind == "quadratic" else {}
     try:
         TrainConfig(**args, **stand_ins)
-    except ValueError as exc:
+    except InvalidArgumentError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
     return args
 
@@ -369,12 +367,13 @@ def _check_table_sizes(
     ``jobs`` jobs of at most ``sets`` stream sets, and no more jobs than
     ``stack_rows`` allows: every round's exit draws (a uniform, one
     comparison per exit and the exit, per job, round and client), the step
-    sizes (per job, round and local step), the block of local draws (the
-    batch indices of every client of the stack, and the batch features and
-    labels of one stacked gradient's clients, on an MLP; the noise of the
-    whole stack on a quadratic) and the slab of local iterates. A stacked
-    gradient steps at most ``max(1, grad_rows(dim) // R)`` clients of a
-    stream set of ``R`` jobs, so the estimate counts
+    sizes (per job, round and local step), the block of local draws (on an
+    MLP, whose stack is one stream set, the batch indices of its ``N``
+    streams and two copies of the batch features and labels of one stacked
+    gradient's clients, as gathered per client and as stacked; the noise of
+    the whole stack on a quadratic) and the slab of local iterates. A
+    stacked gradient steps at most ``max(1, grad_rows(dim) // R)`` clients
+    of a stream set of ``R`` jobs, so the estimate counts
     ``min(N, grad_rows(dim))`` clients' batches, as a set of one job steps.
     A block of local draws holds one round when that round alone is over
     ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
@@ -412,7 +411,7 @@ def _check_table_sizes(
         batch_size = training.get("batch_size", TrainConfig.batch_size)
         per_call = min(n, grad_rows(dim))
         draw = ("training batch_size and local_steps, and task input_dim",
-                local_steps * batch_size * (rows * n + per_call * (task["input_dim"] + 1)) * 8)
+                local_steps * batch_size * (n + 2 * per_call * (task["input_dim"] + 1)) * 8)
         size = ("task input_dim, hidden_dim and num_classes", slab)
     tables = (
         ("training rounds", rows * rounds * n * (topo.num_exits + 16), "the exit draws"),

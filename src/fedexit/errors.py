@@ -7,6 +7,10 @@ class FedexitError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidArgumentError(FedexitError, ValueError):
+    """An argument is out of range or of the wrong shape; also a ``ValueError``."""
+
+
 class InvalidTopologyError(FedexitError):
     """The node set does not describe a usable inference tree."""
 

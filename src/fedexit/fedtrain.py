@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DivergenceError, ZeroProbabilityError
+from .errors import DivergenceError, InvalidArgumentError, ZeroProbabilityError
 from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
 from .topology import Topology
@@ -81,23 +81,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.server_lr > 0:
-            raise ValueError(f"server_lr must be positive, got {self.server_lr}")
-        if not 0 < self.base_lr < math.inf:
-            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
+        for name in ("rounds", "local_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1")
+        for name, value in (("server_lr", self.server_lr), ("base_lr", self.base_lr)):
+            if not 0 < value < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
         if not self.projection_radius > 0:
-            raise ValueError(f"projection_radius must be positive, got {self.projection_radius}")
+            raise InvalidArgumentError(
+                f"projection_radius must be positive, got {self.projection_radius}")
         if self.lr_schedule not in SCHEDULES:
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.lr_schedule == "theory":
-            if not 0 < self.mu <= self.smoothness < math.inf:
-                raise ValueError("theory schedule needs 0 < mu <= smoothness < inf")
+            raise InvalidArgumentError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.lr_schedule == "theory" and not 0 < self.mu <= self.smoothness < math.inf:
+            raise InvalidArgumentError("theory schedule needs 0 < mu <= smoothness < inf")
 
     @property
     def gamma_value(self) -> float:
@@ -265,36 +261,38 @@ def initial_iterate(job: Job) -> np.ndarray:
     """Where ``job`` starts: a copy of its ``w_init``, else the task's draw from stream (seed, INIT).
 
     Raises:
-        ValueError: ``w_init`` is not one finite vector of numbers of the task's ``dim``.
+        InvalidArgumentError: ``w_init`` is not one finite vector of the task's ``dim``.
     """
     if job.w_init is None:
         return job.task.init_params(rngmod.stream(job.cfg.seed, rngmod.INIT))
     try:
         w = np.array(job.w_init, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{_name(job)}: w_init is not an array of numbers ({exc})") from None
+        raise InvalidArgumentError(
+            f"{_name(job)}: w_init is not an array of numbers ({exc})") from None
     if w.shape != (job.task.dim,):
-        raise ValueError(f"{_name(job)}: w_init has shape {w.shape}, but the task's "
-                         f"iterates have shape {(job.task.dim,)}")
+        raise InvalidArgumentError(f"{_name(job)}: w_init has shape {w.shape}, but the task's "
+                                   f"iterates have shape {(job.task.dim,)}")
     if not np.isfinite(w).all():
-        raise ValueError(f"{_name(job)}: w_init is not finite")
+        raise InvalidArgumentError(f"{_name(job)}: w_init is not finite")
     return w
 
 
 def _start(job: Job, w_init: np.ndarray | None = None) -> tuple[ExitPools, np.ndarray]:
     """Check that ``job`` can train; return its exit pools and initial iterate, ``w_init`` if given.
 
-    Raises as :func:`run_stacked`: some exit has no pooled data, task and tree disagree on
-    sizes, or ``w_init`` is not a finite vector of numbers of the task's ``dim``.
+    Raises as :func:`run_stacked` does for one job.
     """
     task, sampling = job.task, job.sampling
     pools = exit_pools(job.topology, sampling)
+    if job.weights.num_exits != pools.num_exits:
+        raise InvalidArgumentError(f"{_name(job)}: {job.weights.num_exits} exit weights for "
+                                   f"{pools.num_exits} exits")
     for client in sampling.clients:
         if task.sizes[client] != job.topology.by_id[client].dataset_size:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"client {client}: task holds {task.sizes[client]} samples but "
-                f"topology declares {job.topology.by_id[client].dataset_size}"
-            )
+                f"topology declares {job.topology.by_id[client].dataset_size}")
     return pools, initial_iterate(job) if w_init is None else w_init
 
 
@@ -361,10 +359,12 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     while they fit; elsewhere (the MLP) a stack holds one set or part of one.
 
     Raises:
-        ValueError: the jobs cannot share a stack, a job's task and
-            topology disagree on client dataset sizes, a job's ``w_init``
-            is not a finite vector of numbers of the task's ``dim``, or a
-            quadratic job samples an exit that a client does not hold.
+        InvalidArgumentError: the jobs cannot share a stack, a job's exit
+            weights, sampling matrix and topology disagree on the number of
+            exits, its task and topology disagree on client dataset sizes,
+            its ``w_init`` is not a finite vector of numbers of the task's
+            ``dim``, or a quadratic job samples an exit that a client does
+            not hold.
         EmptyPoolError: some exit has no pooled data.
         EmptyClientDatasetError: an MLP client has no samples.
         DivergenceError: an iterate stopped being finite.
@@ -376,8 +376,8 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
 
     first = jobs[0]
     if any(shape(job) != shape(first) for job in jobs):
-        raise ValueError("stacked jobs must share task class, clients, rounds, "
-                         "local_steps, dim and, on an MLP, batch_size")
+        raise InvalidArgumentError("stacked jobs must share task class, clients, rounds, "
+                                   "local_steps, dim and, on an MLP, batch_size")
     inits = [None if job.w_init is None else initial_iterate(job) for job in jobs]
     index: dict[tuple, int] = {}  # each distinct job's key: its first place in jobs
     rows = [index.setdefault(_job_key(job, w), r) for r, (job, w) in enumerate(zip(jobs, inits))]
@@ -424,13 +424,14 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     one. A bulk draw equals the same draws made one round at a time, so the
     block size changes no bit of the result.
 
-    The task class's ``local_phase(jobs, job_set)`` returns
-    ``phase(w, exits, draws, etas)``: from the broadcast models, the ``(S, N)``
-    0-based exits of every stream set, this round's local draws (``draws[s *
-    N + i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and
-    the ``(local_steps, R)`` step sizes, it returns the ``(R, N, d)`` local
-    iterates in a new array. ``S`` is 1 unless the class's ``PACKS_SETS`` is
-    true. Building the phase refuses a stack that some round could not train.
+    The task class's ``local_phase(leads, job_set)``, from each stream set's
+    first job and each job's set, returns ``phase(w, exits, draws, etas)``:
+    from the broadcast models, the ``(S, N)`` 0-based exits of every stream
+    set, this round's local draws (``draws[s * N + i]`` is stream set ``s``'s
+    client ``i``'s row, whatever its exit) and the ``(local_steps, R)`` step
+    sizes, it returns the ``(R, N, d)`` local iterates in a new array. ``S``
+    is 1 unless the class's ``PACKS_SETS`` is true. Building the phase refuses
+    a stack that some round could not train.
     """
     first = jobs[0]
     clients = first.sampling.clients
@@ -461,7 +462,7 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
                                  for job, gen, client in streams], axis=1)
 
     draws = round_draws()
-    local_phase = type(first.task).local_phase(jobs, job_set)
+    local_phase = type(first.task).local_phase(leads, job_set)
 
     # Per job: aggregate_preprojection's coefficient for every pair it can be
     # sent, the step sizes of every round, the server step and the radius.

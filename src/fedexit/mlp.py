@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .errors import EmptyClientDatasetError, EmptyDatasetError
+from .errors import EmptyClientDatasetError, EmptyDatasetError, InvalidArgumentError
 from .fedtrain import _local_steps
-from .topology import Topology
+from .topology import Topology, on_simplex
 
 # Layer share of the total training data per exit layer (devices, edges, cloud).
 PARTITIONS: dict[str, tuple[float, ...]] = {
@@ -334,30 +334,31 @@ class MlpTask:
         return gen.integers(0, len(y), size=(rounds, *self.draw_shape(cfg)))
 
     @staticmethod
-    def local_phase(jobs, job_set: np.ndarray):
+    def local_phase(leads, job_set: np.ndarray):
         """The round engine's local phase: one stacked backprop per sampled exit and local step.
 
         Each step is :meth:`stochastic_gradient` on one batch, whose indices
         are the client's row of the round's draws (see :meth:`draw_rounds`),
         as in :func:`fedtrain.local_update`. A stack is one stream set
-        (``PACKS_SETS`` is false), so ``job_set`` is all zeros and the ``R``
-        jobs share the task and each client's batch and sampled exit. The
-        clients are grouped by the exit they drew, and each group, in client
-        order, is cut into calls of ``max(1, grad_rows(dim) // R)`` clients:
+        (``PACKS_SETS`` is false), so ``leads`` is its first job, ``job_set``
+        is ``R`` zeros, and the jobs share the task and each client's batch
+        and sampled exit. The clients are grouped by the exit they drew, and
+        each group, in client order, is cut into calls of
+        ``max(1, grad_rows(dim) // R)`` clients:
         one stacked :meth:`gradient_on` steps every ``(job, client)`` row of a
         call, each client on its own batch. So a call holds at most
         ``grad_rows(dim)`` rows, or one client's ``R`` rows where ``R`` is
         more. A call of one client steps the ``(R, dim)`` stack on its batch
         alone, and a stack of one job steps its rows without the job axis.
         """
-        task = jobs[0].task
+        task, rows = leads[0].task, len(job_set)
         # Refuses a client with no samples before round 1.
-        data = [task._client_data(client) for client in jobs[0].sampling.clients]
-        per_call = max(1, grad_rows(task.dim) // len(jobs))
-        at = slice(None) if len(jobs) > 1 else 0
+        data = [task._client_data(client) for client in leads[0].sampling.clients]
+        per_call = max(1, grad_rows(task.dim) // rows)
+        at = slice(None) if rows > 1 else 0
 
         def phase(w, exits, draws, etas):
-            w_end = np.empty((len(jobs), len(data), w.shape[1]))
+            w_end = np.empty((rows, len(data), w.shape[1]))
             for exit, part in _exit_calls(exits[0].tolist(), per_call):
                 if len(part) == 1:
                     (x, y), idx = data[part[0]], draws[part[0]]
@@ -454,8 +455,8 @@ def layer_allocation(fractions, total: int, layer_counts: list[int]) -> list[lis
     to ``total`` exactly); within a layer clients differ by at most one sample.
     """
     fractions = np.asarray(fractions, dtype=float)
-    if abs(fractions.sum() - 1.0) > 1e-9 or np.any(fractions < 0):
-        raise ValueError("layer fractions must be nonnegative and sum to 1")
+    if not on_simplex(fractions, 1e-9):
+        raise InvalidArgumentError("layer fractions must be nonnegative and sum to 1")
     out: list[list[int]] = []
     for layer_total, n_clients in zip(largest_remainder(fractions * total, total), layer_counts):
         base, extra = divmod(int(layer_total), n_clients)
@@ -469,15 +470,15 @@ def layer_shares(partition, num_exits: int) -> tuple[float, ...]:
     ``partition`` is a name from :data:`PARTITIONS` or explicit shares.
 
     Raises:
-        ValueError: an unknown name, or not one share per exit of the tree.
+        InvalidArgumentError: an unknown name, or not one share per exit of the tree.
     """
     explicit = isinstance(partition, (tuple, list))
     shares = tuple(partition) if explicit else PARTITIONS.get(partition)
     if shares is None:
-        raise ValueError(f"unknown partition {partition!r}; known: {sorted(PARTITIONS)}")
+        raise InvalidArgumentError(f"unknown partition {partition!r}; known: {sorted(PARTITIONS)}")
     if len(shares) != num_exits:
-        raise ValueError(f"partition {partition!r} has {len(shares)} layer shares "
-                         f"but the tree has {num_exits} exits")
+        raise InvalidArgumentError(f"partition {partition!r} has {len(shares)} layer shares "
+                                   f"but the tree has {num_exits} exits")
     return shares
 
 
@@ -492,16 +493,16 @@ def client_sizes(topology: Topology, partition, total_samples: int) -> dict[str,
 def check_classification_task(
     input_dim: int, hidden_dim: int, num_classes: int, teacher_gain: float
 ) -> None:
-    """Raise ValueError unless :func:`make_classification_task` can build this task.
+    """Raise InvalidArgumentError unless :func:`make_classification_task` can build this task.
 
     A zero or non-finite ``teacher_gain`` would label every sample class 0.
     """
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
                         ("num_classes", num_classes)):
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     if not 0 < teacher_gain < np.inf:
-        raise ValueError(f"teacher_gain must be finite and > 0, got {teacher_gain}")
+        raise InvalidArgumentError(f"teacher_gain must be finite and > 0, got {teacher_gain}")
 
 
 def make_classification_task(
@@ -522,7 +523,7 @@ def make_classification_task(
     same feature distribution; within a layer the data is split near-equally.
 
     Raises:
-        ValueError: a layer size or gain :func:`check_classification_task`
+        InvalidArgumentError: a layer size or gain :func:`check_classification_task`
             refuses, or a partition :func:`layer_shares` refuses.
     """
     check_classification_task(input_dim, hidden_dim, num_classes, teacher_gain)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .strategies import ExitPools, ExitWeights
 
 
@@ -16,7 +17,7 @@ def weighted_objective(task, w: np.ndarray, weights: ExitWeights, pools: ExitPoo
     """
     wvec = weights.weights
     if wvec.size != pools.num_exits:
-        raise ValueError("weights and pools disagree on the number of exits")
+        raise InvalidArgumentError("weights and pools disagree on the number of exits")
     value = 0.0
     for e in range(1, pools.num_exits + 1):
         exit_weight = wvec[e - 1]

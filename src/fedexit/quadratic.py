@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rngmod
-from .errors import SingularSystemError
+from .errors import InvalidArgumentError, SingularSystemError
 from .fedtrain import _local_steps
 from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights
@@ -57,13 +57,12 @@ class QuadraticTask:
         try:
             return self._rows[client]
         except KeyError:
-            raise ValueError(f"{client!r} is not a client of this task") from None
+            raise InvalidArgumentError(f"{client!r} is not a client of this task") from None
 
     def _check_pair(self, i: int, exit: int) -> None:
         if not 1 <= exit <= self.max_exit[i]:
-            raise ValueError(
-                f"client {self.clients[i]} holds exits 1..{self.max_exit[i]}, not {exit}"
-            )
+            raise InvalidArgumentError(
+                f"client {self.clients[i]} holds exits 1..{self.max_exit[i]}, not {exit}")
 
     def pair(self, client: str, exit: int) -> tuple[np.ndarray, np.ndarray]:
         i = self.client_index(client)
@@ -120,27 +119,29 @@ class QuadraticTask:
         return gen.standard_normal((rounds, *self.draw_shape(cfg)))
 
     @staticmethod
-    def local_phase(jobs, job_set: np.ndarray):
+    def local_phase(leads, job_set: np.ndarray):
         """The round engine's local phase: all (job, client) rows step on one ``(R, N, d)`` slab.
 
-        Each step is one batched matmul, row by row the matrix-vector product
-        of :meth:`stochastic_gradient`. A stream-set row's noise is
-        ``sigma * draw / sqrt(dim)`` on its row of the round's draws (see
-        :meth:`draw_rounds`), and every job of the set shares it.
+        ``leads[s]`` is stream set ``s``'s first job and ``job_set[r]`` job
+        ``r``'s set. Each step is one batched matmul, row by row the
+        matrix-vector product of :meth:`stochastic_gradient`. A stream-set
+        row's noise is ``sigma * draw / sqrt(dim)`` on its row of the round's
+        draws (see :meth:`draw_rounds`), and every job of the set shares it.
         """
-        first = jobs[0]
+        first = leads[0]
         clients, dim = first.sampling.clients, first.task.dim
         sqrt_dim = np.sqrt(dim)
-        leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(job_set.max() + 1)]
         for job in leads:  # refuse an exit a client samples with p > 0 but does not hold
             for client, last in zip(clients, job.sampling.last_exit):
                 job.task.pair(client, int(last))
         rows = [[job.task.client_index(c) for c in clients] for job in leads]
         # Stream set s's client i on exit e + 1 is entry [s, i, e] of these tables.
-        matrices, centers, noise_scale = (
-            np.stack([getattr(job.task, name)[r] for job, r in zip(leads, rows)])
-            for name in ("matrices", "centers", "noise_scale")
-        )
+        tables = {name: np.empty((len(leads), len(clients)) + getattr(first.task, name).shape[1:])
+                  for name in ("matrices", "centers", "noise_scale")}
+        for s, (job, r) in enumerate(zip(leads, rows)):
+            for name, table in tables.items():  # in place: take buffers `out` only in mode "raise"
+                np.take(getattr(job.task, name), r, axis=0, out=table[s], mode="clip")
+        matrices, centers, noise_scale = tables.values()
         cells = np.arange(len(leads))[:, None], np.arange(len(clients))
 
         def phase(w, exits, draws, etas):
@@ -175,7 +176,7 @@ class QuadraticTask:
         holders = [c for i, c in enumerate(self.clients) if self.max_exit[i] >= exit]
         total = sum(self.sizes[c] for c in holders)
         if total <= 0:
-            raise ValueError(f"no data behind exit {exit}")
+            raise InvalidArgumentError(f"no data behind exit {exit}")
         return sum(
             self.sizes[c] / total * self.loss(w, c, exit, cap=cap) for c in holders
         )
@@ -187,19 +188,17 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) -> None:
-    """Raise ValueError unless :func:`make_quadratic_task` can build from these values."""
+    """Raise InvalidArgumentError unless :func:`make_quadratic_task` can build from these values."""
     if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if len(eig_range) != 2 or not 0 < eig_range[0] <= eig_range[1] < np.inf:
-        raise ValueError(
-            f"eig_range must be [lo, hi] with 0 < lo <= hi < inf, got {list(eig_range)}"
-        )
+        raise InvalidArgumentError(
+            f"eig_range must be [lo, hi] with 0 < lo <= hi < inf, got {list(eig_range)}")
     if len(sigma_range) != 2 or not 0 <= sigma_range[0] <= sigma_range[1] < np.inf:
-        raise ValueError(
-            f"sigma_range must be [lo, hi] with 0 <= lo <= hi < inf, got {list(sigma_range)}"
-        )
+        raise InvalidArgumentError(
+            f"sigma_range must be [lo, hi] with 0 <= lo <= hi < inf, got {list(sigma_range)}")
     if not 0 <= center_scale < np.inf:
-        raise ValueError(f"center_scale must be finite and >= 0, got {center_scale}")
+        raise InvalidArgumentError(f"center_scale must be finite and >= 0, got {center_scale}")
 
 
 def make_quadratic_task(
@@ -219,7 +218,7 @@ def make_quadratic_task(
     minimizer strictly interior.
 
     Raises:
-        ValueError: a value :func:`check_quadratic_task` refuses.
+        InvalidArgumentError: a value :func:`check_quadratic_task` refuses.
     """
     check_quadratic_task(dim, eig_range, sigma_range, center_scale)
     clients = topology.client_ids

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroTrafficError
+from .errors import InvalidArgumentError, ZeroTrafficError
 from .mlp import largest_remainder, score_exits, softmax_entropy
 from .topology import RatePlan, Topology
 
@@ -95,7 +95,7 @@ def simulate_serving(
     sits in.
     """
     if ranking not in ("entropy", "random"):
-        raise ValueError(f"unknown ranking {ranking!r}")
+        raise InvalidArgumentError(f"unknown ranking {ranking!r}")
     arrival_nodes = [n.id for n in topology.nodes if n.arrival_rate > 0]
     arrival_nodes.sort()
     if not arrival_nodes:

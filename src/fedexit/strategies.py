@@ -12,12 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AllZeroWeightsError,
-    EmptyPoolError,
-    InvalidKError,
-)
-from .topology import Topology
+from .errors import AllZeroWeightsError, EmptyPoolError, InvalidArgumentError, InvalidKError
+from .topology import Topology, on_simplex
 
 SIMPLEX_TOL = 1e-12
 
@@ -31,10 +27,11 @@ class ExitWeights:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if np.any(w < 0):
-            raise ValueError("exit weights must be nonnegative")
-        if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"exit weights must sum to 1, not {w.sum()!r}")
+        if w.ndim != 1:
+            raise InvalidArgumentError(f"exit weights must be one vector, got shape {w.shape}")
+        if not on_simplex(w, SIMPLEX_TOL):
+            raise InvalidArgumentError("exit weights must be nonnegative" if np.any(w < 0)
+                                       else f"exit weights must sum to 1, not {w.sum()!r}")
 
     @property
     def num_exits(self) -> int:
@@ -45,7 +42,7 @@ def normalized_weights(raw) -> ExitWeights:
     """Scale a nonnegative vector to the probability simplex."""
     raw = np.asarray(raw, dtype=float)
     if np.any(raw < 0):
-        raise ValueError("weights must be nonnegative")
+        raise InvalidArgumentError("weights must be nonnegative")
     total = raw.sum()
     if total <= 0:
         raise AllZeroWeightsError("all candidate weights are zero")
@@ -55,7 +52,7 @@ def normalized_weights(raw) -> ExitWeights:
 def equal_weight(num_exits: int) -> ExitWeights:
     """Uniform weight on every exit."""
     if num_exits < 1:
-        raise ValueError("need at least one exit")
+        raise InvalidArgumentError("need at least one exit")
     return ExitWeights(weights=np.full(num_exits, 1.0 / num_exits))
 
 
@@ -63,7 +60,7 @@ def flops_prop(flops) -> ExitWeights:
     """Weights proportional to each exit's inference cost."""
     flops = np.asarray(flops, dtype=float)
     if np.any(flops <= 0):
-        raise ValueError("all flops must be positive")
+        raise InvalidArgumentError("all flops must be positive")
     return normalized_weights(flops)
 
 
@@ -77,9 +74,9 @@ def gen_error_adjusted(rates, pool_sizes, flops) -> ExitWeights:
     pools = np.asarray(pool_sizes, dtype=float)
     flops = np.asarray(flops, dtype=float)
     if np.any(flops <= 0):
-        raise ValueError("all flops must be positive")
+        raise InvalidArgumentError("all flops must be positive")
     if np.any(pools < 0):
-        raise ValueError("pool sizes must be nonnegative")
+        raise InvalidArgumentError("pool sizes must be nonnegative")
     raw = lam * pools / flops
     return normalized_weights(raw)
 
@@ -102,7 +99,7 @@ def exit_weights(name: str, split, pool_sizes, flops) -> ExitWeights:
         return ExitWeights(weights=split)
     if name == "gen_error_adj":
         return gen_error_adjusted(split, pool_sizes, flops)
-    raise ValueError(f"unknown strategy {name!r}")
+    raise InvalidArgumentError(f"unknown strategy {name!r}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,10 @@ class SamplingMatrix:
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
         if p.ndim != 2 or p.shape[0] != len(self.clients):
-            raise ValueError("probs must be (num_clients, num_exits)")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        row_sums = p.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > SIMPLEX_TOL):
-            raise ValueError("every client row must sum to 1")
+            raise InvalidArgumentError("probs must be (num_clients, num_exits)")
+        if not all(on_simplex(row, SIMPLEX_TOL) for row in p):
+            raise InvalidArgumentError("probabilities must be nonnegative" if np.any(p < 0)
+                                       else "every client row must sum to 1")
 
     @property
     def num_exits(self) -> int:
@@ -194,11 +189,16 @@ class ExitPools:
 def exit_pools(topology: Topology, sampling: SamplingMatrix) -> ExitPools:
     """Pool every client with positive sampling probability into its exits.
 
-    A client of ``sampling`` that ``topology`` lacks is refused with ValueError.
+    A client of ``sampling`` that ``topology`` lacks, or a number of exits
+    other than the tree's, is refused with InvalidArgumentError.
     """
     lacking = sorted(set(sampling.clients) - set(topology.by_id))
     if lacking:
-        raise ValueError(f"sampling matrix has clients the topology lacks: {', '.join(lacking)}")
+        raise InvalidArgumentError(
+            f"sampling matrix has clients the topology lacks: {', '.join(lacking)}")
+    if sampling.num_exits != topology.num_exits:
+        raise InvalidArgumentError(f"sampling matrix has {sampling.num_exits} exits, but the "
+                                   f"topology has {topology.num_exits}")
     members = tuple(tuple(c for c in sampling.clients if sampling.prob(c, e) > 0)
                     for e in range(1, sampling.num_exits + 1))
     sizes = [float(sum(topology.by_id[c].dataset_size for c in pool)) for pool in members]

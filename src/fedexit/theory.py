@@ -15,17 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import EmptyPoolError, NotNormalizedError, ZeroProbabilityError
+from .errors import EmptyPoolError, InvalidArgumentError, NotNormalizedError, ZeroProbabilityError
 from .fedtrain import step_offset
 from .quadratic import Minimizers, QuadraticTask, quadratic_minimizers
 from .strategies import ExitPools, ExitWeights, SamplingMatrix
+from .topology import on_simplex
 
 SIMPLEX_CHECK_TOL = 1e-9
 
 
 def _as_simplex(a) -> np.ndarray:
     v = a.weights if isinstance(a, ExitWeights) else np.asarray(a, dtype=float)
-    if np.any(v < -SIMPLEX_CHECK_TOL) or abs(v.sum() - 1.0) > SIMPLEX_CHECK_TOL:
+    if not on_simplex(v, SIMPLEX_CHECK_TOL, sign_tol=SIMPLEX_CHECK_TOL):
         raise NotNormalizedError(f"vector {v!r} is not on the probability simplex")
     return v
 
@@ -34,7 +35,7 @@ def tv_distance(a, b) -> float:
     """Total variation distance: half the L1 gap between two simplex vectors."""
     va, vb = _as_simplex(a), _as_simplex(b)
     if va.size != vb.size:
-        raise ValueError("vectors must have equal length")
+        raise InvalidArgumentError("vectors must have equal length")
     return 0.5 * float(np.abs(va - vb).sum())
 
 
@@ -159,7 +160,7 @@ def opt_error_bound(
     the squared distance to the optimum.
     """
     if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise InvalidArgumentError("rounds must be >= 1")
     horizon = params.gamma + params.local_steps * rounds
     return (params.kappa / horizon) * (
         2.0 * b_value / params.mu + params.mu * (params.gamma + 1.0) / 2.0 * initial_dist_sq

@@ -21,6 +21,7 @@ from .errors import (
     CycleError,
     ExitOrderError,
     InfeasibleSplitError,
+    InvalidArgumentError,
     InvalidTopologyError,
     MissingExitError,
     MultipleRootsError,
@@ -29,6 +30,11 @@ from .errors import (
 )
 
 FLOW_TOL = 1e-12
+
+
+def on_simplex(v: np.ndarray, tol: float, sign_tol: float = 0.0) -> bool:
+    """Whether ``v`` is >= ``-sign_tol`` and sums to 1 within ``tol``; a NaN or inf entry fails."""
+    return bool(np.all(v >= -sign_tol) and abs(v.sum() - 1.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -49,14 +55,14 @@ class NodeSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.arrival_rate < math.inf:
-            raise ValueError(f"node {self.id}: arrival_rate must be finite and >= 0, "
-                             f"got {self.arrival_rate}")
+            raise InvalidArgumentError(f"node {self.id}: arrival_rate must be finite and >= 0, "
+                                       f"got {self.arrival_rate}")
         if not self.budget >= 0:
-            raise ValueError(f"node {self.id}: budget must be >= 0, got {self.budget}")
+            raise InvalidArgumentError(f"node {self.id}: budget must be >= 0, got {self.budget}")
         if self.exit < 1:
-            raise ValueError(f"node {self.id}: exit index must be >= 1")
+            raise InvalidArgumentError(f"node {self.id}: exit index must be >= 1")
         if self.dataset_size < 0:
-            raise ValueError(f"node {self.id}: dataset_size must be >= 0")
+            raise InvalidArgumentError(f"node {self.id}: dataset_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -331,14 +337,13 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
     Raises:
         InfeasibleSplitError: some node would have to serve more than reaches it.
         ZeroTrafficError: the tree has no arrivals.
-        ValueError: the split is not one finite, nonnegative entry per exit summing to 1.
+        InvalidArgumentError: the split is not one finite, nonnegative entry per exit summing to 1.
     """
     split = np.asarray(split, dtype=float)
     if split.ndim != 1 or split.size != topology.num_exits:
-        raise ValueError(f"split must have one entry per exit ({topology.num_exits})")
-    # Written so that a NaN or infinite entry fails too.
-    if not (np.all(split >= 0) and abs(split.sum() - 1.0) <= 1e-9):
-        raise ValueError("split entries must be finite, nonnegative and sum to 1")
+        raise InvalidArgumentError(f"split must have one entry per exit ({topology.num_exits})")
+    if not on_simplex(split, 1e-9):
+        raise InvalidArgumentError("split entries must be finite, nonnegative and sum to 1")
 
     _require_layered(topology)
     total = topology.total_arrival
@@ -358,12 +363,6 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
     return _flows(topology, forward).transmit
 
 
-def _grid(step: float) -> np.ndarray:
-    n = int(round(1.0 / step))
-    values = np.linspace(0.0, 1.0, n + 1)
-    return values
-
-
 def grid_search_p1(
     topology: Topology, exit_losses, step: float
 ) -> tuple[dict[str, float], float]:
@@ -376,15 +375,15 @@ def grid_search_p1(
     it receives.
     """
     if len(topology.nodes) > 4:
-        raise ValueError("grid search oracle is limited to 4 nodes")
+        raise InvalidArgumentError("grid search oracle is limited to 4 nodes")
     if not 0 < step <= 0.2:
-        raise ValueError("step must lie in (0, 0.2]")
+        raise InvalidArgumentError("step must lie in (0, 0.2]")
     losses = np.asarray(exit_losses, dtype=float)
     if losses.size != topology.num_exits:
-        raise ValueError("need one loss per exit")
+        raise InvalidArgumentError("need one loss per exit")
 
     free = [n for n in topology.post_order if n != topology.root]
-    grid = _grid(step)
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
     best_obj = np.inf
     best_f: dict[str, float] = {}
     for combo in itertools.product(grid, repeat=len(free)):

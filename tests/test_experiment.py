@@ -159,6 +159,19 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="invalid JSON in .*4300 digits"):
             load_config(path)
 
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_a_fault_in_parsing_surfaces_as_itself(self, monkeypatch, error):
+        # parse_config used to catch every TypeError and ValueError and report
+        # it as "malformed config: ..." or as a ConfigParseError, hiding the bug.
+        import fedexit.config as config
+
+        def broken(*args, **kwargs):
+            raise error("a fault in the planner")
+
+        monkeypatch.setattr(config, "compute_rate_plan", broken)
+        with pytest.raises(error, match="^a fault in the planner$"):
+            parse_config(mlp_config())
+
     def test_split_and_budgets_mutually_exclusive(self, tmp_path):
         raw = mlp_config()
         raw["serving"]["budgets"] = {"dev1": 0.5}
@@ -1395,18 +1408,53 @@ class TestCli:
         assert parse_config(raw).total_samples == 7_000_000
 
     def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
-        # 7 clients and dim 3,250: a stack holds 5 jobs, and one stacked
-        # gradient steps up to 5 clients. At 2 local steps and batch_size 1e6
-        # the stack's batch indices and one client's batch take
-        # 2e6 * (5 * 7 + 17) * 8 bytes = 0.77 GiB, within the budget; with the
-        # batches of 5 clients they take 2e6 * (5 * 7 + 5 * 17) * 8 = 1.79 GiB.
+        # 7 clients and dim 3,250: one stacked gradient steps up to 5
+        # clients. At 2 local steps and batch_size 1e6 the stack's one stream
+        # set's batch indices and two copies of one client's batch take
+        # 2e6 * (7 + 2 * 17) * 8 bytes = 0.61 GiB, within the budget; with the
+        # batches of 5 clients they take 2e6 * (7 + 2 * 5 * 17) * 8 = 2.64 GiB.
         raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
         raw["training"]["batch_size"] = 1e6
         with pytest.raises(ConfigParseError) as refused:
             parse_config(raw)
         assert str(refused.value) == (
             "training batch_size and local_steps, and task input_dim: the block of local "
-            "draws would take 1.79 GiB, over the 1 GiB one training table may use")
+            "draws would take 2.64 GiB, over the 1 GiB one training table may use")
+
+    def test_draw_block_estimate_bounds_what_an_mlp_round_holds(self, monkeypatch):
+        # One round of 64 local steps at batch_size 256 holds the 7 streams'
+        # batch indices, and the largest stacked gradient's batches twice:
+        # gathered per client, then stacked. It peaks near 20.2 MB under
+        # tracemalloc. The estimate, 64 * 256 * (7 + 2 * 5 * 17) * 8 bytes =
+        # 23.2 MB, must bound that peak; counting the indices of every job of
+        # the stack and one copy of the batches, it said 12.1 MB.
+        import tracemalloc
+
+        import fedexit.config as config
+        from fedexit.fedtrain import Job, run_stacked
+        from fedexit.mlp import make_classification_task
+        from fedexit.strategies import equal_weight
+
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["training"].update(rounds=1, local_steps=64, batch_size=256)
+        raw.update(seeds=[1], strategies=[{"name": "equal", "k": 0.1}])
+        raw["serving"]["splits"] = raw["serving"]["splits"][:1]
+        cfg = parse_config(raw)
+        args = {key: value for key, value in cfg.task.items() if key != "kind"}
+        task = make_classification_task(cfg.topology, partition="equal",
+                                         total_samples=cfg.total_samples, **args, seed=1)
+        job = Job(cfg.topology.with_dataset_sizes(task.sizes), task, equal_weight(3),
+                  cfg.strategies[0].sampling, TrainConfig(**cfg.training, seed=1))
+        tracemalloc.start()
+        try:
+            run_stacked([job])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(config, "TABLE_BYTES", peak - 1)
+        with pytest.raises(ConfigParseError, match="^training batch_size and local_steps, and "
+                                                   "task input_dim: the block of local draws"):
+            parse_config(raw)
 
     def test_stacked_quadratic_matrices_are_refused_at_parse(self, monkeypatch):
         # One stack of 4 seeds' stream sets (8 jobs) copies the 7 clients' 3

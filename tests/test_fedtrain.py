@@ -12,7 +12,12 @@ import fedexit
 from conftest import chain_topology, random_tree, seven_node_topology, wide_topology
 from fedexit import fedtrain, mlp
 from fedexit import rng as rngmod
-from fedexit.errors import DivergenceError, EmptyPoolError, ZeroProbabilityError
+from fedexit.errors import (
+    DivergenceError,
+    EmptyPoolError,
+    InvalidArgumentError,
+    ZeroProbabilityError,
+)
 from fedexit.fedtrain import (
     Job,
     RoundSample,
@@ -105,6 +110,14 @@ class TestLearningRate:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             TrainConfig(rounds=0, local_steps=1)
+
+    @pytest.mark.parametrize("server_lr", [np.inf, np.nan, 0.0])
+    def test_server_step_must_be_finite_and_positive(self, server_lr):
+        # An infinite server step used to build, and its first round made the
+        # iterate NaN (a RuntimeWarning, then a DivergenceError).
+        with pytest.raises(InvalidArgumentError,
+                           match="^server_lr must be finite and positive, got "):
+            TrainConfig(rounds=1, local_steps=1, server_lr=server_lr)
 
     def test_fields(self):
         # Local SGD has no momentum: the bounds assume plain steps.
@@ -433,6 +446,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(topo, task, equal_weight(3), sampling, cfg)
 
+    @pytest.mark.parametrize("exits", [2, 4])
+    def test_weights_for_another_exit_count_rejected(self, exits):
+        # Used to end in a raw numpy broadcast error while building the round.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=3, seed=4)
+        cfg = TrainConfig(rounds=1, local_steps=1, projection_radius=task.radius, seed=1)
+        with pytest.raises(InvalidArgumentError, match=f"^seed 1: {exits} exit weights for 3 exits$"):
+            run(topo, task, equal_weight(exits), build_sampling_matrix(topo, 0.1), cfg)
+
     def test_sampling_for_another_tree_rejected(self):
         # Used to end in a raw KeyError: 'leaf'.
         topo = seven_node_topology()
@@ -648,6 +670,25 @@ class TestStackedQuadraticRound:
         cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
         with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
             run(topo, task, equal_weight(3), bad, cfg)
+
+    def test_stream_set_tables_are_built_in_one_copy(self):
+        # Four seeds' stream sets at dim 40: the matrices table is
+        # 4 * 7 * 3 * 40**2 * 8 = 1,075,200 bytes. Gathering each set's
+        # matrices and then stacking them peaked at twice that.
+        from fedexit.quadratic import QuadraticTask
+
+        topo = seven_node_topology()
+        sampling = build_sampling_matrix(topo, 0.1)
+        leads = [Job(topo, make_quadratic_task(topo, 40, seed=s), equal_weight(3), sampling,
+                     TrainConfig(rounds=1, local_steps=1, seed=s)) for s in range(1, 5)]
+        table = 4 * 7 * 3 * 40**2 * 8
+        tracemalloc.start()
+        try:
+            QuadraticTask.local_phase(leads, np.arange(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table < peak < 1.5 * table, peak
 
     def test_exit_a_client_lacks_is_refused_before_any_round(self, monkeypatch):
         # p=1e-9 on an exit dev1 does not hold: such a job used to train until

@@ -1,0 +1,156 @@
+"""Seeded fuzz over the library's constructors and ``fedexit.run`` on the seven-node tree.
+
+A mutant gives one or two arguments of :class:`NodeSpec`, :class:`Topology`,
+:class:`TrainConfig`, :class:`SamplingMatrix`, :class:`ExitWeights` or
+:func:`fedexit.run` a bad value of the right type: negative, zero, NaN, inf,
+a wrong length or shape, or an unknown name. The chain then builds the tree,
+a quadratic task on it, the sampling matrix, the exit weights and the
+training config, and trains a short run. It must train to a finite iterate,
+or its first refusal must be a :class:`FedexitError` whose message names an
+edited argument (by one of the words in ``NAMES``). A wrong Python type may
+still raise ``TypeError`` and is not drawn; numpy's own refusals, such as a
+negative seed's, are out of scope.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import random
+
+import numpy as np
+
+import fedexit
+from conftest import chain_topology, seven_node_topology
+from fedexit.errors import FedexitError
+from fedexit.fedtrain import TrainConfig
+from fedexit.quadratic import make_quadratic_task
+from fedexit.strategies import ExitWeights, SamplingMatrix, build_sampling_matrix
+from fedexit.topology import NodeSpec, Topology
+
+TREE = seven_node_topology()
+K = 0.1
+SAMPLING = build_sampling_matrix(TREE, K)
+INTS = (-1, 0)
+FLOATS = (-1.0, 0.0, math.nan, math.inf, -math.inf)
+MUTANTS = 300
+
+# The words by which a refusal may name each argument: its own name, or the
+# word its messages use for it ("exit index", "client row", "node ids").
+NAMES = {
+    "parent": ("parent",), "exit": ("exit",), "arrival_rate": ("arrival_rate",),
+    "budget": ("budget",), "dataset_size": ("dataset_size",),
+    "nodes": ("node",), "num_exits": ("exit",),
+    **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "server_lr",
+                                  "base_lr", "projection_radius", "lr_schedule", "mu",
+                                  "smoothness")},
+    "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
+    "weights": ("exit weights",),
+    "topology": ("topology",), "task": ("task",), "sampling": ("sampling matrix",),
+    "w_init": ("w_init",),
+}
+
+
+def _with_entry(array: np.ndarray, index: tuple, value) -> np.ndarray:
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+def _without(nodes, node_id: str) -> tuple:
+    return tuple(n for n in nodes if n.id != node_id)
+
+
+def candidates() -> list[tuple[str, str, object]]:
+    """Every single edit, as (target, argument, value)."""
+    out = []
+    node_values = {"parent": ("nowhere",), "exit": (-1, 0, 1, 2, 3, 4), "arrival_rate": FLOATS,
+                   "budget": FLOATS, "dataset_size": INTS}
+    for node in TREE.nodes:
+        out += [(f"NodeSpec {node.id}", field, v)
+                for field, values in node_values.items() for v in values]
+    nodes = TREE.nodes
+    out += [("Topology", "nodes", v) for v in [()] + [_without(nodes, n.id) for n in nodes]
+            + [nodes + (n,) for n in nodes]]
+    out += [("Topology", "num_exits", v) for v in (-1, 0, 2, 4)]
+    out += [("TrainConfig", field, v) for field in ("rounds", "local_steps", "batch_size")
+            for v in INTS]
+    out += [("TrainConfig", field, v)
+            for field in ("server_lr", "base_lr", "projection_radius", "mu", "smoothness")
+            for v in FLOATS]
+    out += [("TrainConfig", "lr_schedule", "unknown")]
+    clients, probs = SAMPLING.clients, SAMPLING.probs
+    out += [("SamplingMatrix", "clients", clients[:i] + ("nowhere",) + clients[i + 1:])
+            for i in range(len(clients))]
+    out += [("SamplingMatrix", "clients", clients[:i] + clients[i + 1:])
+            for i in range(len(clients))]
+    out += [("SamplingMatrix", "probs", _with_entry(probs, index, v))
+            for index in np.ndindex(probs.shape) for v in FLOATS]
+    out += [("SamplingMatrix", "probs", v)
+            for v in (probs[:, :2], np.hstack([probs, np.zeros((7, 1))]), probs[0])]
+    third = np.full(3, 1 / 3)
+    out += [("ExitWeights", "weights", _with_entry(third, i, v)) for i in range(3) for v in FLOATS]
+    out += [("ExitWeights", "weights", v) for v in (np.full(2, 1 / 2), np.full(4, 1 / 4),
+                                                     np.full((3, 1), 1 / 3), np.array(1.0))]
+    resized = [seven_node_topology(sizes={n.id: 5}) for n in nodes]
+    out += [("run", "topology", v) for v in resized]
+    out += [("run", "topology", Topology(_without(nodes, n.id), 3)) for n in nodes
+            if n.exit == 1]
+    out += [("run", "task", make_quadratic_task(tree, dim=3, seed=1)) for tree in resized]
+    renormed = probs[:, :2] / probs[:, :2].sum(axis=1, keepdims=True)
+    out += [("run", "sampling", SamplingMatrix(clients, v))
+            for v in (renormed, np.hstack([probs, np.zeros((7, 1))]))]
+    out += [("run", "sampling", build_sampling_matrix(chain_topology(), K))]
+    out += [("run", "w_init", v) for v in (np.zeros(2), np.zeros(4), np.zeros((2, 3)),
+                                           np.full(3, math.nan), np.full(3, math.inf),
+                                           np.full(3, -math.inf))]
+    out += [("run", "weights", ExitWeights(np.full(e, 1 / e))) for e in (2, 4)]
+    return out
+
+
+def train(edits):
+    """Build the chain with ``edits`` applied and train it; return the run's iterate and objective."""
+    def edit(target: str, kwargs: dict) -> dict:
+        return {**kwargs, **{arg: value for t, arg, value in edits if t == target}}
+
+    nodes = tuple(NodeSpec(**edit(f"NodeSpec {n.id}", dataclasses.asdict(n))) for n in TREE.nodes)
+    topology = Topology(**edit("Topology", {"nodes": nodes, "num_exits": TREE.num_exits}))
+    task = make_quadratic_task(topology, dim=3, seed=1)
+    base = build_sampling_matrix(topology, K)
+    sampling = SamplingMatrix(**edit("SamplingMatrix", {"clients": base.clients,
+                                                        "probs": base.probs}))
+    weights = ExitWeights(**edit("ExitWeights", {"weights": np.full(3, 1 / 3)}))
+    cfg = TrainConfig(**edit("TrainConfig", dict(
+        rounds=3, local_steps=2, lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
+        projection_radius=task.radius)))
+    return fedexit.run(**edit("run", dict(topology=topology, task=task, weights=weights,
+                                          sampling=sampling, cfg=cfg, w_init=None)))
+
+
+def mutants():
+    """Every single edit, then ``MUTANTS`` seeded pairs of edits, the same on every call."""
+    single = candidates()
+    yield from ([e] for e in single)
+    rng = random.Random(30)
+    for _ in range(MUTANTS):
+        yield rng.sample(single, 2)
+
+
+def test_every_mutant_trains_or_is_refused_by_name():
+    outcomes = {"trained": 0, "refused": 0}
+    for edits in mutants():
+        shown = [(target, argument, np.asarray(value, dtype=object).tolist()
+                  if isinstance(value, np.ndarray) else value) for target, argument, value in edits]
+        try:
+            w, objective = train(edits)
+        except FedexitError as exc:
+            words = [word for _, argument, _ in edits for word in NAMES[argument]]
+            assert any(word in str(exc) for word in words), (shown, str(exc))
+            outcomes["refused"] += 1
+        except Exception as exc:  # noqa: BLE001  any other exception is the finding
+            raise AssertionError(f"{shown}: not a FedexitError") from exc
+        else:
+            assert np.isfinite(w).all() and math.isfinite(objective), shown
+            outcomes["trained"] += 1
+    # Both outcomes occur, so the edits reach past the constructors' first checks.
+    assert outcomes["trained"] > 0 and outcomes["refused"] > 0, outcomes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import seven_node_topology
-from fedexit.errors import EmptyDatasetError
+from fedexit.errors import EmptyDatasetError, InvalidArgumentError
 from fedexit.mlp import (
     PARTITIONS,
     TILE_ROWS,
@@ -392,6 +392,13 @@ class TestDataGeneration:
         counts = layer_allocation(PARTITIONS["cloud_bias_plus"], 1000, [4, 2, 1])
         assert sum(sum(layer) for layer in counts) == 1000
         assert sum(counts[0]) == 34 and sum(counts[1]) == 199 and sum(counts[2]) == 767
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_allocation_refuses_non_finite_fractions(self, bad):
+        # [nan, .5, .5] passed the fraction check and ended in a raw IndexError.
+        with pytest.raises(InvalidArgumentError,
+                           match="^layer fractions must be nonnegative and sum to 1$"):
+            layer_allocation([bad, 0.5, 0.5], 100, [4, 2, 1])
 
 
 class TestMonotoneExitQuality:

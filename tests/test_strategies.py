@@ -11,12 +11,15 @@ from conftest import chain_topology, seven_node_topology
 from fedexit.errors import (
     AllZeroWeightsError,
     EmptyPoolError,
+    FedexitError,
+    InvalidArgumentError,
     InvalidKError,
 )
 from fedexit.strategies import (
     STRATEGY_NAMES,
     ExitPools,
     ExitWeights,
+    SamplingMatrix,
     build_sampling_matrix,
     equal_weight,
     exit_pools,
@@ -156,6 +159,15 @@ class TestSamplingMatrix:
         with pytest.raises(InvalidKError, match="finite"):
             build_sampling_matrix(seven_node_topology(), k=k)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_row_refused(self, bad):
+        # A NaN row passed the sum check, whose |sum - 1| > tol is false for NaN.
+        sm = build_sampling_matrix(seven_node_topology(), k=0.1)
+        probs = sm.probs.copy()
+        probs[sm.client_index["cloud"]] = [bad, 0.1, 0.8]
+        with pytest.raises(InvalidArgumentError, match="^every client row must sum to 1$"):
+            SamplingMatrix(clients=sm.clients, probs=probs)
+
 
 class TestExitPools:
     def test_own_layer_only_when_k_zero(self):
@@ -200,6 +212,18 @@ class TestExitPools:
                            match=r"^exit 2 has no pooled data: dataset_size is 0 at edge1, edge2$"):
             exit_pools(topo, build_sampling_matrix(topo, 0.0))
 
+    @pytest.mark.parametrize("exits", [2, 4])
+    def test_sampling_with_other_exit_count_is_refused_by_name(self, exits):
+        # Two exits on a three-exit tree used to end in a raw numpy broadcast
+        # error in the round engine, four in "exit 4 has no contributing client".
+        topo = seven_node_topology()
+        probs = np.zeros((7, exits))
+        probs[:, 0] = 1.0
+        sampling = SamplingMatrix(clients=topo.client_ids, probs=probs)
+        with pytest.raises(InvalidArgumentError, match=f"^sampling matrix has {exits} exits, but "
+                                                       "the topology has 3$"):
+            exit_pools(topo, sampling)
+
     def test_sampling_for_another_tree_names_the_missing_clients(self):
         # Used to end in a raw KeyError: 'leaf'.
         sampling = build_sampling_matrix(chain_topology(), 0.1)
@@ -222,3 +246,23 @@ class TestExitWeightsType:
     def test_rejects_unnormalized_when_flagged(self):
         with pytest.raises(ValueError):
             ExitWeights(weights=np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # ExitWeights([nan, .5, .5]) used to build: NaN fails no "< 0" and no
+        # "|sum - 1| > tol" test.
+        with pytest.raises(InvalidArgumentError, match="^exit weights must sum to 1, not "):
+            ExitWeights(weights=np.array([bad, 0.5, 0.5]))
+
+    def test_rejects_more_than_one_axis(self):
+        # A (3, 3) array of ninths sums to 1, and used to build with num_exits 9.
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^exit weights must be one vector, got shape \(3, 3\)$"):
+            ExitWeights(weights=np.full((3, 3), 1 / 9))
+
+    def test_bad_argument_is_a_fedexit_error_and_a_value_error(self):
+        with pytest.raises(InvalidArgumentError) as refused:
+            ExitWeights(weights=np.array([0.5, -0.1, 0.6]))
+        assert isinstance(refused.value, FedexitError)
+        assert isinstance(refused.value, ValueError)
+        assert str(refused.value) == "exit weights must be nonnegative"

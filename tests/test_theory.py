@@ -68,6 +68,17 @@ class TestTvDistance:
         with pytest.raises(NotNormalizedError):
             tv_distance(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # tv_distance([nan, .5, .5], ...) used to return nan.
+        with pytest.raises(NotNormalizedError, match="is not on the probability simplex"):
+            tv_distance(np.array([bad, 0.5, 0.5]), np.array([1 / 3, 1 / 3, 1 / 3]))
+
+    def test_keeps_its_sign_tolerance(self):
+        # An entry a hair below 0 is within the 1e-9 the bounds allow.
+        assert tv_distance(np.array([-1e-10, 0.5, 0.5 + 1e-10]), np.array([0.0, 0.5, 0.5])) == (
+            pytest.approx(1e-10))
+
     @given(simplex3, simplex3, simplex3)
     @settings(max_examples=100, deadline=None)
     def test_metric_properties(self, a, b, c):
