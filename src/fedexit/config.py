@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigParseError, InvalidArgumentError, ZeroTrafficError
-from .fedtrain import TrainConfig, stack_rows
-from .mlp import build_segments, check_classification_task, client_sizes, grad_rows
-from .quadratic import check_quadratic_task
+from .fedtrain import TrainConfig, stack_tables
+from .mlp import MlpTask, check_classification_task, client_sizes
+from .quadratic import QuadraticTask, check_quadratic_task
 from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix, exit_pools
 from .topology import NodeSpec, RatePlan, Topology, budgets_for_split, compute_rate_plan
 
@@ -231,7 +230,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             check(**task_args)
         except InvalidArgumentError as exc:
             raise ConfigParseError(f"bad task section: {exc}") from exc
-        training = _training_args(raw["training"], kind)
+        training, train_cfg = _training_args(raw["training"], kind)
 
         if kind == "quadratic":
             if "data" in raw:
@@ -276,7 +275,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
         # A stream set is a seed's task (one per partition) under one sampling matrix.
         sets = len(seeds) * len(partitions) * len({s.sampling.probs.tobytes() for s in strategies})
-        _check_table_sizes(training, task_args, kind, topo, jobs, sets, samples)
+        _check_table_sizes(train_cfg, task_args, kind, topo, jobs, sets, samples)
         for name in partitions if kind == "mlp" else ():
             empty = [c for c, n in sorted(client_sizes(topo, name, samples[0]).items()) if not n]
             if empty:
@@ -317,14 +316,13 @@ TRAINING_KEYS = {"rounds": integer, "local_steps": integer, "batch_size": intege
                  "server_lr": number, "lr_schedule": string, "base_lr": number}
 
 
-def _training_args(training: dict, kind: str) -> dict:
+def _training_args(training: dict, kind: str) -> tuple[dict, TrainConfig]:
     """``TrainConfig``'s keyword arguments that the training section sets, read once.
 
     Only the values the section sets are kept: ``TrainConfig`` owns every
-    default. They are checked by building a ``TrainConfig`` that is not
-    kept. A quadratic task trains with its own ``mu``, ``smoothness`` and
-    feasible radius, known only once the task is built, so stand-ins that
-    ``TrainConfig`` accepts fill those here.
+    default. The ``TrainConfig`` they build checks them and sizes the tables;
+    stand-ins fill a quadratic task's ``mu``, ``smoothness`` and feasible
+    radius, which are known only once the task is built.
 
     Raises:
         ConfigParseError: a key is unknown, ``rounds`` or ``local_steps`` is
@@ -346,10 +344,9 @@ def _training_args(training: dict, kind: str) -> dict:
     args = {key: TRAINING_KEYS[key](key, value) for key, value in training.items()}
     stand_ins = dict(mu=1.0, smoothness=1.0, projection_radius=1.0) if kind == "quadratic" else {}
     try:
-        TrainConfig(**args, **stand_ins)
+        return args, TrainConfig(**args, **stand_ins)
     except InvalidArgumentError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
-    return args
 
 
 def _gib(nbytes: int) -> str:
@@ -357,72 +354,13 @@ def _gib(nbytes: int) -> str:
     return f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else "more than 2**970 GiB"
 
 
-def _check_table_sizes(
-    training: dict, task: dict, kind: str, topo: Topology, jobs: int, sets: int,
-    samples: Sequence[int],
-) -> None:
-    """Refuse a grid whose task or training would build a table larger than :data:`TABLE_BYTES`.
-
-    The estimate covers one stack of the engine, which trains at most
-    ``jobs`` jobs of at most ``sets`` stream sets, and no more jobs than
-    ``stack_rows`` allows: every round's exit draws (a uniform, one
-    comparison per exit and the exit, per job, round and client), the step
-    sizes (per job, round and local step), the block of local draws (on an
-    MLP, whose stack is one stream set, the batch indices of its ``N``
-    streams and two copies of the batch features and labels of one stacked
-    gradient's clients, as gathered per client and as stacked; the noise of
-    the whole stack on a quadratic) and the slab of local iterates. A
-    stacked gradient steps at most ``max(1, grad_rows(dim) // R)`` clients
-    of a stream set of ``R`` jobs, so the estimate counts
-    ``min(N, grad_rows(dim))`` clients' batches, as a set of one job steps.
-    A block of local draws holds one round when that round alone is over
-    ``fedtrain.DRAW_BYTES``, which is far below this budget, so one round of
-    draws is what can exceed it. It also covers the task's own arrays: an
-    MLP's training and test features and labels (``samples`` holds their two
-    sizes), or a quadratic's ``(N, E, d, d)`` matrices, the stack's copy of
-    them per stream set and the ``(R, N, d, d)`` matrices that every round
-    gathers for the stack's jobs and sampled exits. The teacher pass that
-    labels an MLP's data holds the hidden states of one row tile
-    (``mlp.row_tiles``), under ``2 * mlp.TILE_ROWS`` rows, so the slab, with
-    ``hidden_dim ** 2`` entries per client, passes the budget first.
-
-    Raises:
-        ConfigParseError: naming the keys that size the table over budget.
-    """
-    n = len(topo.client_ids)
-    rounds, local_steps = training["rounds"], training["local_steps"]
-    if kind == "quadratic":
-        dim = task["dim"]
-    else:
-        dim = build_segments(task["input_dim"], task["hidden_dim"], task["num_classes"],
-                             topo.num_exits).dim
-    rows = min(jobs, stack_rows(n, dim))
-    slab = rows * n * dim * 8
-    if kind == "quadratic":
-        matrices = n * topo.num_exits * dim * dim * 8
-        own = (("task dim", matrices, "the task's matrices"),
-               ("task dim and seeds", min(rows, sets) * matrices, "every stream set's matrices"),
-               ("task dim", rows * n * dim * dim * 8, "a round's matrices of every job"))
-        draw = ("training local_steps and task dim", local_steps * slab)
-        size = ("task dim", slab)
-    else:
-        own = (("data total_samples and test_samples, and task input_dim",
-                sum(samples) * (task["input_dim"] + 1) * 8, "the training and test data"),)
-        batch_size = training.get("batch_size", TrainConfig.batch_size)
-        per_call = min(n, grad_rows(dim))
-        draw = ("training batch_size and local_steps, and task input_dim",
-                local_steps * batch_size * (n + 2 * per_call * (task["input_dim"] + 1)) * 8)
-        size = ("task input_dim, hidden_dim and num_classes", slab)
-    tables = (
-        ("training rounds", rows * rounds * n * (topo.num_exits + 16), "the exit draws"),
-        ("training rounds and local_steps", rows * rounds * local_steps * 8, "the step sizes"),
-        (*draw, "the block of local draws"),
-        (*size, "the slab of local iterates"),
-        *own,
-    )
-    for keys, nbytes, what in tables:
+def _check_table_sizes(cfg: TrainConfig, task: dict, kind: str, topo: Topology, jobs: int,
+                       sets: int, samples: tuple[int, int]) -> None:
+    """Refuse a table over :data:`TABLE_BYTES`, as its owner states it, naming its keys."""
+    task_cls, n = QuadraticTask if kind == "quadratic" else MlpTask, len(topo.client_ids)
+    args = dict(task, num_exits=topo.num_exits, total_samples=samples[0], test_samples=samples[1])
+    for what, nbytes, keys in (*stack_tables(task_cls, cfg, n, jobs, sets, **args),
+                               *task_cls.task_tables(n, **args)):
         if nbytes > TABLE_BYTES:
-            raise ConfigParseError(
-                f"{keys}: {what} would take {_gib(nbytes)}, over the "
-                f"{_gib(TABLE_BYTES)} one training table may use"
-            )
+            raise ConfigParseError(f"{keys}: {what} would take {_gib(nbytes)}, over the "
+                                   f"{_gib(TABLE_BYTES)} one training table may use")

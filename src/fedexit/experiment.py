@@ -8,13 +8,9 @@ instance, the tree sized to it, the test set and the training config. It then
 passes every cell's training job to :func:`fedtrain.run_stacked`, which trains
 each distinct job once. Training reads neither budgets nor the rate plan, so
 ``equal`` and ``flops_prop``, whose exit weights ignore the split, give one job
-per group rather than one per split. Jobs train side by side in stacks within
-a byte budget. A quadratic stack packs several stream sets (at the shipped
-sizes, all quadratic jobs of a grid share one stack). An MLP stack is one
-stream set (one seed, partition and sampling matrix), whose jobs step with one
-stacked backprop per sampled exit and local step, in calls cut by the row
-budget ``mlp.GRAD_BYTES``. Last, it evaluates each cell from its job's final
-iterate and its split. An MLP cell's accuracies
+per group rather than one per split. Jobs train side by side in stacks, whose
+tables their owners size (``fedtrain.stack_tables``). Last, it evaluates each
+cell from its job's final iterate and its split. An MLP cell's accuracies
 and losses, on the requests it serves and on the i.i.d. test stream alike, come
 from the scores of its serving simulation, which passes the test stream through
 the backbone once, one row tile (``mlp.row_tiles``) at a time. Strategy

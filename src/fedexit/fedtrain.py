@@ -10,10 +10,10 @@ client), so runs are bit-reproducible regardless of execution order:
 ``stream(seed, ROUND_SAMPLE)`` draws every round's exits, and client ``i``'s
 ``stream(seed, LOCAL, i)`` its local noise or batches. Each is opened once per
 run and gives every round one fixed-size draw whatever exit was sampled, so a
-T-round run is a prefix of a longer one. The engine draws the exits of all
-rounds before the first, and each local stream's draws in blocks of rounds,
-one call per block: a bulk draw equals the same draws made one round at a
-time, and the round loop itself makes no generator call.
+T-round run is a prefix of a longer one. The engine makes a block of rounds'
+exits, local draws and step sizes at once: a bulk draw equals the same draws
+made one round at a time, no table grows with the rounds, and the round loop
+itself makes no generator call.
 
 One engine trains R jobs side by side on either backend (:func:`run_stacked`;
 :func:`run` trains one job through it and also returns the weighted objective
@@ -23,10 +23,8 @@ projects and checks that the iterates stay finite; every other refusal comes
 before round 1. The task class says how a local stream draws and supplies the
 local phase. Jobs that share a seed, a task and a sampling matrix form a
 stream set: they draw the same exits and local streams, so they share one set
-of streams and one draw per round. A stack holds several stream sets only where
-the task class steps them as one batch: the quadratic steps the whole
-``(R, N, d)`` slab with one batched matmul per local step, while an MLP stack
-is one stream set. The result is bit-identical to calling
+of streams and one draw per round (:func:`run_stacked` says which sets share a
+stack). The result is bit-identical to calling
 :func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
 client and per job, which stay the reference implementation.
 """
@@ -81,9 +79,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "local_steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be >= 1")
+        for name, least in (("rounds", 1), ("local_steps", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise InvalidArgumentError(f"{name} must be >= {least}")
+        if int(self.rounds) * int(self.local_steps) >= 2**63:  # the schedules count in int64
+            raise InvalidArgumentError("rounds * local_steps must be below 2**63")
         for name, value in (("server_lr", self.server_lr), ("base_lr", self.base_lr)):
             if not 0 < value < math.inf:
                 raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
@@ -142,10 +142,13 @@ def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSam
     )
 
 
-def _lr_table(cfg: TrainConfig) -> np.ndarray:
-    """``learning_rate(cfg, t, j)`` for every round and local step, as one array."""
-    t, j = np.arange(1, cfg.rounds + 1)[:, None], np.arange(cfg.local_steps)
-    return np.broadcast_to(learning_rate(cfg, t, j), (cfg.rounds, cfg.local_steps)).astype(float)
+def _lr_table(cfgs: Sequence[TrainConfig], lo: int, k: int) -> np.ndarray:
+    """``[t - lo - 1, j, c]`` is ``learning_rate(cfgs[c], t, j)``; cfgs share ``local_steps``."""
+    t, j = np.arange(lo + 1, lo + k + 1)[:, None], np.arange(cfgs[0].local_steps)
+    table = np.empty((k, len(j), len(cfgs)))
+    for c, cfg in enumerate(cfgs):
+        table[..., c] = learning_rate(cfg, t, j)
+    return table
 
 
 def _local_steps(w: np.ndarray, etas, gradient) -> np.ndarray:
@@ -315,18 +318,40 @@ def run(
     return w, weighted_objective(task, w, weights, exit_pools(topology, sampling))
 
 
-# Byte budget of one stack's (R, N, d) slab of local iterates: run_stacked
-# splits the jobs into stacks that stay under it.
+# Byte budgets of one stack's (R, N, d) slab of local iterates (see stack_rows) and of
+# its block of local draws (see block_rounds).
 STACK_BYTES = 1024 * 1024
-
-# Byte budget of one stack's block of local draws: each local stream draws as
-# many rounds at once as keep the block of all the stack's streams under it.
 DRAW_BYTES = 128 * 1024
 
 
 def stack_rows(clients: int, dim: int) -> int:
     """How many jobs one stack holds: as many as keep the slab within STACK_BYTES, at least one."""
     return max(1, STACK_BYTES // (clients * dim * 8))
+
+
+def block_rounds(rounds: int, streams: int, draw_shape) -> int:
+    """Rounds per block: as many as keep ``streams`` streams' draws within DRAW_BYTES, or one."""
+    return min(rounds, max(1, DRAW_BYTES // (streams * math.prod(draw_shape) * 8)))
+
+
+def stack_tables(task_cls, cfg: TrainConfig, clients: int, jobs: int, sets: int, **args):
+    """(what, bytes, config keys that size it) of each table :func:`run_stacked` holds at most.
+
+    ``args`` are the task's and ``num_exits``. A block holds its exits, step sizes and local
+    draws, twice while stacking them, then once next to the task class's first table (what a
+    round's phase builds from them). Each job's iterate is held thrice: first, last, returned.
+    """
+    dim, dim_keys = task_cls.dim_of(**args)
+    rows = min(jobs, stack_rows(clients, dim))
+    sets = min(rows, sets) if task_cls.PACKS_SETS else 1
+    streams, shape = sets * clients, task_cls.draw_shape(cfg, dim)
+    k = block_rounds(cfg.rounds, streams, shape)
+    draws = k * streams * math.prod(shape) * 8
+    exits_and_steps = k * (streams * (args["num_exits"] + 32) + 24 * cfg.local_steps * rows)
+    (_, gathered, keys), *own = task_cls.stack_tables(cfg, clients, rows, sets, **args)
+    return [("the block of local draws", max(2 * draws, draws + gathered) + exits_and_steps, keys),
+            ("the slab and every job's iterates", (rows * clients + 3 * jobs) * dim * 8, dim_keys),
+            *own]
 
 
 def _set_key(job: Job) -> tuple:
@@ -372,7 +397,7 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     def shape(job: Job) -> tuple:
         cfg = job.cfg
         return (type(job.task), job.sampling.clients, cfg.rounds, cfg.local_steps,
-                job.task.dim, job.task.draw_shape(cfg))
+                job.task.dim, job.task.draw_shape(cfg, job.task.dim))
 
     first = jobs[0]
     if any(shape(job) != shape(first) for job in jobs):
@@ -397,41 +422,35 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     advances = [(stack, _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack]))
                 for stack in map(sorted, stacks)]
     out: dict[int, np.ndarray] = {}  # each distinct job's last iterate
-    for stack, advance in advances:
-        w = np.stack([starts[r][1] for r in stack])
-        for t in range(1, first.cfg.rounds + 1):
-            w = advance(w, t)
-        out.update(zip(stack, w))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check is the refusal
+        while advances:  # popped, so that a trained stack frees its last block of inputs
+            stack, advance = advances.pop(0)
+            w = np.stack([starts[r][1] for r in stack])
+            for t in range(1, first.cfg.rounds + 1):
+                w = advance(w, t)
+            out.update(zip(stack, w))
     return np.stack([out[r] for r in rows])
 
 
 def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
-    ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to
-    :func:`local_update` and :func:`aggregate` run per client and per job:
-    the same streams give the same draws, and each job's deltas are summed
-    in the same ascending client order with the same coefficients. Jobs with
-    the same seed, task and sampling matrix form one stream set, which opens
-    its streams once per stack and samples its exits once per round. The
-    exits of every round are drawn before the first. ``advance`` only
-    trains: it refuses nothing but divergence.
+    ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to :func:`local_update`
+    and :func:`aggregate` run per client and per job: the same streams give the same draws, and
+    each job's deltas are summed in the same ascending client order with the same coefficients.
+    A stream set opens its streams once per stack. ``advance`` only trains: it refuses nothing
+    but divergence. It is the engine's one place that calls a stream: per block of
+    :func:`block_rounds` rounds, each set's sample stream draws the exit uniforms and each local
+    stream its draws (the task's ``draw_rounds(gen, client, cfg, rounds)``), and each distinct
+    ``TrainConfig`` gives the step sizes. Bulk draws equal per-round ones: blocks change no bit.
 
-    This is the engine's one place that calls a local stream. Each stream
-    draws its rounds in blocks, one call per block, through the task's
-    ``draw_rounds(gen, client, cfg, rounds)``; a block holds as many rounds
-    as keep all of the stack's streams within :data:`DRAW_BYTES`, at least
-    one. A bulk draw equals the same draws made one round at a time, so the
-    block size changes no bit of the result.
-
-    The task class's ``local_phase(leads, job_set)``, from each stream set's
-    first job and each job's set, returns ``phase(w, exits, draws, etas)``:
-    from the broadcast models, the ``(S, N)`` 0-based exits of every stream
-    set, this round's local draws (``draws[s * N + i]`` is stream set ``s``'s
-    client ``i``'s row, whatever its exit) and the ``(local_steps, R)`` step
-    sizes, it returns the ``(R, N, d)`` local iterates in a new array. ``S``
-    is 1 unless the class's ``PACKS_SETS`` is true. Building the phase refuses
-    a stack that some round could not train.
+    The task class's ``local_phase(leads, job_set)``, from each stream set's first job and
+    each job's set, returns ``phase(w, exits, draws, etas)``: from the broadcast models, the
+    ``(S, N)`` 0-based exits of every stream set, this round's local draws (``draws[s * N +
+    i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and the ``(local_steps,
+    R)`` step sizes, it returns the ``(R, N, d)`` local iterates in a new array. ``S`` is 1
+    unless the class's ``PACKS_SETS`` is true. Building the phase refuses a stack that some
+    round could not train.
     """
     first = jobs[0]
     clients = first.sampling.clients
@@ -441,44 +460,43 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     set_of: dict[tuple, int] = {}
     job_set = np.array([set_of.setdefault(_set_key(job), len(set_of)) for job in jobs])
     leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
-    # Every round's exits, drawn before round 1 as sample_round draws them:
-    # round t's N uniforms are row t - 1 of one draw from the sample stream,
-    # then the count of cumulative probabilities <= each, capped as sample_round caps it.
-    u = np.stack([
-        rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE).random((rounds, n)) for job in leads
-    ], axis=1)
+    samplers = [rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE) for job in leads]
     cumsum = np.stack([job.sampling.row_cumsum for job in leads])
     last = np.stack([job.sampling.last_exit for job in leads]) - 1
-    exit_table = np.minimum((cumsum <= u[..., None]).sum(axis=-1), last)
     streams = [(job, rngmod.stream(job.cfg.seed, rngmod.LOCAL, i), client)
                for job in leads for i, client in enumerate(clients)]
-    block = max(1, DRAW_BYTES // (len(streams) * math.prod(first.task.draw_shape(first.cfg)) * 8))
+    block = block_rounds(rounds, len(streams), first.task.draw_shape(first.cfg, first.task.dim))
+    cfg_of: dict[TrainConfig, int] = {}
+    job_cfg = [cfg_of.setdefault(job.cfg, len(cfg_of)) for job in jobs]
 
-    def round_draws():
-        """Each round's local draws, one row per stream, drawn one block of rounds at a time."""
+    def round_inputs():
+        """Each round's exits, local draws and step sizes, made one block of rounds at a time."""
         for lo in range(0, rounds, block):
             k = min(block, rounds - lo)
-            yield from np.stack([job.task.draw_rounds(gen, client, job.cfg, k)
-                                 for job, gen, client in streams], axis=1)
+            # Round t's exits: row t - lo - 1 of a uniform draw, counted and capped as sample_round.
+            u = np.stack([gen.random((k, n)) for gen in samplers], axis=1)
+            exits = sum(cumsum[..., e] <= u for e in range(cumsum.shape[-1]))  # 2x .sum(-1)'s speed
+            yield from zip(np.minimum(exits, last),
+                           np.stack([job.task.draw_rounds(gen, client, job.cfg, k)
+                                     for job, gen, client in streams], axis=1),
+                           _lr_table(list(cfg_of), lo, k)[..., job_cfg])
 
-    draws = round_draws()
+    inputs = round_inputs()
     local_phase = type(first.task).local_phase(leads, job_set)
 
-    # Per job: aggregate_preprojection's coefficient for every pair it can be
-    # sent, the step sizes of every round, the server step and the radius.
+    # Per job: the aggregation coefficient of every pair it can be sent, server step and radius.
     coef = np.zeros((len(jobs),) + first.sampling.probs.shape)
     for r, (job, job_pools) in enumerate(zip(jobs, pools)):
         share = np.array([[job.task.sizes[c]] for c in clients], dtype=float) / job_pools.sizes
         np.divide(job.weights.weights * share, job.sampling.probs, out=coef[r],
                   where=job.sampling.probs > 0)
     rows = np.arange(len(jobs))[:, None], np.arange(n)
-    etas = np.stack([_lr_table(job.cfg) for job in jobs], axis=-1)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
     radius = np.array([job.cfg.projection_radius for job in jobs])
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        set_exits = exit_table[t - 1]
-        w_end = local_phase(w, set_exits, next(draws), etas[t - 1])
+        set_exits, draws, etas = next(inputs)
+        w_end = local_phase(w, set_exits, draws, etas)
         w_end -= w[:, None]  # the weighted deltas, in place: no second (R, N, d) slab
         # Job r's client i on its sampled exit is entry [r, i] of the coefficients.
         w_end *= coef[rows + (set_exits[job_set],)][..., None]

@@ -321,7 +321,8 @@ class MlpTask:
         idx = rng.integers(0, len(y), size=batch_size)
         return self.gradient_on(w, x[idx], y[idx], exit)
 
-    def draw_shape(self, cfg) -> tuple[int, int]:
+    @staticmethod
+    def draw_shape(cfg, dim: int) -> tuple[int, int]:
         """One round of one client's local draws: a batch of sample indices per local step."""
         return (cfg.local_steps, cfg.batch_size)
 
@@ -331,7 +332,7 @@ class MlpTask:
         Indices are drawn uniformly with replacement from the client's samples.
         """
         _, y = self._client_data(client)
-        return gen.integers(0, len(y), size=(rounds, *self.draw_shape(cfg)))
+        return gen.integers(0, len(y), size=(rounds, *self.draw_shape(cfg, self.dim)))
 
     @staticmethod
     def local_phase(leads, job_set: np.ndarray):
@@ -343,13 +344,12 @@ class MlpTask:
         (``PACKS_SETS`` is false), so ``leads`` is its first job, ``job_set``
         is ``R`` zeros, and the jobs share the task and each client's batch
         and sampled exit. The clients are grouped by the exit they drew, and
-        each group, in client order, is cut into calls of
-        ``max(1, grad_rows(dim) // R)`` clients:
-        one stacked :meth:`gradient_on` steps every ``(job, client)`` row of a
-        call, each client on its own batch. So a call holds at most
-        ``grad_rows(dim)`` rows, or one client's ``R`` rows where ``R`` is
-        more. A call of one client steps the ``(R, dim)`` stack on its batch
-        alone, and a stack of one job steps its rows without the job axis.
+        each group, in client order, is cut into calls of ``max(1,
+        grad_rows(dim) // R)`` clients (see :meth:`stack_tables`): one stacked
+        :meth:`gradient_on` steps every ``(job, client)`` row of a call, each
+        client on its own batch. A call of one client steps the ``(R, dim)``
+        stack on its batch alone, and a stack of one job steps its rows
+        without the job axis.
         """
         task, rows = leads[0].task, len(job_set)
         # Refuses a client with no samples before round 1.
@@ -376,6 +376,31 @@ class MlpTask:
             return w_end
 
         return phase
+
+    @staticmethod
+    def dim_of(*, input_dim, hidden_dim, num_classes, num_exits, **_) -> tuple[int, str]:
+        dim = build_segments(input_dim, hidden_dim, num_classes, num_exits).dim
+        return dim, "task input_dim, hidden_dim and num_classes"
+
+    @classmethod
+    def stack_tables(cls, cfg, clients: int, rows: int, sets: int, **args):
+        """What one call of :meth:`local_phase` holds at most for ``rows`` jobs: the batches of
+        ``min(N, grad_rows(dim))`` clients, gathered and stacked, and for each of its ``max(R,
+        min(R * N, grad_rows(dim)))`` rows a hidden state per exit, 4 more and 3 gradients."""
+        dim, batch = cls.dim_of(**args)[0], cfg.batch_size
+        call = max(rows, min(rows * clients, grad_rows(dim)))
+        return [("one stacked gradient's batches", 2 * cfg.local_steps * batch
+                 * min(clients, grad_rows(dim)) * (args["input_dim"] + 1) * 8,
+                 "training batch_size and local_steps, and task input_dim"),
+                ("one stacked gradient's hidden states",
+                 call * ((args["num_exits"] + 4) * batch * args["hidden_dim"] + 3 * dim) * 8,
+                 "training batch_size and task hidden_dim")]
+
+    @staticmethod
+    def task_tables(clients: int, *, input_dim, total_samples, test_samples, **_):
+        """The data :func:`make_classification_task` and :func:`make_test_set` draw."""
+        return [("the training and test data", (total_samples + test_samples) * (input_dim + 1) * 8,
+                 "data total_samples and test_samples, and task input_dim")]
 
     def init_params(self, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
         """Fan-in scaled Gaussian weights, zero biases."""

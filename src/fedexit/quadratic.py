@@ -106,9 +106,10 @@ class QuadraticTask:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def draw_shape(self, cfg) -> tuple[int, int]:
+    @staticmethod
+    def draw_shape(cfg, dim: int) -> tuple[int, int]:
         """One round of one client's local draws: a noise vector per local step."""
-        return (cfg.local_steps, self.dim)
+        return (cfg.local_steps, dim)
 
     def draw_rounds(self, gen: np.random.Generator, client: str, cfg, rounds: int) -> np.ndarray:
         """``rounds`` rounds of ``client``'s local noise, as :meth:`stochastic_gradient` draws it.
@@ -116,7 +117,7 @@ class QuadraticTask:
         The normals are drawn whatever the client's exit and sigma, so every
         round advances ``gen`` by the same amount.
         """
-        return gen.standard_normal((rounds, *self.draw_shape(cfg)))
+        return gen.standard_normal((rounds, *self.draw_shape(cfg, self.dim)))
 
     @staticmethod
     def local_phase(leads, job_set: np.ndarray):
@@ -158,6 +159,25 @@ class QuadraticTask:
             return _local_steps(w[:, None], etas[..., None, None], gradient)
 
         return phase
+
+    @staticmethod
+    def dim_of(*, dim: int, **_) -> tuple[int, str]:
+        return dim, "task dim"
+
+    @staticmethod
+    def stack_tables(cfg, clients: int, rows: int, sets: int, *, dim: int, num_exits: int, **_):
+        """What :meth:`local_phase` holds for ``rows`` jobs of ``sets`` stream sets: a job's
+        gathered matrix row comes with its center and its local steps' slabs (``6 * dim``)."""
+        copy, keys = sets * clients * num_exits * (dim * dim + dim + 1) * 8, "task dim"
+        return [("a round's noise", (rows + sets) * clients * cfg.local_steps * dim * 8,
+                 "training local_steps and task dim"),
+                ("every stream set's matrices", copy, "task dim and seeds" if sets > 1 else keys),
+                ("a round's matrices of every job", rows * clients * dim * (dim + 6) * 8, keys)]
+
+    @staticmethod
+    def task_tables(clients: int, *, dim: int, num_exits: int, **_):
+        """What :func:`make_quadratic_task` builds: the ``(N, E, d, d)`` matrices."""
+        return [("the task's matrices", clients * num_exits * dim * dim * 8, "task dim")]
 
     def loss_cap(self) -> float:
         """Exact upper bound on any pair loss over the feasible ball."""

@@ -17,11 +17,12 @@ import pytest
 from conftest import chain_topology, random_tree, seven_node_topology
 from fedexit.experiment import parse_config, run_experiment
 from fedexit.fedtrain import (
+    Job,
     TrainConfig,
     aggregate_preprojection,
     learning_rate,
     local_update,
-    run,
+    run_stacked,
     sample_round,
 )
 from fedexit.mlp import make_classification_task
@@ -249,17 +250,14 @@ def test_06_optimization_error_bound_and_scaling():
         init_dist_sq = float(np.sum((w0 - minimum.w_star) ** 2))
         errors = {}
         for rounds in (50, 500, 5000):
-            gaps = []
-            for seed in range(10):
-                cfg = TrainConfig(
-                    rounds=rounds, local_steps=4, batch_size=1, server_lr=1.0,
-                    lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
-                    projection_radius=task.radius, seed=seed,
-                )
-                w_final, _ = run(topo, task, weights, sampling, cfg, w_init=w0)
-                gaps.append(
-                    weighted_objective(task, w_final, weights, pools) - minimum.f_star
-                )
+            # The 10 seeds train side by side; each row equals its seed's run alone.
+            jobs = [Job(topo, task, weights, sampling, TrainConfig(
+                rounds=rounds, local_steps=4, batch_size=1, server_lr=1.0,
+                lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
+                projection_radius=task.radius, seed=seed,
+            ), w_init=w0) for seed in range(10)]
+            gaps = [weighted_objective(task, w_final, weights, pools) - minimum.f_star
+                    for w_final in run_stacked(jobs)]
             errors[rounds] = float(np.mean(gaps))
             bound = opt_error_bound(params, b_value, rounds, init_dist_sq)
             assert 0.0 <= errors[rounds] <= bound

@@ -110,7 +110,6 @@ RUNS = {**{name: functools.partial(_first_accepted, name) for name in SHIPPED},
         "zero-share": _zero_share}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a diverging mutant warns, then is refused
 @pytest.mark.parametrize("case", sorted(RUNS))
 def test_accepted_mutant_runs_to_finite_outputs_or_is_refused(tmp_path, capsys, case):
     path = write_config(tmp_path, RUNS[case]())

@@ -1292,7 +1292,6 @@ class TestCli:
         assert "error: bad task section: eig_range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_diverging_run_is_reported(self, tmp_path, capsys):
         # This used to exit 0 and write nan into weighted_loss and
         # empirical_opt_error.
@@ -1308,7 +1307,6 @@ class TestCli:
         )
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("stage", ["training", "evaluation"])
     def test_failed_run_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, stage):
         # The output directory and its reports/ used to be made before
@@ -1356,25 +1354,26 @@ class TestCli:
     @pytest.mark.parametrize(
         "config, edits, keys",
         [
-            ("strategy_grid_equal", {"training": {"rounds": 1e308}}, "training rounds:"),
-            ("strategy_grid_equal", {"training": {"rounds": 1e12}}, "training rounds:"),
             ("strategy_grid_equal", {"training": {"local_steps": 1e9}},
-             "training rounds and local_steps:"),
+             "training batch_size and local_steps, and task input_dim:"),
             ("strategy_grid_equal", {"training": {"batch_size": 1e9}},
              "training batch_size and local_steps, and task input_dim:"),
-            ("quadratic_bounds", {"training": {"rounds": 1e12}}, "training rounds:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}, "training": {"local_steps": 2_000}},
              "training local_steps and task dim:"),
             ("strategy_grid_equal", {"task": {"hidden_dim": 5_000}},
              "task input_dim, hidden_dim and num_classes:"),
+            # Uncounted, these hidden states peaked at 1,122.8 MiB in training.
+            ("strategy_grid_equal", {"task": {"hidden_dim": 256},
+                                     "training": {"batch_size": 80_000}},
+             "training batch_size and task hidden_dim:"),
             ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
              "data total_samples and test_samples, and task input_dim:"),
             ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
              "data total_samples and test_samples, and task input_dim:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
         ],
-        ids=["rounds-1e308", "rounds-1e12", "local-steps", "batch-size", "quadratic-rounds",
-             "quadratic-draw", "mlp-slab", "total-samples", "test-samples", "quadratic-matrices"],
+        ids=["local-steps", "batch-size", "quadratic-draw", "mlp-slab", "mlp-hidden-states",
+             "total-samples", "test-samples", "quadratic-matrices"],
     )
     def test_oversized_training_table_is_refused_at_parse(
         self, tmp_path, capsys, monkeypatch, config, edits, keys
@@ -1397,6 +1396,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {keys} ") and err.count("\n") == 1, err
         assert "over the 1 GiB one training table may use" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["strategy_grid_equal", "quadratic_bounds"])
+    def test_rounds_size_no_table(self, config):
+        # 1e12 rounds sized the whole run's exit draws and step sizes, which
+        # were refused at parse; each block of rounds now makes its own.
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        raw["training"]["rounds"] = 1e12
+        assert parse_config(raw).training["rounds"] == 10**12
+
+    def test_rounds_past_the_step_counter_are_refused_at_parse(self, tmp_path, capsys):
+        # The schedules count local steps in int64: 1e308 rounds were refused
+        # only by the size of the whole run's exit draws.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["training"]["rounds"] = 1e308
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-override", "1"]) == 2
+        assert capsys.readouterr().err == ("error: cannot build the training config: "
+                                           "rounds * local_steps must be below 2**63\n")
         assert not out.exists()
 
     def test_labelling_pass_is_accepted_at_parse(self):

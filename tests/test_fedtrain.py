@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from fedexit.fedtrain import (
     run,
     run_stacked,
     sample_round,
+    stack_tables,
 )
 from fedexit.mlp import MlpTask, make_classification_task
 from fedexit.objective import weighted_objective
@@ -89,12 +91,15 @@ class TestLearningRate:
         # cosine reaches -1).
         cfg = TrainConfig(rounds=rounds, local_steps=local_steps, lr_schedule="cosine",
                           base_lr=base_lr)
-        table = fedtrain._lr_table(cfg)
+        table = fedtrain._lr_table([cfg], 0, rounds)[..., 0]
         assert table.shape == (rounds, local_steps) and table.dtype == np.float64
         expected = [[learning_rate(cfg, t, j) for j in range(local_steps)]
                      for t in range(1, rounds + 1)]
         assert table.tobytes() == np.array(expected).tobytes()
         assert table[0, 0] == base_lr
+        # The engine makes the table one block of rounds at a time.
+        blocks = [fedtrain._lr_table([cfg], lo, min(7, rounds - lo)) for lo in range(0, rounds, 7)]
+        assert np.concatenate(blocks)[..., 0].tobytes() == table.tobytes()
 
         t, j = np.meshgrid(np.arange(1, rounds + 2), np.arange(local_steps), indexing="ij")
         steps = learning_rate(cfg, t, j)
@@ -110,6 +115,23 @@ class TestLearningRate:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             TrainConfig(rounds=0, local_steps=1)
+
+    @pytest.mark.parametrize("rounds, local_steps", [(2**62, 2), (2**63, 1), (10**400, 1)])
+    def test_steps_must_fit_the_step_counter(self, rounds, local_steps):
+        # At 2**62 rounds the theory schedule's int64 step counter wrapped.
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^rounds \* local_steps must be below 2\*\*63$"):
+            TrainConfig(rounds=rounds, local_steps=local_steps)
+        TrainConfig(rounds=2**62, local_steps=1)
+
+    def test_negative_seed_is_refused(self):
+        # TrainConfig(seed=-1) built, and fedexit.run then ended in numpy's raw
+        # "ValueError: expected non-negative integer" from the seed's streams.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=4, seed=1)
+        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0$"):
+            fedexit.run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1),
+                        TrainConfig(rounds=2, local_steps=1, seed=-1))
 
     @pytest.mark.parametrize("server_lr", [np.inf, np.nan, 0.0])
     def test_server_step_must_be_finite_and_positive(self, server_lr):
@@ -1091,15 +1113,16 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
     def test_each_local_stream_is_called_once_per_block(self, backend, monkeypatch):
-        # Every local stream is called at the first round of each block and at
-        # no other round, and no other stream is called once round 1 starts.
+        # The sample stream and every local stream are called at the first
+        # round of each block and at no other round, and no other stream is
+        # called once round 1 starts.
         topo, task, sampling, cfg, round_bytes = block_case(backend)
         monkeypatch.setattr(fedtrain, "DRAW_BYTES", 4 * round_bytes + 8)
         events = []
         real_stream, real_phase = rngmod.stream, type(task).local_phase
 
         def counting_stream(seed, *key):
-            tag = "draw" if key[0] == rngmod.LOCAL else "other"
+            tag = {rngmod.LOCAL: "draw", rngmod.ROUND_SAMPLE: "sample"}.get(key[0], "other")
             return CountingStream(real_stream(seed, *key), events, tag)
 
         def logging_phase(jobs, job_set):
@@ -1117,13 +1140,14 @@ class TestBlockDraws:
         streams = len(topo.nodes)
         want = []
         for lo in range(0, cfg.rounds, 4):
-            want += ["draw"] * streams + ["round"] * min(4, cfg.rounds - lo)
+            want += ["sample"] + ["draw"] * streams + ["round"] * min(4, cfg.rounds - lo)
         assert "other" not in events[events.index("round"):]
         assert [event for event in events if event != "other"] == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 class TestDivergence:
+    """Under the suite's error::RuntimeWarning filter: divergence is refused, never warned."""
+
     def test_quadratic_names_seed_label_and_round(self):
         # A huge constant step used to finish with nan in every reported loss.
         topo = seven_node_topology()
@@ -1136,6 +1160,16 @@ class TestDivergence:
         jobs = [Job(topo, task, equal_weight(3), sampling, cfg, label="strategy equal, k=0")]
         with pytest.raises(DivergenceError, match="^seed 7, strategy equal, k=0, round 1:"):
             run_stacked(jobs)
+
+    def test_overflowing_start_is_refused_as_divergence(self):
+        # A finite w_init of 1e308 overflowed in the local phase's matmul, and
+        # the caller got numpy's RuntimeWarning instead of the typed refusal.
+        topo = seven_node_topology()
+        task = make_quadratic_task(topo, dim=4, seed=1)
+        cfg = TrainConfig(rounds=2, local_steps=2, projection_radius=task.radius)
+        with pytest.raises(DivergenceError, match="^seed 0, round 1: the iterate is not finite"):
+            fedexit.run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg,
+                        w_init=np.full(4, 1e308))
 
     def test_mlp_names_seed_label_and_round(self):
         topo = seven_node_topology()
@@ -1150,6 +1184,87 @@ class TestDivergence:
                     label="strategy equal, k=0")]
         with pytest.raises(DivergenceError, match="^seed 2, strategy equal, k=0, round 1:"):
             run_stacked(jobs)
+
+
+def training_peak(jobs) -> int:
+    """The tracemalloc peak of ``run_stacked(jobs)``, the tasks already built."""
+    tracemalloc.start()
+    try:
+        run_stacked(jobs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_grid(rng: random.Random, backend: str):
+    """A small seeded grid on the seven-node tree: its jobs, and its tables' summed bytes.
+
+    One or two seeds, sampling matrices and exit weights, as a config's grid
+    crosses them, at the sizes where the tables outweigh fixed costs.
+    """
+    topo = seven_node_topology()
+    seeds = rng.sample(range(100), rng.randint(1, 2))
+    samplings = [build_sampling_matrix(topo, k)
+                 for k in rng.sample([0.0, 0.1, 0.3], rng.randint(1, 2))]
+    weights = [equal_weight(3), normalized_weights([0.2, 0.3, 0.5])][:rng.randint(1, 2)]
+    shape = dict(rounds=rng.randint(1, 4), local_steps=rng.randint(1, 3))
+    if backend == "quadratic":
+        args = dict(dim=rng.choice([16, 48, 128]))
+        tasks = {s: make_quadratic_task(topo, seed=s, **args) for s in seeds}
+        cfgs = {s: TrainConfig(**shape, lr_schedule="theory", mu=t.mu, smoothness=t.smoothness,
+                               projection_radius=t.radius, seed=s) for s, t in tasks.items()}
+    else:
+        args = dict(input_dim=rng.choice([4, 16]), hidden_dim=rng.choice([32, 64, 128]),
+                    num_classes=rng.choice([2, 6]))
+        tasks = {s: make_classification_task(topo, partition="equal", total_samples=700, seed=s,
+                                             **args) for s in seeds}
+        batch = rng.choice([64, 512, 2048])
+        cfgs = {s: TrainConfig(**shape, batch_size=batch, seed=s) for s in seeds}
+    jobs = [Job(topo.with_dataset_sizes(tasks[s].sizes), tasks[s], w, sampling, cfgs[s])
+            for s in seeds for sampling in samplings for w in weights]
+    tables = stack_tables(type(tasks[seeds[0]]), cfgs[seeds[0]], len(topo.client_ids), len(jobs),
+                          len(seeds) * len(samplings), num_exits=3, **args)
+    return jobs, sum(nbytes for _, nbytes, _ in tables)
+
+
+class TestTrainingMemory:
+    """What training holds is what the engine and the task class state, whatever the rounds."""
+
+    SLACK = 256 * 1024  # fixed costs: Python objects, per-job small arrays
+    FACTOR = 3  # the statements bound every exit's and call's worst case
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_peak_is_bounded_by_the_stated_tables(self, backend):
+        # The estimate once missed the hidden states that backprop holds: at
+        # hidden_dim 256 and batch_size 80,000 training peaked at 1,122.8 MiB
+        # against a largest table of 25.0 MiB. It also missed every job's
+        # iterates, and each trained stack kept its last block of inputs.
+        rng = random.Random(31)
+        for _ in range(6):
+            jobs, estimate = random_grid(rng, backend)
+            peak = training_peak(jobs)
+            assert peak <= estimate + self.SLACK and estimate <= self.FACTOR * peak, (
+                jobs[0].cfg, jobs[0].task.dim, len(jobs), peak, estimate)
+
+    def test_peak_does_not_grow_with_rounds(self):
+        # The quadratic_bounds grid's 12 jobs (6 seeds by 2 exit weights, one
+        # sampling matrix) held every round's exits and step sizes: 137.4 MiB
+        # at 100,000 rounds. Each block of rounds now makes its own.
+        topo = seven_node_topology()
+        sampling = build_sampling_matrix(topo, 0.1)
+        tasks = [make_quadratic_task(topo, 4, seed=seed) for seed in range(6)]
+
+        def peak(rounds):
+            return training_peak([
+                Job(topo, task, weights, sampling, TrainConfig(
+                    rounds=rounds, local_steps=4, batch_size=1, lr_schedule="theory",
+                    mu=task.mu, smoothness=task.smoothness, projection_radius=task.radius,
+                    seed=seed))
+                for seed, task in enumerate(tasks)
+                for weights in (equal_weight(3), normalized_weights([0.45, 0.35, 0.2]))])
+
+        short, long = peak(40), peak(4000)
+        assert abs(long - short) <= 64 * 1024, (short, long)
 
 
 class TestAggregationMoments:

@@ -8,8 +8,7 @@ a quadratic task on it, the sampling matrix, the exit weights and the
 training config, and trains a short run. It must train to a finite iterate,
 or its first refusal must be a :class:`FedexitError` whose message names an
 edited argument (by one of the words in ``NAMES``). A wrong Python type may
-still raise ``TypeError`` and is not drawn; numpy's own refusals, such as a
-negative seed's, are out of scope.
+still raise ``TypeError`` and is not drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ NAMES = {
     "parent": ("parent",), "exit": ("exit",), "arrival_rate": ("arrival_rate",),
     "budget": ("budget",), "dataset_size": ("dataset_size",),
     "nodes": ("node",), "num_exits": ("exit",),
-    **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "server_lr",
+    **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "seed", "server_lr",
                                   "base_lr", "projection_radius", "lr_schedule", "mu",
                                   "smoothness")},
     "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
@@ -73,7 +72,7 @@ def candidates() -> list[tuple[str, str, object]]:
     out += [("Topology", "nodes", v) for v in [()] + [_without(nodes, n.id) for n in nodes]
             + [nodes + (n,) for n in nodes]]
     out += [("Topology", "num_exits", v) for v in (-1, 0, 2, 4)]
-    out += [("TrainConfig", field, v) for field in ("rounds", "local_steps", "batch_size")
+    out += [("TrainConfig", field, v) for field in ("rounds", "local_steps", "batch_size", "seed")
             for v in INTS]
     out += [("TrainConfig", field, v)
             for field in ("server_lr", "base_lr", "projection_radius", "mu", "smoothness")
