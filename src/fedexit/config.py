@@ -1,26 +1,31 @@
 """The experiment config format: one JSON file read once into typed values.
 
 A config describes a grid of (seed, partition, split, strategy) cells over one
-inference tree. :func:`parse_config` reads every value through one of the
-readers below, plans every serving point and builds every strategy's sampling
-matrix once, so a tree that cannot carry the config is refused before any
-output exists. Every refusal is a :class:`ConfigParseError`, or the typed
-error of the layer that refused the value (for example ``InfeasibleSplitError``).
+inference tree. :func:`parse_config` checks the JSON structure and the grid's
+own values. Each value the library holds is read by its owner, with the readers
+of :mod:`fedexit.errors`: ``NodeSpec`` and ``Topology`` read the tree,
+``TrainConfig`` the training section, the task's check the task section,
+``build_sampling_matrix`` each ``k`` and ``rng.read_seed`` each seed. It plans
+every serving point and builds every strategy's sampling matrix once, so a tree
+that cannot carry the config is refused before any output exists. Every refusal
+is a :class:`ConfigParseError`, or the typed error of the layer that refused the
+value (for example ``InfeasibleSplitError``).
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigParseError, InvalidArgumentError, ZeroTrafficError
+from .errors import integer, number, string
 from .fedtrain import TrainConfig, stack_tables
 from .mlp import MlpTask, check_classification_task, client_sizes
 from .quadratic import QuadraticTask, check_quadratic_task
+from .rng import read_seed
 from .strategies import STRATEGY_NAMES, SamplingMatrix, build_sampling_matrix, exit_pools
 from .topology import NodeSpec, RatePlan, Topology, budgets_for_split, compute_rate_plan
 
@@ -31,35 +36,11 @@ REFERENCE_FLOPS = (78_316_160.0, 694_682_880.0, 1_770_787_840.0)
 TABLE_BYTES = 2**30
 
 
-# Readers of JSON config values. Each refuses what a bare int(), float() or
-# iteration would silently convert: a bool, a string, a fractional integer.
-def integer(what: str, value) -> int:
-    """``value`` as an int; refuse a bool or a fractional part, which ``int()`` would cut."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ConfigParseError(f"{what} must be an integer, got {value!r}")
-
-
-def number(what: str, value) -> float:
-    """``value`` as a float; refuse a bool or a string, which ``float()`` would take."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigParseError(f"{what} must be a number, got {value!r}")
-
-
 def array(what: str, value) -> list:
     """``value`` if it is a JSON array; a string, an object or a scalar iterates wrongly."""
     if isinstance(value, list):
         return value
     raise ConfigParseError(f"{what} must be a JSON array, got {value!r}")
-
-
-def string(what: str, value) -> str:
-    """``value`` if it is a JSON string; ``str()`` would turn a list or a number into a name."""
-    if isinstance(value, str):
-        return value
-    raise ConfigParseError(f"{what} must be a string, got {value!r}")
 
 
 def reject_unknown_keys(what: str, section, known) -> None:
@@ -84,30 +65,22 @@ def from_node_dicts(entries: list[dict], num_exits: int | None = None) -> Topolo
     """Build a topology from a list of plain dicts with the keys in ``NODE_KEYS``.
 
     Raises:
-        ConfigParseError: ``entries`` is not a list, a node is not a dict or
-            has a key outside ``NODE_KEYS``, so a misspelt one cannot fall
-            back to its default, ``id`` or a non-null ``parent`` is not a
-            string, an integer field (``exit``, ``dataset_size``,
-            ``num_exits``) is not whole, or ``arrival_rate`` is not a number.
-        InvalidArgumentError: a value :class:`NodeSpec` refuses.
+        ConfigParseError: ``entries`` is not a list, or a node is not a dict
+            or has a key outside ``NODE_KEYS``, so a misspelt one cannot fall
+            back to its default.
+        InvalidArgumentError: a value :class:`NodeSpec` or :class:`Topology` refuses.
         InvalidTopologyError: the nodes are no tree, as :class:`Topology` refuses.
     """
     nodes = []
     for d in array("topology nodes", entries):
         reject_unknown_keys(f"node {d.get('id')!r}" if isinstance(d, dict) else "node", d,
                             NODE_KEYS)
-        node = string("node id", d["id"])
         parent = d.get("parent")
-        nodes.append(NodeSpec(
-            id=node,
-            parent=None if parent in (None, "") else string(f"node {node}: parent", parent),
-            exit=integer(f"node {node}: exit", d["exit"]),
-            arrival_rate=number(f"node {node}: arrival_rate", d.get("arrival_rate", 0.0)),
-            dataset_size=integer(f"node {node}: dataset_size", d.get("dataset_size", 0)),
-        ))
+        nodes.append(NodeSpec(d["id"], None if parent == "" else parent, d["exit"],
+                              **{k: d[k] for k in ("arrival_rate", "dataset_size") if k in d}))
     if num_exits is None:
         num_exits = max((n.exit for n in nodes), default=0)
-    return Topology(nodes=tuple(nodes), num_exits=integer("num_exits", num_exits))
+    return Topology(nodes=tuple(nodes), num_exits=num_exits)
 
 
 @dataclass(frozen=True)
@@ -169,11 +142,9 @@ def _check_grid_axis(what: str, values) -> None:
 
 
 def parse_seeds(values) -> tuple[int, ...]:
-    """The seed axis: whole numbers >= 0, at least one, none repeated."""
-    seeds = tuple(integer("seed", s) for s in array("seeds", values))
+    """The seed axis: seeds as :func:`rng.read_seed` reads them, at least one, none repeated."""
+    seeds = tuple(read_seed("seed", s) for s in array("seeds", values))
     _check_grid_axis("seed", seeds)
-    if min(seeds) < 0:
-        raise ConfigParseError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -196,11 +167,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         splits = []
         if "splits" in serving:
             for entry in array("serving splits", serving["splits"]):
-                vec = np.asarray(_numbers("split", entry))
-                if vec.shape != (topo.num_exits,):
-                    raise ConfigParseError(
-                        f"split {entry} needs one entry per exit ({topo.num_exits})"
-                    )
+                vec = np.asarray(_numbers("split", entry))  # budgets_for_split checks its length
                 if not (np.isfinite(vec).all() and np.all(vec >= 0) and vec.sum() > 0):
                     raise ConfigParseError(f"bad split {entry}")
                 fractions = vec / vec.sum()
@@ -210,11 +177,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _check_grid_axis("split", [s.label for s in splits])
         else:
             reject_unknown_keys("serving budgets", serving["budgets"], topo.by_id)
-            budgets = {k: number(f"budget of {k}", v) for k, v in serving["budgets"].items()}
-            for node, value in budgets.items():
-                if not value >= 0:
-                    raise ConfigParseError(f"budget of {node} must be >= 0, got {value}")
-            plan = compute_rate_plan(topo.with_budgets(budgets))
+            plan = compute_rate_plan(topo.with_budgets(serving["budgets"]))
             splits.append(SplitSpec("budgets", tuple(plan.lambda_exit_normalized), plan))
 
         task = raw["task"]
@@ -223,11 +186,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if kind not in TASK_KEYS:
             raise ConfigParseError(f"task needs a kind in {sorted(TASK_KEYS)}, got {task!r}")
         reject_unknown_keys(f"{kind} task", task, ("kind", *TASK_KEYS[kind]))
-        task_args = {key: read(f"task {key}", task.get(key, default))
-                     for key, (read, default) in TASK_KEYS[kind].items()}
+        task_args = {key: task.get(key, default) for key, default in TASK_KEYS[kind].items()}
+        for key in [key for key in ("eig_range", "sigma_range") if key in task]:  # JSON arrays
+            task_args[key] = _numbers(f"task {key}", task[key])
         check = check_quadratic_task if kind == "quadratic" else check_classification_task
         try:
-            check(**task_args)
+            task_args = dict(zip(TASK_KEYS[kind], check(**task_args)))
         except InvalidArgumentError as exc:
             raise ConfigParseError(f"bad task section: {exc}") from exc
         training, train_cfg = _training_args(raw["training"], kind)
@@ -245,11 +209,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 string("partition", name) for name in array("partitions", data["partitions"])
             )
             _check_grid_axis("partition", partitions)
-            samples = []
-            for key in ("total_samples", "test_samples"):
-                samples.append(integer(f"data {key}", data[key]))
-                if samples[-1] < 1:
-                    raise ConfigParseError(f"data {key} must be >= 1, got {samples[-1]}")
+            samples = [integer(f"data {key}", data[key], least=1)
+                       for key in ("total_samples", "test_samples")]
 
         strategies = []
         for s in array("strategies", raw["strategies"]):
@@ -272,10 +233,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not all(0 < f < np.inf for f in flops):
             raise ConfigParseError(f"flops must be finite and > 0, got {list(flops)}")
 
-        jobs = len(seeds) * len(partitions) * len(splits) * len(strategies)
-        # A stream set is a seed's task (one per partition) under one sampling matrix.
-        sets = len(seeds) * len(partitions) * len({s.sampling.probs.tobytes() for s in strategies})
-        _check_table_sizes(train_cfg, task_args, kind, topo, jobs, sets, samples)
+        groups = len(seeds) * len(partitions)  # each (seed, partition) group builds a task
+        # A stream set is a group's task under one sampling matrix.
+        sets = groups * len({s.sampling.probs.tobytes() for s in strategies})
+        _check_table_sizes(train_cfg, task_args, kind, topo, groups * len(splits) * len(strategies),
+                           sets, groups, samples)
         for name in partitions if kind == "mlp" else ():
             empty = [c for c, n in sorted(client_sizes(topo, name, samples[0]).items()) if not n]
             if empty:
@@ -301,33 +263,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(str(exc)) from exc
 
 
-# Per task kind, the reader and default of each key of the task section; each
-# key is a keyword argument of the kind's task builder.
+# Per task kind, the default of each key of the task section; each key is a
+# keyword argument of the kind's task builder, whose check reads its value.
 TASK_KEYS = {
-    "quadratic": {"dim": (integer, 4), "eig_range": (_numbers, [1.0, 2.0]),
-                  "sigma_range": (_numbers, [0.0, 0.5]), "center_scale": (number, 1.0)},
-    "mlp": {"input_dim": (integer, 16), "hidden_dim": (integer, 32),
-            "num_classes": (integer, 3), "teacher_gain": (number, 1.5)},
+    "quadratic": {"dim": 4, "eig_range": (1.0, 2.0), "sigma_range": (0.0, 0.5),
+                  "center_scale": 1.0},
+    "mlp": {"input_dim": 16, "hidden_dim": 32, "num_classes": 3, "teacher_gain": 1.5},
 }
 
-# The reader of each key of the training section: TrainConfig's fields but the
-# seed and the curvature constants and radius, which a quadratic task sets.
-TRAINING_KEYS = {"rounds": integer, "local_steps": integer, "batch_size": integer,
-                 "server_lr": number, "lr_schedule": string, "base_lr": number}
+# The keys of the training section: TrainConfig's fields but the seed and the
+# curvature constants and radius, which a quadratic task sets.
+TRAINING_KEYS = ("rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr")
 
 
 def _training_args(training: dict, kind: str) -> tuple[dict, TrainConfig]:
     """``TrainConfig``'s keyword arguments that the training section sets, read once.
 
-    Only the values the section sets are kept: ``TrainConfig`` owns every
-    default. The ``TrainConfig`` they build checks them and sizes the tables;
-    stand-ins fill a quadratic task's ``mu``, ``smoothness`` and feasible
-    radius, which are known only once the task is built.
+    Only the values the section sets are kept, as ``TrainConfig`` reads them:
+    it owns every default and value rule, and sizes the tables. Stand-ins fill
+    a quadratic task's ``mu``, ``smoothness`` and feasible radius, which are
+    known only once the task is built.
 
     Raises:
         ConfigParseError: a key is unknown, ``rounds`` or ``local_steps`` is
-            missing, an integer field has a fractional part, a rate is not a
-            number, a value is refused by ``TrainConfig``, the theory
+            missing, a value is refused by ``TrainConfig``, the theory
             schedule is given a ``base_lr`` it never reads, or an mlp task
             asks for the theory schedule, which needs curvature constants an
             mlp does not have.
@@ -341,12 +300,12 @@ def _training_args(training: dict, kind: str) -> tuple[dict, TrainConfig]:
             raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
         if "base_lr" in training:
             raise ConfigParseError("the theory schedule reads no base_lr; its steps follow mu")
-    args = {key: TRAINING_KEYS[key](key, value) for key, value in training.items()}
     stand_ins = dict(mu=1.0, smoothness=1.0, projection_radius=1.0) if kind == "quadratic" else {}
     try:
-        return args, TrainConfig(**args, **stand_ins)
+        cfg = TrainConfig(**training, **stand_ins)
     except InvalidArgumentError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
+    return {key: getattr(cfg, key) for key in training}, cfg
 
 
 def _gib(nbytes: int) -> str:
@@ -355,12 +314,12 @@ def _gib(nbytes: int) -> str:
 
 
 def _check_table_sizes(cfg: TrainConfig, task: dict, kind: str, topo: Topology, jobs: int,
-                       sets: int, samples: tuple[int, int]) -> None:
-    """Refuse a table over :data:`TABLE_BYTES`, as its owner states it, naming its keys."""
+                       sets: int, groups: int, samples: tuple[int, int]) -> None:
+    """Refuse a table of the grid over :data:`TABLE_BYTES`, as its owner states it, naming keys."""
     task_cls, n = QuadraticTask if kind == "quadratic" else MlpTask, len(topo.client_ids)
     args = dict(task, num_exits=topo.num_exits, total_samples=samples[0], test_samples=samples[1])
     for what, nbytes, keys in (*stack_tables(task_cls, cfg, n, jobs, sets, **args),
-                               *task_cls.task_tables(n, **args)):
+                               *task_cls.task_tables(n, groups, **args)):
         if nbytes > TABLE_BYTES:
             raise ConfigParseError(f"{keys}: {what} would take {_gib(nbytes)}, over the "
                                    f"{_gib(TABLE_BYTES)} one training table may use")

@@ -1,6 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the readers of typed fields."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class FedexitError(Exception):
@@ -9,6 +11,37 @@ class FedexitError(Exception):
 
 class InvalidArgumentError(FedexitError, ValueError):
     """An argument is out of range or of the wrong shape; also a ``ValueError``."""
+
+
+def integer(what: str, value, least: int | None = None) -> int:
+    """``value`` as an int >= ``least``, refusing the bool, string or fraction ``int()`` takes."""
+    # The builtin type comes first in each tuple: an ABC's isinstance costs several times more.
+    if isinstance(value, bool) or not (isinstance(value, (int, numbers.Integral)) or (
+            isinstance(value, (float, numbers.Real)) and float(value).is_integer())):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {int(value)}")
+    return int(value)
+
+
+def number(what: str, value) -> float:
+    """``value`` as a float; refuse a bool or a string, which ``float()`` would take."""
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+
+
+def string(what: str, value) -> str:
+    """``value`` if it is a string; ``str()`` would turn a list or a number into a name."""
+    if isinstance(value, str):
+        return value
+    raise InvalidArgumentError(f"{what} must be a string, got {value!r}")
+
+
+def read_fields(obj, what: str, **readers) -> None:
+    """Store each field of ``obj`` named in ``readers`` as read; ``what`` prefixes its name."""
+    for name, read in readers.items():
+        object.__setattr__(obj, name, read(what + name, getattr(obj, name)))
 
 
 class InvalidTopologyError(FedexitError):

@@ -34,11 +34,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import DivergenceError, InvalidArgumentError, ZeroProbabilityError
+from .errors import integer, number, read_fields, string
 from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights, SamplingMatrix, exit_pools
 from .topology import Topology
@@ -64,7 +66,7 @@ class TrainConfig:
     ``base_lr``. Every round ends with a projection onto the ball of radius
     ``projection_radius``. The experiment runner fills ``mu``,
     ``smoothness`` and ``projection_radius`` from a quadratic task, whose
-    ``opt_bound`` assumes exactly those constants.
+    ``opt_bound`` assumes exactly those constants. Each field is read once.
     """
 
     rounds: int
@@ -79,10 +81,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("rounds", 1), ("local_steps", 1), ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise InvalidArgumentError(f"{name} must be >= {least}")
-        if int(self.rounds) * int(self.local_steps) >= 2**63:  # the schedules count in int64
+        count = partial(integer, least=1)
+        read_fields(self, "", rounds=count, local_steps=count, batch_size=count, server_lr=number,
+                    lr_schedule=string, base_lr=number, mu=number, smoothness=number,
+                    projection_radius=number, seed=rngmod.read_seed)
+        if self.rounds * self.local_steps >= 2**63:  # the schedules count in int64
             raise InvalidArgumentError("rounds * local_steps must be below 2**63")
         for name, value in (("server_lr", self.server_lr), ("base_lr", self.base_lr)):
             if not 0 < value < math.inf:
@@ -399,6 +402,8 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
         return (type(job.task), job.sampling.clients, cfg.rounds, cfg.local_steps,
                 job.task.dim, job.task.draw_shape(cfg, job.task.dim))
 
+    if not jobs:
+        raise InvalidArgumentError("run_stacked needs at least one job")
     first = jobs[0]
     if any(shape(job) != shape(first) for job in jobs):
         raise InvalidArgumentError("stacked jobs must share task class, clients, rounds, "
@@ -411,16 +416,18 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     sets: dict[tuple, list[int]] = {}
     for r in starts:
         sets.setdefault(_set_key(jobs[r]), []).append(r)
-    stacks = []
+    stacks: list[list[list[int]]] = []  # each stack's stream sets (or parts of one), as rows
     for members in sets.values():
         for lo in range(0, len(members), size):
             part = members[lo : lo + size]
-            if first.task.PACKS_SETS and stacks and len(stacks[-1]) + len(part) <= size:
-                stacks[-1].extend(part)
+            if first.task.PACKS_SETS and stacks and sum(map(len, stacks[-1])) + len(part) <= size:
+                stacks[-1].append(part)
             else:
-                stacks.append(part)
-    advances = [(stack, _stacked_round([jobs[r] for r in stack], [starts[r][0] for r in stack]))
-                for stack in map(sorted, stacks)]
+                stacks.append([part])
+    advances = [([r for part in parts for r in part],
+                 _stacked_round([[jobs[r] for r in part] for part in parts],
+                                [starts[r][0] for part in parts for r in part]))
+                for parts in stacks]
     out: dict[int, np.ndarray] = {}  # each distinct job's last iterate
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check is the refusal
         while advances:  # popped, so that a trained stack frees its last block of inputs
@@ -432,12 +439,14 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     return np.stack([out[r] for r in rows])
 
 
-def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
+def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     """``advance(w, t)``: one round of every job, ``w`` the ``(R, d)`` stack of iterates.
 
-    ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to :func:`local_update`
-    and :func:`aggregate` run per client and per job: the same streams give the same draws, and
-    each job's deltas are summed in the same ascending client order with the same coefficients.
+    The rows are the jobs of ``sets`` (a list per stream set) in turn; ``pools[r]`` is row
+    ``r``'s. ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to
+    :func:`local_update` and :func:`aggregate` run per client and per job: the same streams give
+    the same draws, and each job's deltas are summed in the same ascending client order with the
+    same coefficients.
     A stream set opens its streams once per stack. ``advance`` only trains: it refuses nothing
     but divergence. It is the engine's one place that calls a stream: per block of
     :func:`block_rounds` rounds, each set's sample stream draws the exit uniforms and each local
@@ -452,14 +461,13 @@ def _stacked_round(jobs: Sequence[Job], pools: Sequence[ExitPools]):
     unless the class's ``PACKS_SETS`` is true. Building the phase refuses a stack that some
     round could not train.
     """
+    jobs = [job for members in sets for job in members]
+    leads = [members[0] for members in sets]
+    job_set = np.repeat(np.arange(len(sets)), [len(members) for members in sets])
     first = jobs[0]
     clients = first.sampling.clients
     n, rounds = len(clients), first.cfg.rounds
     by_name = sorted(range(n), key=lambda i: clients[i])
-
-    set_of: dict[tuple, int] = {}
-    job_set = np.array([set_of.setdefault(_set_key(job), len(set_of)) for job in jobs])
-    leads = [jobs[int(np.flatnonzero(job_set == s)[0])] for s in range(len(set_of))]
     samplers = [rngmod.stream(job.cfg.seed, rngmod.ROUND_SAMPLE) for job in leads]
     cumsum = np.stack([job.sampling.row_cumsum for job in leads])
     last = np.stack([job.sampling.last_exit for job in leads]) - 1

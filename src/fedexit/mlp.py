@@ -11,7 +11,7 @@ keeps them honest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyClientDatasetError, EmptyDatasetError, InvalidArgumentError
+from .errors import integer, number
 from .fedtrain import _local_steps
 from .topology import Topology, on_simplex
 
@@ -397,10 +398,12 @@ class MlpTask:
                  "training batch_size and task hidden_dim")]
 
     @staticmethod
-    def task_tables(clients: int, *, input_dim, total_samples, test_samples, **_):
-        """The data :func:`make_classification_task` and :func:`make_test_set` draw."""
-        return [("the training and test data", (total_samples + test_samples) * (input_dim + 1) * 8,
-                 "data total_samples and test_samples, and task input_dim")]
+    def task_tables(clients: int, tasks: int, *, input_dim, total_samples, test_samples, **_):
+        """Data :func:`make_classification_task` and :func:`make_test_set` draw ``tasks`` times."""
+        return [("the training and test data",
+                 tasks * (total_samples + test_samples) * (input_dim + 1) * 8,
+                 ("seeds, partitions, " if tasks > 1 else "")
+                 + "data total_samples and test_samples, and task input_dim")]
 
     def init_params(self, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
         """Fan-in scaled Gaussian weights, zero biases."""
@@ -509,6 +512,7 @@ def layer_shares(partition, num_exits: int) -> tuple[float, ...]:
 
 def client_sizes(topology: Topology, partition, total_samples: int) -> dict[str, int]:
     """Each client's training samples, by :func:`layer_allocation` of :func:`layer_shares`."""
+    total_samples = integer("total_samples", total_samples, least=0)
     layers = [topology.layers[e] for e in range(1, topology.num_exits + 1)]
     counts = layer_allocation(layer_shares(partition, topology.num_exits), total_samples,
                               [len(layer) for layer in layers])
@@ -517,17 +521,17 @@ def client_sizes(topology: Topology, partition, total_samples: int) -> dict[str,
 
 def check_classification_task(
     input_dim: int, hidden_dim: int, num_classes: int, teacher_gain: float
-) -> None:
-    """Raise InvalidArgumentError unless :func:`make_classification_task` can build this task.
+) -> tuple:
+    """The arguments as read, in order, if :func:`make_classification_task` can build this task.
 
     A zero or non-finite ``teacher_gain`` would label every sample class 0.
     """
-    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
-                        ("num_classes", num_classes)):
-        if value < 1:
-            raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+    sizes = [integer(name, value, least=1) for name, value in (
+        ("input_dim", input_dim), ("hidden_dim", hidden_dim), ("num_classes", num_classes))]
+    teacher_gain = number("teacher_gain", teacher_gain)
     if not 0 < teacher_gain < np.inf:
         raise InvalidArgumentError(f"teacher_gain must be finite and > 0, got {teacher_gain}")
+    return (*sizes, teacher_gain)
 
 
 def make_classification_task(
@@ -551,7 +555,8 @@ def make_classification_task(
         InvalidArgumentError: a layer size or gain :func:`check_classification_task`
             refuses, or a partition :func:`layer_shares` refuses.
     """
-    check_classification_task(input_dim, hidden_dim, num_classes, teacher_gain)
+    input_dim, hidden_dim, num_classes, teacher_gain = check_classification_task(
+        input_dim, hidden_dim, num_classes, teacher_gain)
     sizes = client_sizes(topology, partition, total_samples)
     shell = MlpTask(
         input_dim=input_dim,
@@ -563,23 +568,17 @@ def make_classification_task(
     )
     teacher = shell.init_params(rngmod.stream(seed, rngmod.TEACHER), gain=teacher_gain)
 
-    features = rngmod.stream(seed, rngmod.DATA).standard_normal((total_samples, input_dim))
+    features = rngmod.stream(seed, rngmod.DATA).standard_normal((sum(sizes.values()), input_dim))
     labels = shell.predict(teacher, features, topology.num_exits)
 
     bounds = np.cumsum([0, *sizes.values()])
     data = {c: (features[a:b], labels[a:b]) for c, a, b in zip(sizes, bounds, bounds[1:])}
-    return MlpTask(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        num_classes=num_classes,
-        num_exits=topology.num_exits,
-        data=data,
-        teacher=teacher,
-    )
+    return replace(shell, data=data, teacher=teacher)
 
 
 def make_test_set(task: MlpTask, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fresh i.i.d. samples labeled by the task's teacher."""
+    n = integer("n", n, least=1)
     x = rngmod.stream(seed, rngmod.TEST_DATA).standard_normal((n, task.input_dim))
     y = task.predict(task.teacher, x, task.num_exits)
     return x, y

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InvalidArgumentError, SingularSystemError
+from .errors import InvalidArgumentError, SingularSystemError, integer, number
 from .fedtrain import _local_steps
 from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights
@@ -175,9 +175,10 @@ class QuadraticTask:
                 ("a round's matrices of every job", rows * clients * dim * (dim + 6) * 8, keys)]
 
     @staticmethod
-    def task_tables(clients: int, *, dim: int, num_exits: int, **_):
-        """What :func:`make_quadratic_task` builds: the ``(N, E, d, d)`` matrices."""
-        return [("the task's matrices", clients * num_exits * dim * dim * 8, "task dim")]
+    def task_tables(clients: int, tasks: int, *, dim: int, num_exits: int, **_):
+        """What ``tasks`` calls of :func:`make_quadratic_task` build: ``(N, E, d, d)`` matrices."""
+        return [("the tasks' matrices", tasks * clients * num_exits * dim * dim * 8,
+                 "task dim and seeds" if tasks > 1 else "task dim")]
 
     def loss_cap(self) -> float:
         """Exact upper bound on any pair loss over the feasible ball."""
@@ -207,10 +208,9 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) -> None:
-    """Raise InvalidArgumentError unless :func:`make_quadratic_task` can build from these values."""
-    if dim < 1:
-        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
+def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) -> tuple:
+    """The arguments as read, in order, if :func:`make_quadratic_task` can build from them."""
+    dim, center_scale = integer("dim", dim, least=1), number("center_scale", center_scale)
     if len(eig_range) != 2 or not 0 < eig_range[0] <= eig_range[1] < np.inf:
         raise InvalidArgumentError(
             f"eig_range must be [lo, hi] with 0 < lo <= hi < inf, got {list(eig_range)}")
@@ -219,6 +219,7 @@ def check_quadratic_task(dim: int, eig_range, sigma_range, center_scale: float) 
             f"sigma_range must be [lo, hi] with 0 <= lo <= hi < inf, got {list(sigma_range)}")
     if not 0 <= center_scale < np.inf:
         raise InvalidArgumentError(f"center_scale must be finite and >= 0, got {center_scale}")
+    return dim, eig_range, sigma_range, center_scale
 
 
 def make_quadratic_task(
@@ -240,7 +241,8 @@ def make_quadratic_task(
     Raises:
         InvalidArgumentError: a value :func:`check_quadratic_task` refuses.
     """
-    check_quadratic_task(dim, eig_range, sigma_range, center_scale)
+    dim, eig_range, sigma_range, center_scale = check_quadratic_task(
+        dim, eig_range, sigma_range, center_scale)
     clients = topology.client_ids
     n, e_max = len(clients), topology.num_exits
     gen = rngmod.stream(seed, rngmod.label("quadratic-task"))

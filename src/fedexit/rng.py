@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 
+from .errors import integer
+
 # Key-path roots for the main consumers; values are arbitrary but fixed.
 INIT = 1
 ROUND_SAMPLE = 2
@@ -26,9 +28,14 @@ TEACHER = 6
 PROBE = 7
 
 
+def read_seed(what: str, value) -> int:
+    """``value`` as a stream's seed: an integer >= 0, else InvalidArgumentError."""
+    return integer(what, value, least=0)
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Return a generator for the given seed and integer key path."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    """Return a generator for the given seed, read by :func:`read_seed`, and integer key path."""
+    ss = np.random.SeedSequence(read_seed("seed", seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
 

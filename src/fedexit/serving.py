@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ZeroTrafficError
 from .mlp import largest_remainder, score_exits, softmax_entropy
+from .rng import read_seed
 from .topology import RatePlan, Topology
 
 
@@ -92,10 +93,14 @@ def simulate_serving(
     pass per row tile (``mlp.row_tiles``), so a call holds one tile's hidden
     state and logits, never the stream's. Ranking and scoring then index the
     per-sample scores, so a sample's scores do not depend on the pool it
-    sits in.
+    sits in. A misshapen ``x`` or ``w`` is refused.
     """
     if ranking not in ("entropy", "random"):
         raise InvalidArgumentError(f"unknown ranking {ranking!r}")
+    if np.shape(x) != (len(y), task.input_dim):
+        raise InvalidArgumentError(f"x has shape {np.shape(x)}, not {(len(y), task.input_dim)}")
+    if np.shape(w) != (task.dim,):
+        raise InvalidArgumentError(f"w has shape {np.shape(w)}, not {(task.dim,)}")
     arrival_nodes = [n.id for n in topology.nodes if n.arrival_rate > 0]
     arrival_nodes.sort()
     if not arrival_nodes:
@@ -110,7 +115,7 @@ def simulate_serving(
     ranked_exits = {n.exit for n in topology.nodes if n.id != topology.root}
     scores = score_exits(task, w, x, y, ranked_exits if ranking == "entropy" else ())
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(read_seed("seed", seed))
     served: dict[str, np.ndarray] = {}
     for node_id in topology.post_order:
         pooled = (

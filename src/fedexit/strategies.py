@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllZeroWeightsError, EmptyPoolError, InvalidArgumentError, InvalidKError
+from .errors import integer, number
 from .topology import Topology, on_simplex
 
 SIMPLEX_TOL = 1e-12
@@ -51,8 +52,7 @@ def normalized_weights(raw) -> ExitWeights:
 
 def equal_weight(num_exits: int) -> ExitWeights:
     """Uniform weight on every exit."""
-    if num_exits < 1:
-        raise InvalidArgumentError("need at least one exit")
+    num_exits = integer("num_exits", num_exits, least=1)
     return ExitWeights(weights=np.full(num_exits, 1.0 / num_exits))
 
 
@@ -146,6 +146,7 @@ def build_sampling_matrix(topology: Topology, k: float) -> SamplingMatrix:
     ``E_c`` keeps probability ``1 - k*(E_c - 1)`` for it. Clients on exit 1
     always train their own exit.
     """
+    k = number("k", k)
     if not 0 <= k < np.inf:
         raise InvalidKError(f"k must be finite and nonnegative, got {k}")
     clients = topology.client_ids

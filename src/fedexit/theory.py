@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import EmptyPoolError, InvalidArgumentError, NotNormalizedError, ZeroProbabilityError
+from .errors import integer
 from .fedtrain import step_offset
 from .quadratic import Minimizers, QuadraticTask, quadratic_minimizers
 from .strategies import ExitPools, ExitWeights, SamplingMatrix
@@ -159,8 +160,7 @@ def opt_error_bound(
     The horizon is gamma + J*T local steps. The initial-condition term uses
     the squared distance to the optimum.
     """
-    if rounds < 1:
-        raise InvalidArgumentError("rounds must be >= 1")
+    rounds = integer("rounds", rounds, least=1)
     horizon = params.gamma + params.local_steps * rounds
     return (params.kappa / horizon) * (
         2.0 * b_value / params.mu + params.mu * (params.gamma + 1.0) / 2.0 * initial_dist_sq

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -28,8 +27,10 @@ from .errors import (
     NonConvergenceError,
     ZeroTrafficError,
 )
+from .errors import integer, number, read_fields, string
 
 FLOW_TOL = 1e-12
+_EXIT, _SIZE = partial(integer, least=1), partial(integer, least=0)  # NodeSpec's readers
 
 
 def on_simplex(v: np.ndarray, tol: float, sign_tol: float = 0.0) -> bool:
@@ -54,15 +55,15 @@ class NodeSpec:
     dataset_size: int = 0
 
     def __post_init__(self) -> None:
+        at = f"node {string('node id', self.id)}: "
+        read_fields(self, at, exit=_EXIT, arrival_rate=number, budget=number, dataset_size=_SIZE)
+        if self.parent is not None:
+            string(at + "parent", self.parent)
         if not 0 <= self.arrival_rate < math.inf:
-            raise InvalidArgumentError(f"node {self.id}: arrival_rate must be finite and >= 0, "
+            raise InvalidArgumentError(f"{at}arrival_rate must be finite and >= 0, "
                                        f"got {self.arrival_rate}")
         if not self.budget >= 0:
-            raise InvalidArgumentError(f"node {self.id}: budget must be >= 0, got {self.budget}")
-        if self.exit < 1:
-            raise InvalidArgumentError(f"node {self.id}: exit index must be >= 1")
-        if self.dataset_size < 0:
-            raise InvalidArgumentError(f"node {self.id}: dataset_size must be >= 0")
+            raise InvalidArgumentError(f"{at}budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ class Topology:
     num_exits: int
 
     def __post_init__(self) -> None:
+        read_fields(self, "", num_exits=integer)
         if not self.nodes:
             raise InvalidTopologyError("topology nodes is empty")
         if len(self.by_id) != len(self.nodes):
@@ -179,39 +181,19 @@ class Topology:
         return self.by_id[node_id].exit
 
     def with_budgets(self, budgets: dict[str, float]) -> "Topology":
-        """This tree with each node named in ``budgets`` given that budget.
-
-        Raises:
-            InvalidTopologyError: a key of ``budgets`` names no node, or a
-                budget is not a real number >= 0 (``inf`` is one).
-        """
-        for node, budget in budgets.items():
-            if isinstance(budget, bool) or not isinstance(budget, numbers.Real) or not budget >= 0:
-                raise InvalidTopologyError(
-                    f"node {node}: budget must be a real number >= 0, got {budget!r}")
-        return self._with_each("budget", budgets, float)
+        """This tree with each node named in ``budgets`` given that budget, as NodeSpec reads it."""
+        return self._with_each("budget", budgets)
 
     def with_dataset_sizes(self, sizes: dict[str, int]) -> "Topology":
-        """This tree with each node named in ``sizes`` given that dataset size.
+        """This tree with each node named in ``sizes`` given that size, as NodeSpec reads it."""
+        return self._with_each("dataset_size", sizes)
 
-        Raises:
-            InvalidTopologyError: a key of ``sizes`` names no node, or a size
-                is not a whole number, which ``int()`` would cut.
-        """
-        for node, size in sizes.items():
-            if isinstance(size, bool) or not isinstance(size, numbers.Real) or not (
-                    isinstance(size, numbers.Integral) or float(size).is_integer()):
-                raise InvalidTopologyError(
-                    f"node {node}: dataset_size must be a whole number, got {size!r}")
-        return self._with_each("dataset_size", sizes, int)
-
-    def _with_each(self, field: str, values: dict, cast) -> "Topology":
+    def _with_each(self, field: str, values: dict) -> "Topology":
         unknown = sorted(set(values) - set(self.by_id))
         if unknown:
             raise InvalidTopologyError(f"{field} given for ids that name no node: {unknown}")
         nodes = tuple(
-            replace(n, **{field: cast(values[n.id])}) if n.id in values else n
-            for n in self.nodes
+            replace(n, **{field: values[n.id]}) if n.id in values else n for n in self.nodes
         )
         return Topology(nodes=nodes, num_exits=self.num_exits)
 
@@ -341,7 +323,8 @@ def budgets_for_split(topology: Topology, split) -> dict[str, float]:
     """
     split = np.asarray(split, dtype=float)
     if split.ndim != 1 or split.size != topology.num_exits:
-        raise InvalidArgumentError(f"split must have one entry per exit ({topology.num_exits})")
+        raise InvalidArgumentError(
+            f"split needs one entry per exit ({topology.num_exits}), got {split.size}")
     if not on_simplex(split, 1e-9):
         raise InvalidArgumentError("split entries must be finite, nonnegative and sum to 1")
 

@@ -22,6 +22,7 @@ from fedexit.cli import main as cli_main
 from fedexit.errors import (
     ConfigParseError,
     EmptyPoolError,
+    InvalidArgumentError,
     InvalidTopologyError,
     MissingRowsError,
     MixedKError,
@@ -182,8 +183,8 @@ class TestParseConfig:
         "serving, message",
         [
             ({"budgets": {"edgeX": 0.2}}, r"unknown serving budgets keys \['edgeX'\]"),
-            ({"budgets": {"edge1": -0.2}}, "budget of edge1 must be >= 0, got -0.2"),
-            ({"budgets": {"edge1": float("nan")}}, "budget of edge1 must be >= 0, got nan"),
+            ({"budgets": {"edge1": -0.2}}, "node edge1: budget must be >= 0, got -0.2"),
+            ({"budgets": {"edge1": float("nan")}}, "node edge1: budget must be >= 0, got nan"),
             ({"splits": [[45, 35]]}, r"needs one entry per exit \(3\)"),
             ({"splits": [[45, float("nan"), 20]]}, "bad split"),
         ],
@@ -424,10 +425,10 @@ class TestParseConfig:
 
     def test_negative_seed_rejected(self, tmp_path):
         # A negative seed used to end the run in a raw ValueError traceback.
-        with pytest.raises(ConfigParseError, match="seeds must be >= 0"):
+        with pytest.raises(ConfigParseError, match="^seed must be >= 0, got -1$"):
             parse_config(mlp_config(seeds=[1, -1]))
         path = write_config(tmp_path, mlp_config())
-        with pytest.raises(ConfigParseError, match="seeds must be >= 0"):
+        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0, got -1$"):
             run_experiment(path, out_dir=tmp_path / "out", seed_override=-1)
 
     def test_mlp_theory_schedule_needs_mu_at_parse_time(self):
@@ -705,12 +706,12 @@ class TestGroupReuse:
         tasks = []  # keeps every task alive so id(task) stays unique
         real_round = fedtrain._stacked_round
 
-        def counting_round(jobs, pools):
-            for job in jobs:
+        def counting_round(sets, pools):
+            for job in (job for members in sets for job in members):
                 tasks.append(job.task)
                 runs.append((id(job.task), job.sampling.probs.tobytes(),
                              job.weights.weights.tobytes()))
-            return real_round(jobs, pools)
+            return real_round(sets, pools)
 
         def counting_sigma(task, client, exit, *args, **kwargs):
             probes.append((id(task), client, exit))
@@ -763,9 +764,9 @@ class TestStackedTraining:
         opened = []
         real_round, real_stream = fedtrain._stacked_round, rngmod.stream
 
-        def counting_round(jobs, pools):
-            stacks.append(len(jobs))
-            return real_round(jobs, pools)
+        def counting_round(sets, pools):
+            stacks.append(sum(map(len, sets)))
+            return real_round(sets, pools)
 
         def counting_stream(seed, *key):
             if key[0] in (rngmod.ROUND_SAMPLE, rngmod.LOCAL):
@@ -1164,21 +1165,21 @@ class TestCli:
             ("offexit_sweep_cloud_bias", {"strategies": [{"name": "serving_rate", "k": "0.1"}]},
              "error: strategy k must be a number, got '0.1'"),
             ("strategy_grid_equal", {"training": {"base_lr": "0.2"}},
-             "error: base_lr must be a number, got '0.2'"),
+             "error: cannot build the training config: base_lr must be a number, got '0.2'"),
             ("quadratic_bounds", {"training": {"server_lr": True}},
-             "error: server_lr must be a number, got True"),
+             "error: cannot build the training config: server_lr must be a number, got True"),
             ("quadratic_bounds", {"node": {"arrival_rate": True}},
              "error: node dev1: arrival_rate must be a number, got True"),
             ("strategy_grid_equal", {"task": {"kind": "mlp", "teacher_gain": "2.5"}},
-             "error: task teacher_gain must be a number, got '2.5'"),
+             "error: bad task section: teacher_gain must be a number, got '2.5'"),
             ("quadratic_bounds", {"task": {"kind": "quadratic", "center_scale": "1"}},
-             "error: task center_scale must be a number, got '1'"),
+             "error: bad task section: center_scale must be a number, got '1'"),
             ("strategy_grid_equal", {"flops": ["1e8", "7e8", "2e9"]},
              "error: flops must be a number, got '1e8'"),
             ("quadratic_bounds", {"serving": {"splits": [[True, False, False]]}},
              "error: split must be a number, got True"),
             ("quadratic_bounds", {"serving": {"budgets": {"edge1": "0.5"}}},
-             "error: budget of edge1 must be a number, got '0.5'"),
+             "error: node edge1: budget must be a number, got '0.5'"),
             ("strategy_grid_equal", {"data": {"partitions": "equal"}},
              "error: partitions must be a JSON array, got 'equal'"),
             ("quadratic_bounds", {"strategies": {"name": "equal"}},
@@ -1206,7 +1207,8 @@ class TestCli:
             ("quadratic_bounds", {"strategies": [{"name": ["equal"], "k": 0.1}]},
              "error: strategy name must be a string, got ['equal']"),
             ("quadratic_bounds", {"training": {"lr_schedule": ["theory"]}},
-             "error: lr_schedule must be a string, got ['theory']"),
+             "error: cannot build the training config: lr_schedule must be a string, "
+             "got ['theory']"),
             ("strategy_grid_equal", {"data": {"partitions": [["equal"]]}},
              "error: partition must be a string, got ['equal']"),
         ],
@@ -1367,9 +1369,9 @@ class TestCli:
                                      "training": {"batch_size": 80_000}},
              "training batch_size and task hidden_dim:"),
             ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
-             "data total_samples and test_samples, and task input_dim:"),
+             "seeds, partitions, data total_samples and test_samples, and task input_dim:"),
             ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
-             "data total_samples and test_samples, and task input_dim:"),
+             "seeds, partitions, data total_samples and test_samples, and task input_dim:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
         ],
         ids=["local-steps", "batch-size", "quadratic-draw", "mlp-slab", "mlp-hidden-states",
@@ -1421,10 +1423,26 @@ class TestCli:
     def test_labelling_pass_is_accepted_at_parse(self):
         # The teacher labels one row tile at a time, so 7e6 samples, whose
         # whole-set hidden states once counted 3.6 GB, are refused by no
-        # table: their features and labels take 0.95 GB.
+        # table: their features and labels take 0.95 GB at one seed.
         raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
         raw["data"]["total_samples"] = 7e6
+        raw["seeds"] = [1]
         assert parse_config(raw).total_samples == 7_000_000
+
+    def test_every_group_data_is_counted_at_parse(self):
+        # The runner builds every (seed, partition) group's task before
+        # training, but only one group's data was counted. At 4e6 samples one
+        # seed's data take 0.51 GiB; two seeds' take 1.01 GiB.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["data"]["total_samples"] = 4e6
+        raw["seeds"] = [1]
+        parse_config(raw)
+        raw["seeds"] = [1, 2]
+        with pytest.raises(ConfigParseError) as refused:
+            parse_config(raw)
+        assert str(refused.value) == (
+            "seeds, partitions, data total_samples and test_samples, and task input_dim: the "
+            "training and test data would take 1.01 GiB, over the 1 GiB one training table may use")
 
     def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
         # 7 clients and dim 3,250: one stacked gradient steps up to 5

@@ -129,7 +129,7 @@ class TestLearningRate:
         # "ValueError: expected non-negative integer" from the seed's streams.
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=4, seed=1)
-        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0$"):
+        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0, got -1$"):
             fedexit.run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1),
                         TrainConfig(rounds=2, local_steps=1, seed=-1))
 
@@ -526,8 +526,8 @@ class TestRun:
         rounds = []
         real_round = fedtrain._stacked_round
 
-        def recording_round(jobs, pools):
-            advance = real_round(jobs, pools)
+        def recording_round(sets, pools):
+            advance = real_round(sets, pools)
 
             def recording(w, t):
                 rounds.append(t)
@@ -742,6 +742,11 @@ class TestPerClientRound:
 class TestStackedJobs:
     """run_stacked must give every job the iterate run() gives it alone, bit for bit."""
 
+    def test_no_jobs_are_refused(self):
+        # An empty list used to end in a raw IndexError on jobs[0].
+        with pytest.raises(InvalidArgumentError, match="^run_stacked needs at least one job$"):
+            run_stacked([])
+
     def test_matches_per_job_run(self):
         for name, topo, weights, radius in stacked_round_cases():
             tasks = {}
@@ -803,9 +808,9 @@ class TestStackedJobs:
         stacks = []
         real_round = fedtrain._stacked_round
 
-        def recording_round(jobs, pools):
-            stacks.append(len(jobs))
-            return real_round(jobs, pools)
+        def recording_round(sets, pools):
+            stacks.append(sum(map(len, sets)))
+            return real_round(sets, pools)
 
         monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
         shares = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2],
@@ -846,9 +851,9 @@ class TestStackedJobs:
         stacks = []
         real_round = fedtrain._stacked_round
 
-        def recording_round(jobs, pools):
-            stacks.append(len({fedtrain._set_key(job) for job in jobs}))
-            return real_round(jobs, pools)
+        def recording_round(sets, pools):
+            stacks.append(len({fedtrain._set_key(job) for members in sets for job in members}))
+            return real_round(sets, pools)
 
         monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
         jobs = [
@@ -954,9 +959,9 @@ class TestStackedJobs:
         trained = []
         real_round = fedtrain._stacked_round
 
-        def recording_round(jobs, pools):
-            trained.extend(jobs)
-            return real_round(jobs, pools)
+        def recording_round(sets, pools):
+            trained.extend(job for members in sets for job in members)
+            return real_round(sets, pools)
 
         monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
         cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=3)

@@ -1,14 +1,16 @@
 """Seeded fuzz over the library's constructors and ``fedexit.run`` on the seven-node tree.
 
 A mutant gives one or two arguments of :class:`NodeSpec`, :class:`Topology`,
-:class:`TrainConfig`, :class:`SamplingMatrix`, :class:`ExitWeights` or
-:func:`fedexit.run` a bad value of the right type: negative, zero, NaN, inf,
-a wrong length or shape, or an unknown name. The chain then builds the tree,
-a quadratic task on it, the sampling matrix, the exit weights and the
-training config, and trains a short run. It must train to a finite iterate,
-or its first refusal must be a :class:`FedexitError` whose message names an
-edited argument (by one of the words in ``NAMES``). A wrong Python type may
-still raise ``TypeError`` and is not drawn.
+:class:`TrainConfig`, :func:`make_quadratic_task`, :func:`build_sampling_matrix`,
+:class:`SamplingMatrix`, :class:`ExitWeights` or :func:`fedexit.run` a bad
+value: negative, zero, NaN, inf, a wrong length or shape, or an unknown name,
+or, for a scalar field, a value of the wrong type (see ``WRONG_TYPES``). The
+chain then builds the tree, a quadratic task on it, the sampling matrix, the
+exit weights and the training config, and trains a short run. It must train
+to a finite iterate, or its first refusal must be a :class:`FedexitError`
+whose message names an edited argument (by one of the words in ``NAMES``). A
+mutant with a wrong-type edit must be refused. The MLP builders take the same
+wrong-type edits one at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 import fedexit
 from conftest import chain_topology, seven_node_topology
 from fedexit.errors import FedexitError
 from fedexit.fedtrain import TrainConfig
+from fedexit.mlp import make_classification_task, make_test_set
 from fedexit.quadratic import make_quadratic_task
 from fedexit.strategies import ExitWeights, SamplingMatrix, build_sampling_matrix
 from fedexit.topology import NodeSpec, Topology
@@ -33,6 +37,10 @@ SAMPLING = build_sampling_matrix(TREE, K)
 INTS = (-1, 0)
 FLOATS = (-1.0, 0.0, math.nan, math.inf, -math.inf)
 MUTANTS = 300
+# Values of the wrong type for an integer, a real or a string field: each is
+# what int(), float() or a comparison would take or cut without a word.
+WRONG_TYPES = {"integer": (1.5, True, "1", None), "real": (True, "1", None),
+               "string": (1.5, True, None)}
 
 # The words by which a refusal may name each argument: its own name, or the
 # word its messages use for it ("exit index", "client row", "node ids").
@@ -46,8 +54,31 @@ NAMES = {
     "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
     "weights": ("exit weights",),
     "topology": ("topology",), "task": ("task",), "sampling": ("sampling matrix",),
-    "w_init": ("w_init",),
+    "w_init": ("w_init",), "id": ("node id",), "k": ("k must", "k="),
+    **{name: (name,) for name in ("dim", "center_scale", "input_dim", "hidden_dim",
+                                  "num_classes", "teacher_gain", "total_samples")},
+    "n": ("n must",),
 }
+
+# Each scalar field of the quadratic chain, by the kind of value it reads. A
+# non-root node's parent may not be None (another root), and "1" is a valid
+# id or parent, which other checks refuse.
+TYPED_FIELDS = [
+    *((f"NodeSpec {n.id}", field, kind) for n in TREE.nodes for field, kind in (
+        ("id", "string"), ("exit", "integer"), ("arrival_rate", "real"),
+        ("budget", "real"), ("dataset_size", "integer"))),
+    ("Topology", "num_exits", "integer"),
+    *(("TrainConfig", field, "integer")
+      for field in ("rounds", "local_steps", "batch_size", "seed")),
+    *(("TrainConfig", field, "real")
+      for field in ("server_lr", "base_lr", "projection_radius", "mu", "smoothness")),
+    ("TrainConfig", "lr_schedule", "string"),
+    ("make_quadratic_task", "dim", "integer"), ("make_quadratic_task", "seed", "integer"),
+    ("make_quadratic_task", "center_scale", "real"), ("build_sampling_matrix", "k", "real"),
+]
+TYPED = [(target, field, value) for target, field, kind in TYPED_FIELDS
+         for value in WRONG_TYPES[kind]]
+TYPED += [(f"NodeSpec {n.id}", "parent", v) for n in TREE.nodes if n.parent for v in (1.5, True)]
 
 
 def _with_entry(array: np.ndarray, index: tuple, value) -> np.ndarray:
@@ -104,7 +135,7 @@ def candidates() -> list[tuple[str, str, object]]:
                                            np.full(3, math.nan), np.full(3, math.inf),
                                            np.full(3, -math.inf))]
     out += [("run", "weights", ExitWeights(np.full(e, 1 / e))) for e in (2, 4)]
-    return out
+    return out + TYPED
 
 
 def train(edits):
@@ -114,8 +145,8 @@ def train(edits):
 
     nodes = tuple(NodeSpec(**edit(f"NodeSpec {n.id}", dataclasses.asdict(n))) for n in TREE.nodes)
     topology = Topology(**edit("Topology", {"nodes": nodes, "num_exits": TREE.num_exits}))
-    task = make_quadratic_task(topology, dim=3, seed=1)
-    base = build_sampling_matrix(topology, K)
+    task = make_quadratic_task(topology, **edit("make_quadratic_task", {"dim": 3, "seed": 1}))
+    base = build_sampling_matrix(topology, **edit("build_sampling_matrix", {"k": K}))
     sampling = SamplingMatrix(**edit("SamplingMatrix", {"clients": base.clients,
                                                         "probs": base.probs}))
     weights = ExitWeights(**edit("ExitWeights", {"weights": np.full(3, 1 / 3)}))
@@ -149,7 +180,32 @@ def test_every_mutant_trains_or_is_refused_by_name():
         except Exception as exc:  # noqa: BLE001  any other exception is the finding
             raise AssertionError(f"{shown}: not a FedexitError") from exc
         else:
+            assert not any(edit is typed for edit in edits for typed in TYPED), shown
             assert np.isfinite(w).all() and math.isfinite(objective), shown
             outcomes["trained"] += 1
     # Both outcomes occur, so the edits reach past the constructors' first checks.
     assert outcomes["trained"] > 0 and outcomes["refused"] > 0, outcomes
+
+
+MLP_BUILD = {"partition": "equal", "total_samples": 70, "input_dim": 3, "hidden_dim": 4,
+             "seed": 1}
+
+
+@pytest.mark.parametrize("target, field, value", [
+    *(("make_classification_task", field, value)
+      for field in ("input_dim", "hidden_dim", "num_classes", "total_samples", "seed")
+      for value in WRONG_TYPES["integer"]),
+    *(("make_classification_task", "teacher_gain", value) for value in WRONG_TYPES["real"]),
+    *(("make_test_set", field, value) for field in ("n", "seed")
+      for value in WRONG_TYPES["integer"]),
+])
+def test_mlp_builders_refuse_wrong_types_by_name(target, field, value):
+    # seed=1.9 and True built the data of seed 1, and n=1.5 or a string size
+    # ended in a raw TypeError.
+    task = make_classification_task(TREE, **MLP_BUILD)
+    with pytest.raises(FedexitError) as refused:
+        if target == "make_test_set":
+            make_test_set(task, **{"n": 5, "seed": 1, field: value})
+        else:
+            make_classification_task(TREE, **{**MLP_BUILD, field: value})
+    assert any(word in str(refused.value) for word in NAMES[field]), str(refused.value)

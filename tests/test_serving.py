@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import seven_node_topology
-from fedexit.errors import EmptyDatasetError
+from fedexit.errors import EmptyDatasetError, InvalidArgumentError
 from fedexit.fedtrain import TrainConfig, run
 from fedexit.mlp import MlpTask, exit_accuracy, make_classification_task, make_test_set
 from fedexit.serving import (
@@ -236,6 +237,24 @@ class TestSimulateServing:
         topo, plan, task, w, xt, yt = trained_setup(rounds=1)
         with pytest.raises(EmptyDatasetError):
             simulate_serving(topo, plan, task, w, xt[:0], yt[:0])
+
+    def test_mismatched_shapes_are_refused(self):
+        # 10 rows with 5 labels served 5 samples without a word, and fewer
+        # rows than labels, or a short w, ended in numpy's raw ValueError.
+        topo, plan, task, w, xt, yt = trained_setup(rounds=1)
+        for x, y in ((xt[:10], yt[:5]), (xt[:5], yt[:10]), (xt[:, :-1], yt), (xt[0], yt[:1])):
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"x has shape {x.shape}, ")):
+                simulate_serving(topo, plan, task, w, x, y)
+        for bad in (w[:-1], w[None]):
+            with pytest.raises(InvalidArgumentError, match=r"^w has shape .*, not \(\d+,\)$"):
+                simulate_serving(topo, plan, task, bad, xt, yt)
+
+    def test_seed_is_read_as_every_stream_reads_it(self):
+        # seed=1.5 ended in numpy's raw TypeError, and True drew as seed 1.
+        topo, plan, task, w, xt, yt = trained_setup(rounds=1)
+        for seed in (1.5, True, "1", -1):
+            with pytest.raises(InvalidArgumentError, match="^seed must be "):
+                simulate_serving(topo, plan, task, w, xt, yt, ranking="random", seed=seed)
 
     def test_served_share_is_realised_split(self):
         topo, plan, task, w, xt, yt = trained_setup()
