@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import load_config
 from .errors import FedexitError
 from .experiment import compare, run_experiment
 
@@ -19,9 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run every cell of an experiment config")
     runp.add_argument("config", help="path to a JSON experiment config")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
-    runp.add_argument(
-        "--seed-override", type=int, default=None, help="run only this seed"
-    )
+    runp.add_argument("--seed-override", type=int, default=None,
+                      help="run only this seed; the size checks count only this seed")
 
     cmp = sub.add_parser("compare", help="per-split accuracy deltas between strategies")
     cmp.add_argument("results", help="path to a results.csv")
@@ -34,9 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            csv_path = run_experiment(
-                args.config, out_dir=args.out, seed_override=args.seed_override
-            )
+            seeds = None if args.seed_override is None else [args.seed_override]
+            csv_path = run_experiment(load_config(args.config, seeds), out_dir=args.out)
             print(csv_path)
             return 0
         rows = compare(args.results, args.baseline, args.candidate)

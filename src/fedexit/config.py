@@ -15,7 +15,7 @@ value (for example ``InfeasibleSplitError``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +114,9 @@ class ExperimentConfig:
     output_dir: str
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file; raise ConfigParseError on any defect."""
+def load_config(path: str | Path, seeds: list | None = None) -> ExperimentConfig:
+    """Parse and validate a config file, as :func:`parse_config` reads ``seeds``; raise
+    ConfigParseError on any defect."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -123,7 +124,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # also an integer literal too long for int()
         raise ConfigParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(raw, seeds)
 
 
 def _check_grid_axis(what: str, values) -> None:
@@ -148,7 +149,9 @@ def parse_seeds(values) -> tuple[int, ...]:
     return seeds
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
+def parse_config(raw: dict, seeds: list | None = None) -> ExperimentConfig:
+    """``raw`` as typed values. ``seeds``, if given, replaces the seed axis once that is
+    checked, so the grid runs, and its tables are sized, at those seeds only."""
     try:
         reject_unknown_keys(
             "config",
@@ -225,7 +228,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 exit_pools(topo, strategies[-1].sampling)
         _check_grid_axis("strategy", [f"{s.name} with k={s.k:g}" for s in strategies])
 
-        seeds = parse_seeds(raw["seeds"])
+        file_seeds = parse_seeds(raw["seeds"])
+        seeds = file_seeds if seeds is None else parse_seeds(seeds)
 
         flops = _numbers("flops", raw["flops"]) if "flops" in raw else REFERENCE_FLOPS
         if len(flops) != topo.num_exits:
@@ -271,18 +275,16 @@ TASK_KEYS = {
     "mlp": {"input_dim": 16, "hidden_dim": 32, "num_classes": 3, "teacher_gain": 1.5},
 }
 
-# The keys of the training section: TrainConfig's fields but the seed and the
-# curvature constants and radius, which a quadratic task sets.
-TRAINING_KEYS = ("rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr")
+# The keys of the training section: TrainConfig's fields but the seed, which each
+# cell takes from the seed axis.
+TRAINING_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 def _training_args(training: dict, kind: str) -> tuple[dict, TrainConfig]:
     """``TrainConfig``'s keyword arguments that the training section sets, read once.
 
     Only the values the section sets are kept, as ``TrainConfig`` reads them:
-    it owns every default and value rule, and sizes the tables. Stand-ins fill
-    a quadratic task's ``mu``, ``smoothness`` and feasible radius, which are
-    known only once the task is built.
+    it owns every default and value rule, and sizes the tables.
 
     Raises:
         ConfigParseError: a key is unknown, ``rounds`` or ``local_steps`` is
@@ -300,9 +302,8 @@ def _training_args(training: dict, kind: str) -> tuple[dict, TrainConfig]:
             raise ConfigParseError("the theory schedule needs a quadratic task's mu/smoothness")
         if "base_lr" in training:
             raise ConfigParseError("the theory schedule reads no base_lr; its steps follow mu")
-    stand_ins = dict(mu=1.0, smoothness=1.0, projection_radius=1.0) if kind == "quadratic" else {}
     try:
-        cfg = TrainConfig(**training, **stand_ins)
+        cfg = TrainConfig(**training)
     except InvalidArgumentError as exc:
         raise ConfigParseError(f"cannot build the training config: {exc}") from exc
     return {key: getattr(cfg, key) for key in training}, cfg

@@ -25,9 +25,13 @@ def integer(what: str, value, least: int | None = None) -> int:
 
 
 def number(what: str, value) -> float:
-    """``value`` as a float; refuse a bool or a string, which ``float()`` would take."""
+    """``value`` as a float; refuse a bool or a string, which ``float()`` would take, and a
+    number too large for a float, where it raises a bare ``OverflowError``."""
     if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidArgumentError(f"{what} must be within a float's range") from None
     raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
 
 

@@ -4,7 +4,7 @@ Every (seed, partition, split, strategy) cell of a parsed config
 (:mod:`fedexit.config`) contributes one CSV row plus one JSON report. The
 runner works in three passes. It first plans every cell: each (seed, partition)
 group builds once, and shares across all of its splits and strategies, the task
-instance, the tree sized to it, the test set and the training config. It then
+instance, the tree sized to it and the test set. It then
 passes every cell's training job to :func:`fedtrain.run_stacked`, which trains
 each distinct job once. Training reads neither budgets nor the rate plan, so
 ``equal`` and ``flops_prop``, whose exit weights ignore the split, give one job
@@ -21,7 +21,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import operator
 import shutil
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, SplitSpec, StrategySpec, load_config, parse_seeds
+from .config import ExperimentConfig, SplitSpec, StrategySpec, load_config
 from .config import parse_config  # noqa: F401  perfbench calls fedexit.experiment.parse_config
 from .errors import BoundOverflowError, MissingRowsError, MixedKError, OutputExistsError
 from .fedtrain import Job, TrainConfig, initial_iterate, run_stacked
@@ -91,7 +90,6 @@ class _Group:
     partition: str
     task: object
     topology: Topology  # the config's tree, sized to the task
-    train_cfg: TrainConfig
     test_x: np.ndarray | None
     test_y: np.ndarray | None
 
@@ -100,17 +98,13 @@ def _build_group(cfg: ExperimentConfig, seed: int, partition: str) -> _Group:
     task = _build_task(cfg, partition, seed)
     if task.kind == "mlp":
         test_x, test_y = make_test_set(task, cfg.test_samples, seed)
-        constants = {}
     else:
         test_x = test_y = None
-        # The constants a quadratic task's opt_bound assumes.
-        constants = dict(mu=task.mu, smoothness=task.smoothness, projection_radius=task.radius)
     return _Group(
         seed=seed,
         partition=partition,
         task=task,
         topology=cfg.topology.with_dataset_sizes(task.sizes),
-        train_cfg=TrainConfig(**cfg.training, **constants, seed=seed),
         test_x=test_x,
         test_y=test_y,
     )
@@ -135,7 +129,8 @@ def _plan_cell(
     """One strategy's cell at one split of a group."""
     pools = exit_pools(group.topology, spec.sampling)
     weights = exit_weights(spec.name, split.fractions, pools.sizes, cfg.flops)
-    job = Job(group.topology, group.task, weights, spec.sampling, group.train_cfg,
+    train_cfg = TrainConfig(**cfg.training, seed=group.seed)
+    job = Job(group.topology, group.task, weights, spec.sampling, train_cfg,
               label=f"strategy {spec.name}, k={spec.k:g}")
     bounds = () if group.task.kind == "mlp" else _quadratic_bounds(group, split, pools, job)
     return _Cell(group, split, spec, pools, job, *bounds)
@@ -155,8 +150,8 @@ def _quadratic_bounds(
         with np.errstate(over="raise", invalid="raise"):
             params = theory_params(task, weights, sampling, pools, cfg.server_lr, cfg.local_steps)
             minimum = quadratic_minimizers(task, weights, pools)
-            gamma_value = statistical_heterogeneity(task, weights, pools, minimum)
-            b_value = bound_B(params, gamma_value)
+            heterogeneity = statistical_heterogeneity(task, weights, pools, minimum)
+            b_value = bound_B(params, heterogeneity)
             init_dist_sq = float(np.sum((initial_iterate(job) - minimum.w_star) ** 2))
             bound = opt_error_bound(params, b_value, cfg.rounds, init_dist_sq)
             g_pairs, g_max = grad_second_moment(params)
@@ -170,7 +165,7 @@ def _quadratic_bounds(
             "task's eig_range, center_scale or sigma_range, or server_lr"
         ) from exc
     return dict(
-        heterogeneity=gamma_value,
+        heterogeneity=heterogeneity,
         grad_second_moment_max=g_max,
         grad_second_moment_per_pair={
             f"{c}:{e}": float(g) for (c, e), g in zip(params.pairs, g_pairs)
@@ -236,11 +231,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def run_experiment(
-    config: str | Path | ExperimentConfig,
-    out_dir: str | Path | None = None,
-    seed_override: int | None = None,
-) -> Path:
+def run_experiment(config: str | Path | ExperimentConfig,
+                   out_dir: str | Path | None = None) -> Path:
     """Run the full grid and write results.csv plus per-cell reports.
 
     Returns the path of the CSV. Output is byte-identical across reruns of
@@ -252,8 +244,6 @@ def run_experiment(
             its files would mix with this run's. Nothing is deleted.
     """
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seeds=parse_seeds([seed_override]))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise OutputExistsError(f"output path {out} exists and is not an empty directory")

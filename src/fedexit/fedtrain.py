@@ -4,9 +4,9 @@ Each round the server samples one exit per client, broadcasts the global
 model, lets every client run a few local SGD steps on its sampled exit, and
 folds the parameter deltas back with weights that combine the exit's
 aggregation weight, the client's share of that exit's data pool, and the
-inverse sampling probability. The result is projected onto an
-origin-centered ball. All randomness comes from streams keyed by (seed,
-client), so runs are bit-reproducible regardless of execution order:
+inverse sampling probability. The result is projected onto the task's origin-centered
+ball of ``task.radius`` (an MLP's is infinite). All randomness comes from streams keyed
+by (seed, client), so runs are bit-reproducible regardless of execution order:
 ``stream(seed, ROUND_SAMPLE)`` draws every round's exits, and client ``i``'s
 ``stream(seed, LOCAL, i)`` its local noise or batches. Each is opened once per
 run and gives every round one fixed-size draw whatever exit was sampled, so a
@@ -58,15 +58,13 @@ def step_offset(kappa: float, local_steps: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of the round loop: plain local SGD, as the bounds assume.
+    """Choices of the round loop: plain local SGD, as the bounds assume.
 
-    The ``theory`` schedule needs the curvature constants ``mu`` and
-    ``smoothness``; its offset is :func:`step_offset` of ``smoothness / mu``
-    and ``local_steps``. ``constant`` and ``cosine`` schedules use
-    ``base_lr``. Every round ends with a projection onto the ball of radius
-    ``projection_radius``. The experiment runner fills ``mu``,
-    ``smoothness`` and ``projection_radius`` from a quadratic task, whose
-    ``opt_bound`` assumes exactly those constants. Each field is read once.
+    ``constant`` and ``cosine`` schedules use ``base_lr``. The ``theory``
+    schedule reads the task's curvature constants instead (see
+    :func:`learning_rate`), and every round ends with a projection onto the
+    task's feasible ball: both are constants of the problem, which the task
+    owns. Each field is read once.
     """
 
     rounds: int
@@ -75,43 +73,31 @@ class TrainConfig:
     server_lr: float = 1.0
     lr_schedule: str = "constant"
     base_lr: float = 0.1
-    mu: float = 0.0
-    smoothness: float = 0.0
-    projection_radius: float = 1e6
     seed: int = 0
 
     def __post_init__(self) -> None:
         count = partial(integer, least=1)
         read_fields(self, "", rounds=count, local_steps=count, batch_size=count, server_lr=number,
-                    lr_schedule=string, base_lr=number, mu=number, smoothness=number,
-                    projection_radius=number, seed=rngmod.read_seed)
+                    lr_schedule=string, base_lr=number, seed=rngmod.read_seed)
         if self.rounds * self.local_steps >= 2**63:  # the schedules count in int64
             raise InvalidArgumentError("rounds * local_steps must be below 2**63")
         for name, value in (("server_lr", self.server_lr), ("base_lr", self.base_lr)):
             if not 0 < value < math.inf:
                 raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
-        if not self.projection_radius > 0:
-            raise InvalidArgumentError(
-                f"projection_radius must be positive, got {self.projection_radius}")
         if self.lr_schedule not in SCHEDULES:
             raise InvalidArgumentError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.lr_schedule == "theory" and not 0 < self.mu <= self.smoothness < math.inf:
-            raise InvalidArgumentError("theory schedule needs 0 < mu <= smoothness < inf")
-
-    @property
-    def gamma_value(self) -> float:
-        kappa = self.smoothness / self.mu if self.mu > 0 else 1.0
-        return step_offset(kappa, self.local_steps)
 
 
-def learning_rate(cfg: TrainConfig, t: int, j: int) -> float:
+def learning_rate(cfg: TrainConfig, mu: float, smoothness: float, t: int, j: int) -> float:
     """Local step size at round ``t`` (1-based) and local step ``j`` (0-based).
 
-    ``t`` and ``j`` may also be integer arrays.
+    Only the ``theory`` schedule reads the task's ``mu`` and ``smoothness``, with the offset
+    :func:`step_offset` of ``smoothness / mu``. ``t`` and ``j`` may also be integer arrays.
     """
     if cfg.lr_schedule == "theory":
         step = (t - 1) * cfg.local_steps + j
-        return 2.0 / (cfg.mu * (cfg.gamma_value + step + 1.0))
+        gamma = step_offset(smoothness / mu, cfg.local_steps)
+        return 2.0 / (mu * (gamma + step + 1.0))
     if cfg.lr_schedule == "cosine":
         step = (t - 1) * cfg.local_steps + j
         horizon = cfg.rounds * cfg.local_steps
@@ -145,12 +131,13 @@ def sample_round(sampling: SamplingMatrix, rng: np.random.Generator) -> RoundSam
     )
 
 
-def _lr_table(cfgs: Sequence[TrainConfig], lo: int, k: int) -> np.ndarray:
-    """``[t - lo - 1, j, c]`` is ``learning_rate(cfgs[c], t, j)``; cfgs share ``local_steps``."""
-    t, j = np.arange(lo + 1, lo + k + 1)[:, None], np.arange(cfgs[0].local_steps)
-    table = np.empty((k, len(j), len(cfgs)))
-    for c, cfg in enumerate(cfgs):
-        table[..., c] = learning_rate(cfg, t, j)
+def _lr_table(schedules: Sequence[tuple], lo: int, k: int) -> np.ndarray:
+    """``[t - lo - 1, j, c]`` is ``learning_rate(*schedules[c], t, j)``: a schedule is a config
+    and a task's ``mu`` and ``smoothness``, and the configs share ``local_steps``."""
+    t, j = np.arange(lo + 1, lo + k + 1)[:, None], np.arange(schedules[0][0].local_steps)
+    table = np.empty((k, len(j), len(schedules)))
+    for c, schedule in enumerate(schedules):
+        table[..., c] = learning_rate(*schedule, t, j)
     return table
 
 
@@ -184,7 +171,7 @@ def local_update(
     def gradient(w: np.ndarray, j: int) -> np.ndarray:
         return task.stochastic_gradient(w, client, exit, cfg.batch_size, rng)
 
-    etas = [learning_rate(cfg, t, j) for j in range(cfg.local_steps)]
+    etas = [learning_rate(cfg, task.mu, task.smoothness, t, j) for j in range(cfg.local_steps)]
     return _local_steps(w_start, etas, gradient)
 
 
@@ -294,6 +281,9 @@ def _start(job: Job, w_init: np.ndarray | None = None) -> tuple[ExitPools, np.nd
     if job.weights.num_exits != pools.num_exits:
         raise InvalidArgumentError(f"{_name(job)}: {job.weights.num_exits} exit weights for "
                                    f"{pools.num_exits} exits")
+    if job.cfg.lr_schedule == "theory" and not 0 < task.mu <= task.smoothness < math.inf:
+        raise InvalidArgumentError(f"{_name(job)}: the theory schedule needs a task with "
+                                   f"0 < mu <= smoothness < inf, got mu {task.mu}")
     for client in sampling.clients:
         if task.sizes[client] != job.topology.by_id[client].dataset_size:
             raise InvalidArgumentError(
@@ -391,8 +381,9 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
             weights, sampling matrix and topology disagree on the number of
             exits, its task and topology disagree on client dataset sizes,
             its ``w_init`` is not a finite vector of numbers of the task's
-            ``dim``, or a quadratic job samples an exit that a client does
-            not hold.
+            ``dim``, its ``theory`` schedule meets a task without
+            ``0 < mu <= smoothness < inf`` (an MLP), or a quadratic job
+            samples an exit that a client does not hold.
         EmptyPoolError: some exit has no pooled data.
         EmptyClientDatasetError: an MLP client has no samples.
         DivergenceError: an iterate stopped being finite.
@@ -451,7 +442,7 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     but divergence. It is the engine's one place that calls a stream: per block of
     :func:`block_rounds` rounds, each set's sample stream draws the exit uniforms and each local
     stream its draws (the task's ``draw_rounds(gen, client, cfg, rounds)``), and each distinct
-    ``TrainConfig`` gives the step sizes. Bulk draws equal per-round ones: blocks change no bit.
+    config and task curvature gives step sizes. Bulk draws equal per-round ones: no bit moves.
 
     The task class's ``local_phase(leads, job_set)``, from each stream set's first job and
     each job's set, returns ``phase(w, exits, draws, etas)``: from the broadcast models, the
@@ -474,8 +465,9 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     streams = [(job, rngmod.stream(job.cfg.seed, rngmod.LOCAL, i), client)
                for job in leads for i, client in enumerate(clients)]
     block = block_rounds(rounds, len(streams), first.task.draw_shape(first.cfg, first.task.dim))
-    cfg_of: dict[TrainConfig, int] = {}
-    job_cfg = [cfg_of.setdefault(job.cfg, len(cfg_of)) for job in jobs]
+    schedule_of: dict[tuple, int] = {}  # each distinct (config, curvature): its table column
+    job_schedule = [schedule_of.setdefault((job.cfg, job.task.mu, job.task.smoothness),
+                                           len(schedule_of)) for job in jobs]
 
     def round_inputs():
         """Each round's exits, local draws and step sizes, made one block of rounds at a time."""
@@ -487,7 +479,7 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
             yield from zip(np.minimum(exits, last),
                            np.stack([job.task.draw_rounds(gen, client, job.cfg, k)
                                      for job, gen, client in streams], axis=1),
-                           _lr_table(list(cfg_of), lo, k)[..., job_cfg])
+                           _lr_table(list(schedule_of), lo, k)[..., job_schedule])
 
     inputs = round_inputs()
     local_phase = type(first.task).local_phase(leads, job_set)
@@ -500,7 +492,7 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
                   where=job.sampling.probs > 0)
     rows = np.arange(len(jobs))[:, None], np.arange(n)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
-    radius = np.array([job.cfg.projection_radius for job in jobs])
+    radius = np.array([job.task.radius for job in jobs])
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
         set_exits, draws, etas = next(inputs)
@@ -512,10 +504,11 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
         for i in by_name:
             delta += w_end[:, i]
         w = w + server_lr * delta
-        # project_ball row by row, wherever a row may lie outside its ball:
-        # these norms can differ from project_ball's in the last bits only.
+        # project_ball row by row, wherever a row may lie outside its ball (never an MLP's,
+        # which is infinite; a NaN row is refused below): these norms can differ from
+        # project_ball's in the last bits only.
         norms = np.sqrt(np.einsum("rd,rd->r", w, w))
-        for r in np.flatnonzero(~(norms <= radius * (1.0 - 1e-9))):
+        for r in np.flatnonzero(norms > radius * (1.0 - 1e-9)):
             w[r] = project_ball(w[r], radius[r])
         if not np.isfinite(w).all():
             job = jobs[int(np.argmin(np.isfinite(w).all(axis=1)))]

@@ -11,6 +11,7 @@ keeps them honest.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -185,6 +186,9 @@ class MlpTask:
     """Client datasets plus the shared early-exit MLP architecture."""
 
     PACKS_SETS = False  # a stack holds one stream set: local_phase batches one set's jobs only
+    mu = 0.0  # the loss is not strongly convex, so the theory schedule refuses an MLP
+    smoothness = math.inf  # nor is its gradient Lipschitz over the whole parameter space
+    radius = math.inf  # no feasible ball: the round engine never projects an MLP iterate
 
     input_dim: int
     hidden_dim: int

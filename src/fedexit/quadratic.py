@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InvalidArgumentError, SingularSystemError, integer, number
+from .errors import InvalidArgumentError, SingularSystemError, integer, number, read_fields
 from .fedtrain import _local_steps
 from .objective import weighted_objective
 from .strategies import ExitPools, ExitWeights
@@ -23,12 +23,13 @@ from .topology import Topology
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """Per-(client, exit) quadratics plus the feasible-ball radius.
+    """Per-(client, exit) quadratics plus the constants of the problem they pose.
 
     ``matrices[i, e-1]`` and ``centers[i, e-1]`` define the loss of client
     ``clients[i]`` on exit ``e``; entries with ``e > max_exit[i]`` are unused.
     ``noise_scale`` is the standard deviation budget of the stochastic
-    gradient noise per pair.
+    gradient noise per pair. ``mu`` and ``smoothness`` bound every pair's curvature, and
+    training projects onto the origin-centered ball of ``radius``: constants of the problem.
     """
 
     PACKS_SETS = True  # a stack packs stream sets: local_phase steps them all as one batch
@@ -44,6 +45,13 @@ class QuadraticTask:
     radius: float
     mu: float
     smoothness: float
+
+    def __post_init__(self) -> None:
+        read_fields(self, "", radius=number, mu=number, smoothness=number)
+        if not (0 < self.radius < np.inf and 0 < self.mu <= self.smoothness < np.inf):
+            raise InvalidArgumentError(
+                "need 0 < radius < inf and 0 < mu <= smoothness < inf, got radius "
+                f"{self.radius}, mu {self.mu} and smoothness {self.smoothness}")
 
     @property
     def kind(self) -> str:

@@ -206,12 +206,11 @@ def test_05_aggregate_variance_bound(k):
         topo, task, sampling, pools, weights = quadratic_bench(k=k)
         cfg = TrainConfig(
             rounds=1, local_steps=4, batch_size=1, server_lr=1.0,
-            lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
-            projection_radius=task.radius, seed=0,
+            lr_schedule="theory", seed=0,
         )
         params = theory_params(task, weights, sampling, pools, 1.0, cfg.local_steps)
         g_pairs, _ = grad_second_moment(params)
-        eta_last = learning_rate(cfg, 1, cfg.local_steps - 1)
+        eta_last = learning_rate(cfg, task.mu, task.smoothness, 1, cfg.local_steps - 1)
         bound = (
             4.0 * eta_last**2 * cfg.local_steps**2
             * float(np.sum(params.alpha**2 * (1 - params.probs) / params.probs * g_pairs))
@@ -253,8 +252,7 @@ def test_06_optimization_error_bound_and_scaling():
             # The 10 seeds train side by side; each row equals its seed's run alone.
             jobs = [Job(topo, task, weights, sampling, TrainConfig(
                 rounds=rounds, local_steps=4, batch_size=1, server_lr=1.0,
-                lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
-                projection_radius=task.radius, seed=seed,
+                lr_schedule="theory", seed=seed,
             ), w_init=w0) for seed in range(10)]
             gaps = [weighted_objective(task, w_final, weights, pools) - minimum.f_star
                     for w_final in run_stacked(jobs)]

@@ -22,7 +22,6 @@ from fedexit.cli import main as cli_main
 from fedexit.errors import (
     ConfigParseError,
     EmptyPoolError,
-    InvalidArgumentError,
     InvalidTopologyError,
     MissingRowsError,
     MixedKError,
@@ -428,8 +427,8 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="^seed must be >= 0, got -1$"):
             parse_config(mlp_config(seeds=[1, -1]))
         path = write_config(tmp_path, mlp_config())
-        with pytest.raises(InvalidArgumentError, match="^seed must be >= 0, got -1$"):
-            run_experiment(path, out_dir=tmp_path / "out", seed_override=-1)
+        with pytest.raises(ConfigParseError, match="^seed must be >= 0, got -1$"):
+            load_config(path, seeds=[-1])
 
     def test_mlp_theory_schedule_needs_mu_at_parse_time(self):
         training = {"rounds": 4, "local_steps": 2, "lr_schedule": "theory"}
@@ -529,7 +528,7 @@ class TestRunExperiment:
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, mlp_config())
-        csv_path = run_experiment(path, out_dir=tmp_path / "out", seed_override=5)
+        csv_path = run_experiment(load_config(path, seeds=[5]), out_dir=tmp_path / "out")
         from csv import DictReader
 
         seeds = {r["seed"] for r in DictReader(csv_path.open())}
@@ -819,8 +818,9 @@ class TestStackedTraining:
 
     @pytest.mark.parametrize("schedule", ["theory", "constant"])
     def test_quadratic_jobs_carry_their_task_constants(self, tmp_path, monkeypatch, schedule):
-        # opt_bound assumes the task's mu, smoothness and radius; a constant
-        # schedule used to train with mu = smoothness = 0.
+        # opt_bound assumes the task's mu, smoothness and radius, which training
+        # reads from the job's task; a constant schedule used to train with
+        # mu = smoothness = 0.
         import fedexit.experiment as experiment
 
         jobs = []
@@ -837,15 +837,9 @@ class TestStackedTraining:
         run_experiment(config, out_dir=tmp_path / "out")
         assert len({id(job.task) for job in jobs}) == 2
         for job in jobs:
-            cfg, task = job.cfg, job.task
-            assert (cfg.mu, cfg.smoothness, cfg.projection_radius) == (
-                task.mu, task.smoothness, task.radius
-            )
+            cfg = job.cfg
             # Built from the parsed section, with no second read of the JSON.
-            assert cfg.seed in (3, 4) and cfg == TrainConfig(
-                **config.training, seed=cfg.seed, mu=task.mu, smoothness=task.smoothness,
-                projection_radius=task.radius,
-            )
+            assert cfg.seed in (3, 4) and cfg == TrainConfig(**config.training, seed=cfg.seed)
 
     def test_bound_measures_init_dist_from_the_training_start(self, monkeypatch):
         # opt_bound's init_dist_sq is ||w_0 - w*||^2 for the w_0 that training
@@ -1168,6 +1162,8 @@ class TestCli:
              "error: cannot build the training config: base_lr must be a number, got '0.2'"),
             ("quadratic_bounds", {"training": {"server_lr": True}},
              "error: cannot build the training config: server_lr must be a number, got True"),
+            ("quadratic_bounds", {"training": {"server_lr": 10**401}},
+             "error: cannot build the training config: server_lr must be within a float's range"),
             ("quadratic_bounds", {"node": {"arrival_rate": True}},
              "error: node dev1: arrival_rate must be a number, got True"),
             ("strategy_grid_equal", {"task": {"kind": "mlp", "teacher_gain": "2.5"}},
@@ -1215,7 +1211,8 @@ class TestCli:
         ids=["nan-arrival", "missing-key", "momentum", "mu-smoothness", "projection-radius",
              "node-budget", "mlp-theory", "no-strategies", "no-partitions", "string-strategy",
              "string-serving", "string-node", "string-task", "string-topology",
-             "list-budgets", "string-k", "string-base-lr", "bool-server-lr", "bool-arrival",
+             "list-budgets", "string-k", "string-base-lr", "bool-server-lr", "huge-server-lr",
+             "bool-arrival",
              "string-gain", "string-center", "string-flops", "bool-split", "string-budget",
              "string-partitions", "object-strategies", "scalar-seeds", "string-splits",
              "string-split", "object-eig-range", "string-nodes", "quadratic-data",
@@ -1229,10 +1226,11 @@ class TestCli:
         # (momentum, mu, projection_radius, a node budget, string or bool
         # numbers, a quadratic data section, base_lr under the theory
         # schedule), to end in a raw traceback (no strategies or partitions,
-        # a string node), or to name the characters of a string ("unknown
-        # strategy keys ['a', ...]", "unknown partition 'e'"), or to take a
-        # list or a number where a name belongs (an output directory named
-        # "['a']", a node named '5', "unhashable type: 'list'").
+        # a string node, a server_lr of 402 digits), or to name the
+        # characters of a string ("unknown strategy keys ['a', ...]",
+        # "unknown partition 'e'"), or to take a list or a number where a
+        # name belongs (an output directory named "['a']", a node named '5',
+        # "unhashable type: 'list'").
         raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
         edit = dict(edit)
         raw["topology"]["nodes"][3].update(edit.pop("node", {}))
@@ -1368,10 +1366,11 @@ class TestCli:
             ("strategy_grid_equal", {"task": {"hidden_dim": 256},
                                      "training": {"batch_size": 80_000}},
              "training batch_size and task hidden_dim:"),
+            # --seed-override 1 leaves one (seed, partition) group to count.
             ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
-             "seeds, partitions, data total_samples and test_samples, and task input_dim:"),
+             "data total_samples and test_samples, and task input_dim:"),
             ("strategy_grid_equal", {"data": {"test_samples": 1e12}},
-             "seeds, partitions, data total_samples and test_samples, and task input_dim:"),
+             "data total_samples and test_samples, and task input_dim:"),
             ("quadratic_bounds", {"task": {"dim": 10_000}}, "task dim:"),
         ],
         ids=["local-steps", "batch-size", "quadratic-draw", "mlp-slab", "mlp-hidden-states",
@@ -1443,6 +1442,19 @@ class TestCli:
         assert str(refused.value) == (
             "seeds, partitions, data total_samples and test_samples, and task input_dim: the "
             "training and test data would take 1.01 GiB, over the 1 GiB one training table may use")
+
+    def test_seed_override_is_counted_alone_at_parse(self, tmp_path):
+        # The override replaced the seeds after the config was parsed, so
+        # --seed-override 1 was refused for the data of all five seeds
+        # (2.53 GiB), though one seed's take 0.51 GiB.
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["data"]["total_samples"] = 4e6
+        path = write_config(tmp_path, raw)
+        with pytest.raises(ConfigParseError, match="data would take 2.53 GiB"):
+            load_config(path)
+        assert load_config(path, seeds=[1]).seeds == (1,)
+        with pytest.raises(ConfigParseError, match="data would take 1.01 GiB"):
+            load_config(path, seeds=[1, 2])
 
     def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
         # 7 clients and dim 3,250: one stacked gradient steps up to 5

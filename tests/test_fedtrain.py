@@ -53,9 +53,6 @@ def theory_cfg(**kwargs) -> TrainConfig:
         batch_size=8,
         server_lr=1.0,
         lr_schedule="theory",
-        mu=1.0,
-        smoothness=1.0,
-        projection_radius=50.0,
         seed=0,
     )
     defaults.update(kwargs)
@@ -63,23 +60,24 @@ def theory_cfg(**kwargs) -> TrainConfig:
 
 
 class TestLearningRate:
+    # The theory schedule reads a task's curvature constants: here mu = smoothness = 1.
     def test_theory_first_step(self):
         cfg = theory_cfg(local_steps=4)
-        assert cfg.gamma_value == 7.0
-        assert learning_rate(cfg, 1, 0) == pytest.approx(0.25)
+        assert fedtrain.step_offset(1.0, cfg.local_steps) == 7.0
+        assert learning_rate(cfg, 1.0, 1.0, 1, 0) == pytest.approx(0.25)
 
     def test_theory_within_round(self):
         cfg = theory_cfg(local_steps=4)
-        assert learning_rate(cfg, 1, 3) == pytest.approx(2 / 11)
+        assert learning_rate(cfg, 1.0, 1.0, 1, 3) == pytest.approx(2 / 11)
 
     def test_theory_across_rounds(self):
         cfg = theory_cfg(local_steps=4)
         # Step counter continues across rounds: t=2, j=0 is global step 4.
-        assert learning_rate(cfg, 2, 0) == pytest.approx(2 / 12)
+        assert learning_rate(cfg, 1.0, 1.0, 2, 0) == pytest.approx(2 / 12)
 
     def test_constant(self):
         cfg = TrainConfig(rounds=3, local_steps=2, lr_schedule="constant", base_lr=0.1)
-        assert learning_rate(cfg, 1, 0) == learning_rate(cfg, 3, 1) == 0.1
+        assert learning_rate(cfg, 1.0, 1.0, 1, 0) == learning_rate(cfg, 1.0, 1.0, 3, 1) == 0.1
 
     @pytest.mark.parametrize(
         "rounds, local_steps, base_lr", [(1, 1, 0.2), (1, 7, 0.5), (40, 2, 0.2), (97, 3, 0.37)]
@@ -91,26 +89,35 @@ class TestLearningRate:
         # cosine reaches -1).
         cfg = TrainConfig(rounds=rounds, local_steps=local_steps, lr_schedule="cosine",
                           base_lr=base_lr)
-        table = fedtrain._lr_table([cfg], 0, rounds)[..., 0]
+        table = fedtrain._lr_table([(cfg, 1.0, 1.0)], 0, rounds)[..., 0]
         assert table.shape == (rounds, local_steps) and table.dtype == np.float64
-        expected = [[learning_rate(cfg, t, j) for j in range(local_steps)]
+        expected = [[learning_rate(cfg, 1.0, 1.0, t, j) for j in range(local_steps)]
                      for t in range(1, rounds + 1)]
         assert table.tobytes() == np.array(expected).tobytes()
         assert table[0, 0] == base_lr
         # The engine makes the table one block of rounds at a time.
-        blocks = [fedtrain._lr_table([cfg], lo, min(7, rounds - lo)) for lo in range(0, rounds, 7)]
+        blocks = [fedtrain._lr_table([(cfg, 1.0, 1.0)], lo, min(7, rounds - lo))
+                  for lo in range(0, rounds, 7)]
         assert np.concatenate(blocks)[..., 0].tobytes() == table.tobytes()
 
         t, j = np.meshgrid(np.arange(1, rounds + 2), np.arange(local_steps), indexing="ij")
-        steps = learning_rate(cfg, t, j)
-        scalars = [[learning_rate(cfg, int(a), int(b)) for a, b in zip(ra, rb)]
+        steps = learning_rate(cfg, 1.0, 1.0, t, j)
+        scalars = [[learning_rate(cfg, 1.0, 1.0, int(a), int(b)) for a, b in zip(ra, rb)]
                    for ra, rb in zip(t, j)]
         assert steps.tobytes() == np.array(scalars).tobytes()
-        assert learning_rate(cfg, rounds + 1, 0) == steps[-1, 0] == 0.0
+        assert learning_rate(cfg, 1.0, 1.0, rounds + 1, 0) == steps[-1, 0] == 0.0
 
-    def test_theory_needs_curvature(self):
-        with pytest.raises(ValueError):
-            TrainConfig(rounds=1, local_steps=1, lr_schedule="theory")
+    def test_theory_schedule_refuses_an_mlp_before_round_1(self, monkeypatch):
+        # An MLP has no strong-convexity constant for the theory steps to
+        # divide by. TrainConfig refused the schedule unless it was handed
+        # curvature constants, which an MLP run had to fake.
+        topo, task = mlp_case()
+        cfg = TrainConfig(rounds=2, local_steps=1, batch_size=4, lr_schedule="theory", seed=3)
+        monkeypatch.setattr(fedtrain, "_stacked_round", None)  # nothing may train
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^seed 3: the theory schedule needs a task with 0 < mu <= "
+                                 r"smoothness < inf, got mu 0.0$"):
+            fedexit.run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg)
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -144,8 +151,7 @@ class TestLearningRate:
     def test_fields(self):
         # Local SGD has no momentum: the bounds assume plain steps.
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-            "rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr",
-            "mu", "smoothness", "projection_radius", "seed",
+            "rounds", "local_steps", "batch_size", "server_lr", "lr_schedule", "base_lr", "seed",
         ]
         with pytest.raises(TypeError, match="momentum"):
             TrainConfig(rounds=1, local_steps=1, momentum=0.5)
@@ -354,10 +360,7 @@ class TestRun:
         sampling = build_sampling_matrix(topo, 0.0)
         pools = exit_pools(topo, sampling)
         weights = equal_weight(3)
-        cfg = theory_cfg(
-            rounds=60, local_steps=4, mu=task.mu, smoothness=task.smoothness,
-            projection_radius=task.radius, seed=1,
-        )
+        cfg = theory_cfg(rounds=60, local_steps=4, seed=1)
         minimum = quadratic_minimizers(task, weights, pools)
         w0 = task.init_params(rngmod.stream(cfg.seed, rngmod.INIT))
         objective = [weighted_objective(task, w0, weights, pools)]
@@ -379,8 +382,7 @@ class TestRun:
         if backend == "quadratic":
             topo = seven_node_topology()
             task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
-            cfg = TrainConfig(rounds=rounds, local_steps=3, base_lr=0.05,
-                              projection_radius=task.radius, seed=2)
+            cfg = TrainConfig(rounds=rounds, local_steps=3, base_lr=0.05, seed=2)
         else:
             topo, task = mlp_case()
             cfg = TrainConfig(rounds=rounds, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
@@ -395,7 +397,7 @@ class TestRun:
     def test_weighted_empty_pool_is_refused(self):
         topo = seven_node_topology(sizes={"cloud": 0})
         task = make_quadratic_task(topo, dim=3, seed=4)
-        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05, projection_radius=task.radius)
+        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05)
         job = Job(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg)
         with pytest.raises(EmptyPoolError, match="^exit 3 .*dataset_size is 0 at cloud$"):
             run_stacked([job])
@@ -405,7 +407,7 @@ class TestRun:
         # NaN, reported as "seed 0, round 1: the iterate is not finite".
         topo = seven_node_topology(sizes={"cloud": 0})
         task = make_quadratic_task(topo, dim=3, seed=4)
-        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05, projection_radius=task.radius)
+        cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05)
         weights, sampling = normalized_weights([0.5, 0.5, 0]), build_sampling_matrix(topo, 0.1)
         with pytest.raises(EmptyPoolError, match="^exit 3 has no pooled data: dataset_size is 0 at cloud$"):
             run(topo, task, weights, sampling, cfg)
@@ -414,8 +416,7 @@ class TestRun:
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
         sampling = build_sampling_matrix(topo, 0.1)
-        cfg = theory_cfg(rounds=15, mu=task.mu, smoothness=task.smoothness,
-                         projection_radius=task.radius, seed=9)
+        cfg = theory_cfg(rounds=15, seed=9)
         w_a, objective_a = run(topo, task, equal_weight(3), sampling, cfg)
         w_b, objective_b = run(topo, task, equal_weight(3), sampling, cfg)
         np.testing.assert_array_equal(w_a, w_b)
@@ -425,21 +426,20 @@ class TestRun:
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
         sampling = build_sampling_matrix(topo, 0.1)
-        base = dict(rounds=5, local_steps=4, lr_schedule="theory", mu=task.mu,
-                    smoothness=task.smoothness, projection_radius=task.radius)
+        base = dict(rounds=5, local_steps=4, lr_schedule="theory")
         w_a, _ = run(topo, task, equal_weight(3), sampling, TrainConfig(seed=1, **base))
         w_b, _ = run(topo, task, equal_weight(3), sampling, TrainConfig(seed=2, **base))
         assert np.any(w_a != w_b)
 
     def test_projection_safety_along_trajectory(self):
         topo = seven_node_topology()
-        task = make_quadratic_task(topo, dim=4, sigma_range=(0.3, 0.5), seed=12)
-        sampling = build_sampling_matrix(topo, 0.1)
         radius = 0.5  # deliberately tight so the projection engages
+        task = dataclasses.replace(
+            make_quadratic_task(topo, dim=4, sigma_range=(0.3, 0.5), seed=12), radius=radius)
+        sampling = build_sampling_matrix(topo, 0.1)
         # Every prefix of the 30-round run, one run per length.
         for rounds in range(1, 31):
-            cfg = theory_cfg(rounds=rounds, mu=task.mu, smoothness=task.smoothness,
-                             projection_radius=radius, seed=3)
+            cfg = theory_cfg(rounds=rounds, seed=3)
             w_end, _ = run(topo, task, equal_weight(3), sampling, cfg)
             assert np.linalg.norm(w_end) <= radius + 1e-12
 
@@ -473,7 +473,7 @@ class TestRun:
         # Used to end in a raw numpy broadcast error while building the round.
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
-        cfg = TrainConfig(rounds=1, local_steps=1, projection_radius=task.radius, seed=1)
+        cfg = TrainConfig(rounds=1, local_steps=1, seed=1)
         with pytest.raises(InvalidArgumentError, match=f"^seed 1: {exits} exit weights for 3 exits$"):
             run(topo, task, equal_weight(exits), build_sampling_matrix(topo, 0.1), cfg)
 
@@ -482,7 +482,7 @@ class TestRun:
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
         sampling = build_sampling_matrix(chain_topology(), 0.1)
-        cfg = TrainConfig(rounds=1, local_steps=1, projection_radius=task.radius)
+        cfg = TrainConfig(rounds=1, local_steps=1)
         with pytest.raises(ValueError, match="clients the topology lacks: leaf, mid, root$"):
             run(topo, task, equal_weight(3), sampling, cfg)
 
@@ -506,7 +506,7 @@ class TestRun:
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)
         sampling = build_sampling_matrix(topo, 0.1)
-        cfg = TrainConfig(rounds=2, local_steps=2, projection_radius=task.radius, seed=1)
+        cfg = TrainConfig(rounds=2, local_steps=2, seed=1)
         with pytest.raises(ValueError, match="^seed 1: " + message):
             fedexit.run(topo, task, equal_weight(3), sampling, cfg, w_init=w_init)
         job = Job(topo, task, equal_weight(3), sampling, cfg, w_init,
@@ -546,8 +546,7 @@ class TestRun:
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.5), seed=4)
         sampling = build_sampling_matrix(topo, 0.1)
         weights = normalized_weights([0.2, 0.3, 0.5])
-        cfg = theory_cfg(rounds=6, mu=task.mu, smoothness=task.smoothness,
-                         projection_radius=task.radius, seed=2)
+        cfg = theory_cfg(rounds=6, seed=2)
         w_init = np.full(task.dim, 0.25)
         for start in (None, w_init):
             result = run(topo, task, weights, sampling, cfg, w_init=start)
@@ -566,11 +565,11 @@ class TestRun:
         # ZeroProbabilityError and the quadratic "edge1 holds exits 1..2, not 3".
         if backend == "quadratic":
             topo = seven_node_topology()
-            task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+            task = dataclasses.replace(
+                make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3), radius=50.0)
         else:
             topo, task = mlp_case()
-        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05,
-                          projection_radius=50.0, seed=2)
+        cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05, seed=2)
         sampling = short_row_sampling(topo)
         weights = normalized_weights([0.2, 0.3, 0.5])
         real_stream = rngmod.stream
@@ -606,7 +605,7 @@ def reference_iterates(topo, task, weights, sampling, cfg):
             for (c, e), local_rng in zip(chosen.pairs, local_rngs)
         ]
         w = aggregate(w, updates, weights, sampling, pools, task.sizes,
-                      cfg.server_lr, cfg.projection_radius)
+                      cfg.server_lr, task.radius)
         yield w
 
 
@@ -647,11 +646,10 @@ def quadratic_reference_cases(k):
     for name, topo, weights, radius in stacked_round_cases():
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=len(name))
         task.noise_scale[0] = 0.0  # one noiseless client: it draws all the same
+        if radius:
+            task = dataclasses.replace(task, radius=radius)
         for sampling in both_orders(build_sampling_matrix(topo, k)):
-            cfg = theory_cfg(
-                rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
-                projection_radius=radius or task.radius, seed=5,
-            )
+            cfg = theory_cfg(rounds=12, local_steps=3, seed=5)
             yield name, topo, task, weights, sampling, cfg
 
 
@@ -689,9 +687,24 @@ class TestStackedQuadraticRound:
         probs = sampling.probs.copy()
         probs[sampling.client_index["dev1"]] = [0.0, 1.0, 0.0]
         bad = SamplingMatrix(clients=sampling.clients, probs=probs)
-        cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
+        cfg = theory_cfg(rounds=2)
         with pytest.raises(ValueError, match="dev1 holds exits 1..1, not 2"):
             run(topo, task, equal_weight(3), bad, cfg)
+
+    def test_projects_onto_the_task_ball(self):
+        # The radius is the task's own: a job on a task with a ball of radius
+        # 0.1 matches the reference loop, whose aggregate projects onto 0.1,
+        # and ends on that ball. The engine used TrainConfig's radius, 1e6
+        # unless the caller copied the task's.
+        topo = seven_node_topology()
+        task = dataclasses.replace(
+            make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3), radius=0.1)
+        sampling = build_sampling_matrix(topo, 0.1)
+        weights = normalized_weights([0.2, 0.3, 0.5])
+        cfg = theory_cfg(rounds=40, local_steps=3, seed=2)
+        w_end = run_stacked([Job(topo, task, weights, sampling, cfg)])[0]
+        assert w_end.tobytes() == reference_run(topo, task, weights, sampling, cfg)[0].tobytes()
+        assert np.linalg.norm(w_end) == pytest.approx(0.1)
 
     def test_stream_set_tables_are_built_in_one_copy(self):
         # Four seeds' stream sets at dim 40: the matrices table is
@@ -723,7 +736,7 @@ class TestStackedQuadraticRound:
         probs = sampling.probs.copy()
         probs[sampling.client_index["dev1"]] = [1.0 - 1e-9, 1e-9, 0.0]
         bad = SamplingMatrix(clients=sampling.clients, probs=probs)
-        cfg = theory_cfg(rounds=2, mu=task.mu, smoothness=task.smoothness)
+        cfg = theory_cfg(rounds=2)
         seen = []
         recording_local_phase(monkeypatch, QuadraticTask, seen)
         with pytest.raises(ValueError, match="^client dev1 holds exits 1..1, not 2$"):
@@ -761,10 +774,9 @@ class TestStackedJobs:
                     )
                     tasks[task_seed].noise_scale[0] = 0.0  # a noiseless client draws too
                 task = tasks[task_seed]
-                cfg = theory_cfg(
-                    rounds=12, local_steps=3, mu=task.mu, smoothness=task.smoothness,
-                    projection_radius=job_radius or task.radius, seed=seed,
-                )
+                if job_radius:
+                    task = dataclasses.replace(task, radius=job_radius)
+                cfg = theory_cfg(rounds=12, local_steps=3, seed=seed)
                 for k in (0.0, 0.1):
                     sampling = build_sampling_matrix(topo, k)
                     # Both weightings of one (seed, k) share one stream set's draws.
@@ -844,7 +856,8 @@ class TestStackedJobs:
         # backprop, used to pack them too and now trains one set per stack.
         if backend == "quadratic":
             topo = seven_node_topology()
-            task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
+            task = dataclasses.replace(
+                make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3), radius=50.0)
         else:
             topo, task = mlp_case(seed=6)
         monkeypatch.setattr(fedtrain, "STACK_BYTES", 6 * len(topo.nodes) * task.dim * 8)
@@ -858,8 +871,7 @@ class TestStackedJobs:
         monkeypatch.setattr(fedtrain, "_stacked_round", recording_round)
         jobs = [
             Job(topo, task, normalized_weights(share), build_sampling_matrix(topo, k),
-                TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05,
-                            projection_radius=50.0, seed=seed))
+                TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.05, seed=seed))
             for k, seed in ((0.0, 3), (0.1, 3), (0.1, 4))
             for share in ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2])
         ]
@@ -891,8 +903,7 @@ class TestStackedJobs:
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
         jobs = [
             Job(topo, task, normalized_weights([0.2, 0.3, 0.5]), build_sampling_matrix(topo, 0.1),
-                TrainConfig(rounds=5, local_steps=2, batch_size=batch_size, base_lr=0.05,
-                            projection_radius=task.radius, seed=2))
+                TrainConfig(rounds=5, local_steps=2, batch_size=batch_size, base_lr=0.05, seed=2))
             for batch_size in (1, 7)
         ]
         opened = []
@@ -922,8 +933,7 @@ class TestStackedJobs:
         recording_local_phase(monkeypatch, QuadraticTask, seen)
         jobs = [
             Job(topo, task, equal_weight(3), build_sampling_matrix(topo, k),
-                theory_cfg(rounds=30, mu=task.mu, smoothness=task.smoothness,
-                           projection_radius=task.radius, seed=seed))
+                theory_cfg(rounds=30, seed=seed))
             for seed in (3, 4) for k in (0.1, 0.3)
         ]
         run_stacked(jobs)
@@ -945,7 +955,7 @@ class TestStackedJobs:
         sampling = build_sampling_matrix(topo, 0.0)
         jobs = [
             Job(topo, task, equal_weight(3), sampling,
-                theory_cfg(rounds=rounds, mu=task.mu, smoothness=task.smoothness))
+                theory_cfg(rounds=rounds))
             for rounds in (3, 4)
         ]
         with pytest.raises(ValueError, match="share"):
@@ -1075,8 +1085,7 @@ def block_case(backend):
     if backend == "quadratic":
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, sigma_range=(0.2, 0.6), seed=3)
-        cfg = TrainConfig(rounds=30, local_steps=3, base_lr=0.05,
-                          projection_radius=task.radius, seed=2)
+        cfg = TrainConfig(rounds=30, local_steps=3, base_lr=0.05, seed=2)
         width = task.dim
     else:
         topo, task = mlp_case()
@@ -1157,8 +1166,7 @@ class TestDivergence:
         # A huge constant step used to finish with nan in every reported loss.
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=1)
-        cfg = TrainConfig(rounds=4, local_steps=2, base_lr=1e200, seed=7,
-                          projection_radius=task.radius)
+        cfg = TrainConfig(rounds=4, local_steps=2, base_lr=1e200, seed=7)
         sampling = build_sampling_matrix(topo, 0.0)
         with pytest.raises(DivergenceError, match="^seed 7, round 1: the iterate is not finite"):
             run(topo, task, equal_weight(3), sampling, cfg)
@@ -1171,7 +1179,7 @@ class TestDivergence:
         # the caller got numpy's RuntimeWarning instead of the typed refusal.
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=4, seed=1)
-        cfg = TrainConfig(rounds=2, local_steps=2, projection_radius=task.radius)
+        cfg = TrainConfig(rounds=2, local_steps=2)
         with pytest.raises(DivergenceError, match="^seed 0, round 1: the iterate is not finite"):
             fedexit.run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg,
                         w_init=np.full(4, 1e308))
@@ -1216,8 +1224,7 @@ def random_grid(rng: random.Random, backend: str):
     if backend == "quadratic":
         args = dict(dim=rng.choice([16, 48, 128]))
         tasks = {s: make_quadratic_task(topo, seed=s, **args) for s in seeds}
-        cfgs = {s: TrainConfig(**shape, lr_schedule="theory", mu=t.mu, smoothness=t.smoothness,
-                               projection_radius=t.radius, seed=s) for s, t in tasks.items()}
+        cfgs = {s: TrainConfig(**shape, lr_schedule="theory", seed=s) for s in seeds}
     else:
         args = dict(input_dim=rng.choice([4, 16]), hidden_dim=rng.choice([32, 64, 128]),
                     num_classes=rng.choice([2, 6]))
@@ -1262,9 +1269,7 @@ class TestTrainingMemory:
         def peak(rounds):
             return training_peak([
                 Job(topo, task, weights, sampling, TrainConfig(
-                    rounds=rounds, local_steps=4, batch_size=1, lr_schedule="theory",
-                    mu=task.mu, smoothness=task.smoothness, projection_radius=task.radius,
-                    seed=seed))
+                    rounds=rounds, local_steps=4, batch_size=1, lr_schedule="theory", seed=seed))
                 for seed, task in enumerate(tasks)
                 for weights in (equal_weight(3), normalized_weights([0.45, 0.35, 0.2]))])
 
@@ -1311,11 +1316,10 @@ class TestAggregationMoments:
         from fedexit.theory import grad_second_moment, theory_params
 
         topo, task, sampling, pools, weights = self._instance(0.2)
-        cfg = theory_cfg(rounds=1, local_steps=4, mu=task.mu, smoothness=task.smoothness,
-                         projection_radius=task.radius)
+        cfg = theory_cfg(rounds=1, local_steps=4)
         params = theory_params(task, weights, sampling, pools, cfg.server_lr, cfg.local_steps)
         g_pairs, _ = grad_second_moment(params)
-        eta_last = learning_rate(cfg, 1, cfg.local_steps - 1)
+        eta_last = learning_rate(cfg, task.mu, task.smoothness, 1, cfg.local_steps - 1)
         bound = 4 * eta_last**2 * cfg.local_steps**2 * float(
             np.sum(params.alpha**2 * (1 - params.probs) / params.probs * g_pairs)
         )

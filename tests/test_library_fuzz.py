@@ -1,16 +1,18 @@
 """Seeded fuzz over the library's constructors and ``fedexit.run`` on the seven-node tree.
 
 A mutant gives one or two arguments of :class:`NodeSpec`, :class:`Topology`,
-:class:`TrainConfig`, :func:`make_quadratic_task`, :func:`build_sampling_matrix`,
+:class:`TrainConfig`, :func:`make_quadratic_task`, the built :class:`QuadraticTask`
+(through ``dataclasses.replace``), :func:`build_sampling_matrix`,
 :class:`SamplingMatrix`, :class:`ExitWeights` or :func:`fedexit.run` a bad
 value: negative, zero, NaN, inf, a wrong length or shape, or an unknown name,
-or, for a scalar field, a value of the wrong type (see ``WRONG_TYPES``). The
-chain then builds the tree, a quadratic task on it, the sampling matrix, the
-exit weights and the training config, and trains a short run. It must train
-to a finite iterate, or its first refusal must be a :class:`FedexitError`
-whose message names an edited argument (by one of the words in ``NAMES``). A
-mutant with a wrong-type edit must be refused. The MLP builders take the same
-wrong-type edits one at a time.
+or, for a scalar field, a value of the wrong type or one no float holds (see
+``WRONG_TYPES``). The chain then builds the tree, a quadratic task on it, the
+sampling matrix, the exit weights and the training config, and trains a short
+run. It must train to a finite iterate, or its first refusal must be a
+:class:`FedexitError` whose message names an edited argument (by one of the
+words in ``NAMES``). A mutant with a wrong-type edit, or an edit of the task's
+``mu``, ``smoothness`` or ``radius``, must be refused. The MLP builders take
+the same wrong-type edits one at a time.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ INTS = (-1, 0)
 FLOATS = (-1.0, 0.0, math.nan, math.inf, -math.inf)
 MUTANTS = 300
 # Values of the wrong type for an integer, a real or a string field: each is
-# what int(), float() or a comparison would take or cut without a word.
-WRONG_TYPES = {"integer": (1.5, True, "1", None), "real": (True, "1", None),
+# what int(), float() or a comparison would take or cut without a word, or, for
+# a real field, an integer float() refuses with a raw OverflowError.
+HUGE = 10**400
+WRONG_TYPES = {"integer": (1.5, True, "1", None), "real": (True, "1", None, HUGE),
                "string": (1.5, True, None)}
 
 # The words by which a refusal may name each argument: its own name, or the
@@ -49,8 +53,7 @@ NAMES = {
     "budget": ("budget",), "dataset_size": ("dataset_size",),
     "nodes": ("node",), "num_exits": ("exit",),
     **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "seed", "server_lr",
-                                  "base_lr", "projection_radius", "lr_schedule", "mu",
-                                  "smoothness")},
+                                  "base_lr", "lr_schedule", "mu", "smoothness", "radius")},
     "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
     "weights": ("exit weights",),
     "topology": ("topology",), "task": ("task",), "sampling": ("sampling matrix",),
@@ -70,15 +73,18 @@ TYPED_FIELDS = [
     ("Topology", "num_exits", "integer"),
     *(("TrainConfig", field, "integer")
       for field in ("rounds", "local_steps", "batch_size", "seed")),
-    *(("TrainConfig", field, "real")
-      for field in ("server_lr", "base_lr", "projection_radius", "mu", "smoothness")),
+    *(("TrainConfig", field, "real") for field in ("server_lr", "base_lr")),
     ("TrainConfig", "lr_schedule", "string"),
     ("make_quadratic_task", "dim", "integer"), ("make_quadratic_task", "seed", "integer"),
     ("make_quadratic_task", "center_scale", "real"), ("build_sampling_matrix", "k", "real"),
+    *(("QuadraticTask", field, "real") for field in ("mu", "smoothness", "radius")),
 ]
 TYPED = [(target, field, value) for target, field, kind in TYPED_FIELDS
          for value in WRONG_TYPES[kind]]
 TYPED += [(f"NodeSpec {n.id}", "parent", v) for n in TREE.nodes if n.parent for v in (1.5, True)]
+# The quadratic task's constants, 0, negative, NaN or infinite: none is a problem's.
+TASK_CONSTANTS = [("QuadraticTask", field, v)
+                  for field in ("mu", "smoothness", "radius") for v in FLOATS]
 
 
 def _with_entry(array: np.ndarray, index: tuple, value) -> np.ndarray:
@@ -105,9 +111,8 @@ def candidates() -> list[tuple[str, str, object]]:
     out += [("Topology", "num_exits", v) for v in (-1, 0, 2, 4)]
     out += [("TrainConfig", field, v) for field in ("rounds", "local_steps", "batch_size", "seed")
             for v in INTS]
-    out += [("TrainConfig", field, v)
-            for field in ("server_lr", "base_lr", "projection_radius", "mu", "smoothness")
-            for v in FLOATS]
+    out += [("TrainConfig", field, v) for field in ("server_lr", "base_lr") for v in FLOATS]
+    out += TASK_CONSTANTS
     out += [("TrainConfig", "lr_schedule", "unknown")]
     clients, probs = SAMPLING.clients, SAMPLING.probs
     out += [("SamplingMatrix", "clients", clients[:i] + ("nowhere",) + clients[i + 1:])
@@ -146,13 +151,12 @@ def train(edits):
     nodes = tuple(NodeSpec(**edit(f"NodeSpec {n.id}", dataclasses.asdict(n))) for n in TREE.nodes)
     topology = Topology(**edit("Topology", {"nodes": nodes, "num_exits": TREE.num_exits}))
     task = make_quadratic_task(topology, **edit("make_quadratic_task", {"dim": 3, "seed": 1}))
+    task = dataclasses.replace(task, **edit("QuadraticTask", {}))
     base = build_sampling_matrix(topology, **edit("build_sampling_matrix", {"k": K}))
     sampling = SamplingMatrix(**edit("SamplingMatrix", {"clients": base.clients,
                                                         "probs": base.probs}))
     weights = ExitWeights(**edit("ExitWeights", {"weights": np.full(3, 1 / 3)}))
-    cfg = TrainConfig(**edit("TrainConfig", dict(
-        rounds=3, local_steps=2, lr_schedule="theory", mu=task.mu, smoothness=task.smoothness,
-        projection_radius=task.radius)))
+    cfg = TrainConfig(**edit("TrainConfig", dict(rounds=3, local_steps=2, lr_schedule="theory")))
     return fedexit.run(**edit("run", dict(topology=topology, task=task, weights=weights,
                                           sampling=sampling, cfg=cfg, w_init=None)))
 
@@ -180,7 +184,9 @@ def test_every_mutant_trains_or_is_refused_by_name():
         except Exception as exc:  # noqa: BLE001  any other exception is the finding
             raise AssertionError(f"{shown}: not a FedexitError") from exc
         else:
-            assert not any(edit is typed for edit in edits for typed in TYPED), shown
+            # Of two edits of one argument, the later is the one applied.
+            applied = {edit[:2]: edit for edit in edits}.values()
+            assert not any(edit is bad for edit in applied for bad in TYPED + TASK_CONSTANTS), shown
             assert np.isfinite(w).all() and math.isfinite(objective), shown
             outcomes["trained"] += 1
     # Both outcomes occur, so the edits reach past the constructors' first checks.
@@ -198,7 +204,7 @@ MLP_BUILD = {"partition": "equal", "total_samples": 70, "input_dim": 3, "hidden_
     *(("make_classification_task", "teacher_gain", value) for value in WRONG_TYPES["real"]),
     *(("make_test_set", field, value) for field in ("n", "seed")
       for value in WRONG_TYPES["integer"]),
-])
+], ids=lambda value: "10**400" if value is HUGE else None)
 def test_mlp_builders_refuse_wrong_types_by_name(target, field, value):
     # seed=1.9 and True built the data of seed 1, and n=1.5 or a string size
     # ended in a raw TypeError.
