@@ -16,7 +16,9 @@ class InvalidArgumentError(FedexitError, ValueError):
 def integer(what: str, value, least: int | None = None) -> int:
     """``value`` as an int >= ``least``, refusing the bool, string or fraction ``int()`` takes."""
     # The builtin type comes first in each tuple: an ABC's isinstance costs several times more.
+    # A huge whole Fraction overflows float(), so a rational's denominator is read instead.
     if isinstance(value, bool) or not (isinstance(value, (int, numbers.Integral)) or (
+            isinstance(value, numbers.Rational) and value.denominator == 1) or (
             isinstance(value, (float, numbers.Real)) and float(value).is_integer())):
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:

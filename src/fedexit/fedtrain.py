@@ -285,9 +285,10 @@ def _start(job: Job, w_init: np.ndarray | None = None) -> tuple[ExitPools, np.nd
         raise InvalidArgumentError(f"{_name(job)}: the theory schedule needs a task with "
                                    f"0 < mu <= smoothness < inf, got mu {task.mu}")
     for client in sampling.clients:
-        if task.sizes[client] != job.topology.by_id[client].dataset_size:
+        held = task.sizes.get(client, "no")
+        if held != job.topology.by_id[client].dataset_size:
             raise InvalidArgumentError(
-                f"client {client}: task holds {task.sizes[client]} samples but "
+                f"client {client}: task holds {held} samples but "
                 f"topology declares {job.topology.by_id[client].dataset_size}")
     return pools, initial_iterate(job) if w_init is None else w_init
 
@@ -379,7 +380,8 @@ def run_stacked(jobs: Sequence[Job]) -> np.ndarray:
     Raises:
         InvalidArgumentError: the jobs cannot share a stack, a job's exit
             weights, sampling matrix and topology disagree on the number of
-            exits, its task and topology disagree on client dataset sizes,
+            exits, its task lacks a client or disagrees with the topology on
+            client dataset sizes,
             its ``w_init`` is not a finite vector of numbers of the task's
             ``dim``, its ``theory`` schedule meets a task without
             ``0 < mu <= smoothness < inf`` (an MLP), or a quadratic job

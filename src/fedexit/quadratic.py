@@ -1,9 +1,9 @@
 """Strongly convex quadratic testbed with closed-form optima.
 
 Each (client, exit) pair owns a quadratic loss ``0.5 (w - a)' A (w - a)``
-with a symmetric positive definite ``A``. Curvature constants, minimizers,
-and the weighted objective are all available exactly, which makes this the
-backend for verifying convergence and bias bounds.
+with a symmetric positive definite ``A``. Curvature constants come from the
+matrices' eigenvalues, and minimizers and the weighted objective in closed form,
+which makes this the backend for verifying convergence and bias bounds.
 """
 
 from __future__ import annotations
@@ -23,35 +23,49 @@ from .topology import Topology
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """Per-(client, exit) quadratics plus the constants of the problem they pose.
+    """Per-(client, exit) quadratics and the feasible ball they are trained on.
 
     ``matrices[i, e-1]`` and ``centers[i, e-1]`` define the loss of client
     ``clients[i]`` on exit ``e``; entries with ``e > max_exit[i]`` are unused.
-    ``noise_scale`` is the standard deviation budget of the stochastic
-    gradient noise per pair. ``mu`` and ``smoothness`` bound every pair's curvature, and
-    training projects onto the origin-centered ball of ``radius``: constants of the problem.
+    ``noise_scale`` is the standard deviation budget of the stochastic gradient noise per
+    pair, and training projects onto the origin-centered ball of ``radius``. ``dim``,
+    ``num_exits``, ``mu`` and ``smoothness`` are read from ``matrices``.
     """
 
     PACKS_SETS = True  # a stack packs stream sets: local_phase steps them all as one batch
 
     clients: tuple[str, ...]
-    num_exits: int
-    dim: int
     matrices: np.ndarray  # (N, E, d, d)
     centers: np.ndarray  # (N, E, d)
     noise_scale: np.ndarray  # (N, E)
     max_exit: np.ndarray  # (N,)
     sizes: dict[str, int]
     radius: float
-    mu: float
-    smoothness: float
 
     def __post_init__(self) -> None:
-        read_fields(self, "", radius=number, mu=number, smoothness=number)
+        read_fields(self, "", radius=number)
+        n, shape = len(self.clients), np.shape(self.matrices)
+        if len(shape) != 4 or shape[0] != n or shape[2] != shape[3] or (
+                shape[1] < max(self.max_exit, default=0)):  # an exit for every held pair
+            raise InvalidArgumentError(f"matrices must be shaped ({n}, exits, d, d), got {shape}")
+        spectra = {}  # (row, exit) -> lowest and highest eigenvalue, one held pair at a time
+        for i, cid in enumerate(self.clients):
+            for e in range(1, int(self.max_exit[i]) + 1):
+                a_mat = self.matrices[i, e - 1]  # eigvalsh reads one triangle, A (w - a) both
+                if not (np.isfinite(a_mat).all() and (a_mat == a_mat.T).all()):
+                    raise InvalidArgumentError(
+                        f"matrices of client {cid} on exit {e} must be finite and symmetric")
+                spectra[i, e] = tuple(map(float, np.linalg.eigvalsh(a_mat)[[0, -1]]))
+        object.__setattr__(self, "_spectra", spectra)
+        object.__setattr__(self, "mu", min((lo for lo, _ in spectra.values()), default=0.0))
+        object.__setattr__(self, "smoothness", max((hi for _, hi in spectra.values()), default=0.0))
         if not (0 < self.radius < np.inf and 0 < self.mu <= self.smoothness < np.inf):
             raise InvalidArgumentError(
-                "need 0 < radius < inf and 0 < mu <= smoothness < inf, got radius "
-                f"{self.radius}, mu {self.mu} and smoothness {self.smoothness}")
+                "need 0 < radius < inf and held matrices with 0 < mu <= smoothness < inf, got "
+                f"radius {self.radius}, mu {self.mu} and smoothness {self.smoothness}")
+
+    dim = property(lambda self: self.matrices.shape[-1])
+    num_exits = property(lambda self: self.matrices.shape[1])
 
     @property
     def kind(self) -> str:
@@ -191,11 +205,9 @@ class QuadraticTask:
     def loss_cap(self) -> float:
         """Exact upper bound on any pair loss over the feasible ball."""
         worst = 0.0
-        for i, cid in enumerate(self.clients):
-            for e in range(1, int(self.max_exit[i]) + 1):
-                eigs = np.linalg.eigvalsh(self.matrices[i, e - 1])
-                reach = self.radius + float(np.linalg.norm(self.centers[i, e - 1]))
-                worst = max(worst, 0.5 * float(eigs[-1]) * reach**2)
+        for (i, e), (_, top) in self._spectra.items():
+            reach = self.radius + float(np.linalg.norm(self.centers[i, e - 1]))
+            worst = max(worst, 0.5 * top * reach**2)
         return worst
 
     def population_exit_loss(
@@ -241,10 +253,9 @@ def make_quadratic_task(
 ) -> QuadraticTask:
     """Draw a random instance over the topology's clients.
 
-    Eigenvalues are drawn per pair from ``eig_range`` so the global strong
-    convexity and smoothness constants are known exactly. Centers lie in a
-    ball of radius ``center_scale``; the feasible radius keeps every
-    minimizer strictly interior.
+    Eigenvalues are drawn per pair from ``eig_range``, so the task's ``mu`` and ``smoothness``,
+    which it reads from the matrices, lie in that range. Centers lie in a ball of radius
+    ``center_scale``; the feasible radius keeps every minimizer strictly interior.
 
     Raises:
         InvalidArgumentError: a value :func:`check_quadratic_task` refuses.
@@ -258,7 +269,6 @@ def make_quadratic_task(
     centers = np.zeros((n, e_max, dim))
     sigmas = np.zeros((n, e_max))
     max_exit = np.array([topology.exit_of(c) for c in clients])
-    mu, smooth = np.inf, 0.0
     for i in range(n):
         for e in range(int(max_exit[i])):
             eigs = gen.uniform(eig_range[0], eig_range[1], size=dim)
@@ -267,22 +277,11 @@ def make_quadratic_task(
             matrices[i, e] = 0.5 * (mat + mat.T)
             centers[i, e] = rngmod.ball_point(gen, dim, center_scale)
             sigmas[i, e] = gen.uniform(sigma_range[0], sigma_range[1])
-            mu = min(mu, float(eigs.min()))
-            smooth = max(smooth, float(eigs.max()))
     kappa_bound = eig_range[1] / eig_range[0]
     return QuadraticTask(
-        clients=clients,
-        num_exits=e_max,
-        dim=dim,
-        matrices=matrices,
-        centers=centers,
-        noise_scale=sigmas,
-        max_exit=max_exit,
+        clients=clients, matrices=matrices, centers=centers, noise_scale=sigmas, max_exit=max_exit,
         sizes={c: topology.by_id[c].dataset_size for c in clients},
-        radius=1.0 + 2.0 * kappa_bound * center_scale,
-        mu=mu,
-        smoothness=smooth,
-    )
+        radius=1.0 + 2.0 * kappa_bound * center_scale)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ class NodeSpec:
                                        f"got {self.arrival_rate}")
         if not self.budget >= 0:
             raise InvalidArgumentError(f"{at}budget must be >= 0, got {self.budget}")
+        if self.dataset_size >= 2**63:  # as TrainConfig counts; exit_pools sums sizes as floats
+            raise InvalidArgumentError(f"{at}dataset_size must be below 2**63")
 
 
 @dataclass(frozen=True)

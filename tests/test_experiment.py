@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -18,6 +16,7 @@ import pytest
 
 import fedexit
 from conftest import random_tree
+from shipped_digests import CONFIG_DIR, SHIPPED_DIGESTS, digests, moved, toolchain
 from fedexit.cli import main as cli_main
 from fedexit.errors import (
     ConfigParseError,
@@ -36,16 +35,6 @@ from fedexit.experiment import (
 )
 from fedexit.fedtrain import TrainConfig
 from fedexit.topology import brute_force_rate_plan
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-SHIPPED_DIGESTS = Path(__file__).resolve().parent / "shipped_digests.json"
-
-
-def toolchain() -> dict[str, str]:
-    """The versions that a run's output bytes can depend on, keyed as in :data:`SHIPPED_DIGESTS`."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"blas": f"{blas['name']} {blas['version']}", "numpy": np.__version__,
-            "python": platform.python_version()}
 
 
 EMPTY_CLOUD = "exit 3 has no pooled data: dataset_size is 0 at cloud"
@@ -1539,13 +1528,9 @@ class TestCli:
         assert len(cells) == len(cfg.partitions) * len(cfg.splits) * len(cfg.strategies)
         assert len(list((out / "reports").iterdir())) == len(rows)
         pinned = json.loads(SHIPPED_DIGESTS.read_text())
-        expected = pinned["outputs"][path.stem]
-        got = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in out.rglob("*") if f.is_file()}
-        moved = sorted(name for name in expected.keys() | got.keys()
-                       if expected.get(name) != got.get(name))
-        assert not moved, (
-            f"{path.stem}: {moved[0]} ({len(moved)} file(s) in all) differs from "
+        changed = moved(pinned["outputs"][path.stem], digests(out))
+        assert not changed, (
+            f"{path.stem}: {changed[0]} ({len(changed)} file(s) in all) differs from "
             f"{SHIPPED_DIGESTS.name}, pinned with {pinned['made_with']}; this run has {toolchain()}")
 
     def test_used_output_directory_is_refused(self, tmp_path, capsys):

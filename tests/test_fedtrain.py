@@ -412,6 +412,24 @@ class TestRun:
         with pytest.raises(EmptyPoolError, match="^exit 3 has no pooled data: dataset_size is 0 at cloud$"):
             run(topo, task, weights, sampling, cfg)
 
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_task_without_a_client_is_refused_by_name(self, backend):
+        # A task that held nothing for a sampled client ended in a raw KeyError: 'dev1'.
+        if backend == "quadratic":
+            topo = seven_node_topology()
+            task = make_quadratic_task(topo, dim=3, seed=4)
+            task = dataclasses.replace(task, sizes={c: n for c, n in task.sizes.items()
+                                                    if c != "dev1"})
+            cfg = TrainConfig(rounds=2, local_steps=2, base_lr=0.05)
+        else:
+            topo, task = mlp_case()
+            task = dataclasses.replace(task, data={c: d for c, d in task.data.items()
+                                                   if c != "dev1"})
+            cfg = TrainConfig(rounds=2, local_steps=2, batch_size=8, base_lr=0.1)
+        refusal = r"^client dev1: task holds no samples but topology declares \d+$"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            run(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.1), cfg)
+
     def test_bit_identical_given_seed(self):
         topo = seven_node_topology()
         task = make_quadratic_task(topo, dim=3, seed=4)

@@ -11,8 +11,9 @@ sampling matrix, the exit weights and the training config, and trains a short
 run. It must train to a finite iterate, or its first refusal must be a
 :class:`FedexitError` whose message names an edited argument (by one of the
 words in ``NAMES``). A mutant with a wrong-type edit, or an edit of the task's
-``mu``, ``smoothness`` or ``radius``, must be refused. The MLP builders take
-the same wrong-type edits one at a time.
+``radius`` or ``matrices``, must be refused. The MLP builders take the same
+wrong-type edits one at a time, and an MLP task whose ``data`` lacks a client
+must be refused before it trains.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from fedexit.topology import NodeSpec, Topology
 TREE = seven_node_topology()
 K = 0.1
 SAMPLING = build_sampling_matrix(TREE, K)
-INTS = (-1, 0)
+# A whole Fraction too large for a float reads as the equal int, which the
+# fields' own rules then take or refuse.
+INTS = (-1, 0, Fraction(10**400))
 FLOATS = (-1.0, 0.0, math.nan, math.inf, -math.inf)
 MUTANTS = 300
 # Values of the wrong type for an integer, a real or a string field: each is
@@ -53,14 +57,14 @@ NAMES = {
     "budget": ("budget",), "dataset_size": ("dataset_size",),
     "nodes": ("node",), "num_exits": ("exit",),
     **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "seed", "server_lr",
-                                  "base_lr", "lr_schedule", "mu", "smoothness", "radius")},
+                                  "base_lr", "lr_schedule", "matrices", "radius")},
     "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
     "weights": ("exit weights",),
     "topology": ("topology",), "task": ("task",), "sampling": ("sampling matrix",),
     "w_init": ("w_init",), "id": ("node id",), "k": ("k must", "k="),
     **{name: (name,) for name in ("dim", "center_scale", "input_dim", "hidden_dim",
                                   "num_classes", "teacher_gain", "total_samples")},
-    "n": ("n must",),
+    "n": ("n must",), "data": ("no samples",),
 }
 
 # Each scalar field of the quadratic chain, by the kind of value it reads. A
@@ -77,20 +81,34 @@ TYPED_FIELDS = [
     ("TrainConfig", "lr_schedule", "string"),
     ("make_quadratic_task", "dim", "integer"), ("make_quadratic_task", "seed", "integer"),
     ("make_quadratic_task", "center_scale", "real"), ("build_sampling_matrix", "k", "real"),
-    *(("QuadraticTask", field, "real") for field in ("mu", "smoothness", "radius")),
+    ("QuadraticTask", "radius", "real"),
 ]
 TYPED = [(target, field, value) for target, field, kind in TYPED_FIELDS
          for value in WRONG_TYPES[kind]]
 TYPED += [(f"NodeSpec {n.id}", "parent", v) for n in TREE.nodes if n.parent for v in (1.5, True)]
-# The quadratic task's constants, 0, negative, NaN or infinite: none is a problem's.
-TASK_CONSTANTS = [("QuadraticTask", field, v)
-                  for field in ("mu", "smoothness", "radius") for v in FLOATS]
 
 
 def _with_entry(array: np.ndarray, index: tuple, value) -> np.ndarray:
     out = np.array(array, dtype=float)
     out[index] = value
     return out
+
+
+# The quadratic task's radius, 0, negative, NaN or infinite, and its matrices,
+# negated, zero, not finite, not symmetric, a client row or an exit short: none is a
+# problem's, whose held matrices are finite, symmetric and positive definite.
+def _matrix_edits() -> list[np.ndarray]:
+    matrices = make_quadratic_task(TREE, dim=3, seed=1).matrices
+    pair = (0, 0)  # the first client's exit 1: every client holds exit 1
+    asymmetric = matrices.copy()
+    asymmetric[pair + (0, 1)] += 0.5
+    return [-matrices, np.zeros_like(matrices), _with_entry(matrices, pair + (1, 2), math.nan),
+            _with_entry(matrices, pair + (2, 2), math.inf), asymmetric, matrices[:-1],
+            matrices[:, :-1]]
+
+
+TASK_CONSTANTS = [("QuadraticTask", "radius", v) for v in FLOATS]
+TASK_CONSTANTS += [("QuadraticTask", "matrices", v) for v in _matrix_edits()]
 
 
 def _without(nodes, node_id: str) -> tuple:
@@ -215,3 +233,15 @@ def test_mlp_builders_refuse_wrong_types_by_name(target, field, value):
         else:
             make_classification_task(TREE, **{**MLP_BUILD, field: value})
     assert any(word in str(refused.value) for word in NAMES[field]), str(refused.value)
+
+
+@pytest.mark.parametrize("client", [n.id for n in TREE.nodes])
+def test_mlp_task_without_a_client_is_refused_by_name(client):
+    # A task whose data lacked a client ended in a raw KeyError from the round engine.
+    task = make_classification_task(TREE, **MLP_BUILD)
+    data = {c: d for c, d in task.data.items() if c != client}
+    cfg = TrainConfig(rounds=1, local_steps=1, batch_size=4, base_lr=0.1)
+    with pytest.raises(FedexitError) as refused:
+        fedexit.run(TREE.with_dataset_sizes(task.sizes), dataclasses.replace(task, data=data),
+                    ExitWeights(np.full(3, 1 / 3)), SAMPLING, cfg)
+    assert any(word in str(refused.value) for word in NAMES["data"]), str(refused.value)

@@ -22,19 +22,14 @@ from fedexit.topology import NodeSpec, Topology
 def single_client_task(matrix, center, sigma=0.0, size=10, radius=5.0) -> QuadraticTask:
     matrix = np.asarray(matrix, dtype=float)
     d = matrix.shape[0]
-    eigs = np.linalg.eigvalsh(matrix)
     return QuadraticTask(
         clients=("c",),
-        num_exits=1,
-        dim=d,
         matrices=matrix.reshape(1, 1, d, d),
         centers=np.asarray(center, dtype=float).reshape(1, 1, d),
         noise_scale=np.array([[sigma]]),
         max_exit=np.array([1]),
         sizes={"c": size},
         radius=radius,
-        mu=float(eigs[0]),
-        smoothness=float(eigs[-1]),
     )
 
 
@@ -42,16 +37,12 @@ def two_pair_1d_task(centers=(0.0, 2.0)) -> QuadraticTask:
     """One client with two exits, unit curvature, 1-D."""
     return QuadraticTask(
         clients=("c",),
-        num_exits=2,
-        dim=1,
         matrices=np.ones((1, 2, 1, 1)),
         centers=np.array(centers, dtype=float).reshape(1, 2, 1),
         noise_scale=np.zeros((1, 2)),
         max_exit=np.array([2]),
         sizes={"c": 10},
         radius=10.0,
-        mu=1.0,
-        smoothness=1.0,
     )
 
 
@@ -209,8 +200,7 @@ class TestFactory:
         for i, c in enumerate(task.clients):
             for e in range(1, int(task.max_exit[i]) + 1):
                 eigs.extend(np.linalg.eigvalsh(task.pair(c, e)[0]))
-        assert task.mu == pytest.approx(min(eigs), abs=1e-9)
-        assert task.smoothness == pytest.approx(max(eigs), abs=1e-9)
+        assert (task.mu, task.smoothness) == (min(eigs), max(eigs))
         assert 0.5 <= task.mu <= task.smoothness <= 3.0
 
     def test_minimizers_inside_ball(self):

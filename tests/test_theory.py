@@ -117,9 +117,8 @@ class TestHeterogeneity:
         base = two_pair_1d_task((0.0, 2.0))
         import dataclasses
 
-        doubled = dataclasses.replace(
-            base, matrices=2 * base.matrices, mu=2.0, smoothness=2.0
-        )
+        doubled = dataclasses.replace(base, matrices=2 * base.matrices)
+        assert (doubled.mu, doubled.smoothness) == (2.0, 2.0)
         weights = normalized_weights([0.5, 0.5])
         assert statistical_heterogeneity(doubled, weights, pools_for(doubled)) == (
             pytest.approx(2 * statistical_heterogeneity(base, weights, pools_for(base)))
