@@ -21,12 +21,13 @@ at the last iterate). Jobs equal in every field but their label train once.
 It samples the exits, sums each job's weighted deltas in client-name order,
 projects and checks that the iterates stay finite; every other refusal comes
 before round 1. The task class says how a local stream draws and supplies the
-local phase. Jobs that share a seed, a task and a sampling matrix form a
-stream set: they draw the same exits and local streams, so they share one set
-of streams and one draw per round (:func:`run_stacked` says which sets share a
-stack). The result is bit-identical to calling
-:func:`sample_round`, :func:`local_update` and :func:`aggregate` per round, per
-client and per job, which stay the reference implementation.
+local phase, whose end iterates come in groups over ranges of the flat vector;
+each client's delta is summed over its own ranges. Jobs that share a seed, a
+task and a sampling matrix form a stream set: they draw the same exits and
+local streams, so they share one set of streams and one draw per round
+(:func:`run_stacked` says which sets share a stack). The result is bit-identical
+to calling :func:`sample_round`, :func:`local_update` and :func:`aggregate` per
+round, per client and per job, which stay the reference implementation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -439,7 +440,7 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     ``r``'s. ``advance`` is called for t = 1, 2, ... in turn. It is bit-identical to
     :func:`local_update` and :func:`aggregate` run per client and per job: the same streams give
     the same draws, and each job's deltas are summed in the same ascending client order with the
-    same coefficients.
+    same coefficients, over each client's own ranges: outside them a delta is a zero.
     A stream set opens its streams once per stack. ``advance`` only trains: it refuses nothing
     but divergence. It is the engine's one place that calls a stream: per block of
     :func:`block_rounds` rounds, each set's sample stream draws the exit uniforms and each local
@@ -450,9 +451,10 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     each job's set, returns ``phase(w, exits, draws, etas)``: from the broadcast models, the
     ``(S, N)`` 0-based exits of every stream set, this round's local draws (``draws[s * N +
     i]`` is stream set ``s``'s client ``i``'s row, whatever its exit) and the ``(local_steps,
-    R)`` step sizes, it returns the ``(R, N, d)`` local iterates in a new array. ``S`` is 1
-    unless the class's ``PACKS_SETS`` is true. Building the phase refuses a stack that some
-    round could not train.
+    R)`` step sizes, it returns groups ``(clients, ranges, w_end)`` that hold every client once:
+    ``w_end`` is a new ``(R, C, width)`` array of the ``C`` clients' local iterates over the
+    ``(start, stop)`` ranges of the flat vector, laid end to end. ``S`` is 1 unless the class's
+    ``PACKS_SETS`` is true. Building the phase refuses a stack that some round could not train.
     """
     jobs = [job for members in sets for job in members]
     leads = [members[0] for members in sets]
@@ -495,22 +497,40 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     rows = np.arange(len(jobs))[:, None], np.arange(n)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
     radius = np.array([job.task.radius for job in jobs])
+    near = radius * (1.0 - 1e-9)  # a row this far out may lie outside its ball
+    delta = np.empty((len(jobs), first.task.dim))  # a round's summed weighted deltas
+
+    @cache
+    def spans_of(ranges: tuple) -> list:
+        """(compact slice, full slice, view of ``delta``) of each of a group's ranges."""
+        ends = np.cumsum([0] + [stop - start for start, stop in ranges]).tolist()
+        return [(slice(lo, hi), slice(start, stop), delta[:, start:stop])
+                for lo, hi, (start, stop) in zip(ends, ends[1:], ranges)]
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
         set_exits, draws, etas = next(inputs)
-        w_end = local_phase(w, set_exits, draws, etas)
-        w_end -= w[:, None]  # the weighted deltas, in place: no second (R, N, d) slab
         # Job r's client i on its sampled exit is entry [r, i] of the coefficients.
-        w_end *= coef[rows + (set_exits[job_set],)][..., None]
-        delta = np.zeros_like(w)
+        scale = coef[rows + (set_exits[job_set],)][..., None]
+        own = [()] * n  # client i's group iterates, its place in them and its spans
+        for clients, ranges, w_end in local_phase(w, set_exits, draws, etas):
+            parts = spans_of(ranges)
+            for part, full, _ in parts:  # the weighted deltas, in place in the group's iterates
+                mine = w_end[..., part]
+                mine -= w[:, None, full]
+            w_end *= scale if len(clients) == n else scale[:, clients]  # all clients: no copy
+            for k, i in enumerate(clients):
+                own[i] = w_end, k, parts
+        delta.fill(0.0)
         for i in by_name:
-            delta += w_end[:, i]
+            w_end, k, parts = own[i]
+            for part, _, total in parts:
+                total += w_end[:, k, part]
         w = w + server_lr * delta
         # project_ball row by row, wherever a row may lie outside its ball (never an MLP's,
         # which is infinite; a NaN row is refused below): these norms can differ from
         # project_ball's in the last bits only.
         norms = np.sqrt(np.einsum("rd,rd->r", w, w))
-        for r in np.flatnonzero(norms > radius * (1.0 - 1e-9)):
+        for r in np.flatnonzero(norms > near):
             w[r] = project_ball(w[r], radius[r])
         if not np.isfinite(w).all():
             job = jobs[int(np.argmin(np.isfinite(w).all(axis=1)))]

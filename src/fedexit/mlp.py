@@ -43,17 +43,24 @@ GRAD_BYTES = 128 * 1024
 class Segments:
     """Half-open ranges of each backbone block and each head in the flat vector.
 
-    Exit ``e`` trains blocks 1..e and head ``e``, so the backbone parts of
-    the exits' active sets are nested.
+    Exit ``e`` trains blocks 1..e and head ``e``: two ranges (:meth:`ranges`),
+    the block prefix and the head. Its compact vector holds the coordinates of
+    :meth:`active_mask` in order, so its blocks keep their offsets.
     """
 
     blocks: tuple[tuple[int, int], ...]
     heads: tuple[tuple[int, int], ...]
     dim: int
 
+    def ranges(self, exit: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        return (0, self.blocks[exit - 1][1]), self.heads[exit - 1]
+
+    def width(self, exit: int) -> int:
+        return sum(stop - start for start, stop in self.ranges(exit))
+
     def active_mask(self, exit: int) -> np.ndarray:
         mask = np.zeros(self.dim, dtype=bool)
-        for start, stop in self.blocks[:exit] + self.heads[exit - 1 : exit]:
+        for start, stop in self.ranges(exit):
             mask[start:stop] = True
         return mask
 
@@ -81,6 +88,12 @@ def _weight_and_bias(w: np.ndarray, span: tuple[int, int], rows: int):
     return weight.reshape(weight.shape[:-1] + (rows, -1)), w[..., stop - rows : stop]
 
 
+def _affine(h: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    z = h @ weight.swapaxes(-1, -2)
+    z += bias[..., None, :]
+    return z
+
+
 def row_tiles(n: int) -> list[slice]:
     """``max(1, n // TILE_ROWS)`` near-equal slices that cover ``range(n)`` in order.
 
@@ -95,24 +108,24 @@ def row_tiles(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def grad_rows(dim: int) -> int:
-    """How many (job, client) rows of ``dim`` parameters fit in :data:`GRAD_BYTES`, at least one."""
-    return max(1, GRAD_BYTES // (dim * 8))
+def grad_rows(width: int) -> int:
+    """How many (job, client) rows of ``width`` coordinates fit in :data:`GRAD_BYTES`, or one."""
+    return max(1, GRAD_BYTES // (width * 8))
 
 
-def _exit_calls(exits: list[int], per_call: int):
+def _exit_calls(exits: list[int], per_call: dict[int, int]):
     """``(exit, clients)`` of each stacked backprop of a round's local phase.
 
     ``exits[i]`` is client ``i``'s 0-based sampled exit. Clients are grouped
-    by exit, in client order, and each group is cut into calls of at most
-    ``per_call`` clients.
+    by exit, in client order, and exit ``e``'s group is cut into calls of at
+    most ``per_call[e]`` clients.
     """
     groups: dict[int, list[int]] = {}
     for i, e in enumerate(exits):
         groups.setdefault(e + 1, []).append(i)
     for exit, group in groups.items():
-        for lo in range(0, len(group), per_call):
-            yield exit, group[lo : lo + per_call]
+        for lo in range(0, len(group), per_call[exit]):
+            yield exit, group[lo : lo + per_call[exit]]
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -234,25 +247,17 @@ class MlpTask:
         """
         h = x
         for b in range(1, self.num_exits + 1):
-            weight, bias = self._block(w, b)
-            h = h @ weight.swapaxes(-1, -2)
-            h += bias[..., None, :]
+            h = _affine(h, *self._block(w, b))
             yield np.tanh(h, out=h)
 
-    def _head_logits(self, w: np.ndarray, h: np.ndarray, exit: int) -> np.ndarray:
-        weight, bias = self._head(w, exit)
-        z = h @ weight.swapaxes(-1, -2)
-        z += bias[..., None, :]
-        return z
-
     def hidden_states(self, w: np.ndarray, x: np.ndarray, exit: int) -> list[np.ndarray]:
-        """Activations h_1..h_exit; h_0 is the input itself."""
+        """Activations h_1..h_exit; h_0 is the input. ``w`` may be the exit's compact vector."""
         return [x, *itertools.islice(self._states(w, x), exit)]
 
     def logits(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
         """Exit ``exit``'s logits; each hidden state is dropped once the next is built."""
         h = next(itertools.islice(self._states(w, x), exit - 1, None))
-        return self._head_logits(w, h, exit)
+        return _affine(h, *self._head(w, exit))
 
     def exit_logits(self, w: np.ndarray, x: np.ndarray):
         """Every exit's logits in turn, exit 1 first, from one backbone pass.
@@ -262,7 +267,7 @@ class MlpTask:
         logits after use never holds more than one exit's.
         """
         for e, h in enumerate(self._states(w, x), start=1):
-            yield self._head_logits(w, h, e)
+            yield _affine(h, *self._head(w, e))
 
     def predict(self, w: np.ndarray, x: np.ndarray, exit: int) -> np.ndarray:
         """Exit ``exit``'s top class per row, one :func:`row_tiles` tile at a time."""
@@ -278,39 +283,43 @@ class MlpTask:
     def loss(self, w: np.ndarray, client: str, exit: int) -> float:
         return self.loss_on(w, *self._client_data(client), exit)
 
-    def gradient_on(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
-        """Backprop of the mean cross-entropy; zero outside the exit's active set.
+    def gradient_on(self, v: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
+        """Backprop of the mean cross-entropy over exit ``exit``'s compact vector.
 
-        ``w`` is one parameter vector or a stack of them, ``(..., dim)``. The
-        batch is ``x``, ``(..., b, input_dim)``, with labels ``y``,
+        ``v`` is that vector (:class:`Segments`) or a stack of them,
+        ``(..., width)``; the gradient has its layout, and is zero elsewhere.
+        The batch is ``x``, ``(..., b, input_dim)``, with labels ``y``,
         ``(..., b)``; the leading dims of ``x`` and ``y`` are equal and
-        broadcast against those of ``w``. So an ``(R, dim)`` stack shares one
-        batch, and an ``(R, C, dim)`` stack (or an ``(R, 1, dim)`` one) steps
-        ``C`` clients, client ``c`` on its own batch ``x[c]``, ``y[c]``. Row
-        ``(r, c)`` of the gradient equals the gradient at ``w[r, c]`` on
+        broadcast against those of ``v``. So an ``(R, width)`` stack shares one
+        batch, and an ``(R, C, width)`` stack (or an ``(R, 1, width)`` one)
+        steps ``C`` clients, client ``c`` on its own batch ``x[c]``, ``y[c]``.
+        Row ``(r, c)`` of the gradient equals the gradient at ``v[r, c]`` on
         batch ``c`` alone, bit for bit: each matmul runs the same kernel per
         row, and each sum adds the same terms in the same order.
         """
         n = y.shape[-1]
-        states = self.hidden_states(w, x, exit)
-        dlogits = _softmax(self._head_logits(w, states[-1], exit))
+        head = (self.segments.blocks[exit - 1][1], self.segments.width(exit))
+        states = self.hidden_states(v, x, exit)
+        weight, bias = _weight_and_bias(v, head, self.num_classes)
+        dlogits = _softmax(_affine(states[-1], weight, bias))
         dlogits -= y[..., None] == np.arange(self.num_classes)
         dlogits /= n
 
-        grad = np.zeros(dlogits.shape[:-2] + w.shape[-1:])
-        grad_w, grad_b = self._head(grad, exit)
+        grad = np.empty(dlogits.shape[:-2] + v.shape[-1:])  # the head and blocks fill it
+        grad_w, grad_b = _weight_and_bias(grad, head, self.num_classes)
         grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
         grad_b[...] = dlogits.sum(axis=-2)
 
-        dh = dlogits @ self._head(w, exit)[0]
+        dh = dlogits @ weight
         for b in range(exit, 0, -1):
-            dz = dh * (1.0 - states[b] ** 2)
+            dz = np.square(states[b], out=states[b])  # h_b's last read: dz takes its buffer
+            np.subtract(1.0, dz, out=dz)
+            dz *= dh
             grad_w, grad_b = self._block(grad, b)
             grad_w[...] = dz.swapaxes(-1, -2) @ states[b - 1]
             grad_b[...] = dz.sum(axis=-2)
             if b > 1:  # h_0 is the input, whose gradient nothing reads
-                weight, _ = self._block(w, b)
-                dh = dz @ weight
+                dh = np.matmul(dz, self._block(v, b)[0], out=dh)
         return grad
 
     def stochastic_gradient(
@@ -321,10 +330,12 @@ class MlpTask:
         batch_size: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Gradient on a batch drawn uniformly with replacement from the client."""
+        """Gradient on a batch drawn uniformly with replacement from the client, at full ``dim``."""
         x, y = self._client_data(client)
         idx = rng.integers(0, len(y), size=batch_size)
-        return self.gradient_on(w, x[idx], y[idx], exit)
+        active, grad = self.segments.active_mask(exit), np.zeros(np.shape(w))
+        grad[..., active] = self.gradient_on(w[..., active], x[idx], y[idx], exit)
+        return grad
 
     @staticmethod
     def draw_shape(cfg, dim: int) -> tuple[int, int]:
@@ -350,35 +361,41 @@ class MlpTask:
         is ``R`` zeros, and the jobs share the task and each client's batch
         and sampled exit. The clients are grouped by the exit they drew, and
         each group, in client order, is cut into calls of ``max(1,
-        grad_rows(dim) // R)`` clients (see :meth:`stack_tables`): one stacked
-        :meth:`gradient_on` steps every ``(job, client)`` row of a call, each
-        client on its own batch. A call of one client steps the ``(R, dim)``
-        stack on its batch alone, and a stack of one job steps its rows
-        without the job axis.
+        grad_rows(width) // R)`` clients, ``width`` the exit's (see
+        :meth:`stack_tables`): one stacked :meth:`gradient_on` steps the
+        compact vectors of every ``(job, client)`` row of a call, each client
+        on its own batch, and the call's ``(R, C, width)`` end iterates are
+        one group. A call of one client steps the ``(R, width)`` stack on its
+        batch alone, and a stack of one job steps its rows without the job
+        axis.
         """
         task, rows = leads[0].task, len(job_set)
         # Refuses a client with no samples before round 1.
         data = [task._client_data(client) for client in leads[0].sampling.clients]
-        per_call = max(1, grad_rows(task.dim) // rows)
+        segments = task.segments
+        per_call = {e: max(1, grad_rows(segments.width(e)) // rows)
+                    for e in range(1, task.num_exits + 1)}
         at = slice(None) if rows > 1 else 0
 
         def phase(w, exits, draws, etas):
-            w_end = np.empty((rows, len(data), w.shape[1]))
+            groups = []
             for exit, part in _exit_calls(exits[0].tolist(), per_call):
+                (_, prefix), (start, stop) = segments.ranges(exit)
+                v = np.concatenate([w[at][..., :prefix], w[at][..., start:stop]], axis=-1)
                 if len(part) == 1:
                     (x, y), idx = data[part[0]], draws[part[0]]
-                    xb, yb = x[idx], y[idx]
-                    w0, eta, dest = w[at], etas[:, at, None], (at, part[0])
+                    xb, yb, eta = x[idx], y[idx], etas[:, at, None]
                 else:
                     xb = np.stack([data[i][0][draws[i]] for i in part], axis=1)
                     yb = np.stack([data[i][1][draws[i]] for i in part], axis=1)
-                    w0, eta, dest = w[at][..., None, :], etas[:, at, None, None], (at, part)
+                    v, eta = v[..., None, :], etas[:, at, None, None]
 
                 def gradient(v: np.ndarray, j: int) -> np.ndarray:
                     return task.gradient_on(v, xb[j], yb[j], exit)
 
-                w_end[dest] = _local_steps(w0, eta, gradient)
-            return w_end
+                v_end = _local_steps(v, eta, gradient)
+                groups.append((part, segments.ranges(exit), v_end.reshape(rows, len(part), -1)))
+            return groups
 
         return phase
 
@@ -387,18 +404,23 @@ class MlpTask:
         dim = build_segments(input_dim, hidden_dim, num_classes, num_exits).dim
         return dim, "task input_dim, hidden_dim and num_classes"
 
-    @classmethod
-    def stack_tables(cls, cfg, clients: int, rows: int, sets: int, **args):
-        """What one call of :meth:`local_phase` holds at most for ``rows`` jobs: the batches of
-        ``min(N, grad_rows(dim))`` clients, gathered and stacked, and for each of its ``max(R,
-        min(R * N, grad_rows(dim)))`` rows a hidden state per exit, 4 more and 3 gradients."""
-        dim, batch = cls.dim_of(**args)[0], cfg.batch_size
-        call = max(rows, min(rows * clients, grad_rows(dim)))
-        return [("one stacked gradient's batches", 2 * cfg.local_steps * batch
-                 * min(clients, grad_rows(dim)) * (args["input_dim"] + 1) * 8,
+    @staticmethod
+    def stack_tables(cfg, clients: int, rows: int, sets: int, *, input_dim, hidden_dim,
+                     num_classes, num_exits, **_):
+        """What the largest call of :meth:`local_phase` holds for ``rows`` jobs. Exit ``e``'s calls
+        hold ``min(N, max(1, grad_rows(width) // R))`` clients: their batches, gathered and stacked;
+        per row a compact gradient and, in backprop, a hidden state per exit trained, one more and
+        two logits, or, in the step, one more; and each row's start, one per job for one step."""
+        segments = build_segments(input_dim, hidden_dim, num_classes, num_exits)
+        b, h = cfg.batch_size, hidden_dim
+        calls = [(e, segments.width(e), min(clients, max(1, grad_rows(segments.width(e)) // rows)))
+                 for e in range(1, num_exits + 1)]
+        return [("one stacked gradient's batches",
+                 2 * cfg.local_steps * b * max(call[2] for call in calls) * (input_dim + 1) * 8,
                  "training batch_size and local_steps, and task input_dim"),
-                ("one stacked gradient's hidden states",
-                 call * ((args["num_exits"] + 4) * batch * args["hidden_dim"] + 3 * dim) * 8,
+                ("one stacked gradient's hidden states", 8 * max(
+                    rows * c * (max((e + 1) * b * h + 2 * b * num_classes, width) + width)
+                    + rows * (1 if cfg.local_steps == 1 else c) * width for e, width, c in calls),
                  "training batch_size and task hidden_dim")]
 
     @staticmethod

@@ -29,7 +29,8 @@ class QuadraticTask:
     ``clients[i]`` on exit ``e``; entries with ``e > max_exit[i]`` are unused.
     ``noise_scale`` is the standard deviation budget of the stochastic gradient noise per
     pair, and training projects onto the origin-centered ball of ``radius``. ``dim``,
-    ``num_exits``, ``mu`` and ``smoothness`` are read from ``matrices``.
+    ``num_exits``, ``mu`` and ``smoothness`` are read from ``matrices``, whose shape the
+    other arrays must match.
     """
 
     PACKS_SETS = True  # a stack packs stream sets: local_phase steps them all as one batch
@@ -46,8 +47,12 @@ class QuadraticTask:
         read_fields(self, "", radius=number)
         n, shape = len(self.clients), np.shape(self.matrices)
         if len(shape) != 4 or shape[0] != n or shape[2] != shape[3] or (
-                shape[1] < max(self.max_exit, default=0)):  # an exit for every held pair
+                shape[1] < max(np.ravel(self.max_exit), default=0)):  # an exit for every held pair
             raise InvalidArgumentError(f"matrices must be shaped ({n}, exits, d, d), got {shape}")
+        for name, want in (("max_exit", (n,)), ("centers", shape[:3]), ("noise_scale", shape[:2])):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise InvalidArgumentError(f"{name} must be shaped {want}, got {got}")
         spectra = {}  # (row, exit) -> lowest and highest eigenvalue, one held pair at a time
         for i, cid in enumerate(self.clients):
             for e in range(1, int(self.max_exit[i]) + 1):
@@ -150,6 +155,7 @@ class QuadraticTask:
         matrix-vector product of :meth:`stochastic_gradient`. A stream-set
         row's noise is ``sigma * draw / sqrt(dim)`` on its row of the round's
         draws (see :meth:`draw_rounds`), and every job of the set shares it.
+        The slab comes back as one group of every client over ``[0, d)``.
         """
         first = leads[0]
         clients, dim = first.sampling.clients, first.task.dim
@@ -166,6 +172,7 @@ class QuadraticTask:
                 np.take(getattr(job.task, name), r, axis=0, out=table[s], mode="clip")
         matrices, centers, noise_scale = tables.values()
         cells = np.arange(len(leads))[:, None], np.arange(len(clients))
+        every, whole = range(len(clients)), ((0, dim),)
 
         def phase(w, exits, draws, etas):
             sigma = noise_scale[cells + (exits,)].ravel()
@@ -177,8 +184,8 @@ class QuadraticTask:
                 return np.matmul(a_sel, (stack - c_sel)[..., None])[..., 0] + noise[:, :, j]
 
             # Each job's broadcast model becomes its (N, d) slab at the first
-            # step, and its step size broadcasts over that slab.
-            return _local_steps(w[:, None], etas[..., None, None], gradient)
+            # step, and its step size broadcasts over that slab: one group of every client.
+            return [(every, whole, _local_steps(w[:, None], etas[..., None, None], gradient))]
 
         return phase
 

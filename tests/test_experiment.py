@@ -1351,9 +1351,11 @@ class TestCli:
              "training local_steps and task dim:"),
             ("strategy_grid_equal", {"task": {"hidden_dim": 5_000}},
              "task input_dim, hidden_dim and num_classes:"),
-            # Uncounted, these hidden states peaked at 1,122.8 MiB in training.
+            # Uncounted, the hidden states at batch_size 80,000 peaked at
+            # 1,122.8 MiB in training. Backprop now holds 2 of them per exit-1
+            # row, not 4, so that batch fits; twice it does not.
             ("strategy_grid_equal", {"task": {"hidden_dim": 256},
-                                     "training": {"batch_size": 80_000}},
+                                     "training": {"batch_size": 160_000}},
              "training batch_size and task hidden_dim:"),
             # --seed-override 1 leaves one (seed, partition) group to count.
             ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
@@ -1446,18 +1448,19 @@ class TestCli:
             load_config(path, seeds=[1, 2])
 
     def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
-        # 7 clients and dim 3,250: one stacked gradient steps up to 5
-        # clients. At 2 local steps and batch_size 1e6 the stack's one stream
-        # set's batch indices and two copies of one client's batch take
-        # 2e6 * (7 + 2 * 17) * 8 bytes = 0.61 GiB, within the budget; with the
-        # batches of 5 clients they take 2e6 * (7 + 2 * 5 * 17) * 8 = 2.64 GiB.
+        # 7 clients and 5 jobs a stack: an exit-1 call, 742 of dim 3,250
+        # trained, steps up to 22 // 5 = 4 clients. At 2 local steps and
+        # batch_size 1e6 the stack's one stream set's batch indices and two
+        # copies of one client's batch take 2e6 * (7 + 2 * 17) * 8 bytes =
+        # 0.61 GiB, within the budget; with the batches of 4 clients they take
+        # 2e6 * (7 + 2 * 4 * 17) * 8 = 2.13 GiB.
         raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
         raw["training"]["batch_size"] = 1e6
         with pytest.raises(ConfigParseError) as refused:
             parse_config(raw)
         assert str(refused.value) == (
             "training batch_size and local_steps, and task input_dim: the block of local "
-            "draws would take 2.64 GiB, over the 1 GiB one training table may use")
+            "draws would take 2.13 GiB, over the 1 GiB one training table may use")
 
     def test_draw_block_estimate_bounds_what_an_mlp_round_holds(self, monkeypatch):
         # One round of 64 local steps at batch_size 256 holds the 7 streams'
@@ -1532,6 +1535,24 @@ class TestCli:
         assert not changed, (
             f"{path.stem}: {changed[0]} ({len(changed)} file(s) in all) differs from "
             f"{SHIPPED_DIGESTS.name}, pinned with {pinned['made_with']}; this run has {toolchain()}")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shipped_mlp_configs_keep_their_digests_at_blas_threads(self, tmp_path, threads):
+        # The suite runs at one BLAS thread count; a fresh interpreter pins
+        # each. Several clients share a backprop and gradients cover only an
+        # exit's coordinates, and neither may move a pinned byte.
+        src = str(Path(fedexit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        pinned = json.loads(SHIPPED_DIGESTS.read_text())["outputs"]
+        for name in ("offexit_sweep_cloud_bias", "strategy_grid_equal"):
+            out = tmp_path / name
+            config = CONFIG_DIR / f"{name}.json"
+            subprocess.run([sys.executable, "-m", "fedexit.cli", "run", str(config), "--out",
+                            str(out), "--seed-override", "1"], env=env, check=True,
+                           capture_output=True)
+            changed = moved(pinned[name], digests(out))
+            assert not changed, (name, changed)
 
     def test_used_output_directory_is_refused(self, tmp_path, capsys):
         # A second run into a used directory used to exit 0 and leave the

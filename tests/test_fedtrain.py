@@ -1019,7 +1019,8 @@ def wide_case(hidden_dim):
     """An MLP task on a cloud over 3 edges over 12 devices, and the tree sized to its data.
 
     At ``hidden_dim`` 32, the shipped grids' layer sizes, the default row
-    budget holds 5 clients; at 6 it holds every client of an exit.
+    budget holds 22 clients on exit 1, 9 on exit 2 and 5 on exit 3, so, as
+    at 6, every client of an exit.
     """
     topo = wide_topology(edges=3, devices_per_edge=4)
     task = make_classification_task(topo, partition="equal", total_samples=480, input_dim=16,
@@ -1047,14 +1048,15 @@ class TestWideTree:
     @pytest.mark.parametrize("k", [0.0, 0.1])
     @pytest.mark.parametrize("hidden_dim, rows, calls", [
         (32, 1, [1] * 16),  # one row per call: a backprop per client
-        (32, 3, [3, 3, 3, 3, 3, 1]),  # 12 devices in 4 calls, 3 edges in one
-        (32, None, [5, 5, 2, 3, 1]),  # the default budget: 5 rows
+        (32, 3, [3, 3, 3, 3, 1, 1, 1, 1]),  # 12 devices in 4 calls, an edge's row is wider
+        (32, None, [12, 3, 1]),  # the default budget: 22 exit-1 rows, 9 exit-2 rows
         (6, None, [12, 3, 1]),  # the default budget holds every client of an exit
     ], ids=["one-row", "cut", "default", "default-whole-exits"])
     def test_matches_per_client_reference(self, monkeypatch, k, hidden_dim, rows, calls):
+        # A budget of `rows` rows of exit 1's trained coordinates.
         topo, task = wide_case(hidden_dim)
         if rows is not None:
-            monkeypatch.setattr(mlp, "GRAD_BYTES", rows * task.dim * 8)
+            monkeypatch.setattr(mlp, "GRAD_BYTES", rows * task.segments.width(1) * 8)
         weights = normalized_weights([0.2, 0.3, 0.5])
         seen = []
         recording_gradients(monkeypatch, seen)
@@ -1069,9 +1071,9 @@ class TestWideTree:
             assert objective == ref_objective
 
     def test_jobs_of_one_stream_set_match_reference(self, monkeypatch):
-        # Two jobs share a stream set and 4 rows hold 2 clients of each.
+        # Two jobs share a stream set and 4 rows of exit 1 hold 2 clients of each.
         topo, task = wide_case(32)
-        monkeypatch.setattr(mlp, "GRAD_BYTES", 4 * task.dim * 8)
+        monkeypatch.setattr(mlp, "GRAD_BYTES", 4 * task.segments.width(1) * 8)
         sampling = build_sampling_matrix(topo, 0.1)
         jobs = [Job(topo, task, weights, sampling, self.WIDE_CFG)
                 for weights in (normalized_weights([0.2, 0.3, 0.5]), equal_weight(3))]
@@ -1083,9 +1085,26 @@ class TestWideTree:
             reference = reference_run(topo, task, job.weights, sampling, self.WIDE_CFG)[0]
             assert row.tobytes() == reference.tobytes()
 
+    def test_exit_1_call_outgrows_the_full_dim_budget(self, monkeypatch):
+        # Two jobs share a stream set. A budget counted in full-dim rows gave
+        # each call max(1, 5 // 2) = 2 clients; exit 1's 742 of 3,250
+        # coordinates give its calls 22 // 2 = 11, every row still bit for bit.
+        topo, task = wide_case(32)
+        sampling = build_sampling_matrix(topo, 0.1)
+        jobs = [Job(topo, task, weights, sampling, self.WIDE_CFG)
+                for weights in (normalized_weights([0.2, 0.3, 0.5]), equal_weight(3))]
+        seen = []
+        recording_gradients(monkeypatch, seen)
+        stacked = run_stacked(jobs)
+        assert max(seen) == 11 > max(1, mlp.grad_rows(task.dim) // 2)
+        for job, row in zip(jobs, stacked):
+            reference = reference_run(topo, task, job.weights, sampling, self.WIDE_CFG)[0]
+            assert row.tobytes() == reference.tobytes()
+
     def test_peak_memory_holds_one_calls_rows(self):
-        # Training peaks at 0.64 MiB with one row per call, 0.97 MiB at the
-        # default 5 rows, and 1.61 MiB when one call steps all 12 devices.
+        # Training peaks at 0.34 MiB with one row per call and at 0.65 MiB
+        # at the default budget, whose one exit-1 call steps all 12 devices on
+        # their compact vectors; on full-dim vectors that call took 1.61 MiB.
         topo, task = wide_case(32)
         cfg = dataclasses.replace(self.WIDE_CFG, batch_size=32)
         job = Job(topo, task, equal_weight(3), build_sampling_matrix(topo, 0.0), cfg)

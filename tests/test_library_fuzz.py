@@ -11,9 +11,9 @@ sampling matrix, the exit weights and the training config, and trains a short
 run. It must train to a finite iterate, or its first refusal must be a
 :class:`FedexitError` whose message names an edited argument (by one of the
 words in ``NAMES``). A mutant with a wrong-type edit, or an edit of the task's
-``radius`` or ``matrices``, must be refused. The MLP builders take the same
-wrong-type edits one at a time, and an MLP task whose ``data`` lacks a client
-must be refused before it trains.
+``radius``, ``matrices`` or an array whose shape must match them, must be
+refused. The MLP builders take the same wrong-type edits one at a time, and an
+MLP task whose ``data`` lacks a client must be refused before it trains.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 
 import fedexit
 from conftest import chain_topology, seven_node_topology
-from fedexit.errors import FedexitError
+from fedexit.errors import FedexitError, InvalidArgumentError
 from fedexit.fedtrain import TrainConfig
 from fedexit.mlp import make_classification_task, make_test_set
 from fedexit.quadratic import make_quadratic_task
@@ -57,7 +57,8 @@ NAMES = {
     "budget": ("budget",), "dataset_size": ("dataset_size",),
     "nodes": ("node",), "num_exits": ("exit",),
     **{name: (name,) for name in ("rounds", "local_steps", "batch_size", "seed", "server_lr",
-                                  "base_lr", "lr_schedule", "matrices", "radius")},
+                                  "base_lr", "lr_schedule", "matrices", "radius", "centers",
+                                  "noise_scale", "max_exit")},
     "clients": ("client",), "probs": ("prob", "client row", "sampling matrix has"),
     "weights": ("exit weights",),
     "topology": ("topology",), "task": ("task",), "sampling": ("sampling matrix",),
@@ -107,8 +108,22 @@ def _matrix_edits() -> list[np.ndarray]:
             matrices[:, :-1]]
 
 
+# The task's other arrays, a client row, an exit or a coordinate short or one axis too many:
+# each must match the shape of matrices.
+def _array_edits() -> list[tuple[str, np.ndarray]]:
+    task = make_quadratic_task(TREE, dim=3, seed=1)
+    return [("centers", v) for v in (task.centers[:, :, :2], task.centers[:-1],
+                                     task.centers[:, :-1], task.centers[..., None])] + [
+        ("noise_scale", v) for v in (task.noise_scale[:-1], task.noise_scale[:, :-1],
+                                     task.noise_scale[..., None])] + [
+        ("max_exit", v) for v in (task.max_exit[:-1], task.max_exit[:, None])]
+
+
 TASK_CONSTANTS = [("QuadraticTask", "radius", v) for v in FLOATS]
 TASK_CONSTANTS += [("QuadraticTask", "matrices", v) for v in _matrix_edits()]
+# A client row short matches a tree of one node fewer, whose task trains: the fuzz leaves it out.
+TASK_CONSTANTS += [("QuadraticTask", name, v) for name, v in _array_edits()
+                   if len(v) == len(TREE.nodes)]
 
 
 def _without(nodes, node_id: str) -> tuple:
@@ -245,3 +260,14 @@ def test_mlp_task_without_a_client_is_refused_by_name(client):
         fedexit.run(TREE.with_dataset_sizes(task.sizes), dataclasses.replace(task, data=data),
                     ExitWeights(np.full(3, 1 / 3)), SAMPLING, cfg)
     assert any(word in str(refused.value) for word in NAMES["data"]), str(refused.value)
+
+
+@pytest.mark.parametrize("field, value", _array_edits(),
+                         ids=[f"{field}-{'x'.join(map(str, np.shape(value)))}"
+                              for field, value in _array_edits()])
+def test_quadratic_task_arrays_must_match_matrices(field, value):
+    # centers cut to 2 of 3 coordinates trained into numpy's raw broadcast
+    # ValueError, and a short max_exit or noise_scale ended in a raw IndexError.
+    task = make_quadratic_task(TREE, dim=3, seed=1)
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be shaped"):
+        dataclasses.replace(task, **{field: value})

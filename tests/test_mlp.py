@@ -12,6 +12,7 @@ from fedexit.errors import EmptyDatasetError, InvalidArgumentError
 from fedexit.mlp import (
     PARTITIONS,
     TILE_ROWS,
+    build_segments,
     cross_entropy,
     exit_accuracy,
     is_correct,
@@ -30,6 +31,13 @@ def small_task(seed=3, total=210, **kwargs):
     return make_classification_task(
         seven_node_topology(), total_samples=total, seed=seed, **defaults
     )
+
+
+def full_gradient(task, w, x, y, exit):
+    """``gradient_on`` at a full vector: ``w``'s active coordinates in, zero elsewhere out."""
+    active, grad = task.segments.active_mask(exit), np.zeros_like(w)
+    grad[active] = task.gradient_on(w[active], x, y, exit)
+    return grad
 
 
 def finite_difference(task, w, x, y, exit, h=1e-5):
@@ -234,17 +242,18 @@ class TestGradient:
         x, y = task.data[client]
         idx = rng.integers(0, len(y), size=16)
         xb, yb = x[idx], y[idx]
-        grad = task.gradient_on(w, xb, yb, exit)
+        grad = full_gradient(task, w, xb, yb, exit)
         fd = finite_difference(task, w, xb, yb, exit)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
         assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
     def test_inactive_coordinates_have_zero_gradient(self):
+        # The full-dim reference puts the compact gradient back in place.
         task = small_task()
         w = task.init_params(np.random.default_rng(2))
-        x, y = task.data["dev2"]
+        rng = np.random.default_rng(3)
         for e in range(1, 4):
-            grad = task.gradient_on(w, x, y, e)
+            grad = task.stochastic_gradient(w, "dev2", e, 64, rng)
             mask = task.segments.active_mask(e)
             assert np.all(grad[~mask] == 0.0)
             assert np.any(grad[mask] != 0.0)
@@ -258,13 +267,14 @@ class TestGradient:
         task = small_task(seed=4, input_dim=16, hidden_dim=32, num_classes=6)
         rng = np.random.default_rng(rows * 100 + batch * 10 + exit)
         stack = np.stack([task.init_params(rng) for _ in range(rows)])
+        stack = stack[:, task.segments.active_mask(exit)]
         x, y = task.data["cloud"]
         idx = rng.integers(0, len(y), size=batch)
         grads = task.gradient_on(stack, x[idx], y[idx], exit)
         assert grads.shape == stack.shape
         for w, grad in zip(stack, grads):
             single = task.gradient_on(w, x[idx], y[idx], exit)
-            assert single.shape == (task.dim,)
+            assert single.shape == (task.segments.width(exit),)
             assert grad.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 3])
@@ -278,13 +288,14 @@ class TestGradient:
         task = small_task(seed=5, input_dim=16, hidden_dim=32, num_classes=6)
         rng = np.random.default_rng(jobs * 100 + clients * 10 + exit)
         stack = np.stack([[task.init_params(rng) for _ in range(clients)] for _ in range(jobs)])
+        stack = stack[..., task.segments.active_mask(exit)]
         x, y = task.data["cloud"]
         idx = rng.integers(0, len(y), size=(clients, 7))
         xb, yb = x[idx], y[idx]
         starts = [stack, stack[:, :1]] + ([stack[0]] if jobs == 1 else [])
         for w in starts:
             grads = task.gradient_on(w, xb, yb, exit)
-            assert grads.shape == np.broadcast_shapes(w.shape, (clients, task.dim))
+            assert grads.shape == np.broadcast_shapes(w.shape, (clients, task.segments.width(exit)))
             full = np.broadcast_to(w, grads.shape)
             for row in np.ndindex(grads.shape[:-1]):
                 c = row[-1]
@@ -301,6 +312,20 @@ class TestGradient:
             for start, stop in segs.blocks[: e + 1]:
                 backbone_next.update(range(start, stop))
             assert backbone_e < backbone_next
+
+    @pytest.mark.parametrize("num_exits", [2, 3, 4, 5])
+    def test_active_mask_is_the_union_of_the_ranges(self, num_exits):
+        # Blocks 1..e and head e, as two ranges, the first from 0.
+        segs = build_segments(4, 5, 3, num_exits)
+        for e in range(1, num_exits + 1):
+            trained = set()
+            for start, stop in segs.blocks[:e] + segs.heads[e - 1 : e]:
+                trained.update(range(start, stop))
+            ranges = segs.ranges(e)
+            assert len(ranges) == 2 and ranges[0] == (0, segs.blocks[e - 1][1])
+            assert set().union(*(range(start, stop) for start, stop in ranges)) == trained
+            assert set(np.flatnonzero(segs.active_mask(e)).tolist()) == trained
+            assert segs.width(e) == len(trained)
 
 
 class TestAccuracy:
@@ -422,7 +447,7 @@ class TestMonotoneExitQuality:
             for _ in range(400):
                 idx = rng.integers(0, len(pooled_y), size=32)
                 grad = sum(
-                    task.gradient_on(w, pooled_x[idx], pooled_y[idx], e) for e in (1, 2, 3)
+                    full_gradient(task, w, pooled_x[idx], pooled_y[idx], e) for e in (1, 2, 3)
                 ) / 3.0
                 w = w - 0.25 * grad
             xt, yt = make_test_set(task, 800, seed=seed + 100)
