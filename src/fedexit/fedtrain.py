@@ -511,15 +511,14 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
         set_exits, draws, etas = next(inputs)
         # Job r's client i on its sampled exit is entry [r, i] of the coefficients.
         scale = coef[rows + (set_exits[job_set],)][..., None]
-        own = [()] * n  # client i's group iterates, its place in them and its spans
+        own = {}  # client i: its group's iterates, its place in them and its spans
         for clients, ranges, w_end in local_phase(w, set_exits, draws, etas):
             parts = spans_of(ranges)
             for part, full, _ in parts:  # the weighted deltas, in place in the group's iterates
                 mine = w_end[..., part]
                 mine -= w[:, None, full]
             w_end *= scale if len(clients) == n else scale[:, clients]  # all clients: no copy
-            for k, i in enumerate(clients):
-                own[i] = w_end, k, parts
+            own.update((i, (w_end, k, parts)) for k, i in enumerate(clients))
         delta.fill(0.0)
         for i in by_name:
             w_end, k, parts = own[i]

@@ -43,9 +43,8 @@ GRAD_BYTES = 128 * 1024
 class Segments:
     """Half-open ranges of each backbone block and each head in the flat vector.
 
-    Exit ``e`` trains blocks 1..e and head ``e``: two ranges (:meth:`ranges`),
-    the block prefix and the head. Its compact vector holds the coordinates of
-    :meth:`active_mask` in order, so its blocks keep their offsets.
+    Exit ``e`` trains blocks 1..e and head ``e``, two ranges (:meth:`ranges`);
+    its compact vector (:meth:`gather`) holds them end to end.
     """
 
     blocks: tuple[tuple[int, int], ...]
@@ -58,11 +57,22 @@ class Segments:
     def width(self, exit: int) -> int:
         return sum(stop - start for start, stop in self.ranges(exit))
 
+    def compact_head(self, exit: int) -> tuple[int, int]:  # in the exit's compact vector
+        return self.blocks[exit - 1][1], self.width(exit)
+
     def active_mask(self, exit: int) -> np.ndarray:
-        mask = np.zeros(self.dim, dtype=bool)
-        for start, stop in self.ranges(exit):
-            mask[start:stop] = True
-        return mask
+        return self.scatter(np.ones(self.width(exit), dtype=bool), exit)
+
+    def gather(self, w: np.ndarray, exit: int) -> np.ndarray:
+        """Exit ``exit``'s compact vector of ``w``, ``(..., dim)``, in a new array."""
+        return np.concatenate([w[..., start:stop] for start, stop in self.ranges(exit)], axis=-1)
+
+    def scatter(self, v: np.ndarray, exit: int) -> np.ndarray:
+        """The ``(..., dim)`` vector that holds compact ``v`` and is zero elsewhere."""
+        w = np.zeros(v.shape[:-1] + (self.dim,), v.dtype)
+        (_, prefix), (start, stop) = self.ranges(exit)
+        w[..., :prefix], w[..., start:stop] = v[..., :prefix], v[..., prefix:]
+        return w
 
 
 def build_segments(input_dim: int, hidden_dim: int, num_classes: int, num_exits: int) -> Segments:
@@ -286,19 +296,18 @@ class MlpTask:
     def gradient_on(self, v: np.ndarray, x: np.ndarray, y: np.ndarray, exit: int) -> np.ndarray:
         """Backprop of the mean cross-entropy over exit ``exit``'s compact vector.
 
-        ``v`` is that vector (:class:`Segments`) or a stack of them,
-        ``(..., width)``; the gradient has its layout, and is zero elsewhere.
-        The batch is ``x``, ``(..., b, input_dim)``, with labels ``y``,
-        ``(..., b)``; the leading dims of ``x`` and ``y`` are equal and
-        broadcast against those of ``v``. So an ``(R, width)`` stack shares one
-        batch, and an ``(R, C, width)`` stack (or an ``(R, 1, width)`` one)
-        steps ``C`` clients, client ``c`` on its own batch ``x[c]``, ``y[c]``.
-        Row ``(r, c)`` of the gradient equals the gradient at ``v[r, c]`` on
-        batch ``c`` alone, bit for bit: each matmul runs the same kernel per
-        row, and each sum adds the same terms in the same order.
+        ``v`` is that vector (:meth:`Segments.gather`) or a stack of them,
+        ``(..., width)``, and so is the gradient. The batch is ``x``, ``(...,
+        b, input_dim)``, with labels ``y``, ``(..., b)``; their leading dims
+        are equal and broadcast against those of ``v``. So an ``(R, width)``
+        stack shares one batch, and an ``(R, C, width)`` stack (or an ``(R, 1,
+        width)`` one) steps ``C`` clients, client ``c`` on batch ``x[c]``,
+        ``y[c]``. Row ``(r, c)`` of the gradient equals the gradient at ``v[r,
+        c]`` on batch ``c`` alone, bit for bit: each matmul runs the same
+        kernel per row, and each sum adds the same terms in the same order.
         """
         n = y.shape[-1]
-        head = (self.segments.blocks[exit - 1][1], self.segments.width(exit))
+        head = self.segments.compact_head(exit)
         states = self.hidden_states(v, x, exit)
         weight, bias = _weight_and_bias(v, head, self.num_classes)
         dlogits = _softmax(_affine(states[-1], weight, bias))
@@ -310,16 +319,18 @@ class MlpTask:
         grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
         grad_b[...] = dlogits.sum(axis=-2)
 
-        dh = dlogits @ weight
+        # dh, a block's square and its dz share one allocation: new ones per step churn the heap
+        work = np.empty((3,) + dlogits.shape[:-1] + (self.hidden_dim,))
+        dh = np.matmul(dlogits, weight, out=work[0])
         for b in range(exit, 0, -1):
-            dz = np.square(states[b], out=states[b])  # h_b's last read: dz takes its buffer
-            np.subtract(1.0, dz, out=dz)
+            spare = work[(exit - b + 1) % 2]  # the one of the first two that dh is not in
+            dz = np.subtract(1.0, np.square(states[b], out=spare), out=work[2])
             dz *= dh
             grad_w, grad_b = self._block(grad, b)
             grad_w[...] = dz.swapaxes(-1, -2) @ states[b - 1]
             grad_b[...] = dz.sum(axis=-2)
             if b > 1:  # h_0 is the input, whose gradient nothing reads
-                dh = np.matmul(dz, self._block(v, b)[0], out=dh)
+                dh = np.matmul(dz, self._block(v, b)[0], out=spare)
         return grad
 
     def stochastic_gradient(
@@ -333,9 +344,8 @@ class MlpTask:
         """Gradient on a batch drawn uniformly with replacement from the client, at full ``dim``."""
         x, y = self._client_data(client)
         idx = rng.integers(0, len(y), size=batch_size)
-        active, grad = self.segments.active_mask(exit), np.zeros(np.shape(w))
-        grad[..., active] = self.gradient_on(w[..., active], x[idx], y[idx], exit)
-        return grad
+        v = self.segments.gather(w, exit)
+        return self.segments.scatter(self.gradient_on(v, x[idx], y[idx], exit), exit)
 
     @staticmethod
     def draw_shape(cfg, dim: int) -> tuple[int, int]:
@@ -359,15 +369,12 @@ class MlpTask:
         as in :func:`fedtrain.local_update`. A stack is one stream set
         (``PACKS_SETS`` is false), so ``leads`` is its first job, ``job_set``
         is ``R`` zeros, and the jobs share the task and each client's batch
-        and sampled exit. The clients are grouped by the exit they drew, and
-        each group, in client order, is cut into calls of ``max(1,
-        grad_rows(width) // R)`` clients, ``width`` the exit's (see
-        :meth:`stack_tables`): one stacked :meth:`gradient_on` steps the
-        compact vectors of every ``(job, client)`` row of a call, each client
-        on its own batch, and the call's ``(R, C, width)`` end iterates are
-        one group. A call of one client steps the ``(R, width)`` stack on its
-        batch alone, and a stack of one job steps its rows without the job
-        axis.
+        and sampled exit. Each exit's clients, in client order, are cut into
+        calls of ``max(1, grad_rows(width) // R)`` clients: one stacked
+        :meth:`gradient_on` steps the compact vectors of a call's ``(job,
+        client)`` rows, each client on its own batch, into one group of ``(R,
+        C, width)`` end iterates. A call of one client steps the ``(R, width)``
+        stack on its batch alone; a stack of one job drops the job axis.
         """
         task, rows = leads[0].task, len(job_set)
         # Refuses a client with no samples before round 1.
@@ -380,8 +387,7 @@ class MlpTask:
         def phase(w, exits, draws, etas):
             groups = []
             for exit, part in _exit_calls(exits[0].tolist(), per_call):
-                (_, prefix), (start, stop) = segments.ranges(exit)
-                v = np.concatenate([w[at][..., :prefix], w[at][..., start:stop]], axis=-1)
+                v = segments.gather(w[at], exit)
                 if len(part) == 1:
                     (x, y), idx = data[part[0]], draws[part[0]]
                     xb, yb, eta = x[idx], y[idx], etas[:, at, None]
@@ -407,20 +413,21 @@ class MlpTask:
     @staticmethod
     def stack_tables(cfg, clients: int, rows: int, sets: int, *, input_dim, hidden_dim,
                      num_classes, num_exits, **_):
-        """What the largest call of :meth:`local_phase` holds for ``rows`` jobs. Exit ``e``'s calls
-        hold ``min(N, max(1, grad_rows(width) // R))`` clients: their batches, gathered and stacked;
-        per row a compact gradient and, in backprop, a hidden state per exit trained, one more and
-        two logits, or, in the step, one more; and each row's start, one per job for one step."""
+        """What one call of :meth:`local_phase` on an exit of ``width`` coordinates holds at most in
+        a stack of any ``R <= rows`` jobs: the batches of ``min(N, grad_rows(width))`` clients,
+        gathered and stacked; for each of ``max(rows, min(rows * N, grad_rows(width)))`` rows a
+        compact gradient and either backprop's hidden state per exit trained, 3 more and two
+        logits or the step's one more; and each row's start, one per job for one step."""
         segments = build_segments(input_dim, hidden_dim, num_classes, num_exits)
-        b, h = cfg.batch_size, hidden_dim
-        calls = [(e, segments.width(e), min(clients, max(1, grad_rows(segments.width(e)) // rows)))
-                 for e in range(1, num_exits + 1)]
-        return [("one stacked gradient's batches",
-                 2 * cfg.local_steps * b * max(call[2] for call in calls) * (input_dim + 1) * 8,
+        b, h, steps = cfg.batch_size, hidden_dim, cfg.local_steps
+        widths = {e: segments.width(e) for e in range(1, num_exits + 1)}
+        calls = {e: max(rows, min(rows * clients, grad_rows(w))) for e, w in widths.items()}
+        return [("one stacked gradient's batches", 2 * steps * b * (input_dim + 1) * 8
+                 * max(min(clients, grad_rows(w)) for w in widths.values()),
                  "training batch_size and local_steps, and task input_dim"),
                 ("one stacked gradient's hidden states", 8 * max(
-                    rows * c * (max((e + 1) * b * h + 2 * b * num_classes, width) + width)
-                    + rows * (1 if cfg.local_steps == 1 else c) * width for e, width, c in calls),
+                    calls[e] * (max((e + 3) * b * h + 2 * b * num_classes, w) + w)
+                    + (rows if steps == 1 else calls[e]) * w for e, w in widths.items()),
                  "training batch_size and task hidden_dim")]
 
     @staticmethod

@@ -52,6 +52,12 @@ def chain_topology(
     return Topology(nodes=tuple(nodes), num_exits=3)
 
 
+def full_gradient(task, w, x, y, exit):
+    """An MLP's ``gradient_on`` at a full vector: its exit's compact vector in, full ``dim`` out."""
+    segments = task.segments
+    return segments.scatter(task.gradient_on(segments.gather(w, exit), x, y, exit), exit)
+
+
 def random_tree(rng: np.random.Generator, max_nodes: int = 15) -> Topology:
     """Random valid topology: random parent links with strictly rising exits."""
     n = int(rng.integers(1, max_nodes + 1))

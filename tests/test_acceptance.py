@@ -14,7 +14,7 @@ from csv import DictReader
 import numpy as np
 import pytest
 
-from conftest import chain_topology, random_tree, seven_node_topology
+from conftest import chain_topology, full_gradient, random_tree, seven_node_topology
 from fedexit.experiment import parse_config, run_experiment
 from fedexit.fedtrain import (
     Job,
@@ -301,8 +301,7 @@ def test_08_mlp_gradients_match_finite_differences():
             x_all, y_all = task.data[client]
             idx = rng.integers(0, len(y_all), size=16)
             xb, yb = x_all[idx], y_all[idx]
-            active, grad = task.segments.active_mask(exit), np.zeros_like(w)
-            grad[active] = task.gradient_on(w[active], xb, yb, exit)
+            grad = full_gradient(task, w, xb, yb, exit)
             fd = np.zeros_like(w)
             for i in range(task.dim):
                 wp, wm = w.copy(), w.copy()

@@ -1351,11 +1351,9 @@ class TestCli:
              "training local_steps and task dim:"),
             ("strategy_grid_equal", {"task": {"hidden_dim": 5_000}},
              "task input_dim, hidden_dim and num_classes:"),
-            # Uncounted, the hidden states at batch_size 80,000 peaked at
-            # 1,122.8 MiB in training. Backprop now holds 2 of them per exit-1
-            # row, not 4, so that batch fits; twice it does not.
+            # Uncounted, these hidden states peaked at 1,122.8 MiB in training.
             ("strategy_grid_equal", {"task": {"hidden_dim": 256},
-                                     "training": {"batch_size": 160_000}},
+                                     "training": {"batch_size": 80_000}},
              "training batch_size and task hidden_dim:"),
             # --seed-override 1 leaves one (seed, partition) group to count.
             ("strategy_grid_equal", {"data": {"total_samples": 1e12}},
@@ -1448,19 +1446,52 @@ class TestCli:
             load_config(path, seeds=[1, 2])
 
     def test_batches_of_one_stacked_gradient_are_refused_at_parse(self):
-        # 7 clients and 5 jobs a stack: an exit-1 call, 742 of dim 3,250
-        # trained, steps up to 22 // 5 = 4 clients. At 2 local steps and
-        # batch_size 1e6 the stack's one stream set's batch indices and two
-        # copies of one client's batch take 2e6 * (7 + 2 * 17) * 8 bytes =
-        # 0.61 GiB, within the budget; with the batches of 4 clients they take
-        # 2e6 * (7 + 2 * 4 * 17) * 8 = 2.13 GiB.
+        # 7 clients and dim 3,250: an exit-1 call, 742 coordinates a row,
+        # steps up to min(7, 22) = 7 clients in a stack of any number of
+        # jobs. At 2 local steps and batch_size 1e6 the stack's one stream
+        # set's batch indices and two copies of one client's batch take
+        # 2e6 * (7 + 2 * 17) * 8 bytes = 0.61 GiB, within the budget; with the
+        # batches of 7 clients they take 2e6 * (7 + 2 * 7 * 17) * 8 = 3.65 GiB.
         raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
         raw["training"]["batch_size"] = 1e6
         with pytest.raises(ConfigParseError) as refused:
             parse_config(raw)
         assert str(refused.value) == (
             "training batch_size and local_steps, and task input_dim: the block of local "
-            "draws would take 2.13 GiB, over the 1 GiB one training table may use")
+            "draws would take 3.65 GiB, over the 1 GiB one training table may use")
+
+    def test_stated_batches_cover_the_call_of_a_smaller_stack(self, tmp_path, monkeypatch):
+        # Cloud, 2 edges and 10 devices at dim 3,250: a stack holds 3 jobs, and
+        # 3 rows of exit 1's 742 coordinates take 22 // 3 = 7 clients a call.
+        # A stream set's last part of fewer jobs takes more: its exit-1 call
+        # steps all 10 devices. The stated batches must cover that call.
+        from fedexit.fedtrain import stack_rows
+        from fedexit.mlp import MlpTask
+
+        raw = json.loads((CONFIG_DIR / "strategy_grid_equal.json").read_text())
+        raw["topology"]["nodes"][3:] = [
+            {"id": f"dev{i}", "parent": f"edge{1 + i % 2}", "exit": 1, "arrival_rate": 1.0}
+            for i in range(10)]
+        raw.update(seeds=[1], output_dir=str(tmp_path / "out"))
+        raw["training"]["rounds"] = 2
+        cfg = parse_config(raw)
+        clients = {1: 0}  # exit: the most clients one call stepped
+        gradient_on = MlpTask.gradient_on
+
+        def recording(task, v, x, y, exit):
+            clients[exit] = max(clients.get(exit, 0), int(np.prod(x.shape[:-2])))
+            return gradient_on(task, v, x, y, exit)
+
+        monkeypatch.setattr(MlpTask, "gradient_on", recording)
+        run_experiment(cfg)
+        args = {key: value for key, value in cfg.task.items() if key != "kind"}
+        training = TrainConfig(**cfg.training, seed=1)
+        rows = stack_rows(13, MlpTask.dim_of(**args, num_exits=3)[0])
+        assert rows == 3 and clients[1] == 10
+        (what, nbytes, _), _ = MlpTask.stack_tables(training, 13, rows, 1, **args, num_exits=3)
+        assert what == "one stacked gradient's batches"
+        b, steps = training.batch_size, training.local_steps
+        assert nbytes >= 2 * steps * b * clients[1] * (args["input_dim"] + 1) * 8
 
     def test_draw_block_estimate_bounds_what_an_mlp_round_holds(self, monkeypatch):
         # One round of 64 local steps at batch_size 256 holds the 7 streams'

@@ -1102,7 +1102,7 @@ class TestWideTree:
             assert row.tobytes() == reference.tobytes()
 
     def test_peak_memory_holds_one_calls_rows(self):
-        # Training peaks at 0.34 MiB with one row per call and at 0.65 MiB
+        # Training peaks at 0.35 MiB with one row per call and at 0.84 MiB
         # at the default budget, whose one exit-1 call steps all 12 devices on
         # their compact vectors; on full-dim vectors that call took 1.61 MiB.
         topo, task = wide_case(32)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import seven_node_topology
+from conftest import full_gradient, seven_node_topology
 from fedexit.errors import EmptyDatasetError, InvalidArgumentError
 from fedexit.mlp import (
     PARTITIONS,
@@ -31,13 +31,6 @@ def small_task(seed=3, total=210, **kwargs):
     return make_classification_task(
         seven_node_topology(), total_samples=total, seed=seed, **defaults
     )
-
-
-def full_gradient(task, w, x, y, exit):
-    """``gradient_on`` at a full vector: ``w``'s active coordinates in, zero elsewhere out."""
-    active, grad = task.segments.active_mask(exit), np.zeros_like(w)
-    grad[active] = task.gradient_on(w[active], x, y, exit)
-    return grad
 
 
 def finite_difference(task, w, x, y, exit, h=1e-5):
@@ -267,7 +260,7 @@ class TestGradient:
         task = small_task(seed=4, input_dim=16, hidden_dim=32, num_classes=6)
         rng = np.random.default_rng(rows * 100 + batch * 10 + exit)
         stack = np.stack([task.init_params(rng) for _ in range(rows)])
-        stack = stack[:, task.segments.active_mask(exit)]
+        stack = task.segments.gather(stack, exit)
         x, y = task.data["cloud"]
         idx = rng.integers(0, len(y), size=batch)
         grads = task.gradient_on(stack, x[idx], y[idx], exit)
@@ -288,7 +281,7 @@ class TestGradient:
         task = small_task(seed=5, input_dim=16, hidden_dim=32, num_classes=6)
         rng = np.random.default_rng(jobs * 100 + clients * 10 + exit)
         stack = np.stack([[task.init_params(rng) for _ in range(clients)] for _ in range(jobs)])
-        stack = stack[..., task.segments.active_mask(exit)]
+        stack = task.segments.gather(stack, exit)
         x, y = task.data["cloud"]
         idx = rng.integers(0, len(y), size=(clients, 7))
         xb, yb = x[idx], y[idx]
