@@ -145,13 +145,22 @@ def _lr_table(schedules: Sequence[tuple], lo: int, k: int) -> np.ndarray:
 def _local_steps(w: np.ndarray, etas, gradient) -> np.ndarray:
     """Take one plain SGD step from ``w`` per step size in ``etas``.
 
-    ``w`` is one iterate or a stack of them, and ``gradient(w, j)`` returns
-    the gradient of the same shape at local step ``j``. A step size is a
-    float or an array that broadcasts against the stack. Step sizes enter
-    the local phase here and nowhere else.
+    ``w`` is one iterate or a stack of them. ``gradient(w, j)`` returns the
+    gradient at local step ``j`` in a new array of the stepped iterate's
+    shape, which ``w`` broadcasts to; the step scales it in place. A step
+    size is a float or an array that broadcasts against it. Step sizes
+    enter the local phase here and nowhere else. The first step writes a
+    new iterate and every later step updates that one in place, so ``w``
+    is never written.
     """
     for j, eta in enumerate(etas):
-        w = w - eta * gradient(w, j)
+        g = gradient(w, j)
+        g *= eta
+        if j == 0:
+            w = w - g
+        else:
+            w -= g
+        del g  # else it is held through the next step's backprop
     return w
 
 
@@ -497,6 +506,7 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
     rows = np.arange(len(jobs))[:, None], np.arange(n)
     server_lr = np.array([job.cfg.server_lr for job in jobs])[:, None]
     radius = np.array([job.task.radius for job in jobs])
+    bounded = bool(np.isfinite(radius).any())  # an MLP's ball is infinite: no row projects
     near = radius * (1.0 - 1e-9)  # a row this far out may lie outside its ball
     delta = np.empty((len(jobs), first.task.dim))  # a round's summed weighted deltas
 
@@ -525,12 +535,12 @@ def _stacked_round(sets: Sequence[Sequence[Job]], pools: Sequence[ExitPools]):
             for part, _, total in parts:
                 total += w_end[:, k, part]
         w = w + server_lr * delta
-        # project_ball row by row, wherever a row may lie outside its ball (never an MLP's,
-        # which is infinite; a NaN row is refused below): these norms can differ from
-        # project_ball's in the last bits only.
-        norms = np.sqrt(np.einsum("rd,rd->r", w, w))
-        for r in np.flatnonzero(norms > near):
-            w[r] = project_ball(w[r], radius[r])
+        # project_ball row by row, wherever a row may lie outside its ball (a NaN row is
+        # refused below): these norms can differ from project_ball's in the last bits only.
+        if bounded:
+            norms = np.sqrt(np.einsum("rd,rd->r", w, w))
+            for r in np.flatnonzero(norms > near):
+                w[r] = project_ball(w[r], radius[r])
         if not np.isfinite(w).all():
             job = jobs[int(np.argmin(np.isfinite(w).all(axis=1)))]
             raise DivergenceError(f"{_name(job)}, round {t}: the iterate is not finite")

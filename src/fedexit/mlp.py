@@ -150,6 +150,37 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return zmax
 
 
+def _row_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=-1)`` bit for bit, one column at a time below 8 columns.
+
+    Below 8 entries numpy adds a row's entries left to right onto a zero, so
+    one pass per column of the ``(n, k)`` table of rows adds the same terms
+    in the same order without the reduction's per-row cost. From 8 entries
+    on numpy sums pairwise, and this calls it.
+    """
+    k = z.shape[-1]
+    if not 0 < k < 8:
+        return z.sum(axis=-1)
+    rows = z.reshape(-1, k)
+    total = rows[:, 0] + 0.0  # numpy's zero: a row of -0.0 sums to +0.0
+    for j in range(1, k):
+        total += rows[:, j]
+    return total.reshape(z.shape[:-1])
+
+
+def _bias_grad(dz: np.ndarray, out: np.ndarray) -> None:
+    """Writes ``dz.sum(axis=-2)``, bit for bit, into ``out``: the bias gradient of a layer.
+
+    Over more than one column einsum adds the rows in that sum's order,
+    without its temporary. Over one column the sum adds pairwise and
+    einsum does not, so the sum stays.
+    """
+    if dz.shape[-1] > 1:
+        np.einsum("...bk->...k", dz, out=out)
+    else:
+        out[...] = dz.sum(axis=-2)
+
+
 def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row max, ``exp(z - max)`` and its row sum: what every softmax score of ``z`` reads.
 
@@ -159,7 +190,7 @@ def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zmax = _row_max(z)
     expz = z - zmax[..., None]
     np.exp(expz, out=expz)
-    return zmax, expz, expz.sum(axis=-1)
+    return zmax, expz, _row_sum(expz)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -183,7 +214,7 @@ def _entropy(expz, expsum) -> np.ndarray:
         terms = np.log(p)
         terms *= p
     terms[~(p > 0)] = 0.0
-    h = terms.sum(axis=1)
+    h = _row_sum(terms)
     return np.negative(h, out=h)
 
 
@@ -305,6 +336,8 @@ class MlpTask:
         ``y[c]``. Row ``(r, c)`` of the gradient equals the gradient at ``v[r,
         c]`` on batch ``c`` alone, bit for bit: each matmul runs the same
         kernel per row, and each sum adds the same terms in the same order.
+        The gradient is the one array returned: each weight's matmul and
+        each bias's row sum writes into its slice of it.
         """
         n = y.shape[-1]
         head = self.segments.compact_head(exit)
@@ -316,8 +349,8 @@ class MlpTask:
 
         grad = np.empty(dlogits.shape[:-2] + v.shape[-1:])  # the head and blocks fill it
         grad_w, grad_b = _weight_and_bias(grad, head, self.num_classes)
-        grad_w[...] = dlogits.swapaxes(-1, -2) @ states[-1]
-        grad_b[...] = dlogits.sum(axis=-2)
+        np.matmul(dlogits.swapaxes(-1, -2), states[-1], out=grad_w)
+        _bias_grad(dlogits, grad_b)
 
         # dh, a block's square and its dz share one allocation: new ones per step churn the heap
         work = np.empty((3,) + dlogits.shape[:-1] + (self.hidden_dim,))
@@ -327,8 +360,8 @@ class MlpTask:
             dz = np.subtract(1.0, np.square(states[b], out=spare), out=work[2])
             dz *= dh
             grad_w, grad_b = self._block(grad, b)
-            grad_w[...] = dz.swapaxes(-1, -2) @ states[b - 1]
-            grad_b[...] = dz.sum(axis=-2)
+            np.matmul(dz.swapaxes(-1, -2), states[b - 1], out=grad_w)
+            _bias_grad(dz, grad_b)
             if b > 1:  # h_0 is the input, whose gradient nothing reads
                 dh = np.matmul(dz, self._block(v, b)[0], out=spare)
         return grad
@@ -417,7 +450,8 @@ class MlpTask:
         a stack of any ``R <= rows`` jobs: the batches of ``min(N, grad_rows(width))`` clients,
         gathered and stacked; for each of ``max(rows, min(rows * N, grad_rows(width)))`` rows a
         compact gradient and either backprop's hidden state per exit trained, 3 more and two
-        logits or the step's one more; and each row's start, one per job for one step."""
+        logits or the first step's new iterate, and from the second step on the iterate, which
+        later steps update in place; and each job's start."""
         segments = build_segments(input_dim, hidden_dim, num_classes, num_exits)
         b, h, steps = cfg.batch_size, hidden_dim, cfg.local_steps
         widths = {e: segments.width(e) for e in range(1, num_exits + 1)}
@@ -426,8 +460,8 @@ class MlpTask:
                  * max(min(clients, grad_rows(w)) for w in widths.values()),
                  "training batch_size and local_steps, and task input_dim"),
                 ("one stacked gradient's hidden states", 8 * max(
-                    calls[e] * (max((e + 3) * b * h + 2 * b * num_classes, w) + w)
-                    + (rows if steps == 1 else calls[e]) * w for e, w in widths.items()),
+                    calls[e] * (max((e + 3) * b * h + 2 * b * num_classes, w) + w
+                                + (w if steps > 1 else 0)) + rows * w for e, w in widths.items()),
                  "training batch_size and task hidden_dim")]
 
     @staticmethod

@@ -1,11 +1,13 @@
 """Pin the digests of what the shipped configs write, and say which moved.
 
 Runs every config in ``configs/`` at ``--seed-override 1`` in a temporary
-directory, rewrites ``tests/shipped_digests.json`` with the toolchain it ran on
-(``made_with``), and prints every output file whose digest moved. From the root
-of a checkout::
+directory and prints every output file whose digest moved. It then rewrites
+``tests/shipped_digests.json`` with the new digests and the toolchain it ran on
+(``made_with``); with ``--check`` it leaves that file as it is, compares only the
+configs it ran, and exits 1 if any file moved. From the root of a checkout::
 
-    PYTHONPATH=src python tests/shipped_digests.py
+    PYTHONPATH=src python tests/shipped_digests.py            # pin
+    PYTHONPATH=src python tests/shipped_digests.py --check    # compare only
 
 ``TestCli::test_shipped_config_runs`` hashes a run's outputs with :func:`digests`
 and compares them with the pinned file, so the two cannot disagree.
@@ -13,6 +15,7 @@ and compares them with the pinned file, so the two cannot disagree.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -46,7 +49,12 @@ def moved(expected: dict[str, str], got: dict[str, str]) -> list[str]:
                   if expected.get(name) != got.get(name))
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Pin, or with --check compare, the digests "
+                                                 "of what the shipped configs write.")
+    parser.add_argument("--check", action="store_true",
+                        help="leave the pin file as it is; exit 1 if any file moved")
+    check = parser.parse_args(argv).check
     from fedexit.cli import main as cli_main
 
     record = json.loads(SHIPPED_DIGESTS.read_text())
@@ -60,12 +68,15 @@ def main() -> int:
             if code != 0:
                 return code
             outputs[path.stem] = digests(out)
-    record.update(made_with=toolchain(), outputs=outputs)
-    SHIPPED_DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for config in sorted(pinned.keys() | outputs.keys()):
-        for name in moved(pinned.get(config, {}), outputs.get(config, {})):
-            print(f"{config}: {name}")
-    return 0
+    if not check:
+        record.update(made_with=toolchain(), outputs=outputs)
+        SHIPPED_DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    compared = outputs.keys() if check else pinned.keys() | outputs.keys()
+    moves = [f"{config}: {name}" for config in sorted(compared)
+             for name in moved(pinned.get(config, {}), outputs.get(config, {}))]
+    for line in moves:
+        print(line)
+    return 1 if check and moves else 0
 
 
 if __name__ == "__main__":

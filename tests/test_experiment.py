@@ -16,6 +16,7 @@ import pytest
 
 import fedexit
 from conftest import random_tree
+import shipped_digests
 from shipped_digests import CONFIG_DIR, SHIPPED_DIGESTS, digests, moved, toolchain
 from fedexit.cli import main as cli_main
 from fedexit.errors import (
@@ -1584,6 +1585,28 @@ class TestCli:
                            capture_output=True)
             changed = moved(pinned[name], digests(out))
             assert not changed, (name, changed)
+
+    def test_digest_check_leaves_the_pin_file_alone(self, tmp_path, monkeypatch, capsys):
+        # --check compares the configs it runs and never rewrites the pins.
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        name = "quadratic_bounds.json"
+        (configs / name).write_bytes((CONFIG_DIR / name).read_bytes())
+        monkeypatch.setattr(shipped_digests, "CONFIG_DIR", configs)
+        before = SHIPPED_DIGESTS.read_bytes()
+        assert shipped_digests.main(["--check"]) == 0
+        assert SHIPPED_DIGESTS.read_bytes() == before
+        assert capsys.readouterr().out == ""
+        # A pin that no longer matches: the check names the file and fails.
+        record = json.loads(before)
+        first = sorted(record["outputs"]["quadratic_bounds"])[0]
+        record["outputs"]["quadratic_bounds"][first] = "0" * 64
+        stale = tmp_path / "shipped_digests.json"
+        stale.write_text(json.dumps(record))
+        monkeypatch.setattr(shipped_digests, "SHIPPED_DIGESTS", stale)
+        assert shipped_digests.main(["--check"]) == 1
+        assert capsys.readouterr().out == f"quadratic_bounds: {first}\n"
+        assert json.loads(stale.read_text()) == record
 
     def test_used_output_directory_is_refused(self, tmp_path, capsys):
         # A second run into a used directory used to exit 0 and leave the

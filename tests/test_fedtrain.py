@@ -294,6 +294,37 @@ class TestLocalUpdate:
         np.testing.assert_array_equal(out[~mask], w0[~mask])
         assert np.any(out[mask] != w0[mask])
 
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_start_is_left_alone(self, backend):
+        # Later local steps update the iterate in place; the first must not be the start.
+        if backend == "mlp":
+            _, task = mlp_case()
+            cfg = TrainConfig(rounds=1, local_steps=3, batch_size=8, base_lr=0.1)
+            w_start, client, exit = task.init_params(np.random.default_rng(3)), "dev1", 1
+        else:
+            task = single_client_task(np.diag([1.0, 2.0, 3.0]), [0.5, -0.5, 1.0])
+            cfg, w_start, client, exit = theory_cfg(local_steps=3), np.ones(3), "c", 1
+        before = w_start.tobytes()
+        out = local_update(task, w_start, client, exit, cfg, 1, np.random.default_rng(4))
+        assert w_start.tobytes() == before
+        assert not np.shares_memory(out, w_start) and out.tobytes() != before
+
+    def test_steps_equal_out_of_place_steps_bit_for_bit(self):
+        # An (R, 1, d) start that broadcasts to the (R, N, d) iterates, as the engine's first step.
+        rng = np.random.default_rng(5)
+        start, shift = rng.standard_normal((2, 1, 4)), rng.standard_normal((2, 3, 4))
+        etas = rng.random((3, 2, 1, 1))
+
+        def gradient(w, j):
+            return np.tanh(w * (j + 1.5) + shift)  # a new array, as the contract asks
+
+        before = start.tobytes()
+        expected = start
+        for j, eta in enumerate(etas):
+            expected = expected - eta * gradient(expected, j)
+        got = fedtrain._local_steps(start, etas, gradient)
+        assert got.tobytes() == expected.tobytes() and start.tobytes() == before
+
 
 class TestAggregate:
     def _setup(self):
@@ -777,6 +808,27 @@ class TestStackedJobs:
         # An empty list used to end in a raw IndexError on jobs[0].
         with pytest.raises(InvalidArgumentError, match="^run_stacked needs at least one job$"):
             run_stacked([])
+
+    @pytest.mark.parametrize("backend", ["quadratic", "mlp"])
+    def test_starts_are_left_alone(self, backend):
+        # Two jobs of one stream set share a start array; a third starts from its own.
+        if backend == "mlp":
+            topo, task = mlp_case()
+            cfg = TrainConfig(rounds=3, local_steps=2, batch_size=8, base_lr=0.1, seed=4)
+        else:
+            topo = seven_node_topology()
+            task = make_quadratic_task(topo, dim=3, sigma_range=(0.1, 0.6), seed=5)
+            cfg = theory_cfg(rounds=3, local_steps=2, seed=4)
+        shared, own = np.full(task.dim, 0.05), np.full(task.dim, -0.05)
+        sampling = build_sampling_matrix(topo, 0.1)
+        jobs = [Job(topo, task, weights, sampling, cfg, w_init)
+                for weights, w_init in ((equal_weight(3), shared),
+                                        (normalized_weights([0.2, 0.3, 0.5]), shared),
+                                        (equal_weight(3), own))]
+        before = shared.tobytes(), own.tobytes()
+        rows = run_stacked(jobs)
+        assert (shared.tobytes(), own.tobytes()) == before
+        assert not np.array_equal(rows[0], shared) and not np.array_equal(rows[2], own)
 
     def test_matches_per_job_run(self):
         for name, topo, weights, radius in stacked_round_cases():

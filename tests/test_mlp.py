@@ -12,6 +12,8 @@ from fedexit.errors import EmptyDatasetError, InvalidArgumentError
 from fedexit.mlp import (
     PARTITIONS,
     TILE_ROWS,
+    _bias_grad,
+    _row_sum,
     build_segments,
     cross_entropy,
     exit_accuracy,
@@ -189,6 +191,35 @@ class TestScoringKernel:
         with np.errstate(invalid="ignore"):
             h = softmax_entropy(np.array([[0.0, -800.0], [np.nan, 0.0]]))
         assert h.tolist() == [0.0, 0.0]
+
+
+class TestNarrowReductions:
+    """The column-wise row sum and the bias reduction add what numpy's sums add, in its order."""
+
+    @pytest.mark.parametrize("classes", range(1, 13))
+    def test_row_sum_equals_numpy_sum_bit_for_bit(self, classes):
+        # Both sides of the 8-entry boundary, where numpy's order turns pairwise.
+        rng = np.random.default_rng(classes)
+        z = hard_logits(rng, 4000, classes, FINITE_ROWS + SPECIAL_ROWS)
+        z[rng.random(z.shape) < 0.05] = np.nan
+        z[-40:] = rng.choice([0.0, -0.0], (40, classes))  # rows of zeros of either sign
+        z *= 10.0 ** rng.integers(-6, 6, z.shape)  # mixed magnitudes: the order shows
+        with np.errstate(all="ignore"):  # the hard rows overflow and add inf to -inf
+            for rows in (z, z.reshape(8, 500, classes), z.reshape(2, 4, 500, classes)):
+                assert_same_bits(_row_sum(rows), rows.sum(axis=-1))
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 32])
+    @pytest.mark.parametrize("lead", [(), (3,), (3, 4)], ids=["b-k", "R-b-k", "R-C-b-k"])
+    @pytest.mark.parametrize("b", [1, 7, 64, 2048])
+    def test_bias_reduction_equals_numpy_sum_bit_for_bit(self, k, lead, b):
+        # The shapes gradient_on reduces, into a bias slice of a wider gradient as it does.
+        rng = np.random.default_rng(k * 1000 + len(lead) * 100 + b)
+        dz = rng.standard_normal(lead + (b, k)) * 10.0 ** rng.integers(-8, 8, lead + (b, k))
+        dz[rng.random(dz.shape) < 0.05] = -0.0
+        grad = np.full(lead + (k + 5,), np.nan)
+        _bias_grad(dz, grad[..., 5:])
+        assert_same_bits(grad[..., 5:], dz.sum(axis=-2))
+        assert np.isnan(grad[..., :5]).all()
 
 
 class TestRowTiles:
